@@ -12,6 +12,10 @@
 // as they are made* (FlushVertexScope after each update), making full use
 // of network bandwidth and processor time; a full communication barrier
 // (RPC barrier + channel quiescence + RPC barrier) separates color-steps.
+// Schedule requests for ghosts ride the same color-step window: a
+// forwarded vertex can only run after that barrier, so they are staged in
+// a bitset (repeats dedupe for free) and shipped as one u32 gvid column
+// per peer when the step ends.
 // Sync operations run between color-steps.  The color-step batches execute
 // on the substrate's self-scheduling batch workers; the engine itself owns
 // no threads.
@@ -59,31 +63,27 @@ class ChromaticEngine final
         graph_(graph),
         sync_(sync),
         allreduce_(allreduce),
-        scheduled_(graph->num_local_vertices()) {
+        scheduled_(graph->num_local_vertices()),
+        forwards_(graph->num_local_vertices()) {
     ctx_.comm().RegisterHandler(
         ctx_.id, kScheduleForwardHandler,
-        [this](rpc::MachineId, InArchive& ia) {
-          while (!ia.AtEnd()) {
-            VertexId gvid = ia.ReadValue<VertexId>();
-            ia.ReadValue<double>();  // priority unused by this engine
-            LocalVid l = graph_->Lvid(gvid);
-            if (scheduled_.SetBit(l)) pending_.fetch_add(1);
-          }
+        [this](rpc::MachineId src, InArchive& ia) {
+          ApplyScheduleForwards(src, ia);
         });
   }
 
   const char* name() const override { return "chromatic"; }
 
-  /// Seeds T with one vertex (owned or ghost; ghosts are forwarded).
-  void Schedule(LocalVid l, double priority = 1.0) override {
+  /// Seeds T with one vertex (owned or ghost).  A ghost is staged and
+  /// forwarded to its owner at the end of the color-step, or at Start()
+  /// when scheduled between runs — the owner's engine must exist by
+  /// then.  This engine ignores priorities.
+  void Schedule(LocalVid l, double /*priority*/ = 1.0) override {
     if (this->substrate_.aborted()) return;
     if (graph_->is_owned(l)) {
       if (scheduled_.SetBit(l)) pending_.fetch_add(1);
     } else {
-      OutArchive oa;
-      oa << graph_->Gvid(l) << priority;
-      ctx_.comm().Send(ctx_.id, graph_->owner(l), kScheduleForwardHandler,
-                       std::move(oa));
+      forwards_.SetBit(l);
     }
   }
 
@@ -120,6 +120,12 @@ class ChromaticEngine final
                                  : GhostSyncMode::kPerScope,
                              this->options_.ghost_batch_bytes);
 
+    // Ghosts scheduled before Start() ship now.  The owner must handle
+    // them before color-step 0 collects its batch, and the barrier alone
+    // does not order this machine's channel to the owner against the
+    // master's release — so a machine that shipped anything waits for
+    // quiescence before entering it.
+    if (FlushForwards()) ctx_.comm().WaitQuiescent();
     // Align all machines before starting.
     ctx_.barrier().Wait(ctx_.id);
 
@@ -134,8 +140,9 @@ class ChromaticEngine final
         GL_TRACE_SCOPE1(trace::kEngine, "chromatic.color_step", "color",
                         color);
         RunColorStep(color);
-        // Close the coalescing window: ship one framed delta batch per
-        // peer with anything staged.
+        // Close the coalescing window: ship one schedule-forward frame
+        // and one framed delta batch per peer with anything staged.
+        FlushForwards();
         graph_->FlushDeltas();
         // Full communication barrier between color-steps: everyone done
         // sending, channels flushed, everyone observed the flush.
@@ -207,6 +214,46 @@ class ChromaticEngine final
   /// pending-task count, each aborted machine adds one kAbortUnit.
   static constexpr uint64_t kAbortUnit = uint64_t{1} << 48;
 
+  /// Ships every staged ghost schedule: one frame per owner, a bare
+  /// column of u32 gvids in local-id order.  Runs on the coordinator
+  /// thread while no update function is staging.  True if anything was
+  /// sent.
+  bool FlushForwards() {
+    std::vector<OutArchive> frames;
+    for (size_t l = forwards_.FindFirstFrom(0); l < forwards_.size();
+         l = forwards_.FindFirstFrom(l + 1)) {
+      forwards_.ClearBit(l);
+      if (frames.empty()) frames.resize(ctx_.comm().num_machines());
+      const auto lvid = static_cast<LocalVid>(l);
+      frames[graph_->owner(lvid)] << graph_->Gvid(lvid);
+    }
+    for (rpc::MachineId m = 0; m < frames.size(); ++m) {
+      if (frames[m].size() == 0) continue;
+      ctx_.comm().Send(ctx_.id, m, kScheduleForwardHandler,
+                       std::move(frames[m]));
+    }
+    return !frames.empty();
+  }
+
+  /// Decodes one schedule-forward frame (dispatch thread).  A truncated
+  /// column stops at the last whole gvid (CommLayer logs the over-read);
+  /// a gvid this machine does not own is logged and dropped.
+  void ApplyScheduleForwards(rpc::MachineId src, InArchive& ia) {
+    while (!ia.AtEnd()) {
+      const VertexId gvid = ia.ReadValue<VertexId>();
+      if (!ia.ok()) return;
+      const LocalVid l = graph_->TryLvid(gvid);
+      if (l == kInvalidLocalVid || !graph_->is_owned(l)) {
+        GL_LOG(ERROR) << "machine " << ctx_.id << ": schedule forward from "
+                      << src << " for "
+                      << (l == kInvalidLocalVid ? "non-local" : "ghost")
+                      << " vertex " << gvid << "; dropping entry";
+        continue;
+      }
+      if (scheduled_.SetBit(l)) pending_.fetch_add(1);
+    }
+  }
+
   uint64_t RunColorStep(ColorId color) {
     if (this->substrate_.aborted()) return 0;
     // Collect scheduled owned vertices of this color.
@@ -254,6 +301,7 @@ class ChromaticEngine final
   SumAllReduce* allreduce_;
 
   DenseBitset scheduled_;
+  DenseBitset forwards_;  // ghosts scheduled since the last flush
   std::atomic<uint64_t> pending_{0};
   uint64_t local_updates_ = 0;
   uint64_t steps_since_sync_ = 0;

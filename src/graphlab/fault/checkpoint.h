@@ -17,7 +17,7 @@
 //   WRITE   on epoch != 0 every machine journals its owned partition —
 //           WriteSyncSnapshot (full) or WriteDeltaSnapshot (O(dirty)
 //           WAL delta) — and reports DONE.
-//   COMMIT  when every live machine reported, m0 writes the LATEST
+//   COMMIT  when every round member reported, m0 writes the LATEST
 //           manifest {epoch, membership, base_epoch, delta_epochs} —
 //           the atomic commit point a restore trusts — and broadcasts
 //           COMMIT; everyone proceeds.
@@ -120,6 +120,18 @@ class CheckpointCoordinator {
     const uint64_t round = ++round_;
     Timer round_timer;
 
+    // The machines whose journals this round's epoch must contain, fixed
+    // at round start.  Membership only shrinks, so an epoch unchanged
+    // since the attempt began, read after the bitmap, proves the bitmap
+    // is still the attempt's membership.  A death seen already means no
+    // epoch can cover every machine; a death later in the round leaves a
+    // DONE missing below.  Either way the round aborts instead of
+    // committing without the dead machine's journal.
+    const std::vector<uint8_t> members = comm_->membership().alive_bitmap();
+    if (comm_->membership().epoch() != epoch_at_start_) {
+      return Status::Aborted("membership changed before checkpoint round");
+    }
+
     if (ctx_.id == 0) {
       uint32_t epoch = 0;
       uint8_t kind = kFullKind;
@@ -178,14 +190,13 @@ class CheckpointCoordinator {
     comm_->Send(ctx_.id, 0, kCheckpointControlHandler, std::move(done));
 
     if (ctx_.id == 0) {
-      // COMMIT once every live machine's journal is durable.
+      // COMMIT once every member's journal is durable.
       uint64_t dirty_sum = 0, total_sum = 0;
       Status all = WaitFor(
           round,
           [&](const RoundState& r) {
-            const auto alive = comm_->membership().alive_bitmap();
-            for (rpc::MachineId m = 0; m < alive.size(); ++m) {
-              if (alive[m] && !(m < r.done.size() && r.done[m])) {
+            for (rpc::MachineId m = 0; m < members.size(); ++m) {
+              if (members[m] && !(m < r.done.size() && r.done[m])) {
                 return false;
               }
             }
@@ -211,7 +222,9 @@ class CheckpointCoordinator {
       }
       SnapshotManifest manifest;
       manifest.epoch = epoch;
-      manifest.machines = comm_->membership().alive_machines();
+      for (rpc::MachineId m = 0; m < members.size(); ++m) {
+        if (members[m]) manifest.machines.push_back(m);
+      }
       manifest.base_epoch = chain_base_epoch_;
       manifest.delta_epochs = chain_deltas_;
       GRAPHLAB_RETURN_IF_ERROR(

@@ -136,6 +136,9 @@ struct FtScenario {
   // Bit-rot the newest committed journal right before the kill: the
   // recovery ladder must reject that epoch and fall back.
   bool corrupt_newest_journal = false;
+  // The victim lingers this long at the kill boundary before dying, so
+  // the others reach the checkpoint round (and send DONE) first.
+  uint32_t kill_delay_ms = 0;
 };
 
 /// Flips a bit in the middle of machine 0's journal for the newest
@@ -247,6 +250,8 @@ std::pair<fault::FtReport, std::vector<double>> RunFtCluster(
           if (s.corrupt_newest_journal) {
             CorruptNewestCommittedJournal(s.snapshot_dir);
           }
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(s.kill_delay_ms));
           ctx.comm().InjectKill(ctx.id);
           return Status::Aborted("injected kill");
         }
@@ -356,6 +361,31 @@ TEST_F(FaultRecoveryTest, RecoversWithoutCheckpointsByRecomputing) {
   EXPECT_GE(report.recoveries, 1u);
   EXPECT_EQ(report.restored_epoch, 0u);
   EXPECT_EQ(report.checkpoints_written, 0u);
+  double l1 = 0;
+  for (size_t v = 0; v < ranks.size(); ++v) {
+    l1 += std::fabs(ranks[v] - reference[v]);
+  }
+  EXPECT_LT(l1, 1e-8);
+}
+
+// Regression: the victim dies at the start of boundary 3's checkpoint
+// round, after the survivors have written their journals and sent DONE.
+// The round must abort instead of committing an epoch that lacks the dead
+// machine's journal, so the epoch recovery restores lists every machine.
+TEST_F(FaultRecoveryTest, CheckpointRoundLosingAMemberNeverCommits) {
+  FtScenario s;
+  s.snapshot_dir = dir_;
+  s.kill_delay_ms = 300;
+  auto reference = ReferenceRanks(s);
+  auto [report, ranks] = RunFtCluster(s);
+  EXPECT_GE(report.recoveries, 1u);
+  ASSERT_GE(report.restored_epoch, 1u);
+  auto restored =
+      ReadManifestFile(ManifestPathFor(dir_, report.restored_epoch));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->machines.size(), s.machines)
+      << "epoch " << report.restored_epoch
+      << " committed without the dead machine";
   double l1 = 0;
   for (size_t v = 0; v < ranks.size(); ++v) {
     l1 += std::fabs(ranks[v] - reference[v]);

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -57,6 +58,16 @@ CommOptions FastComm() {
   CommOptions o;
   o.latency = std::chrono::microseconds(0);
   return o;
+}
+
+/// Telemetry rides the out-of-band lane, which WaitQuiescent() ignores by
+/// design, so tests poll for its delivery (bounded) instead.
+bool WaitUntil(const std::function<bool()>& done) {
+  const uint64_t deadline_ns = Timer::NowNanos() + 2'000'000'000ull;
+  while (!done() && Timer::NowNanos() < deadline_ns) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
 }
 
 // ---------------------------------------------------------------------
@@ -298,7 +309,7 @@ TEST(TelemetryChannelTest, SamplesReachMasterInProcess) {
   w1.Publish(s);
   s.machine = 2;
   w2.Publish(s);
-  comm.WaitQuiescent();
+  EXPECT_TRUE(WaitUntil([&] { return seen.load() == 3; }));
   EXPECT_EQ(seen.load(), 3u);
   EXPECT_EQ(from_machines.load(), 0b111u);
 }
@@ -315,6 +326,7 @@ TEST(TelemetryChannelTest, OutOfBandTrafficDoesNotBlockQuiescence) {
   TelemetryChannel worker(&comm, 1, nullptr);
   comm.Start();
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> published{0};
   std::thread streamer([&] {
     TelemetrySample s;
     s.machine = 1;
@@ -322,15 +334,21 @@ TEST(TelemetryChannelTest, OutOfBandTrafficDoesNotBlockQuiescence) {
       ++s.seq;
       s.t_ns = Timer::NowNanos();
       worker.Publish(s);
+      published.fetch_add(1, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
   // Quiescence must complete while the stream keeps flowing.
   for (int i = 0; i < 5; ++i) comm.WaitQuiescent();
+  // On a loaded host the waits can finish before the streamer thread
+  // first runs; let it publish before stopping it.
+  while (published.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
   stop.store(true, std::memory_order_release);
   streamer.join();
   comm.WaitQuiescent();
-  EXPECT_GT(received.load(), 0u);
+  EXPECT_TRUE(WaitUntil([&] { return received.load() > 0; }));
   // The traffic is still real on the wire: byte/message counters count.
   EXPECT_GT(comm.GetStats(1).messages_sent, 0u);
   EXPECT_GT(comm.GetStats(1).bytes_sent, 0u);
