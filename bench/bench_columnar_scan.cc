@@ -49,8 +49,7 @@ using apps::PageRankEdge;
 using apps::PageRankVertex;
 using bench::AosEdgeRec;
 using bench::AosVertexRec;
-using SoaGraph = DistributedGraph<PageRankVertex, PageRankEdge,
-                                  StorageLayout::kSoA>;
+using SoaGraph = DistributedGraph<PageRankVertex, PageRankEdge>;
 
 /// Per-edge bytes the gather fold drags through cache in each layout.
 constexpr size_t kAosBytesPerEdge =
@@ -105,9 +104,10 @@ SweepResult RunGatherSweep(bench::JsonWriter* json, uint64_t n,
   const PageRankEdge* edata = graph.edge_data_span().data();
   const LocalVid* esrc = graph.edge_source_span().data();
 
-  // The AoS side scans the row-store records the pre-columnar layout
-  // kept (same structs DistributedGraph<..., kAoS> stores today),
-  // materialized from the same graph so the fold inputs match exactly.
+  // The AoS side scans the row-store records of the pre-columnar layout
+  // (the bench keeps its own copies of those structs in
+  // bench::AosVertexRec / bench::AosEdgeRec), materialized from the same
+  // graph so the fold inputs match exactly.
   std::vector<AosVertexRec> averts(nv);
   for (LocalVid l = 0; l < nv; ++l) {
     averts[l].gvid = graph.Gvid(l);

@@ -9,8 +9,8 @@
 //
 // Three kernels, one gather shape (PageRank: total += weight * rank):
 //
-//   GatherAoS      CSR walk over the row-store records
-//                  (storage::DistVertexAoS / DistEdgeAoS) — every edge
+//   GatherAoS      CSR walk over the row-store records (AosVertexRec /
+//                  AosEdgeRec, the pre-columnar layout) — every edge
 //                  drags the full bookkeeping record through cache.
 //   GatherSoA      the same CSR walk over the property columns — only
 //                  the data columns and the id column are touched.
@@ -29,16 +29,34 @@
 
 #include <cstddef>
 
+#include <cstdint>
+
 #include "graphlab/apps/pagerank.h"
-#include "graphlab/graph/storage.h"
 #include "graphlab/graph/types.h"
+#include "graphlab/rpc/message.h"
 
 namespace graphlab {
 namespace bench {
 
-using AosVertexRec =
-    storage::DistVertexAoS<apps::PageRankVertex>::Record;
-using AosEdgeRec = storage::DistEdgeAoS<apps::PageRankEdge>::Record;
+/// The row-store records of the pre-columnar layout, kept as the
+/// baseline the columnar stores (graph/storage.h) are measured against.
+struct AosVertexRec {
+  VertexId gvid = kInvalidVertex;
+  ColorId color = 0;
+  rpc::MachineId owner = 0;
+  bool owned = false;
+  uint64_t version = 0;
+  uint64_t flushed_version = 0;
+  apps::PageRankVertex data{};
+};
+
+struct AosEdgeRec {
+  LocalVid src = kInvalidLocalVid;
+  LocalVid dst = kInvalidLocalVid;
+  uint64_t version = 0;
+  uint64_t flushed_version = 0;
+  apps::PageRankEdge data{};
+};
 
 /// Row-store gather: totals[v] = sum over v's in-edge CSR slice of
 /// edges[e].data.weight * verts[edges[e].src].data.rank.

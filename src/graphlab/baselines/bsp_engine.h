@@ -43,11 +43,10 @@
 namespace graphlab {
 namespace baselines {
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
-class BspEngine final : public EngineBase<LocalGraph<VertexData, EdgeData, Layout>> {
+template <typename VertexData, typename EdgeData>
+class BspEngine final : public EngineBase<LocalGraph<VertexData, EdgeData>> {
  public:
-  using GraphType = LocalGraph<VertexData, EdgeData, Layout>;
+  using GraphType = LocalGraph<VertexData, EdgeData>;
   using ContextType = Context<GraphType>;
   using Base = EngineBase<GraphType>;
   using Options = EngineOptions;

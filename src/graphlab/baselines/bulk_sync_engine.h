@@ -52,12 +52,11 @@
 namespace graphlab {
 namespace baselines {
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
+template <typename VertexData, typename EdgeData>
 class BulkSyncEngine final
-    : public EngineBase<DistributedGraph<VertexData, EdgeData, Layout>> {
+    : public EngineBase<DistributedGraph<VertexData, EdgeData>> {
  public:
-  using GraphType = DistributedGraph<VertexData, EdgeData, Layout>;
+  using GraphType = DistributedGraph<VertexData, EdgeData>;
   using ContextType = Context<GraphType>;
   using Base = EngineBase<GraphType>;
   using Options = EngineOptions;

@@ -95,32 +95,30 @@ inline Status ValidateEngineOptions(const EngineOptions& options) {
 /// required (every distributed strategy makes collective decisions);
 /// `sync` and `snapshot` enable the Sec. 4.3 background sync / snapshot
 /// features on engines that support them.
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
+template <typename VertexData, typename EdgeData>
 struct DistributedEngineDeps {
   SumAllReduce* allreduce = nullptr;
-  SyncManager<DistributedGraph<VertexData, EdgeData, Layout>>* sync = nullptr;
-  SnapshotManager<VertexData, EdgeData, Layout>* snapshot = nullptr;
+  SyncManager<DistributedGraph<VertexData, EdgeData>>* sync = nullptr;
+  SnapshotManager<VertexData, EdgeData>* snapshot = nullptr;
 };
 
 /// Creates a single-machine engine over a finalized LocalGraph.
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
-Expected<std::unique_ptr<IEngine<LocalGraph<VertexData, EdgeData, Layout>>>>
+template <typename VertexData, typename EdgeData>
+Expected<std::unique_ptr<IEngine<LocalGraph<VertexData, EdgeData>>>>
 CreateEngine(const std::string& name,
-             LocalGraph<VertexData, EdgeData, Layout>* graph,
+             LocalGraph<VertexData, EdgeData>* graph,
              const EngineOptions& options) {
-  using EnginePtr = std::unique_ptr<IEngine<LocalGraph<VertexData, EdgeData, Layout>>>;
+  using EnginePtr = std::unique_ptr<IEngine<LocalGraph<VertexData, EdgeData>>>;
   if (graph == nullptr || !graph->finalized()) {
     return Status::InvalidArgument("graph must be non-null and finalized");
   }
   GRAPHLAB_RETURN_IF_ERROR(detail::ValidateEngineOptions(options));
   if (name == "shared_memory" || name == "async") {
-    return EnginePtr(std::make_unique<SharedMemoryEngine<VertexData, EdgeData, Layout>>(
+    return EnginePtr(std::make_unique<SharedMemoryEngine<VertexData, EdgeData>>(
         graph, options));
   }
   if (name == "bsp") {
-    return EnginePtr(std::make_unique<baselines::BspEngine<VertexData, EdgeData, Layout>>(
+    return EnginePtr(std::make_unique<baselines::BspEngine<VertexData, EdgeData>>(
         graph, options));
   }
   return Status::InvalidArgument(
@@ -130,15 +128,14 @@ CreateEngine(const std::string& name,
 
 /// Creates this machine's member of a distributed engine.  Collective:
 /// every machine must create and Start() the same strategy.
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
-Expected<std::unique_ptr<IEngine<DistributedGraph<VertexData, EdgeData, Layout>>>>
+template <typename VertexData, typename EdgeData>
+Expected<std::unique_ptr<IEngine<DistributedGraph<VertexData, EdgeData>>>>
 CreateEngine(const std::string& name, rpc::MachineContext ctx,
-             DistributedGraph<VertexData, EdgeData, Layout>* graph,
+             DistributedGraph<VertexData, EdgeData>* graph,
              const EngineOptions& options,
-             const DistributedEngineDeps<VertexData, EdgeData, Layout>& deps) {
+             const DistributedEngineDeps<VertexData, EdgeData>& deps) {
   using EnginePtr =
-      std::unique_ptr<IEngine<DistributedGraph<VertexData, EdgeData, Layout>>>;
+      std::unique_ptr<IEngine<DistributedGraph<VertexData, EdgeData>>>;
   if (graph == nullptr) {
     return Status::InvalidArgument("graph must be non-null");
   }
@@ -155,16 +152,16 @@ CreateEngine(const std::string& name, rpc::MachineContext ctx,
     resolved.metrics = &ctx.comm().registry(ctx.id);
   }
   if (name == "chromatic") {
-    return EnginePtr(std::make_unique<ChromaticEngine<VertexData, EdgeData, Layout>>(
+    return EnginePtr(std::make_unique<ChromaticEngine<VertexData, EdgeData>>(
         ctx, graph, deps.sync, deps.allreduce, resolved));
   }
   if (name == "locking") {
-    return EnginePtr(std::make_unique<LockingEngine<VertexData, EdgeData, Layout>>(
+    return EnginePtr(std::make_unique<LockingEngine<VertexData, EdgeData>>(
         ctx, graph, deps.sync, deps.allreduce, deps.snapshot, resolved));
   }
   if (name == "bulk_sync" || name == "bulksync") {
     return EnginePtr(
-        std::make_unique<baselines::BulkSyncEngine<VertexData, EdgeData, Layout>>(
+        std::make_unique<baselines::BulkSyncEngine<VertexData, EdgeData>>(
             ctx, graph, deps.allreduce, resolved));
   }
   return Status::InvalidArgument(

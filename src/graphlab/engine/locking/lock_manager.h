@@ -37,11 +37,10 @@
 
 namespace graphlab {
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
+template <typename VertexData, typename EdgeData>
 class DistributedLockManager {
  public:
-  using GraphType = DistributedGraph<VertexData, EdgeData, Layout>;
+  using GraphType = DistributedGraph<VertexData, EdgeData>;
   using ScopeReadyCallback = std::function<void()>;
 
   DistributedLockManager(rpc::MachineContext ctx, GraphType* graph,

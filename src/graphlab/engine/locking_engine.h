@@ -44,19 +44,18 @@
 
 namespace graphlab {
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
+template <typename VertexData, typename EdgeData>
 class LockingEngine final
-    : public EngineBase<DistributedGraph<VertexData, EdgeData, Layout>> {
+    : public EngineBase<DistributedGraph<VertexData, EdgeData>> {
  public:
-  using GraphType = DistributedGraph<VertexData, EdgeData, Layout>;
+  using GraphType = DistributedGraph<VertexData, EdgeData>;
   using ContextType = Context<GraphType>;
   using Base = EngineBase<GraphType>;
   using Options = EngineOptions;
 
   LockingEngine(rpc::MachineContext ctx, GraphType* graph,
                 SyncManager<GraphType>* sync, SumAllReduce* allreduce,
-                SnapshotManager<VertexData, EdgeData, Layout>* snapshot,
+                SnapshotManager<VertexData, EdgeData>* snapshot,
                 EngineOptions options)
       : Base(std::move(options)),
         ctx_(ctx),
@@ -429,9 +428,9 @@ class LockingEngine final
   GraphType* graph_;
   SyncManager<GraphType>* sync_;
   SumAllReduce* allreduce_;
-  SnapshotManager<VertexData, EdgeData, Layout>* snapshot_;
+  SnapshotManager<VertexData, EdgeData>* snapshot_;
 
-  DistributedLockManager<VertexData, EdgeData, Layout> lock_manager_;
+  DistributedLockManager<VertexData, EdgeData> lock_manager_;
   std::unique_ptr<IScheduler> scheduler_;
   DenseBitset user_pending_;
   DenseBitset snapshot_pending_;

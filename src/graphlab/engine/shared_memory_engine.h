@@ -29,11 +29,10 @@
 
 namespace graphlab {
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
-class SharedMemoryEngine final : public EngineBase<LocalGraph<VertexData, EdgeData, Layout>> {
+template <typename VertexData, typename EdgeData>
+class SharedMemoryEngine final : public EngineBase<LocalGraph<VertexData, EdgeData>> {
  public:
-  using GraphType = LocalGraph<VertexData, EdgeData, Layout>;
+  using GraphType = LocalGraph<VertexData, EdgeData>;
   using ContextType = Context<GraphType>;
   using Base = EngineBase<GraphType>;
   using Options = EngineOptions;

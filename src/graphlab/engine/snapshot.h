@@ -22,18 +22,14 @@
 //
 // The journal is a per-machine file snap_<epoch>_m<machine>.glsnap under
 // the snapshot directory; Restore() plays the journal back into the owned
-// partition (and re-pushes ghosts).  Synchronous journals use the v3
-// format: the magic byte 0xC1, a version byte, a masked CRC32C of the
-// payload, then the v2 columnar body (codec-compressed id columns +
-// contiguous property blobs, mirroring the in-memory SoA layout); the
-// async variant appends row records incrementally and stays in the legacy
-// row format.  The restore paths accept all three: no magic byte = row
-// format, magic + a structurally valid v3 CRC envelope = v3, magic +
-// anything else = legacy v2.  A v2 journal's second byte is the low byte
-// of its first column's u64 length prefix — arbitrary data — so the
-// version byte alone cannot discriminate; ParseV3Envelope additionally
-// requires the envelope's body length to match the file size exactly,
-// which a v2 body cannot satisfy by accident (see its comment).
+// partition (and re-pushes ghosts).  Both strategies write the same v3
+// format through one encoder (EncodeFullJournal): the magic byte 0xC1, a
+// version byte, a masked CRC32C of the body, the body length, then the
+// columnar body (codec-compressed id columns + contiguous property blobs,
+// mirroring the in-memory column layout).  The async variant stages its
+// columns as the snapshot sweeps the graph and encodes them once at
+// FinishAsync.  Anything that is not a well-formed v3 envelope with a
+// matching checksum is Corruption, at verify time and at replay time.
 //
 // Durability (this layer implements the storage half of Sec. 4.3):
 //
@@ -53,6 +49,7 @@
 #ifndef GRAPHLAB_ENGINE_SNAPSHOT_H_
 #define GRAPHLAB_ENGINE_SNAPSHOT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -83,33 +80,23 @@ inline double OptimalCheckpointIntervalSeconds(double t_checkpoint_sec,
 /// applications use so the scheduler runs markers first (Alg. 5 condition).
 inline constexpr double kSnapshotPriority = 1e30;
 
-/// First byte of a v2/v3 (columnar) sync journal.  Legacy row journals
-/// start with a record-type byte (0 or 1), so the magic doubles as the
-/// format sniff; an empty journal is valid in both formats.
+/// First byte of every full journal.
 inline constexpr uint8_t kColumnarJournalMagic = 0xC1;
 
-/// Second byte of a v3 journal (CRC-wrapped columnar body).
+/// Second byte of every full journal: the format version.
 inline constexpr uint8_t kJournalVersion = 3;
 
-/// Attempts to parse `bytes` as a v3 CRC envelope:
+/// Bytes in front of a full journal's body: magic, version, CRC, length.
+inline constexpr size_t kJournalHeaderBytes = 14;
+
+/// Parses `bytes` as a v3 CRC envelope:
 ///
 ///   [u8 0xC1] [u8 3] [u32 masked_crc] [u64 body_len] [body_len bytes]
 ///
 /// with nothing trailing.  Returns true and fills `stored_crc`/`body` on
-/// a structural match; false means the file is NOT v3 (row format, or a
-/// legacy v2 columnar journal — whose byte 1 is column-length data and
-/// may equal 3 by coincidence, but whose body cannot also satisfy the
-/// envelope's exact body_len == size-14 equation: the u64 at offset 6
-/// would have to be eight bytes of column data that happen to spell the
-/// remaining file size).  This structural test is the discriminator the
-/// verify and replay paths share, so a journal is never classified one
-/// way at verify time and another at replay time.
-///
-/// Residual ambiguity, documented rather than hidden: corruption inside
-/// a real v3 envelope's 8-byte length field demotes the file to "v2" and
-/// verification passes vacuously — the replay then fails with Corruption
-/// when the v2 parse reads the mangled header, so garbage is still never
-/// applied, just diagnosed one stage later.
+/// a structural match; false means the file is not a full journal (empty,
+/// wrong magic or version, or truncated).  The verify and replay paths
+/// share this parse, so they never disagree about a file.
 inline bool ParseV3Envelope(const std::vector<char>& bytes,
                             uint32_t* stored_crc, std::vector<char>* body) {
   if (bytes.size() < 2 ||
@@ -125,29 +112,77 @@ inline bool ParseV3Envelope(const std::vector<char>& bytes,
   return ia.ok() && ia.AtEnd();
 }
 
-/// Integrity check of a full-snapshot journal without decoding property
-/// types: verifies the v3 CRC envelope.  Pre-v3 journals (legacy v2
-/// columnar, async row format) carry no checksum and pass vacuously.
-/// The recovery ladder calls this on every journal of a manifest chain
-/// before trusting the epoch.
-inline Status VerifyFullJournalBytes(const std::vector<char>& bytes,
-                                     const std::string& what) {
-  if (bytes.empty() ||
-      static_cast<uint8_t>(bytes[0]) != kColumnarJournalMagic) {
-    return Status::OK();  // legacy row journal: nothing to verify against
-  }
-  if (bytes.size() < 2) {
-    return Status::Corruption("truncated columnar journal: " + what);
-  }
+/// Extracts the body of a full-snapshot journal: the file must be a
+/// well-formed v3 envelope whose CRC matches its body.  The replay
+/// decodes nothing that has not passed this check.
+inline Status ParseFullJournal(const std::vector<char>& bytes,
+                               const std::string& what,
+                               std::vector<char>* body) {
   uint32_t stored = 0;
-  std::vector<char> body;
-  if (!ParseV3Envelope(bytes, &stored, &body)) {
-    return Status::OK();  // legacy v2 columnar: no checksum to verify
+  if (!ParseV3Envelope(bytes, &stored, body)) {
+    return Status::Corruption("not a well-formed v3 journal: " + what);
   }
-  if (crc32c::Unmask(stored) != crc32c::Value(body.data(), body.size())) {
+  if (crc32c::Unmask(stored) != crc32c::Value(body->data(), body->size())) {
     return Status::Corruption("journal checksum mismatch: " + what);
   }
   return Status::OK();
+}
+
+/// Integrity check of a full-snapshot journal without decoding property
+/// types.  The recovery ladder calls this on every journal of a manifest
+/// chain before trusting the epoch.
+inline Status VerifyFullJournalBytes(const std::vector<char>& bytes,
+                                     const std::string& what) {
+  std::vector<char> body;
+  return ParseFullJournal(bytes, what, &body);
+}
+
+/// The columns of a full journal's body, staged by either snapshot
+/// strategy: owned-vertex gvids with their serialized VertexData (in
+/// column order), then edge endpoint gvids with their serialized
+/// EdgeData.
+struct FullJournalColumns {
+  std::vector<VertexId> gvids;
+  OutArchive vertex_blobs;
+  std::vector<VertexId> esrc, edst;
+  OutArchive edge_blobs;
+};
+
+/// Encodes the one full-journal format:
+///
+///   [u8 0xC1] [u8 3] [u32 masked_crc(body)] [u64 body_len] [body]
+///
+///   body = [string gvid_col] [VertexData x n]
+///          [string esrc_col] [string edst_col] [EdgeData x m]
+///
+/// The id columns are codec-compressed (column_codec.h — sorted-ish id
+/// runs delta-varint down to ~1 byte each); the property blobs stream
+/// contiguously per column.  The body is appended in place behind a
+/// placeholder header that is filled in once its CRC is known.
+inline std::vector<char> EncodeFullJournal(const FullJournalColumns& c) {
+  const char placeholder[kJournalHeaderBytes] = {};
+  OutArchive journal;
+  journal.WriteBytes(placeholder, kJournalHeaderBytes);
+  std::string col;
+  EncodeColumn<VertexId>({c.gvids.data(), c.gvids.size()}, &col);
+  journal << col;
+  journal.WriteBytes(c.vertex_blobs.buffer().data(), c.vertex_blobs.size());
+  col.clear();
+  EncodeColumn<VertexId>({c.esrc.data(), c.esrc.size()}, &col);
+  journal << col;
+  col.clear();
+  EncodeColumn<VertexId>({c.edst.data(), c.edst.size()}, &col);
+  journal << col;
+  journal.WriteBytes(c.edge_blobs.buffer().data(), c.edge_blobs.size());
+
+  std::vector<char> bytes = journal.TakeBuffer();
+  const char* body = bytes.data() + kJournalHeaderBytes;
+  const uint64_t body_len = bytes.size() - kJournalHeaderBytes;
+  OutArchive header;
+  header << kColumnarJournalMagic << kJournalVersion
+         << crc32c::Mask(crc32c::Value(body, body_len)) << body_len;
+  std::copy(header.buffer().begin(), header.buffer().end(), bytes.begin());
+  return bytes;
 }
 
 /// Integrity check of a delta journal (WAL format): reads every record
@@ -273,11 +308,10 @@ inline Expected<SnapshotManifest> ReadSnapshotManifest(
   return DecodeSnapshotManifest(*bytes, dir + "/LATEST");
 }
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
+template <typename VertexData, typename EdgeData>
 class SnapshotManager {
  public:
-  using GraphType = DistributedGraph<VertexData, EdgeData, Layout>;
+  using GraphType = DistributedGraph<VertexData, EdgeData>;
   using ContextType = Context<GraphType>;
 
   SnapshotManager(rpc::MachineContext ctx, GraphType* graph, std::string dir)
@@ -359,43 +393,28 @@ class SnapshotManager {
   // Synchronous snapshot
   // --------------------------------------------------------------------
 
-  /// Journals all owned vertex and edge data.  The caller (engine) must
-  /// have suspended updates and flushed channels cluster-wide.
-  ///
-  /// v2 columnar format: the entity-id columns (owned gvids, edge
-  /// endpoint gvids) are codec-compressed (column_codec.h — sorted-ish
-  /// id runs delta-varint down to ~1 byte each) and the property blobs
-  /// stream contiguously per column, matching the in-memory SoA layout:
-  ///
-  ///   [u8 0xC1] [string gvid_col] [VertexData x n]
-  ///             [string esrc_col] [string edst_col] [EdgeData x m]
+  /// Journals all owned vertex and edge data in the full-journal format
+  /// (EncodeFullJournal) and commits it via the atomic temp+rename path.
+  /// The caller (engine) must have suspended updates and flushed channels
+  /// cluster-wide.
   ///
   /// Each owned vertex journals its out-edges; in-edges whose source is
   /// a ghost belong to the remote owner's journal.  Together the
   /// journals cover every edge exactly once.
-  ///
-  /// v3 wraps the body with a masked CRC32C so recovery can verify the
-  /// journal before replaying it:
-  ///
-  ///   [u8 0xC1] [u8 3] [u32 masked_crc(body)] [u64 body_len] [body]
-  ///
-  /// where body is the v2 columnar layout above, and the file lands via
-  /// the atomic temp+rename commit.
   Status WriteSyncSnapshot(uint32_t epoch) {
     GL_TRACE_SCOPE1(trace::kSnapshot, "snapshot.full", "epoch", epoch);
-    std::vector<VertexId> gvids;
-    std::vector<VertexId> esrc, edst;
-    std::vector<LocalEid> eids;
-    gvids.reserve(graph_->num_owned_vertices());
+    FullJournalColumns cols;
+    cols.gvids.reserve(graph_->num_owned_vertices());
     uint64_t dirty = 0, total = 0;
     for (LocalVid l : graph_->owned_vertices()) {
-      gvids.push_back(graph_->Gvid(l));
+      cols.gvids.push_back(graph_->Gvid(l));
+      cols.vertex_blobs << graph_->vertex_data(l);
       ++total;
       if (has_baseline_ && VertexDirty(l)) ++dirty;
       for (LocalEid e : graph_->out_edges(l)) {
-        esrc.push_back(graph_->Gvid(graph_->edge_source(e)));
-        edst.push_back(graph_->Gvid(graph_->edge_target(e)));
-        eids.push_back(e);
+        cols.esrc.push_back(graph_->Gvid(graph_->edge_source(e)));
+        cols.edst.push_back(graph_->Gvid(graph_->edge_target(e)));
+        cols.edge_blobs << graph_->edge_data(e);
         ++total;
         if (has_baseline_ && EdgeDirty(e)) ++dirty;
       }
@@ -404,26 +423,9 @@ class SnapshotManager {
     // meaningful only relative to a baseline.
     last_dirty_entities_ = has_baseline_ ? dirty : 0;
     last_total_entities_ = has_baseline_ ? total : 0;
-    OutArchive body;
-    std::string col;
-    EncodeColumn<VertexId>({gvids.data(), gvids.size()}, &col);
-    body << col;
-    for (LocalVid l : graph_->owned_vertices()) {
-      body << graph_->vertex_data(l);
-    }
-    col.clear();
-    EncodeColumn<VertexId>({esrc.data(), esrc.size()}, &col);
-    body << col;
-    col.clear();
-    EncodeColumn<VertexId>({edst.data(), edst.size()}, &col);
-    body << col;
-    for (LocalEid e : eids) body << graph_->edge_data(e);
 
-    OutArchive journal;
-    journal << kColumnarJournalMagic << kJournalVersion
-            << crc32c::Mask(crc32c::Value(body.buffer().data(), body.size()))
-            << body.buffer();
-    Status st = WriteFileAtomic(JournalPath(epoch), journal.buffer());
+    const std::vector<char> journal = EncodeFullJournal(cols);
+    Status st = WriteFileAtomic(JournalPath(epoch), journal);
     if (st.ok()) CaptureBaseline();
     last_checkpoint_bytes_ = journal.size();
     ThrottleDfs(journal.size());
@@ -507,7 +509,7 @@ class SnapshotManager {
   void BeginAsyncEpoch(uint32_t epoch) {
     std::lock_guard<std::mutex> lock(journal_mutex_);
     epoch_ = epoch;
-    journal_.Clear();
+    async_ = FullJournalColumns();
     snapshotted_local_.store(0, std::memory_order_relaxed);
   }
 
@@ -523,12 +525,13 @@ class SnapshotManager {
            graph_->num_owned_vertices();
   }
 
-  /// Writes the accumulated async journal to disk (atomically — the
-  /// row-record content is unchanged, but a crash mid-write must not
-  /// leave a torn journal under the committed name).
+  /// Encodes the columns the snapshot updates staged into the same
+  /// full-journal format WriteSyncSnapshot writes, and commits it
+  /// atomically so a crash mid-write never leaves a torn journal under
+  /// the committed name.
   Status FinishAsync() {
     std::lock_guard<std::mutex> lock(journal_mutex_);
-    return WriteFileAtomic(JournalPath(epoch_), journal_.buffer());
+    return WriteFileAtomic(JournalPath(epoch_), EncodeFullJournal(async_));
   }
 
   // --------------------------------------------------------------------
@@ -536,49 +539,24 @@ class SnapshotManager {
   // --------------------------------------------------------------------
 
   /// Applies this machine's journal for `epoch` to the owned partition and
-  /// re-pushes every owned scope so ghosts become coherent.  Collective:
+  /// re-pushes what it applied so ghosts become coherent.  The journal
+  /// must be this machine's own under the same placement: a record that
+  /// lands on no owned vertex or local edge is Corruption.  The journals
+  /// of one epoch hold each record once cluster-wide, so the rows this
+  /// replay writes and pushes are disjoint from the rows peers' pushes
+  /// write, and no barrier is needed before the push.  Collective:
   /// callers should barrier + WaitQuiescent afterwards.
   Status Restore(uint32_t epoch) {
     const std::string path = JournalPath(epoch);
-    auto bytes = ReadFileBytes(path);
-    if (!bytes.ok()) return bytes.status();
-    if (IsColumnarJournal(*bytes)) {
-      GRAPHLAB_RETURN_IF_ERROR(
-          ReplayColumnarJournal(*bytes, path, /*strict=*/true));
-    } else {
-      InArchive ia(*bytes);
-      while (!ia.AtEnd()) {
-        uint8_t type = ia.ReadValue<uint8_t>();
-        if (type == 0) {
-          VertexId gvid = ia.ReadValue<VertexId>();
-          VertexData data;
-          ia >> data;
-          LocalVid l = graph_->Lvid(gvid);
-          GL_CHECK(graph_->is_owned(l));
-          graph_->vertex_data(l) = std::move(data);
-          graph_->MarkVertexModified(l);
-        } else if (type == 1) {
-          VertexId gsrc = ia.ReadValue<VertexId>();
-          VertexId gdst = ia.ReadValue<VertexId>();
-          EdgeData data;
-          ia >> data;
-          LocalEid e = graph_->LeidOf(gsrc, gdst);
-          graph_->edge_data(e) = std::move(data);
-          graph_->MarkEdgeModified(e);
-        } else {
-          return Status::Corruption("bad record in " + path);
-        }
-      }
+    size_t unplaced = 0;
+    GRAPHLAB_RETURN_IF_ERROR(ReplayFullJournal(path, &unplaced));
+    RetireDerivedState();
+    if (unplaced > 0) {
+      return Status::Corruption(std::to_string(unplaced) +
+                                " records of " + path +
+                                " belong to no owned vertex or local edge");
     }
-    // A restore rewrites whole property columns: retire any cached
-    // gather state derived from the pre-restore columns, and the dirty
-    // baseline with it (next checkpoint must be full).
-    graph_->BumpVertexDataEpoch();
-    graph_->BumpEdgeDataEpoch();
-    has_baseline_ = false;
-    for (LocalVid l : graph_->owned_vertices()) {
-      graph_->FlushVertexScope(l);
-    }
+    RepushOwnedScopes();
     return Status::OK();
   }
 
@@ -589,51 +567,18 @@ class SnapshotManager {
   /// placement: owned vertices take vertex records, locally present
   /// edges take edge records, everything else is skipped.  Works on a
   /// freshly re-ingested graph whose membership shrank.  Purely local:
-  /// call RepushOwnedScopes() + barrier + WaitQuiescent afterwards to
-  /// re-sync ghosts cluster-wide.
+  /// afterwards call barrier + RepushOwnedScopes() + barrier +
+  /// WaitQuiescent to re-sync ghosts cluster-wide.  Every machine holding
+  /// an edge replays its record, so the first barrier must keep peers'
+  /// pushes out until this machine's replay is done.
   Status RestoreFrom(uint32_t epoch,
                      const std::vector<rpc::MachineId>& journal_machines) {
+    size_t unplaced = 0;
     for (rpc::MachineId jm : journal_machines) {
-      std::string path = JournalPathFor(dir_, epoch, jm);
-      auto bytes = ReadFileBytes(path);
-      if (!bytes.ok()) return bytes.status();
-      if (IsColumnarJournal(*bytes)) {
-        GRAPHLAB_RETURN_IF_ERROR(
-            ReplayColumnarJournal(*bytes, path, /*strict=*/false));
-        continue;
-      }
-      InArchive ia(*bytes);
-      while (!ia.AtEnd()) {
-        uint8_t type = ia.ReadValue<uint8_t>();
-        if (type == 0) {
-          VertexId gvid = ia.ReadValue<VertexId>();
-          VertexData data;
-          ia >> data;
-          if (!ia.ok()) return Status::Corruption("truncated " + path);
-          LocalVid l = graph_->TryLvid(gvid);
-          if (l != kInvalidLocalVid && graph_->is_owned(l)) {
-            graph_->vertex_data(l) = std::move(data);
-            graph_->MarkVertexModified(l);
-          }
-        } else if (type == 1) {
-          VertexId gsrc = ia.ReadValue<VertexId>();
-          VertexId gdst = ia.ReadValue<VertexId>();
-          EdgeData data;
-          ia >> data;
-          if (!ia.ok()) return Status::Corruption("truncated " + path);
-          LocalEid e = graph_->TryLeid(gsrc, gdst);
-          if (e != kInvalidLocalEid) {
-            graph_->edge_data(e) = std::move(data);
-            graph_->MarkEdgeModified(e);
-          }
-        } else {
-          return Status::Corruption("bad record in " + path);
-        }
-      }
+      GRAPHLAB_RETURN_IF_ERROR(
+          ReplayFullJournal(JournalPathFor(dir_, epoch, jm), &unplaced));
     }
-    graph_->BumpVertexDataEpoch();
-    graph_->BumpEdgeDataEpoch();
-    has_baseline_ = false;
+    RetireDerivedState();
     return Status::OK();
   }
 
@@ -666,11 +611,7 @@ class SnapshotManager {
             VertexData data;
             ia >> data;
             if (!ia.ok()) return Status::Corruption("truncated " + path);
-            LocalVid l = graph_->TryLvid(gvid);
-            if (l != kInvalidLocalVid && graph_->is_owned(l)) {
-              graph_->vertex_data(l) = std::move(data);
-              graph_->MarkVertexModified(l);
-            }
+            PlaceVertex(gvid, std::move(data));
           } else {
             const VertexId gsrc =
                 static_cast<VertexId>(ia.ReadValue<uint64_t>());
@@ -679,11 +620,7 @@ class SnapshotManager {
             EdgeData data;
             ia >> data;
             if (!ia.ok()) return Status::Corruption("truncated " + path);
-            LocalEid e = graph_->TryLeid(gsrc, gdst);
-            if (e != kInvalidLocalEid) {
-              graph_->edge_data(e) = std::move(data);
-              graph_->MarkEdgeModified(e);
-            }
+            PlaceEdge(gsrc, gdst, std::move(data));
           }
         }
         if (!ia.AtEnd()) {
@@ -694,15 +631,14 @@ class SnapshotManager {
         return Status::Corruption("corrupt delta journal: " + path);
       }
     }
-    graph_->BumpVertexDataEpoch();
-    graph_->BumpEdgeDataEpoch();
-    has_baseline_ = false;
+    RetireDerivedState();
     return Status::OK();
   }
 
   /// Restores a manifest chain: the full snapshot at `base_epoch`, then
   /// every delta epoch in order.  Purely local, lenient placement; call
-  /// RepushOwnedScopes() + barrier + WaitQuiescent afterwards.
+  /// barrier + RepushOwnedScopes() + barrier + WaitQuiescent afterwards
+  /// (see RestoreFrom).
   Status RestoreChain(const SnapshotManifest& manifest) {
     GRAPHLAB_RETURN_IF_ERROR(
         RestoreFrom(manifest.base_epoch, manifest.machines));
@@ -713,14 +649,15 @@ class SnapshotManager {
     return Status::OK();
   }
 
-  /// Pushes every owned scope so ghost replicas become coherent with the
-  /// restored data (one coalesced delta batch per peer when the graph is
-  /// in kCoalesced mode).  Collective: barrier + WaitQuiescent after.
+  /// Pushes every vertex and edge the restores since the last call
+  /// applied to the machines holding replicas, so ghosts become coherent
+  /// with the restored data (one coalesced delta batch per peer).  Reads
+  /// only the rows the replay wrote (DistributedGraph::PushEntities).
+  /// Collective: barrier + WaitQuiescent after.
   void RepushOwnedScopes() {
-    for (LocalVid l : graph_->owned_vertices()) {
-      graph_->FlushVertexScope(l);
-    }
-    graph_->FlushDeltas();
+    graph_->PushEntities(restored_vertices_, restored_edges_);
+    std::vector<LocalVid>().swap(restored_vertices_);
+    std::vector<LocalEid>().swap(restored_edges_);
   }
 
  private:
@@ -732,14 +669,15 @@ class SnapshotManager {
 
     std::lock_guard<std::mutex> lock(journal_mutex_);
     // "Save D_v".
-    journal_ << uint8_t{0} << ctx.vertex_id() << ctx.const_vertex_data();
+    async_.gvids.push_back(ctx.vertex_id());
+    async_.vertex_blobs << ctx.const_vertex_data();
     // "foreach u in N[v]: if u was not snapshotted: save D_{u<->v};
     //  schedule u for a Snapshot Update".
     auto save_edge_if_needed = [&](LocalEid e, LocalVid u) {
       if (ctx.neighbor_data(u).snapshot_epoch >= epoch) return;
-      journal_ << uint8_t{1} << ctx.graph().Gvid(ctx.edge_source(e))
-               << ctx.graph().Gvid(ctx.edge_target(e))
-               << ctx.const_edge_data(e);
+      async_.esrc.push_back(ctx.graph().Gvid(ctx.edge_source(e)));
+      async_.edst.push_back(ctx.graph().Gvid(ctx.edge_target(e)));
+      async_.edge_blobs << ctx.const_edge_data(e);
     };
     for (LocalEid e : ctx.in_edges()) save_edge_if_needed(e, ctx.edge_source(e));
     for (LocalEid e : ctx.out_edges()) save_edge_if_needed(e, ctx.edge_target(e));
@@ -754,39 +692,15 @@ class SnapshotManager {
     snapshotted_local_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  static bool IsColumnarJournal(const std::vector<char>& bytes) {
-    return !bytes.empty() &&
-           static_cast<uint8_t>(bytes[0]) == kColumnarJournalMagic;
-  }
-
-  /// Replays a v2/v3 columnar journal.  `strict` (same-membership
-  /// Restore) requires every record to land on an owned vertex / present
-  /// edge; the lenient form (RestoreFrom, post-loss re-placement)
-  /// applies what this machine now holds and skips the rest.  The v2/v3
-  /// discrimination is ParseV3Envelope — the same structural test the
-  /// ladder's VerifyFullJournalBytes uses, so verify and replay can
-  /// never disagree about a file's format.  v3 journals fail with
-  /// Corruption before any graph mutation if the CRC does not verify.
-  Status ReplayColumnarJournal(const std::vector<char>& bytes,
-                               const std::string& path, bool strict) {
-    uint32_t stored = 0;
+  /// Replays the full journal at `path` leniently: records that land on
+  /// an owned vertex / local edge are applied, the rest are counted into
+  /// `*unplaced`.  Nothing is applied unless the envelope verifies.
+  Status ReplayFullJournal(const std::string& path, size_t* unplaced) {
+    auto bytes = ReadFileBytes(path);
+    if (!bytes.ok()) return bytes.status();
     std::vector<char> body;
-    if (ParseV3Envelope(bytes, &stored, &body)) {
-      if (crc32c::Unmask(stored) != crc32c::Value(body.data(), body.size())) {
-        return Status::Corruption("journal checksum mismatch: " + path);
-      }
-      return ReplayColumnarBody(InArchive(body.data(), body.size()), path,
-                                strict);
-    }
-    InArchive ia(bytes);
-    ia.ReadValue<uint8_t>();  // magic, already sniffed
-    return ReplayColumnarBody(std::move(ia), path, strict);
-  }
-
-  /// The v2 columnar body: id columns + property streams.  `ia` is
-  /// positioned at the gvid column (past magic/envelope).
-  Status ReplayColumnarBody(InArchive ia, const std::string& path,
-                            bool strict) {
+    GRAPHLAB_RETURN_IF_ERROR(ParseFullJournal(*bytes, path, &body));
+    InArchive ia(body.data(), body.size());
     std::string col;
     ia >> col;
     std::vector<VertexId> gvids;
@@ -797,18 +711,7 @@ class SnapshotManager {
       VertexData data;
       ia >> data;
       if (!ia.ok()) return Status::Corruption("truncated " + path);
-      if (strict) {
-        LocalVid l = graph_->Lvid(gvid);
-        GL_CHECK(graph_->is_owned(l));
-        graph_->vertex_data(l) = std::move(data);
-        graph_->MarkVertexModified(l);
-      } else {
-        LocalVid l = graph_->TryLvid(gvid);
-        if (l != kInvalidLocalVid && graph_->is_owned(l)) {
-          graph_->vertex_data(l) = std::move(data);
-          graph_->MarkVertexModified(l);
-        }
-      }
+      if (!PlaceVertex(gvid, std::move(data))) ++*unplaced;
     }
     std::vector<VertexId> esrc, edst;
     ia >> col;
@@ -826,22 +729,41 @@ class SnapshotManager {
       EdgeData data;
       ia >> data;
       if (!ia.ok()) return Status::Corruption("truncated " + path);
-      if (strict) {
-        LocalEid e = graph_->LeidOf(esrc[i], edst[i]);
-        graph_->edge_data(e) = std::move(data);
-        graph_->MarkEdgeModified(e);
-      } else {
-        LocalEid e = graph_->TryLeid(esrc[i], edst[i]);
-        if (e != kInvalidLocalEid) {
-          graph_->edge_data(e) = std::move(data);
-          graph_->MarkEdgeModified(e);
-        }
-      }
+      if (!PlaceEdge(esrc[i], edst[i], std::move(data))) ++*unplaced;
     }
     if (!ia.AtEnd()) {
       return Status::Corruption("trailing bytes in " + path);
     }
     return Status::OK();
+  }
+
+  /// Applies one journaled vertex if this machine owns it; false if not.
+  bool PlaceVertex(VertexId gvid, VertexData data) {
+    const LocalVid l = graph_->TryLvid(gvid);
+    if (l == kInvalidLocalVid || !graph_->is_owned(l)) return false;
+    graph_->vertex_data(l) = std::move(data);
+    graph_->MarkVertexModified(l);
+    restored_vertices_.push_back(l);
+    return true;
+  }
+
+  /// Applies one journaled edge if this machine holds it; false if not.
+  bool PlaceEdge(VertexId gsrc, VertexId gdst, EdgeData data) {
+    const LocalEid e = graph_->TryLeid(gsrc, gdst);
+    if (e == kInvalidLocalEid) return false;
+    graph_->edge_data(e) = std::move(data);
+    graph_->MarkEdgeModified(e);
+    restored_edges_.push_back(e);
+    return true;
+  }
+
+  /// A restore rewrites whole property columns: retire any cached gather
+  /// state derived from the pre-restore columns, and the dirty baseline
+  /// with it (the next checkpoint must be full).
+  void RetireDerivedState() {
+    graph_->BumpVertexDataEpoch();
+    graph_->BumpEdgeDataEpoch();
+    has_baseline_ = false;
   }
 
   // Dirty tracking for O(dirty) deltas: the per-entity version columns
@@ -887,12 +809,15 @@ class SnapshotManager {
   std::vector<uint64_t> base_vversion_;
   std::vector<uint64_t> base_eversion_;
   bool has_baseline_ = false;
+  // Entities the restores since the last RepushOwnedScopes() applied.
+  std::vector<LocalVid> restored_vertices_;
+  std::vector<LocalEid> restored_edges_;
   uint64_t last_checkpoint_bytes_ = 0;
   uint64_t last_dirty_entities_ = 0;
   uint64_t last_total_entities_ = 0;
 
   std::mutex journal_mutex_;
-  OutArchive journal_;
+  FullJournalColumns async_;  // staged by SnapshotUpdate, guarded above
   std::atomic<uint32_t> epoch_{0};
   std::atomic<uint64_t> snapshotted_local_{0};
 };

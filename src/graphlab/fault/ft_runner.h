@@ -471,10 +471,13 @@ class FaultTolerantRunner {
         }
         if (chain.found && restoring) {
           GRAPHLAB_RETURN_IF_ERROR(snapshots->RestoreChain(chain.manifest));
-          snapshots->RepushOwnedScopes();
           report->restored_epoch = chain.manifest.epoch;
         }
       }
+      // Every survivor finishes replaying the chain into its edge rows
+      // before any peer's re-push (ApplyDataPush) writes the same rows.
+      if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
+      if (chain.found && restoring) snapshots->RepushOwnedScopes();
       if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
       if (!ctx_.comm().WaitQuiescent()) return Status::Aborted("peer died");
       if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");

@@ -128,9 +128,8 @@ struct AtomContent {
 /// Cuts `graph` into `num_atoms` atoms under `atom_of` and writes the atom
 /// files plus the index to `dir`.  Edges crossing atoms are journaled into
 /// both endpoint atoms (deduplicated at load).
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
-Status WriteAtoms(const LocalGraph<VertexData, EdgeData, Layout>& graph,
+template <typename VertexData, typename EdgeData>
+Status WriteAtoms(const LocalGraph<VertexData, EdgeData>& graph,
                   const PartitionAssignment& atom_of,
                   const ColorAssignment& colors, AtomId num_atoms,
                   const std::string& dir, AtomIndex* index_out) {

@@ -1,6 +1,6 @@
 // Copyright 2026 The Distributed GraphLab Reproduction Authors.
 //
-// DistributedGraph<V, E, Layout>: one machine's partition of the data
+// DistributedGraph<V, E>: one machine's partition of the data
 // graph plus ghost caches of remote boundary data (Sec. 4.1).
 //
 // Each machine owns the vertices of its assigned atoms, stores every edge
@@ -9,19 +9,15 @@
 // across the network.  Cache coherence is managed using a simple versioning
 // system, eliminating the transmission of unchanged or constant data."
 //
-// Storage layout: vertex and edge properties live in a layout policy
-// (graph/storage.h).  The default is struct-of-arrays — each logical
-// field (gvid, color, owner, owned, version, flushed, user data) is a
-// contiguous cache-line-aligned PropertyColumn parallel to the CSR built
-// by Ingest(), so the GAS gather loop streams only the columns it reads,
-// the dedicated owner column feeds mirror/scope compilation without
-// striding over records, and ghost replicas occupy rows of the same
-// columns (a coherence push writes straight into the data column).  The
-// pre-columnar record layout (kAoS) is kept as the measurable baseline:
-// bench_columnar_scan sweeps one against the other and the equivalence
-// tests assert bit-identical results with the layout toggled.  All
-// row-oriented accessors below are thin views into the active store, so
-// engines, snapshots, scope-lock plans, and recovery are layout-blind.
+// Storage: vertex and edge properties are struct-of-arrays
+// (graph/storage.h) — each logical field (gvid, color, owner, owned,
+// version, flushed, user data) is a contiguous cache-line-aligned
+// PropertyColumn parallel to the CSR built by Ingest(), so the GAS gather
+// loop streams only the columns it reads, the dedicated owner column
+// feeds mirror/scope compilation without striding over records, and ghost
+// replicas occupy rows of the same columns (a coherence push writes
+// straight into the data column).  The row-oriented accessors below are
+// thin views into those columns.
 //
 // Coherence protocol: every write bumps the entity's version; after an
 // update function commits, FlushVertexScope() pushes entities whose version
@@ -73,7 +69,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -97,24 +92,11 @@ enum class GhostSyncMode {
 /// Leading byte of every ghost push frame; bump when the layout changes.
 inline constexpr uint8_t kGhostFrameVersion = 2;
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
+template <typename VertexData, typename EdgeData>
 class DistributedGraph {
  public:
   using vertex_data_type = VertexData;
   using edge_data_type = EdgeData;
-  using VertexStore =
-      std::conditional_t<Layout == StorageLayout::kSoA,
-                         storage::DistVertexSoA<VertexData>,
-                         storage::DistVertexAoS<VertexData>>;
-  using EdgeStore = std::conditional_t<Layout == StorageLayout::kSoA,
-                                       storage::DistEdgeSoA<EdgeData>,
-                                       storage::DistEdgeAoS<EdgeData>>;
-  static constexpr StorageLayout kLayout = Layout;
-  /// True when every property field is a contiguous column the flat-gather
-  /// fast path may stream directly (vertex_program/gas_compiler.h).
-  static constexpr bool kContiguousProperties =
-      VertexStore::kContiguous && EdgeStore::kContiguous;
 
   /// Handler id used for ghost data pushes.
   static constexpr rpc::HandlerId kDataPushHandler = rpc::kFirstUserHandler;
@@ -152,11 +134,9 @@ class DistributedGraph {
   /// Test/bench convenience: cuts a fully materialized graph directly into
   /// this machine's partition without touching disk.  `atom_of` may map
   /// vertices straight to machines (num_atoms == num_machines) or to atoms
-  /// combined with a separate placement.  The global graph may use either
-  /// storage layout.
-  template <StorageLayout GlobalLayout>
+  /// combined with a separate placement.
   Status InitFromGlobal(
-      const LocalGraph<VertexData, EdgeData, GlobalLayout>& global,
+      const LocalGraph<VertexData, EdgeData>& global,
       const PartitionAssignment& atom_of, const ColorAssignment& colors,
       const std::vector<rpc::MachineId>& placement, rpc::MachineId me,
       rpc::CommLayer* comm) {
@@ -275,29 +255,24 @@ class DistributedGraph {
   uint64_t edge_version(LocalEid e) const { return estore_.VersionOf(e); }
 
   // --------------------------------------------------------------------
-  // Contiguous property columns (SoA layout only).  The flat-gather fast
-  // path streams these; the serving/snapshot layers scan them.  Spans stay
+  // Contiguous property columns.  The flat-gather fast path streams
+  // these; the serving/snapshot layers scan them.  Spans stay
   // valid until the next Ingest().
   // --------------------------------------------------------------------
-  std::span<const VertexData> vertex_data_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const VertexData> vertex_data_span() const {
     return vstore_.data_span();
   }
-  std::span<const EdgeData> edge_data_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const EdgeData> edge_data_span() const {
     return estore_.data_span();
   }
-  std::span<const LocalVid> edge_source_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const LocalVid> edge_source_span() const {
     return estore_.src_span();
   }
-  std::span<const LocalVid> edge_target_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const LocalVid> edge_target_span() const {
     return estore_.dst_span();
   }
   /// The dedicated owner column (mirror/scope compilation reads this).
-  std::span<const rpc::MachineId> owner_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const rpc::MachineId> owner_span() const {
     return vstore_.owner_span();
   }
 
@@ -423,9 +398,20 @@ class DistributedGraph {
   /// ships one batched frame per destination machine for the whole pass
   /// (the MPI_Alltoall analogue).  Edges are not exchanged (synchronous
   /// kernels keep mutable state on vertices).
-  void FlushAllOwnedBulk() {
+  void FlushAllOwnedBulk() { PushEntities(owned_, {}); }
+
+  /// Pushes the given owned vertices and local edges to the machines
+  /// holding replicas, as coalesced batches (one per peer), reading no
+  /// other row.  Entities whose version has not advanced are skipped, so
+  /// duplicates in the lists cost nothing.  Besides the bulk flush above,
+  /// this is the snapshot layer's post-restore push: a replay writes a
+  /// set of rows disjoint from the rows its peers' replays write, so
+  /// pushing exactly that set never reads a row a concurrent peer push
+  /// overwrites (FlushVertexScope would read every adjacent edge).
+  void PushEntities(std::span<const LocalVid> vertices,
+                    std::span<const LocalEid> edges) {
     std::string blob;
-    for (LocalVid l : owned_) {
+    for (LocalVid l : vertices) {
       if (vstore_.VersionOf(l) <= vstore_.FlushedOf(l)) {
         pushes_skipped_++;
         continue;
@@ -433,14 +419,23 @@ class DistributedGraph {
       auto mirrors = MirrorSpan(l);
       if (!mirrors.empty()) {
         SerializeBlob(vstore_.DataOf(l), &blob);
-        const VertexId gvid = vstore_.GvidOf(l);
-        const uint64_t version = vstore_.VersionOf(l);
         for (rpc::MachineId m : mirrors) {
-          StageVertex(m, gvid, version, blob);
+          StageVertex(m, vstore_.GvidOf(l), vstore_.VersionOf(l), blob);
           pushes_sent_++;
         }
       }
       vstore_.Flushed(l) = vstore_.VersionOf(l);
+    }
+    for (LocalEid e : edges) {
+      if (estore_.VersionOf(e) <= estore_.FlushedOf(e)) continue;
+      const rpc::MachineId other = EdgeMirror(e);
+      if (other != me_) {
+        SerializeBlob(estore_.DataOf(e), &blob);
+        StageEdge(other, Gvid(estore_.SrcOf(e)), Gvid(estore_.DstOf(e)),
+                  estore_.VersionOf(e), blob);
+        pushes_sent_++;
+      }
+      estore_.Flushed(e) = estore_.VersionOf(e);
     }
     FlushDeltas();
   }
@@ -859,7 +854,7 @@ class DistributedGraph {
     std::vector<rpc::MachineId> scratch;
     // Neighbor owners come from the dedicated owner column — a contiguous
     // u32 scan per neighbor list instead of striding over full vertex
-    // records (the AoS store degrades to record loads).
+    // records.
     for (LocalVid l = 0; l < n; ++l) {
       scratch.clear();
       for (LocalVid nb : neighbors(l)) scratch.push_back(vstore_.OwnerOf(nb));
@@ -901,8 +896,8 @@ class DistributedGraph {
   PartitionAssignment atom_of_vertex_;
   std::vector<rpc::MachineId> placement_;
 
-  VertexStore vstore_;
-  EdgeStore estore_;
+  storage::DistVertexSoA<VertexData> vstore_;
+  storage::DistEdgeSoA<EdgeData> estore_;
   std::unordered_map<VertexId, LocalVid> lvid_of_;
   std::unordered_map<uint64_t, LocalEid> leid_of_;
   std::vector<LocalVid> owned_;

@@ -1,6 +1,6 @@
 // Copyright 2026 The Distributed GraphLab Reproduction Authors.
 //
-// LocalGraph<V, E, Layout>: the single-machine data graph (Sec. 3.1).
+// LocalGraph<V, E>: the single-machine data graph (Sec. 3.1).
 //
 // The data graph G = (V, E, D) stores mutable user data on vertices and
 // edges over a static structure.  This container backs the shared-memory
@@ -12,19 +12,16 @@
 // allowed after finalization; mutating structure is not (the abstraction
 // fixes the graph structure during execution).
 //
-// Storage layout: properties live in a layout policy (graph/storage.h) —
-// struct-of-arrays property columns by default, with the pre-columnar
-// record layout kept as the measurable/testable baseline.  The accessors
-// below are thin views into whichever store backs them; SoA additionally
-// exposes the contiguous *_span() columns the GAS flat-gather fast path
-// streams (vertex_program/gas_compiler.h).
+// Storage: properties live in struct-of-arrays property columns
+// (graph/storage.h).  The accessors below are thin views into them, and
+// the *_span() accessors expose the contiguous columns the GAS
+// flat-gather fast path streams (vertex_program/gas_compiler.h).
 
 #ifndef GRAPHLAB_GRAPH_LOCAL_GRAPH_H_
 #define GRAPHLAB_GRAPH_LOCAL_GRAPH_H_
 
 #include <algorithm>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "graphlab/graph/storage.h"
@@ -33,24 +30,11 @@
 
 namespace graphlab {
 
-template <typename VertexData, typename EdgeData,
-          StorageLayout Layout = StorageLayout::kSoA>
+template <typename VertexData, typename EdgeData>
 class LocalGraph {
  public:
   using vertex_data_type = VertexData;
   using edge_data_type = EdgeData;
-  using VertexStore =
-      std::conditional_t<Layout == StorageLayout::kSoA,
-                         storage::LocalVertexSoA<VertexData>,
-                         storage::LocalVertexAoS<VertexData>>;
-  using EdgeStore = std::conditional_t<Layout == StorageLayout::kSoA,
-                                       storage::LocalEdgeSoA<EdgeData>,
-                                       storage::LocalEdgeAoS<EdgeData>>;
-  static constexpr StorageLayout kLayout = Layout;
-  /// True when every property field is a contiguous column the flat-gather
-  /// fast path may stream directly.
-  static constexpr bool kContiguousProperties =
-      VertexStore::kContiguous && EdgeStore::kContiguous;
 
   LocalGraph() = default;
 
@@ -146,24 +130,19 @@ class LocalGraph {
   }
 
   // ------------------------------------------------------------------
-  // Contiguous property columns (SoA layout only): what the flat-gather
-  // fast path streams.  Spans stay valid until the next structural
+  // Contiguous property columns: what the flat-gather fast path streams.  Spans stay valid until the next structural
   // mutation.
   // ------------------------------------------------------------------
-  std::span<const VertexData> vertex_data_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const VertexData> vertex_data_span() const {
     return vstore_.data_span();
   }
-  std::span<const EdgeData> edge_data_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const EdgeData> edge_data_span() const {
     return estore_.data_span();
   }
-  std::span<const VertexId> edge_source_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const VertexId> edge_source_span() const {
     return estore_.src_span();
   }
-  std::span<const VertexId> edge_target_span() const
-      requires(Layout == StorageLayout::kSoA) {
+  std::span<const VertexId> edge_target_span() const {
     return estore_.dst_span();
   }
 
@@ -241,8 +220,8 @@ class LocalGraph {
   }
 
   bool finalized_ = false;
-  VertexStore vstore_;
-  EdgeStore estore_;
+  storage::LocalVertexSoA<VertexData> vstore_;
+  storage::LocalEdgeSoA<EdgeData> estore_;
   std::vector<uint64_t> in_index_, out_index_;   // CSR offsets
   std::vector<EdgeId> in_edges_, out_edges_;     // CSR payloads
   std::vector<uint64_t> nbr_index_;              // neighbor CSR offsets

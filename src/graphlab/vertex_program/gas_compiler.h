@@ -102,11 +102,10 @@ concept FlatGatherProgram =
           -> std::convertible_to<typename P::gather_type>;
     };
 
-/// Graphs whose property storage the flat path can stream: every property
-/// field a contiguous column (StorageLayout::kSoA), with span accessors.
+/// Graphs whose property storage the flat path can stream: contiguous
+/// property and endpoint columns behind span accessors.
 template <typename G>
 concept ContiguousPropertyGraph = requires(const G& g) {
-  requires G::kContiguousProperties;
   g.vertex_data_span();
   g.edge_data_span();
   g.edge_source_span();

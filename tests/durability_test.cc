@@ -340,10 +340,9 @@ TEST_F(DurabilityTest, JournalVerifiersCatchBitRot) {
       };
       ASSERT_TRUE(verify(*clean).ok()) << path;
 
-      // Sampled flips across the checksummed bytes (the full journal's
-      // 2-byte magic/version prefix is format discrimination, not
-      // payload; sampling keeps the test fast on the larger journal).
-      for (size_t offset = is_delta ? 0 : 2; offset < clean->size();
+      // Sampled flips across every byte, header included (sampling
+      // keeps the test fast on the larger journal).
+      for (size_t offset = 0; offset < clean->size();
            offset += 1 + clean->size() / 64) {
         std::vector<char> bytes = *clean;
         bytes[offset] = static_cast<char>(bytes[offset] ^ 0x04);
@@ -458,11 +457,10 @@ TEST_F(DurabilityTest, LadderPicksNewestVerifiedEpochAndRetiresStaleTimelines) {
   });
 }
 
-/// Legacy v2 columnar journals (magic byte, no CRC envelope) must still
-/// verify vacuously and restore: byte 1 of a v2 journal is the low byte
-/// of its first column's length prefix — arbitrary data — so the format
-/// sniff must not read it as a version number.
-TEST_F(DurabilityTest, LegacyV2ColumnarJournalsStayRestorable) {
+/// A full journal verifies only as a whole, well-formed v3 envelope:
+/// every truncation, an empty file, and a damaged magic, version or
+/// length field are Corruption — never a vacuous pass.
+TEST_F(DurabilityTest, FullJournalVerifierRejectsMalformedEnvelopes) {
   auto structure = gen::PowerLawWeb(200, 4, 0.8, 23);
   auto global = BuildPageRankGraph(structure);
   auto colors = GreedyColoring(structure);
@@ -479,43 +477,64 @@ TEST_F(DurabilityTest, LegacyV2ColumnarJournalsStayRestorable) {
                     .ok());
     Snapshots snapshots(ctx, &graph, dir_);
     ASSERT_TRUE(snapshots.WriteSyncSnapshot(1).ok());
-
-    std::vector<double> expected(structure.num_vertices, 0.0);
-    for (LocalVid l : graph.owned_vertices()) {
-      expected[graph.Gvid(l)] = graph.vertex_data(l).rank;
-    }
-
-    // Strip the v3 envelope ([magic][ver][u32 crc][u64 len] = 14 bytes)
-    // down to the pre-upgrade v2 layout: [magic][columnar body].
     const std::string path = SnapshotJournalPath(dir_, 1, 0);
-    auto v3 = ReadFileBytes(path);
-    ASSERT_TRUE(v3.ok());
-    ASSERT_GT(v3->size(), 14u);
-    std::vector<char> v2(v3->begin() + 13, v3->end());
-    v2.front() = (*v3)[0];
-    ASSERT_TRUE(WriteFileAtomic(path, v2).ok());
+    auto clean = ReadFileBytes(path);
+    ASSERT_TRUE(clean.ok());
+    ASSERT_GT(clean->size(), kJournalHeaderBytes);
+    ASSERT_TRUE(VerifyFullJournalBytes(*clean, path).ok());
 
-    // The verifier must classify it as v2 (vacuous pass), whatever its
-    // second byte happens to be, and the replay must round-trip.
-    EXPECT_TRUE(VerifyFullJournalBytes(v2, path).ok());
-    for (LocalVid l : graph.owned_vertices()) {
-      graph.vertex_data(l).rank = -7.0;
-      graph.MarkVertexModified(l);
+    EXPECT_FALSE(VerifyFullJournalBytes({}, path).ok()) << "empty file";
+    for (size_t len = 0; len < clean->size(); ++len) {
+      std::vector<char> truncated(clean->begin(), clean->begin() + len);
+      EXPECT_FALSE(VerifyFullJournalBytes(truncated, path).ok())
+          << "truncated to " << len << " bytes";
     }
-    ASSERT_TRUE(snapshots.Restore(1).ok());
-    for (LocalVid l : graph.owned_vertices()) {
-      EXPECT_DOUBLE_EQ(graph.vertex_data(l).rank, expected[graph.Gvid(l)])
-          << "gvid " << graph.Gvid(l);
+    for (size_t offset : {0, 1, 6, 7, 8, 9, 10, 11, 12, 13}) {
+      std::vector<char> bytes = *clean;
+      bytes[offset] = static_cast<char>(bytes[offset] ^ 0x01);
+      EXPECT_FALSE(VerifyFullJournalBytes(bytes, path).ok())
+          << "flip at " << offset;
     }
+  });
+}
 
-    // Documented residual ambiguity: corrupting a v3 envelope's length
-    // field demotes the file to "v2", so verification passes vacuously —
-    // but the replay still refuses to apply garbage.
-    std::vector<char> mangled = *v3;
-    mangled[9] = static_cast<char>(mangled[9] ^ 0x01);  // u64 len field
-    EXPECT_TRUE(VerifyFullJournalBytes(mangled, path).ok());
-    ASSERT_TRUE(WriteFileAtomic(path, mangled).ok());
-    EXPECT_FALSE(snapshots.RestoreFrom(1, {0}).ok());
+/// A truncated base journal makes its chain unusable: the ladder steps
+/// down to the older epoch, whose chain RestoreChain then accepts.
+TEST_F(DurabilityTest, LadderStepsDownPastTruncatedBaseJournal) {
+  auto structure = gen::PowerLawWeb(200, 4, 0.8, 29);
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  auto atom_of = RandomPartition(structure.num_vertices, 2, 5);
+  std::vector<rpc::MachineId> placement(2, 0);
+
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kInProcess, 1));
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    DPRGraph graph;
+    ASSERT_TRUE(graph
+                    .InitFromGlobal(global, atom_of, colors, placement,
+                                    ctx.id, &ctx.comm())
+                    .ok());
+    Snapshots snapshots(ctx, &graph, dir_);
+    for (uint32_t epoch : {1u, 2u}) {
+      ASSERT_TRUE(snapshots.WriteSyncSnapshot(epoch).ok());
+      SnapshotManifest m;
+      m.epoch = epoch;
+      m.machines = {0};
+      m.base_epoch = epoch;
+      ASSERT_TRUE(WriteSnapshotManifest(dir_, m).ok());
+    }
+    const std::string path = SnapshotJournalPath(dir_, 2, 0);
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    bytes->resize(bytes->size() / 2);
+    ASSERT_TRUE(WriteFileAtomic(path, *bytes).ok());
+
+    fault::VerifiedChain chain = fault::ResolveVerifiedChain(dir_);
+    ASSERT_TRUE(chain.found);
+    EXPECT_EQ(chain.manifest.epoch, 1u);
+    EXPECT_EQ(chain.corrupt_journals, 1u);
+    EXPECT_TRUE(snapshots.RestoreChain(chain.manifest).ok());
   });
 }
 

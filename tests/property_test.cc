@@ -473,11 +473,12 @@ TEST(ColumnarStorage, SyncSnapshotColumnRoundTrip) {
     ASSERT_TRUE(snapshot.WriteSyncSnapshot(1).ok());
     ctx.barrier().Wait(ctx.id);
 
-    // The journal must be the v2 columnar format, not a row journal.
+    // The journal must be a full journal in the v3 envelope.
     auto bytes = ReadFileBytes(snapshot.JournalPath(1));
     ASSERT_TRUE(bytes.ok());
     ASSERT_FALSE(bytes->empty());
     EXPECT_EQ(static_cast<uint8_t>((*bytes)[0]), kColumnarJournalMagic);
+    EXPECT_EQ(static_cast<uint8_t>((*bytes)[1]), kJournalVersion);
 
     // Scribble over everything the journal covers, then restore.
     for (LocalVid l : graph.owned_vertices()) {
@@ -505,90 +506,89 @@ TEST(ColumnarStorage, SyncSnapshotColumnRoundTrip) {
 }
 
 // ---------------------------------------------------------------------
-// Layout equivalence: identical bits with columnar storage on vs off
+// Flat-gather equivalence: the column-streaming gather folds in the same
+// order as the generic per-edge walk, bit for bit
 // ---------------------------------------------------------------------
 
-template <StorageLayout L>
-using LGraphL = LocalGraph<PageRankVertex, PageRankEdge, L>;
-template <StorageLayout L>
-using DGraphL = DistributedGraph<PageRankVertex, PageRankEdge, L>;
+/// PageRankProgram without FlatGather, so the compiler falls back to the
+/// generic gather() row walk over the same columns.
+template <typename Graph>
+struct RowWalkPageRank : IVertexProgram<Graph, double> {
+  using context_type = GasContext<Graph, double>;
 
-/// apps::BuildPageRankGraph pinned to an explicit storage layout.
-template <StorageLayout L>
-LGraphL<L> BuildPageRankGraphL(const GraphStructure& s) {
-  LGraphL<L> g;
-  g.AddVertices(s.num_vertices);
-  std::vector<uint32_t> out_degree(s.num_vertices, 0);
-  for (const auto& [u, v] : s.edges) out_degree[u]++;
-  for (const auto& [u, v] : s.edges) {
-    g.AddEdge(u, v,
-              PageRankEdge{1.0f / static_cast<float>(out_degree[u])});
+  explicit RowWalkPageRank(apps::PageRankProgram<Graph> p) : inner(p) {}
+
+  double gather(const context_type& ctx, LocalEid e) const {
+    return inner.gather(ctx, e);
   }
-  g.Finalize();
-  return g;
+  void apply(context_type& ctx, const double& total) {
+    inner.apply(ctx, total);
+  }
+  void scatter(context_type& ctx, LocalEid e) { inner.scatter(ctx, e); }
+
+  apps::PageRankProgram<Graph> inner;
+};
+
+/// PageRankProgram (kFlat) or its row-walk twin, identically configured.
+template <typename Graph, bool kFlat>
+auto MakeGatherProgram() {
+  apps::PageRankProgram<Graph> prog;
+  prog.damping = 0.85;
+  prog.tolerance = 1e-8;
+  if constexpr (kFlat) {
+    return prog;
+  } else {
+    return RowWalkPageRank<Graph>(prog);
+  }
 }
 
-struct LayoutCase {
+struct GatherCase {
   const char* engine;
   size_t machines;          // 1 for the local engines
   rpc::TransportKind kind;  // ignored by local engines
-  bool gas;                 // compiled GAS program vs classic update fn
 };
 
-std::string LayoutCaseName(const ::testing::TestParamInfo<LayoutCase>& i) {
+std::string GatherCaseName(const ::testing::TestParamInfo<GatherCase>& i) {
   return std::string(i.param.engine) + "_m" +
          std::to_string(i.param.machines) + "_" +
-         rpc::TransportKindName(i.param.kind) +
-         (i.param.gas ? "_gas" : "_classic");
+         rpc::TransportKindName(i.param.kind);
 }
 
-/// Runs PageRank to convergence under one storage layout and returns the
-/// final ranks indexed by global vertex id.  Single-threaded so the fold
-/// order — and therefore every floating-point bit — is deterministic.
-template <StorageLayout L>
-std::vector<double> RunWithLayout(const LayoutCase& c,
-                                  const GraphStructure& structure) {
-  constexpr double kDamping = 0.85;
-  constexpr double kTolerance = 1e-8;
+/// Runs GAS PageRank to convergence with the flat or the row-walk gather
+/// and returns the final ranks indexed by global vertex id.
+/// Single-threaded so the fold order — and therefore every
+/// floating-point bit — is deterministic.
+template <bool kFlat>
+std::vector<double> RunGasPageRank(const GatherCase& c,
+                                   const GraphStructure& structure) {
   EngineOptions eo;
   eo.num_threads = 1;
   eo.scheduler = "fifo";
-  eo.max_pipeline_length = 16;
   std::vector<double> ranks(structure.num_vertices, 0.0);
 
+  auto global = apps::BuildPageRankGraph(structure);
   const std::string name(c.engine);
-  if (name == "shared_memory" || name == "bsp") {
-    auto g = BuildPageRankGraphL<L>(structure);
-    auto engine = std::move(CreateEngine(name, &g, eo).value());
-    if (c.gas) {
-      apps::PageRankProgram<LGraphL<L>> prog;
-      prog.damping = kDamping;
-      prog.tolerance = kTolerance;
-      auto compiled = CompileVertexProgram(&g, eo, prog);
-      // The flat column-streaming gather engages exactly when the graph
-      // stores properties as contiguous columns.
-      EXPECT_EQ(compiled.uses_flat_gather(), L == StorageLayout::kSoA);
-      engine->SetUpdateFn(compiled.update_fn());
-    } else {
-      engine->SetUpdateFn(
-          apps::MakePageRankUpdateFn<LGraphL<L>>(kDamping, kTolerance));
-    }
+  if (c.machines == 1) {
+    auto engine = std::move(CreateEngine(name, &global, eo).value());
+    auto compiled = CompileVertexProgram(
+        &global, eo, MakeGatherProgram<apps::PageRankGraph, kFlat>());
+    EXPECT_EQ(compiled.uses_flat_gather(), kFlat);
+    engine->SetUpdateFn(compiled.update_fn());
     engine->ScheduleAll();
     engine->Start();
     for (VertexId v = 0; v < structure.num_vertices; ++v) {
-      ranks[v] = g.vertex_data(v).rank;
+      ranks[v] = global.vertex_data(v).rank;
     }
     return ranks;
   }
 
-  auto global = apps::BuildPageRankGraph(structure);
   auto colors = GreedyColoring(structure);
   auto atom_of = BlockPartition(structure.num_vertices, c.machines);
   std::vector<rpc::MachineId> placement(c.machines);
   for (size_t m = 0; m < c.machines; ++m) placement[m] = m;
   rpc::Runtime runtime(testutil::ClusterFor(c.kind, c.machines));
   testutil::ClusterAllreduce allreduce(&runtime, 1);
-  std::vector<DGraphL<L>> graphs(c.machines);
+  std::vector<DGraph> graphs(c.machines);
   runtime.Run([&](rpc::MachineContext& ctx) {
     auto& graph = graphs[ctx.id];
     ASSERT_TRUE(graph
@@ -596,21 +596,14 @@ std::vector<double> RunWithLayout(const LayoutCase& c,
                                     ctx.id, &ctx.comm())
                     .ok());
     ctx.barrier().Wait(ctx.id);
-    DistributedEngineDeps<PageRankVertex, PageRankEdge, L> deps;
+    DistributedEngineDeps<PageRankVertex, PageRankEdge> deps;
     deps.allreduce = &allreduce.at(ctx.id);
     auto engine =
         std::move(CreateEngine(name, ctx, &graph, eo, deps).value());
-    if (c.gas) {
-      apps::PageRankProgram<DGraphL<L>> prog;
-      prog.damping = kDamping;
-      prog.tolerance = kTolerance;
-      auto compiled = CompileVertexProgram(&graph, eo, prog);
-      EXPECT_EQ(compiled.uses_flat_gather(), L == StorageLayout::kSoA);
-      engine->SetUpdateFn(compiled.update_fn());
-    } else {
-      engine->SetUpdateFn(
-          apps::MakePageRankUpdateFn<DGraphL<L>>(kDamping, kTolerance));
-    }
+    auto compiled = CompileVertexProgram(&graph, eo,
+                                         MakeGatherProgram<DGraph, kFlat>());
+    EXPECT_EQ(compiled.uses_flat_gather(), kFlat);
+    engine->SetUpdateFn(compiled.update_fn());
     engine->ScheduleAll();
     engine->Start();
   });
@@ -622,36 +615,28 @@ std::vector<double> RunWithLayout(const LayoutCase& c,
   return ranks;
 }
 
-class ColumnarLayoutEquivalence
-    : public ::testing::TestWithParam<LayoutCase> {};
+class FlatGatherEquivalence : public ::testing::TestWithParam<GatherCase> {};
 
-TEST_P(ColumnarLayoutEquivalence, BitIdenticalRanksAcrossLayouts) {
-  const LayoutCase& c = GetParam();
+TEST_P(FlatGatherEquivalence, BitIdenticalRanksToRowWalk) {
+  const GatherCase& c = GetParam();
   auto structure = gen::PowerLawWeb(300, 5, 0.85, 42);
-  auto soa = RunWithLayout<StorageLayout::kSoA>(c, structure);
-  auto aos = RunWithLayout<StorageLayout::kAoS>(c, structure);
-  ASSERT_EQ(soa.size(), aos.size());
+  auto flat = RunGasPageRank<true>(c, structure);
+  auto row_walk = RunGasPageRank<false>(c, structure);
+  ASSERT_EQ(flat.size(), row_walk.size());
   for (VertexId v = 0; v < structure.num_vertices; ++v) {
-    // Exact double comparison: the columnar gather must fold in the same
-    // order as the record-store path, bit for bit.
-    ASSERT_EQ(soa[v], aos[v])
+    // Exact double comparison: the flat gather must fold in the same
+    // order as the generic path, bit for bit.
+    ASSERT_EQ(flat[v], row_walk[v])
         << "vertex " << v << " diverged under engine=" << c.engine;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllEngines, ColumnarLayoutEquivalence,
+    GasEngines, FlatGatherEquivalence,
     ::testing::Values(
-        LayoutCase{"shared_memory", 1, rpc::TransportKind::kInProcess, false},
-        LayoutCase{"shared_memory", 1, rpc::TransportKind::kInProcess, true},
-        LayoutCase{"bsp", 1, rpc::TransportKind::kInProcess, false},
-        LayoutCase{"chromatic", 2, rpc::TransportKind::kInProcess, false},
-        LayoutCase{"chromatic", 2, rpc::TransportKind::kTcp, false},
-        LayoutCase{"chromatic", 2, rpc::TransportKind::kInProcess, true},
-        LayoutCase{"bulk_sync", 2, rpc::TransportKind::kInProcess, false},
-        LayoutCase{"bulk_sync", 2, rpc::TransportKind::kTcp, false},
-        LayoutCase{"locking", 1, rpc::TransportKind::kInProcess, false}),
-    LayoutCaseName);
+        GatherCase{"shared_memory", 1, rpc::TransportKind::kInProcess},
+        GatherCase{"chromatic", 2, rpc::TransportKind::kInProcess}),
+    GatherCaseName);
 
 }  // namespace
 }  // namespace graphlab

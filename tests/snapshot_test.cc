@@ -60,8 +60,7 @@ struct SnapRun {
 };
 
 SnapRun RunWithSnapshot(const std::string& dir, SnapshotMode mode,
-                        size_t machines, rpc::TransportKind kind,
-                        std::vector<DPRGraph>* graphs_out = nullptr) {
+                        size_t machines, rpc::TransportKind kind) {
   auto structure = gen::PowerLawWeb(600, 5, 0.8, 33);
   auto global = BuildPageRankGraph(structure);
   auto colors = GreedyColoring(structure);
@@ -107,7 +106,6 @@ SnapRun RunWithSnapshot(const std::string& dir, SnapshotMode mode,
       out.ranks[graph.Gvid(l)] = graph.vertex_data(l).rank;
     }
   }
-  if (graphs_out != nullptr) *graphs_out = std::move(graphs);
   return out;
 }
 
@@ -122,58 +120,69 @@ TEST_P(SnapshotTest, SynchronousSnapshotWritesAllMachines) {
   }
 }
 
+/// Decodes the owned-vertex section of a full journal: gvid -> rank.
+std::map<VertexId, double> JournalRanks(const std::string& path) {
+  std::map<VertexId, double> ranks;
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok()) << path;
+  if (!bytes.ok()) return ranks;
+  uint32_t crc = 0;
+  std::vector<char> body;
+  EXPECT_TRUE(ParseV3Envelope(*bytes, &crc, &body)) << path;
+  InArchive ia(body.data(), body.size());
+  std::string col;
+  ia >> col;
+  std::vector<VertexId> gvids;
+  EXPECT_TRUE(ia.ok() && DecodeColumn<VertexId>(col, &gvids)) << path;
+  for (VertexId gvid : gvids) {
+    PageRankVertex data;
+    ia >> data;
+    EXPECT_TRUE(ranks.emplace(gvid, data.rank).second)
+        << "vertex " << gvid << " journaled twice in " << path;
+  }
+  EXPECT_TRUE(ia.ok()) << path;
+  return ranks;
+}
+
 TEST_P(SnapshotTest, AsynchronousSnapshotCoversEveryVertex) {
   SnapRun run =
       RunWithSnapshot(dir_, SnapshotMode::kAsynchronous, 3, GetParam());
   EXPECT_GT(run.updates, 600u);
-  // Every journal exists and, combined, the journals contain every vertex
-  // exactly once.
+  // Every journal is a v3 full journal and, combined, the journals
+  // contain every vertex exactly once.
   std::set<VertexId> seen;
-  for (int m = 0; m < 3; ++m) {
-    std::string path = dir_ + "/snap_1_m" + std::to_string(m) + ".glsnap";
+  for (rpc::MachineId m = 0; m < 3; ++m) {
+    const std::string path = SnapshotJournalPath(dir_, 1, m);
     ASSERT_TRUE(std::filesystem::exists(path));
     auto bytes = ReadFileBytes(path);
     ASSERT_TRUE(bytes.ok());
-    InArchive ia(*bytes);
-    while (!ia.AtEnd()) {
-      uint8_t type = ia.ReadValue<uint8_t>();
-      if (type == 0) {
-        VertexId gvid = ia.ReadValue<VertexId>();
-        PageRankVertex data;
-        ia >> data;
-        EXPECT_TRUE(seen.insert(gvid).second)
-            << "vertex " << gvid << " journaled twice";
-      } else {
-        VertexId s = ia.ReadValue<VertexId>();
-        VertexId d = ia.ReadValue<VertexId>();
-        (void)s;
-        (void)d;
-        PageRankEdge e;
-        ia >> e;
-      }
+    EXPECT_TRUE(VerifyFullJournalBytes(*bytes, path).ok());
+    for (const auto& [gvid, rank] : JournalRanks(path)) {
+      EXPECT_TRUE(seen.insert(gvid).second)
+          << "vertex " << gvid << " journaled twice";
     }
   }
   EXPECT_EQ(seen.size(), 600u);
 }
 
-TEST_P(SnapshotTest, RestoreRecoversJournaledState) {
-  // Take a synchronous snapshot mid-run, then clobber the graphs and
-  // restore: data must equal the journal.
-  std::vector<DPRGraph> graphs;
-  SnapRun run = RunWithSnapshot(dir_, SnapshotMode::kSynchronous, 2,
-                                GetParam(), &graphs);
-  (void)run;
+/// Snapshots a 2-machine run in `mode`, then restores the journals onto a
+/// freshly loaded, clobbered partition: every owned vertex must hold its
+/// journaled value and every ghost must agree with its owner.
+void ExpectRestoreRoundTrip(const std::string& dir, SnapshotMode mode,
+                            rpc::TransportKind kind) {
+  RunWithSnapshot(dir, mode, 2, kind);
+  std::vector<std::map<VertexId, double>> journaled = {
+      JournalRanks(SnapshotJournalPath(dir, 1, 0)),
+      JournalRanks(SnapshotJournalPath(dir, 1, 1))};
 
-  // Clobber every owned rank, then restore from the journal.
-  // NOTE: graphs hold a pointer to the *old* runtime's comm layer, which is
-  // destroyed; rebuild distributed state in a fresh runtime by re-running
-  // the whole pipeline instead.
+  // The run's graphs hold a pointer to the old runtime's comm layer,
+  // which is destroyed; rebuild distributed state in a fresh runtime.
   auto structure = gen::PowerLawWeb(600, 5, 0.8, 33);
   auto global = BuildPageRankGraph(structure);
   auto colors = GreedyColoring(structure);
   auto atom_of = RandomPartition(structure.num_vertices, 2, 5);
   std::vector<rpc::MachineId> placement = {0, 1};
-  rpc::Runtime runtime(testutil::ClusterFor(GetParam(), 2));
+  rpc::Runtime runtime(testutil::ClusterFor(kind, 2));
   std::vector<DPRGraph> fresh(2);
   std::vector<std::map<VertexId, double>> restored(2);
   runtime.Run([&](rpc::MachineContext& ctx) {
@@ -182,10 +191,12 @@ TEST_P(SnapshotTest, RestoreRecoversJournaledState) {
                     .InitFromGlobal(global, atom_of, colors, placement,
                                     ctx.id, &ctx.comm())
                     .ok());
-    SnapshotManager<PageRankVertex, PageRankEdge> snapshot(ctx, &graph, dir_);
+    SnapshotManager<PageRankVertex, PageRankEdge> snapshot(ctx, &graph, dir);
+    for (LocalVid l : graph.owned_vertices()) {
+      graph.vertex_data(l).rank = -7.0;
+      graph.MarkVertexModified(l);
+    }
     ctx.barrier().Wait(ctx.id);
-    // Freshly loaded graph has rank 1.0 everywhere (pre-run state); the
-    // journal holds the mid-run snapshot — restoring must change values.
     ASSERT_TRUE(snapshot.Restore(1).ok());
     ctx.barrier().Wait(ctx.id);
     ctx.comm().WaitQuiescent();
@@ -195,14 +206,15 @@ TEST_P(SnapshotTest, RestoreRecoversJournaledState) {
     }
   });
 
-  // The restored state must differ from the initial state (computation had
-  // progressed past the trigger) and ghosts must agree with owners.
+  // Owned data equals the journal, which holds mid-run progress.
   size_t moved = 0;
-  for (const auto& m : restored) {
-    for (const auto& [gvid, rank] : m) {
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_EQ(restored[m], journaled[m]) << "machine " << m;
+    for (const auto& [gvid, rank] : restored[m]) {
       if (std::fabs(rank - 1.0) > 1e-12) moved++;
     }
   }
+  EXPECT_EQ(restored[0].size() + restored[1].size(), 600u);
   EXPECT_GT(moved, 100u) << "snapshot appears to hold pre-run state only";
   // Ghost coherence after restore.
   for (int m = 0; m < 2; ++m) {
@@ -213,6 +225,48 @@ TEST_P(SnapshotTest, RestoreRecoversJournaledState) {
       EXPECT_DOUBLE_EQ(fresh[m].vertex_data(l).rank, restored[owner][gvid]);
     }
   }
+}
+
+TEST_P(SnapshotTest, RestoreRecoversJournaledState) {
+  ExpectRestoreRoundTrip(dir_, SnapshotMode::kSynchronous, GetParam());
+}
+
+TEST_P(SnapshotTest, RestoreRecoversAsynchronousJournal) {
+  ExpectRestoreRoundTrip(dir_, SnapshotMode::kAsynchronous, GetParam());
+}
+
+TEST_P(SnapshotTest, RestoreRejectsForeignJournal) {
+  // Hand machine 0 machine 1's journal under its own name: the records
+  // belong to vertices machine 0 does not own, so the same-placement
+  // Restore must refuse with Corruption rather than abort.
+  RunWithSnapshot(dir_, SnapshotMode::kSynchronous, 2, GetParam());
+  std::filesystem::copy_file(
+      SnapshotJournalPath(dir_, 1, 1), SnapshotJournalPath(dir_, 1, 0),
+      std::filesystem::copy_options::overwrite_existing);
+
+  auto structure = gen::PowerLawWeb(600, 5, 0.8, 33);
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  auto atom_of = RandomPartition(structure.num_vertices, 2, 5);
+  std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(testutil::ClusterFor(GetParam(), 2));
+  std::vector<DPRGraph> fresh(2);
+  std::vector<Status> status(2);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    DPRGraph& graph = fresh[ctx.id];
+    ASSERT_TRUE(graph
+                    .InitFromGlobal(global, atom_of, colors, placement,
+                                    ctx.id, &ctx.comm())
+                    .ok());
+    SnapshotManager<PageRankVertex, PageRankEdge> snapshot(ctx, &graph, dir_);
+    ctx.barrier().Wait(ctx.id);
+    status[ctx.id] = snapshot.Restore(1);
+    ctx.barrier().Wait(ctx.id);
+    ctx.comm().WaitQuiescent();
+    ctx.barrier().Wait(ctx.id);
+  });
+  EXPECT_EQ(status[0].code(), StatusCode::kCorruption) << status[0].message();
+  EXPECT_TRUE(status[1].ok()) << status[1].message();
 }
 
 TEST_P(SnapshotTest, RestoreOntoShrunkMembershipWithCoalescedSync) {
@@ -250,6 +304,8 @@ TEST_P(SnapshotTest, RestoreOntoShrunkMembershipWithCoalescedSync) {
                                                            dir_);
     ctx.barrier().Wait(ctx.id);
     ASSERT_TRUE(snapshot.RestoreFrom(1, {0, 1, 2}).ok());
+    // Every replay finishes before any survivor's push lands.
+    ctx.barrier().Wait(ctx.id);
     snapshot.RepushOwnedScopes();
     ctx.barrier().Wait(ctx.id);
     ctx.comm().WaitQuiescent();
