@@ -15,7 +15,7 @@ enum EngineHandlers : rpc::HandlerId {
   // 16: DistributedGraph ghost data push.
   // 17: DistributedGraph write-back (full consistency neighbor writes).
   kWriteBackHandler = 17,
-  kScheduleForwardHandler = 18,  // remote vertex scheduling
+  kScheduleForwardHandler = 18,  // locking engine remote scheduling
   kLockChainHandler = 19,        // pipelined lock chain hop
   kLockGrantHandler = 20,        // scope-ready notification to requester
   kLockReleaseHandler = 21,      // bulk lock release at a machine
@@ -32,6 +32,7 @@ enum EngineHandlers : rpc::HandlerId {
   kRebalanceControlHandler = 32,   // load rebalancer decide broadcast
   kRebalanceMetricsHandler = 33,   // load rebalancer's private metrics poll
   kTelemetryPushHandler = 34,      // streaming telemetry sample -> master
+  kColorStepEndHandler = 35,       // chromatic step-end frame + forwards
 };
 
 }  // namespace graphlab

@@ -13,7 +13,7 @@
 //   ---------------  ------------------  --------------------------------
 //   shared_memory    LocalGraph          async workers, local scope locks
 //   bsp              LocalGraph          synchronous supersteps (Pregel)
-//   chromatic        DistributedGraph    color-steps + barriers
+//   chromatic        DistributedGraph    color-steps + step-end frames
 //   locking          DistributedGraph    pipelined distributed scope locks
 //   bulk_sync        DistributedGraph    dense supersteps + bulk exchange
 //
@@ -197,9 +197,11 @@ class IEngine {
   virtual bool aborted() const = 0;
 
   /// Installs a hook the collective engines invoke at every globally
-  /// consistent boundary — end of a chromatic sweep or a bulk-sync
-  /// superstep, after the communication barrier, when every machine is
-  /// aligned and all channels are flushed.  The fault subsystem hangs
+  /// consistent boundary — end of a chromatic sweep (after its last
+  /// step-end exchange) or a bulk-sync superstep (after its barrier),
+  /// when every ghost write of the window has been applied and no
+  /// machine can send the next window's data before the boundary's
+  /// collective decision.  The fault subsystem hangs
   /// its checkpoint coordinator here.  A non-OK return aborts the run
   /// cooperatively.  Engines without such boundaries (shared_memory,
   /// bsp, locking — the latter snapshots through its own Sec. 4.3

@@ -4,10 +4,10 @@
 // between run attempts.
 //
 // After a machine loss every survivor aborts its engine through a
-// different code path — one was yanked out of a color-step barrier,
-// another out of a quiescence wait — so their barrier generations and
-// allreduce rounds diverge, and their membership views may briefly
-// disagree.  Arrive(seq) fixes all of it in one exchange:
+// different code path — one was yanked out of a barrier, another out
+// of a quiescence wait or a step-end exchange — so their barrier
+// generations and allreduce rounds diverge, and their membership views
+// may briefly disagree.  Arrive(seq) fixes all of it in one exchange:
 //
 //   1. every survivor sends ENTER(seq) to machine 0 with its local
 //      barrier generation, allreduce round, and failure flag;

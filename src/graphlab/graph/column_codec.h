@@ -109,6 +109,19 @@ inline int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+/// Delta-varint arithmetic runs on each value's 64-bit two's-complement
+/// image (sign- or zero-extended from T) and wraps modulo 2^64, so a
+/// column holding INT64_MIN next to INT64_MAX, or unsigned values above
+/// INT64_MAX, round-trips without signed overflow.  On every column that
+/// never overflowed, the bytes are the ones signed arithmetic produced.
+template <typename T>
+uint64_t WideImage(T v) {
+  return static_cast<uint64_t>(static_cast<int64_t>(v));
+}
+inline uint64_t ZigZagDelta(uint64_t cur, uint64_t prev) {
+  return ZigZag(static_cast<int64_t>(cur - prev));
+}
+
 inline size_t VarintSize(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {
@@ -162,10 +175,10 @@ ColumnEncodingStats EncodeColumn(std::span<const T> col, std::string* out) {
   size_t delta_bytes = SIZE_MAX;
   if constexpr (std::is_integral_v<T>) {
     delta_bytes = 0;
-    int64_t prev = 0;
+    uint64_t prev = 0;
     for (const T& v : col) {
-      const int64_t cur = static_cast<int64_t>(v);
-      delta_bytes += ci::VarintSize(ci::ZigZag(cur - prev));
+      const uint64_t cur = ci::WideImage(v);
+      delta_bytes += ci::VarintSize(ci::ZigZagDelta(cur, prev));
       prev = cur;
     }
   }
@@ -204,10 +217,10 @@ ColumnEncodingStats EncodeColumn(std::span<const T> col, std::string* out) {
     }
     case ColumnCodec::kDeltaVarint: {
       if constexpr (std::is_integral_v<T>) {
-        int64_t prev = 0;
+        uint64_t prev = 0;
         for (const T& v : col) {
-          const int64_t cur = static_cast<int64_t>(v);
-          ci::AppendVarint(ci::ZigZag(cur - prev), out);
+          const uint64_t cur = ci::WideImage(v);
+          ci::AppendVarint(ci::ZigZagDelta(cur, prev), out);
           prev = cur;
         }
       }
@@ -270,11 +283,11 @@ bool DecodeColumn(std::string_view in, size_t* pos, std::vector<T>* out) {
     }
     case ColumnCodec::kDeltaVarint: {
       if constexpr (std::is_integral_v<T>) {
-        int64_t prev = 0;
+        uint64_t prev = 0;
         for (uint32_t i = 0; i < count; ++i) {
           uint64_t z;
           if (!ci::ReadVarint(in, pos, &z)) return false;
-          prev += ci::UnZigZag(z);
+          prev += static_cast<uint64_t>(ci::UnZigZag(z));
           out->push_back(static_cast<T>(prev));
         }
         return true;

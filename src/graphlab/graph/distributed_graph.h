@@ -36,8 +36,8 @@
 //    send buffers; repeated writes to the same entity within the flush
 //    window merge (last write wins, at its final version), and
 //    FlushDeltas() ships each peer's buffer as ONE framed delta batch.
-//    Engines whose consumers only read ghosts after a communication
-//    barrier (chromatic color-steps, bulk-sync supersteps) use this —
+//    Engines whose consumers only read ghosts after a window boundary
+//    (chromatic color-steps, bulk-sync supersteps) use this —
 //    one frame per peer per window instead of one per scope commit.
 //
 // Wire format of a ghost delta batch (columnar; handler kDataPushHandler):
@@ -382,7 +382,7 @@ class DistributedGraph {
 
   /// Ships every staged coalesced delta, one framed batch per peer with
   /// anything pending.  Engines call this at window boundaries (end of a
-  /// color-step / superstep, before the communication barrier).  No-op
+  /// color-step / superstep, before the step-end frame or barrier).  No-op
   /// for peers with empty buffers and in kPerScope mode.
   void FlushDeltas() {
     GL_TRACE_SCOPE(trace::kRpc, "graph.flush_deltas");

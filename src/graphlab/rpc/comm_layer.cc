@@ -45,7 +45,7 @@ void CommLayer::RegisterHandler(MachineId machine, HandlerId id,
   GL_CHECK_LT(machine, num_machines());
   MachineHandlers& m = *handlers_[machine];
   std::lock_guard<std::mutex> lock(m.mutex);
-  m.handlers[id] = std::move(handler);
+  m.handlers[id] = std::make_shared<const Handler>(std::move(handler));
 }
 
 void CommLayer::Start() { transport_->Start(); }
@@ -54,12 +54,12 @@ void CommLayer::Stop() { transport_->Stop(); }
 
 void CommLayer::Deliver(MachineId dst, MachineId src, HandlerId id,
                         InArchive& ia) {
-  Handler* handler = nullptr;
+  std::shared_ptr<const Handler> handler;
   MachineHandlers& m = *handlers_[dst];
   {
     std::lock_guard<std::mutex> lock(m.mutex);
     auto it = m.handlers.find(id);
-    if (it != m.handlers.end()) handler = &it->second;
+    if (it != m.handlers.end()) handler = it->second;
   }
   if (handler == nullptr) {
     GL_LOG(ERROR) << "machine " << dst << ": no handler for id " << id

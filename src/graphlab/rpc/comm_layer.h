@@ -63,8 +63,10 @@ class CommLayer {
 
   /// Registers the handler for (machine, id).  Must complete before any
   /// message with that id is delivered; typically done before Start().
-  /// Re-registration replaces the previous handler.  Registrations for
-  /// machines this transport does not host are inert.
+  /// Re-registration replaces the previous handler; a delivery already
+  /// running the old one finishes on its own reference, so replacing a
+  /// handler never frees it mid-call.  Registrations for machines this
+  /// transport does not host are inert.
   void RegisterHandler(MachineId machine, HandlerId id, Handler handler);
 
   /// Launches the transport's dispatch (and IO) threads.
@@ -165,7 +167,7 @@ class CommLayer {
  private:
   struct MachineHandlers {
     std::mutex mutex;
-    std::unordered_map<HandlerId, Handler> handlers;
+    std::unordered_map<HandlerId, std::shared_ptr<const Handler>> handlers;
   };
 
   /// The transport's delivery sink: resolves the handler and runs it on

@@ -170,9 +170,10 @@ class ITransport {
 
   /// Blocks until every message sent between LIVE machines has been
   /// handled, observed stable twice (handlers can send more).  Callers
-  /// sandwich this between cluster barriers (the chromatic color-step
-  /// protocol) so no machine races new sends past the check.  Traffic to
-  /// and from peers already marked down is excluded from the counting.
+  /// sandwich this between cluster barriers (the bulk-sync superstep,
+  /// the fault runner's drain) so no machine races new sends past the
+  /// check.  Traffic to and from peers already marked down is excluded
+  /// from the counting.
   /// Returns true when quiescence was proven; false when the wait was
   /// unblocked instead — a peer died during the wait, or the transport is
   /// stopping — so callers surface a status instead of hanging forever on

@@ -187,7 +187,9 @@ class InArchive {
       Fail(out, n);
       return false;
     }
-    std::memcpy(out, data_ + pos_, n);
+    // An empty read may come with null pointers (an empty vector's
+    // data()), which memcpy does not accept even for zero bytes.
+    if (n != 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;
   }

@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <utility>
 
 #include "graphlab/apps/pagerank.h"
 #include "graphlab/engine/allreduce.h"
@@ -431,13 +438,15 @@ TEST(LockingEngineTest, DeepPipelineStillCorrect) {
 }
 
 // ---------------------------------------------------------------------
-// Chromatic schedule forwards: staged per color-step, one frame per peer
+// Chromatic step-end exchange: one frame per peer per color-step,
+// schedule forwards riding it
 // ---------------------------------------------------------------------
 
 // Complete bipartite graph K(4, 32), every side-B vertex pointing at every
 // side-A vertex.  Side A (gvids 0-3, color 0) lives on machine 0 and side
-// B (gvids 4-35, color 1) on machine 1, so each machine ghosts the whole
-// other side.
+// B (gvids 4-35, color 1) is split evenly over the other machines, so
+// machine 0 ghosts all of side B, every other machine ghosts side A, and
+// no two side-B machines share a vertex.
 constexpr VertexId kSideA = 4;
 constexpr VertexId kSideB = 32;
 
@@ -450,27 +459,38 @@ GraphStructure BipartiteStructure() {
   return structure;
 }
 
-/// Runs one chromatic job on the bipartite graph over two machines.
-/// `seed` runs on each machine between engine construction and Start(),
-/// behind a barrier so every forward handler is registered; `hook`, when
-/// set, is the sweep-boundary hook.  Returns machine 0's per-vertex update
-/// counts, indexed by gvid.
+/// What the `drive` callback gets on each machine.
+struct BipartiteMachine {
+  rpc::MachineContext& ctx;
+  IEngine<DPRGraph>& engine;
+  DPRGraph& graph;
+  SumAllReduce& allreduce;
+};
+using BipartiteDrive = std::function<void(BipartiteMachine&)>;
+
+/// Runs one chromatic job on the bipartite graph.  `drive` runs on each
+/// machine once the engines exist, behind a barrier, and must call
+/// Start(); `hook`, when set, is the sweep-boundary hook.  Returns
+/// machine 0's per-vertex update counts, indexed by gvid.
 std::vector<uint32_t> RunBipartite(
     const rpc::ClusterOptions& cluster, const EngineOptions& opts,
-    const std::function<void(rpc::MachineContext&, IEngine<DPRGraph>&,
-                             DPRGraph&)>& seed,
-    const UpdateFn<DPRGraph>& update,
+    const BipartiteDrive& drive, const UpdateFn<DPRGraph>& update,
     const std::function<Status(rpc::MachineContext&, uint64_t)>& hook =
         nullptr) {
+  const size_t machines = cluster.num_machines;
   auto global = BuildPageRankGraph(BipartiteStructure());
-  PartitionAssignment atom_of(kSideA + kSideB, 1);
+  PartitionAssignment atom_of(kSideA + kSideB, 0);
   ColorAssignment colors(kSideA + kSideB, 1);
-  for (VertexId a = 0; a < kSideA; ++a) atom_of[a] = colors[a] = 0;
-  const std::vector<rpc::MachineId> placement = {0, 1};
+  for (VertexId a = 0; a < kSideA; ++a) colors[a] = 0;
+  for (VertexId b = 0; b < kSideB; ++b) {
+    atom_of[kSideA + b] = 1 + b * (machines - 1) / kSideB;
+  }
+  std::vector<rpc::MachineId> placement(machines);
+  for (size_t m = 0; m < machines; ++m) placement[m] = m;
 
   rpc::Runtime runtime(cluster);
   testutil::ClusterAllreduce allreduce(&runtime, 1);
-  std::vector<DPRGraph> graphs(2);
+  std::vector<DPRGraph> graphs(machines);
   std::vector<uint32_t> counts(kSideA + kSideB, 0);
   runtime.Run([&](rpc::MachineContext& ctx) {
     DPRGraph& graph = graphs[ctx.id];
@@ -489,8 +509,8 @@ std::vector<uint32_t> RunBipartite(
           [&ctx, &hook](uint64_t boundary) { return hook(ctx, boundary); });
     }
     ctx.barrier().Wait(ctx.id);
-    seed(ctx, *engine, graph);
-    engine->Start();
+    BipartiteMachine machine{ctx, *engine, graph, allreduce.at(ctx.id)};
+    drive(machine);
     if (ctx.id == 0) {
       for (LocalVid l : graph.owned_vertices()) {
         counts[graph.Gvid(l)] = engine->update_counts()[l];
@@ -500,15 +520,22 @@ std::vector<uint32_t> RunBipartite(
   return counts;
 }
 
-class ChromaticForwardTest
+/// Wire bytes of one message carrying `payload` bytes.
+uint64_t WireBytes(rpc::TransportKind kind, uint64_t payload) {
+  return payload + (kind == rpc::TransportKind::kTcp
+                        ? rpc::kTcpFrameHeaderBytes
+                        : rpc::kMessageHeaderBytes);
+}
+
+class ChromaticStepEndTest
     : public ::testing::TestWithParam<rpc::TransportKind> {};
 
 // Every B vertex (machine 1) schedules the same machine-0 ghost in one
-// color-step: exactly one forward frame carrying one gvid may cross the
-// wire for it.  Measured as machine 1's traffic to machine 0 up to the
-// end of sweep 1, against an otherwise identical run that schedules
-// nothing.
-TEST_P(ChromaticForwardTest, OneFramePerPeerPerColorStep) {
+// color-step: the forward rides that step's step-end frame as one more
+// gvid, adding no message.  Measured as machine 1's traffic to machine 0
+// up to the end of sweep 1, against an otherwise identical run that
+// schedules nothing.
+TEST_P(ChromaticStepEndTest, OneFramePerPeerPerColorStep) {
   struct Traffic {
     uint64_t messages = 0;
     uint64_t bytes = 0;
@@ -519,8 +546,9 @@ TEST_P(ChromaticForwardTest, OneFramePerPeerPerColorStep) {
     opts.num_threads = 2;
     auto counts = RunBipartite(
         testutil::ClusterFor(GetParam(), 2), opts,
-        [](rpc::MachineContext& ctx, IEngine<DPRGraph>& engine, DPRGraph&) {
-          if (ctx.id == 1) engine.ScheduleAll();
+        [](BipartiteMachine& m) {
+          if (m.ctx.id == 1) m.engine.ScheduleAll();
+          m.engine.Start();
         },
         [schedule_a0](Context<DPRGraph>& c) {
           if (schedule_a0 && c.vertex_id() >= kSideA) {
@@ -541,56 +569,309 @@ TEST_P(ChromaticForwardTest, OneFramePerPeerPerColorStep) {
   };
   const Traffic quiet = run(false);
   const Traffic forwarded = run(true);
-  const uint64_t header = GetParam() == rpc::TransportKind::kTcp
-                              ? rpc::kTcpFrameHeaderBytes
-                              : rpc::kMessageHeaderBytes;
-  EXPECT_EQ(forwarded.messages - quiet.messages, 1u);
-  EXPECT_EQ(forwarded.bytes - quiet.bytes, header + sizeof(VertexId));
+  EXPECT_EQ(forwarded.messages, quiet.messages);
+  EXPECT_EQ(forwarded.bytes - quiet.bytes, sizeof(VertexId));
 }
 
-// The forward decoder is checked: a truncated column stops at the last
-// whole gvid, and a gvid that is not local or is a ghost here is dropped
-// while decoding goes on.  Nothing crashes, and the valid entries around
-// the bad ones still schedule.
-TEST_P(ChromaticForwardTest, MalformedForwardFramesDropCleanly) {
-  auto frame = [](std::initializer_list<VertexId> gvids) {
-    OutArchive oa;
-    for (VertexId v : gvids) oa << v;
-    return oa;
-  };
+// The whole per-run message budget of a job whose updates write nothing:
+// every machine sends each peer exactly one step-end frame (a bare u64
+// generation) per color-step plus the opening exchange, and the only
+// other traffic is the run's barriers and sweep decisions through machine
+// 0 — no barrier or quiescence traffic per step.  Machines 1 and 2 share no
+// vertex, so their channel carries step-end frames alone.
+TEST_P(ChromaticStepEndTest, EachMachineSendsOneFramePerPeerPerColorStep) {
+  constexpr size_t kMachines = 3;
+  constexpr uint64_t kSweeps = 3;
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.max_sweeps = kSweeps;
+  std::vector<std::vector<uint64_t>> messages(
+      kMachines, std::vector<uint64_t>(kMachines, 0));
+  std::vector<std::vector<uint64_t>> bytes = messages;
+  ColorId colors = 0;
+  RunBipartite(
+      testutil::ClusterFor(GetParam(), kMachines), opts,
+      [&](BipartiteMachine& m) {
+        m.engine.ScheduleAll();
+        m.engine.Start();
+        const rpc::MachineId me = m.ctx.id;
+        if (me == 0) colors = m.graph.num_colors();
+        auto& registry = m.ctx.comm().registry(me);
+        for (size_t p = 0; p < kMachines; ++p) {
+          const std::string to = "rpc.to." + std::to_string(p);
+          messages[me][p] = registry.counter(to + ".messages")->Value();
+          bytes[me][p] = registry.counter(to + ".bytes")->Value();
+        }
+      },
+      [](Context<DPRGraph>& c) { c.Schedule(c.lvid()); });
+  ASSERT_EQ(colors, 2u);
+  const uint64_t frames = 1 + colors * kSweeps;
+  // Two barriers (RunBipartite's and Start()'s), one allreduce per sweep
+  // and the closing update-total allreduce: one message each way apiece.
+  const uint64_t control = 2 + kSweeps + 1;
+  for (size_t m = 0; m < kMachines; ++m) {
+    for (size_t p = 0; p < kMachines; ++p) {
+      if (m == p) continue;
+      SCOPED_TRACE("machine " + std::to_string(m) + " -> " +
+                   std::to_string(p));
+      const bool via_master = m == 0 || p == 0;
+      EXPECT_EQ(messages[m][p], frames + (via_master ? control : 0));
+      if (!via_master) {
+        EXPECT_EQ(bytes[m][p], frames * WireBytes(GetParam(), 8));
+      }
+    }
+  }
+}
+
+// The step-end decoder takes a frame whole or not at all.  Between two
+// runs of one engine, machine 1 sends machine 0 a corpus of bad frames:
+// empty, a torn generation, stale / +2 / UINT64_MAX generations, and
+// frames of the expected generation with a torn gvid, a gvid unknown here
+// or a ghost here.  None may schedule a vertex or stand in for machine
+// 1's real frame: all are dropped, and the forward machine 1 then ships
+// at the second Start() still arrives and runs once.
+TEST_P(ChromaticStepEndTest, MalformedForwardFramesDropCleanly) {
   EngineOptions opts;
   opts.num_threads = 1;
   opts.max_sweeps = 1;
+  // Run 1 (nothing scheduled, one sweep of two colors) consumes the
+  // opening exchange and two step exchanges.
+  constexpr uint64_t kNext = 3;
+  auto frame = [](uint64_t generation,
+                  std::initializer_list<VertexId> gvids) {
+    OutArchive oa;
+    oa << generation;
+    for (VertexId v : gvids) oa << v;
+    return oa;
+  };
+  uint64_t dropped = 0;
+  size_t corpus_size = 0;
   auto counts = RunBipartite(
       testutil::ClusterFor(GetParam(), 2), opts,
-      [&](rpc::MachineContext& ctx, IEngine<DPRGraph>&, DPRGraph&) {
+      [&](BipartiteMachine& m) {
+        rpc::MachineContext& ctx = m.ctx;
+        m.engine.Start();
         if (ctx.id == 1) {
           std::vector<OutArchive> corpus;
-          corpus.push_back(OutArchive());        // empty frame
-          corpus.push_back(frame({1}));          // then a torn gvid
+          corpus.push_back(OutArchive());              // empty frame
+          corpus.emplace_back();                       // torn generation
+          corpus.back() << uint8_t{0} << uint16_t{3};
+          corpus.push_back(frame(kNext - 1, {1}));     // stale
+          corpus.push_back(frame(kNext + 1, {1}));     // last seen + 2
+          corpus.push_back(frame(UINT64_MAX, {1}));
+          corpus.push_back(frame(kNext, {1}));         // torn gvid
           corpus.back() << uint8_t{7} << uint8_t{7};
-          corpus.push_back(frame({2, 9999}));    // then an unknown gvid
-          corpus.push_back(frame({kSideA, 3}));  // a ghost here, then valid
+          corpus.push_back(frame(kNext, {2, 9999}));   // unknown gvid
+          corpus.push_back(frame(kNext, {kSideA, 3}));  // a ghost on 0
+          corpus_size = corpus.size();
           for (OutArchive& oa : corpus) {
-            ctx.comm().Send(ctx.id, 0, kScheduleForwardHandler,
-                            std::move(oa));
+            ctx.comm().Send(ctx.id, 0, kColorStepEndHandler, std::move(oa));
           }
         }
         ctx.barrier().Wait(ctx.id);
         ctx.comm().WaitQuiescent();
         ctx.barrier().Wait(ctx.id);
+        if (ctx.id == 0) {
+          dropped = ctx.comm()
+                        .registry(0)
+                        .counter("engine.step_frames_dropped")
+                        ->Value();
+        }
+        // The real forward: gvid 1 rides machine 1's next frame.
+        if (ctx.id == 1) m.engine.Schedule(m.graph.Lvid(1));
+        m.engine.Start();
       },
       [](Context<DPRGraph>&) {});
-  // The torn read must not schedule its zero-filled value, gvid 0.
+  EXPECT_EQ(dropped, corpus_size);
   EXPECT_EQ(counts[0], 0u);
   EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
+  EXPECT_EQ(counts[2], 0u);
+  EXPECT_EQ(counts[3], 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Transports, ChromaticForwardTest,
+// Machine 2 dies inside its color-1 step while machines 0 and 1 wait for
+// its step-end frame.  The death releases their wait, aborts their
+// engines, and the run ends at sweep 1's decision through the abort bit;
+// without the release the self-rescheduling job would never end.
+TEST_P(ChromaticStepEndTest, PeerKilledInStepExchangeReleasesSurvivors) {
+  constexpr size_t kMachines = 3;
+  constexpr VertexId kVictim = kSideA + kSideB - 1;  // owned by machine 2
+  EngineOptions opts;
+  opts.num_threads = 1;
+  std::atomic<rpc::CommLayer*> victim_comm{nullptr};
+  std::atomic<bool> killed{false};
+  std::vector<uint8_t> aborted(kMachines, 0);
+  std::vector<uint64_t> sweeps(kMachines, 0);
+  RunBipartite(
+      testutil::ClusterFor(GetParam(), kMachines), opts,
+      [&](BipartiteMachine& m) {
+        const rpc::MachineId me = m.ctx.id;
+        if (me == 2) victim_comm.store(&m.ctx.comm());
+        // The dead machine's own sweep decision can never complete: its
+        // death cancels its allreduce slot, as the fault runner's abort
+        // bundle does in a real deployment.
+        rpc::Membership& members = m.ctx.comm().membership();
+        SumAllReduce* allreduce = &m.allreduce;
+        const size_t token = members.Subscribe(
+            [me, allreduce](rpc::MachineId down, uint64_t) {
+              if (down == me) allreduce->Cancel(me);
+            });
+        m.engine.ScheduleAll();
+        m.engine.Start();
+        members.Unsubscribe(token);
+        aborted[me] = m.engine.aborted();
+        sweeps[me] = m.engine.last_result().sweeps;
+      },
+      [&](Context<DPRGraph>& c) {
+        c.Schedule(c.lvid());
+        if (c.vertex_id() == kVictim && !killed.exchange(true)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          victim_comm.load()->InjectKill(2);
+        }
+      });
+  EXPECT_TRUE(killed.load());
+  for (size_t m = 0; m < kMachines; ++m) {
+    SCOPED_TRACE("machine " + std::to_string(m));
+    EXPECT_TRUE(aborted[m]);
+    EXPECT_EQ(sweeps[m], 1u);
+  }
+}
+
+// Machine 0 owns no color-1 vertex, so in color-step 1 it waits for
+// machine 1's step-end frame.  Machine 1's update aborts machine 0, then
+// blocks until machine 0 reaches its sweep boundary — which only the
+// abort can let it do, since machine 1's frame comes after that update.
+// The run then ends through machine 0's abort bit.
+TEST_P(ChromaticStepEndTest, RequestAbortReleasesWaitingMachine) {
+  EngineOptions opts;
+  opts.num_threads = 1;
+  std::atomic<IEngine<DPRGraph>*> engine0{nullptr};
+  std::atomic<bool> fired{false};
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool at_boundary = false;
+  bool released_in_time = false;
+  std::vector<uint8_t> aborted(2, 0);
+  std::vector<uint64_t> sweeps(2, 0);
+  RunBipartite(
+      testutil::ClusterFor(GetParam(), 2), opts,
+      [&](BipartiteMachine& m) {
+        if (m.ctx.id == 0) engine0.store(&m.engine);
+        m.engine.ScheduleAll();
+        m.engine.Start();
+        aborted[m.ctx.id] = m.engine.aborted();
+        sweeps[m.ctx.id] = m.engine.last_result().sweeps;
+      },
+      [&](Context<DPRGraph>& c) {
+        c.Schedule(c.lvid());
+        if (c.vertex_id() == kSideA && !fired.exchange(true)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          engine0.load()->RequestAbort();
+          std::unique_lock<std::mutex> lock(mutex);
+          released_in_time = cv.wait_for(lock, std::chrono::seconds(10),
+                                         [&] { return at_boundary; });
+        }
+      },
+      [&](rpc::MachineContext& ctx, uint64_t) {
+        if (ctx.id == 0) {
+          std::lock_guard<std::mutex> lock(mutex);
+          at_boundary = true;
+          cv.notify_all();
+        }
+        return Status::OK();
+      });
+  EXPECT_TRUE(released_in_time);
+  EXPECT_TRUE(aborted[0]);
+  EXPECT_FALSE(aborted[1]);
+  EXPECT_EQ(sweeps[0], 1u);
+  EXPECT_EQ(sweeps[1], 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ChromaticStepEndTest,
                          ::testing::ValuesIn(testutil::kAllTransports),
                          testutil::KindParamName);
+
+// Syncs run between color-steps, on every machine's finished step: with
+// sync_interval_steps = 1 the value published after a sweep's last step
+// equals the sum taken directly over every owned vertex at that sweep's
+// boundary, and the sequence is the same over both transports.
+TEST(ChromaticSyncTest, SyncEveryStepSeesTheFinishedStep) {
+  auto structure = gen::PowerLawWeb(600, 4, 0.8, 41);
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  auto atom_of = RandomPartition(structure.num_vertices, 3, 6);
+  const std::vector<rpc::MachineId> placement = {0, 1, 2};
+  // Integer micro-ranks: the sum does not depend on the order partials
+  // reach the coordinator.
+  auto micro_rank = [](const DPRGraph& g, LocalVid l) {
+    return static_cast<int64_t>(std::llround(g.vertex_data(l).rank * 1e9));
+  };
+
+  using Boundary = std::pair<int64_t, int64_t>;  // (published, direct)
+  auto run = [&](rpc::TransportKind kind) {
+    rpc::Runtime runtime(testutil::ClusterFor(kind, 3));
+    testutil::ClusterAllreduce allreduce(&runtime, 1);
+    // One sync manager per fabric, as ClusterAllreduce does.
+    std::vector<std::unique_ptr<SyncManager<DPRGraph>>> syncs;
+    std::vector<SyncManager<DPRGraph>*> sync_of(3);
+    for (rpc::MachineId m : runtime.local_machines()) {
+      if (kind == rpc::TransportKind::kTcp || syncs.empty()) {
+        syncs.push_back(
+            std::make_unique<SyncManager<DPRGraph>>(&runtime.comm(m)));
+        syncs.back()->Register<int64_t>(
+            "micro_rank", int64_t{0},
+            [&](const DPRGraph& g, LocalVid l, int64_t* acc) {
+              *acc += micro_rank(g, l);
+            },
+            [](int64_t* a, const int64_t& b) { *a += b; });
+      }
+      sync_of[m] = syncs.back().get();
+    }
+    std::vector<DPRGraph> graphs(3);
+    std::vector<Boundary> boundaries;
+    runtime.Run([&](rpc::MachineContext& ctx) {
+      DPRGraph& graph = graphs[ctx.id];
+      ASSERT_TRUE(graph
+                      .InitFromGlobal(global, atom_of, colors, placement,
+                                      ctx.id, &ctx.comm())
+                      .ok());
+      sync_of[ctx.id]->AttachGraph(ctx.id, &graph);
+      ctx.barrier().Wait(ctx.id);
+      EngineOptions opts;
+      opts.num_threads = 1;
+      opts.max_sweeps = 6;
+      opts.sync_interval_steps = 1;
+      opts.sync_keys = {"micro_rank"};
+      DistributedEngineDeps<PageRankVertex, PageRankEdge> deps;
+      deps.allreduce = &allreduce.at(ctx.id);
+      deps.sync = sync_of[ctx.id];
+      auto engine =
+          std::move(CreateEngine("chromatic", ctx, &graph, opts, deps).value());
+      engine->SetUpdateFn(MakePageRankUpdateFn<DPRGraph>(0.85, 1e-7));
+      if (ctx.id == 0) {
+        // At a boundary no machine runs updates until the sweep decision,
+        // which waits for this hook, so every partition can be read here.
+        engine->SetBoundaryHook([&](uint64_t) {
+          int64_t direct = 0;
+          for (const DPRGraph& g : graphs) {
+            for (LocalVid l : g.owned_vertices()) direct += micro_rank(g, l);
+          }
+          boundaries.emplace_back(
+              sync_of[0]->Get<int64_t>("micro_rank", 0), direct);
+          return Status::OK();
+        });
+      }
+      engine->ScheduleAll();
+      engine->Start();
+    });
+    return boundaries;
+  };
+  const std::vector<Boundary> inproc = run(rpc::TransportKind::kInProcess);
+  const std::vector<Boundary> tcp = run(rpc::TransportKind::kTcp);
+  ASSERT_GE(inproc.size(), 2u);
+  for (const Boundary& b : inproc) EXPECT_EQ(b.first, b.second);
+  EXPECT_EQ(inproc, tcp);
+}
 
 // A ghost scheduled before Start() must reach its owner before color-step
 // 0 collects its batch.  Machine 1 seeds only a color-0 vertex owned by
@@ -604,9 +885,9 @@ TEST(ChromaticForwardRaceTest, GhostSeededBeforeStartRunsInFirstSweep) {
       testutil::ClusterFor(rpc::TransportKind::kInProcess, 2,
                            /*latency_us=*/5000),
       opts,
-      [](rpc::MachineContext& ctx, IEngine<DPRGraph>& engine,
-         DPRGraph& graph) {
-        if (ctx.id == 1) engine.Schedule(graph.Lvid(0));
+      [](BipartiteMachine& m) {
+        if (m.ctx.id == 1) m.engine.Schedule(m.graph.Lvid(0));
+        m.engine.Start();
       },
       [](Context<DPRGraph>&) {});
   EXPECT_EQ(counts[0], 1u);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <random>
@@ -403,6 +404,91 @@ TEST(ColumnCodec, RawGoldenBytes) {
   std::vector<float> back;
   ASSERT_TRUE(DecodeColumn<float>(out, &back));
   EXPECT_EQ(back, col);
+}
+
+// Delta-varint arithmetic wraps modulo 2^64.  Stepping from INT64_MAX
+// to INT64_MIN is a delta of +1, so both encode in one byte each after
+// the first value; the bytes are the ones two's-complement wrap-around
+// has always produced.
+TEST(ColumnCodec, DeltaVarintWrapGoldenBytes) {
+  const std::vector<int64_t> col = {INT64_MAX, INT64_MIN};
+  std::string out;
+  auto stats = EncodeColumn<int64_t>({col.data(), col.size()}, &out);
+  EXPECT_EQ(stats.codec, ColumnCodec::kDeltaVarint);
+  const uint8_t golden[] = {
+      0x02,                    // codec = kDeltaVarint
+      0x02, 0x00, 0x00, 0x00,  // count = 2
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF,
+      0xFF, 0xFF, 0xFF, 0xFF, 0x01,  // zigzag(INT64_MAX - 0)
+      0x02,                          // zigzag(INT64_MIN - INT64_MAX) = +1
+  };
+  ASSERT_EQ(out.size(), sizeof(golden));
+  EXPECT_EQ(std::memcmp(out.data(), golden, sizeof(golden)), 0);
+
+  std::vector<int64_t> back;
+  ASSERT_TRUE(DecodeColumn<int64_t>(out, &back));
+  EXPECT_EQ(back, col);
+}
+
+// Columns holding INT64_MIN, INT64_MAX and unsigned values above
+// INT64_MAX round-trip through every codec that can win, and a decoder
+// fed deltas that overflow int64 returns wrapped values, not undefined
+// behaviour.
+TEST(ColumnCodec, ExtremeIntegerColumnsRoundTrip) {
+  constexpr uint64_t kHalf = uint64_t{1} << 63;
+  std::vector<int64_t> signed_runs;   // runs across the wrap: delta wins
+  std::vector<uint64_t> unsigned_runs;
+  for (int64_t i = -8; i < 8; ++i) {
+    signed_runs.push_back(static_cast<int64_t>(
+        static_cast<uint64_t>(INT64_MAX) + static_cast<uint64_t>(i)));
+    unsigned_runs.push_back(kHalf + static_cast<uint64_t>(i));
+  }
+  const std::vector<std::vector<int64_t>> signed_cols = {
+      signed_runs,
+      {INT64_MIN, INT64_MAX, INT64_MIN, 0, INT64_MAX, -1, INT64_MIN + 1},
+      {INT64_MIN},
+      {INT64_MAX, INT64_MAX - 1, INT64_MIN, INT64_MIN + 1}};
+  const std::vector<std::vector<uint64_t>> unsigned_cols = {
+      unsigned_runs,
+      {UINT64_MAX, 0, kHalf, kHalf + 1, kHalf - 1, UINT64_MAX - 5},
+      {UINT64_MAX}};
+  for (const auto& col : signed_cols) {
+    std::string enc;
+    EncodeColumn<int64_t>({col.data(), col.size()}, &enc);
+    std::vector<int64_t> back;
+    ASSERT_TRUE(DecodeColumn<int64_t>(enc, &back));
+    EXPECT_EQ(back, col);
+  }
+  for (const auto& col : unsigned_cols) {
+    std::string enc;
+    EncodeColumn<uint64_t>({col.data(), col.size()}, &enc);
+    std::vector<uint64_t> back;
+    ASSERT_TRUE(DecodeColumn<uint64_t>(enc, &back));
+    EXPECT_EQ(back, col);
+  }
+  std::string runs;
+  EXPECT_EQ(EncodeColumn<int64_t>({signed_runs.data(), signed_runs.size()},
+                                  &runs)
+                .codec,
+            ColumnCodec::kDeltaVarint);
+  runs.clear();
+  EXPECT_EQ(EncodeColumn<uint64_t>(
+                {unsigned_runs.data(), unsigned_runs.size()}, &runs)
+                .codec,
+            ColumnCodec::kDeltaVarint);
+
+  // Two deltas of zigzag(INT64_MAX): the running sum wraps to -2.
+  const uint8_t crafted[] = {
+      0x02, 0x02, 0x00, 0x00, 0x00,
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,
+  };
+  std::vector<int64_t> wrapped;
+  ASSERT_TRUE(DecodeColumn<int64_t>(
+      std::string_view(reinterpret_cast<const char*>(crafted),
+                       sizeof(crafted)),
+      &wrapped));
+  EXPECT_EQ(wrapped, (std::vector<int64_t>{INT64_MAX, -2}));
 }
 
 TEST(ColumnCodec, RandomColumnsRoundTrip) {

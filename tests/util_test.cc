@@ -97,6 +97,29 @@ TEST(SerializationTest, RoundTripsContainers) {
   EXPECT_TRUE(ia.AtEnd());
 }
 
+// Empty containers read zero bytes, with null pointers on either side
+// (a default-constructed vector's data(), an archive over no bytes):
+// the read succeeds and never hands memcpy a null pointer.
+TEST(SerializationTest, RoundTripsEmptyContainers) {
+  OutArchive oa;
+  oa << std::vector<uint32_t>{} << std::string() << std::vector<double>{};
+  InArchive ia(oa.buffer());
+  std::vector<uint32_t> ids;
+  std::string text;
+  std::vector<double> values;
+  ia >> ids >> text >> values;
+  EXPECT_TRUE(ia.ok());
+  EXPECT_TRUE(ia.AtEnd());
+  EXPECT_TRUE(ids.empty());
+  EXPECT_TRUE(text.empty());
+  EXPECT_TRUE(values.empty());
+
+  InArchive nothing(nullptr, 0);
+  EXPECT_TRUE(nothing.ReadBytes(nullptr, 0));
+  EXPECT_TRUE(nothing.ok());
+  EXPECT_TRUE(nothing.AtEnd());
+}
+
 struct CustomType {
   int a = 0;
   std::string b;
