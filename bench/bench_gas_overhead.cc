@@ -1,16 +1,12 @@
 // Measures what the GAS abstraction costs over a handwritten update
-// function, and what the gather delta cache refunds.
+// function.
 //
-//  E1  PageRank: classic update fn vs compiled GAS program (cache off /
-//      on) — per-update CPU cost and total update count to convergence,
-//      plus cache hit rate and delta traffic.  PageRank's gather is one
-//      multiply-add per in-edge, so this is the worst case for GAS
-//      dispatch overhead and a mild case for the cache.
+//  E1  PageRank: classic update fn vs compiled GAS program — per-update
+//      CPU cost and total update count to convergence.  PageRank's gather
+//      is one multiply-add per in-edge, so this is the worst case for GAS
+//      dispatch overhead.
 //  E2  Loopy BP (K states): the gather folds K-vector message products,
-//      so a cache hit saves real work; reports the same table.
-//  E3  Cache hit rate vs re-execution pressure: dynamic PageRank at
-//      decreasing tolerances (more re-executions per vertex) to show the
-//      hit rate climbing as vertices re-run against unchanged regions.
+//      so dispatch overhead is a smaller share of each update.
 //
 // Usage: ./bench_gas_overhead [--vertices=20000] [--threads=2]
 //                             [--engine=shared_memory] [--out=FILE]
@@ -28,7 +24,6 @@
 #include "graphlab/apps/pagerank.h"
 #include "graphlab/engine/engine_factory.h"
 #include "graphlab/util/options.h"
-#include "graphlab/vertex_program/gas_compiler.h"
 
 namespace graphlab {
 namespace {
@@ -36,40 +31,24 @@ namespace {
 /// Machine-readable mirror of the console tables (BENCH_gas.json).
 bench::JsonWriter* g_json = nullptr;
 
-struct Row {
-  const char* variant;
-  RunResult run;
-  GasStats gas;     // zeroed for the classic row
-  bool has_gas = false;
-};
-
-void PrintRow(const std::string& experiment, const Row& r) {
+void PrintRow(const std::string& experiment, const char* variant,
+              const RunResult& run) {
   const double us_per_update =
-      r.run.updates == 0 ? 0.0 : 1e6 * r.run.busy_seconds / r.run.updates;
-  std::printf("%-22s %10llu %9.3f %12.3f", r.variant,
-              static_cast<unsigned long long>(r.run.updates), r.run.seconds,
+      run.updates == 0 ? 0.0 : 1e6 * run.busy_seconds / run.updates;
+  std::printf("%-22s %10llu %9.3f %12.3f\n", variant,
+              static_cast<unsigned long long>(run.updates), run.seconds,
               us_per_update);
-  if (r.has_gas) {
-    std::printf(" %9.1f%% %12llu\n", 100.0 * r.gas.cache_hit_rate(),
-                static_cast<unsigned long long>(r.gas.cache.deltas_applied));
-  } else {
-    std::printf(" %10s %12s\n", "-", "-");
-  }
-  auto& row = g_json->AddRow();
-  row.Set("experiment", experiment)
-      .Set("variant", r.variant)
-      .Set("updates", r.run.updates)
-      .Set("wall_s", r.run.seconds)
+  g_json->AddRow()
+      .Set("experiment", experiment)
+      .Set("variant", variant)
+      .Set("updates", run.updates)
+      .Set("wall_s", run.seconds)
       .Set("us_per_update", us_per_update);
-  if (r.has_gas) {
-    row.Set("hit_rate", r.gas.cache_hit_rate())
-        .Set("deltas", r.gas.cache.deltas_applied);
-  }
 }
 
 void PrintTableHeader() {
-  std::printf("%-22s %10s %9s %12s %10s %12s\n", "variant", "updates",
-              "wall_s", "us/update", "hit_rate", "deltas");
+  std::printf("%-22s %10s %9s %12s\n", "variant", "updates", "wall_s",
+              "us/update");
 }
 
 void E1PageRank(uint64_t n, size_t threads, const std::string& engine) {
@@ -83,17 +62,13 @@ void E1PageRank(uint64_t n, size_t threads, const std::string& engine) {
     auto g = apps::BuildPageRankGraph(web);
     auto r = apps::SolvePageRank(&g, engine, eo, 0.85, 1e-6);
     GL_CHECK_OK(r.status());
-    PrintRow("pagerank", {"classic update fn", r.value(), {}, false});
+    PrintRow("pagerank", "classic update fn", r.value());
   }
-  for (bool cache : {false, true}) {
+  {
     auto g = apps::BuildPageRankGraph(web);
-    EngineOptions gas_eo = eo;
-    gas_eo.gather_cache = cache;
-    GasStats stats;
-    auto r = apps::SolveGasPageRank(&g, engine, gas_eo, 0.85, 1e-6, &stats);
+    auto r = apps::SolveGasPageRank(&g, engine, eo, 0.85, 1e-6);
     GL_CHECK_OK(r.status());
-    PrintRow("pagerank", {cache ? "gas (delta cache)" : "gas (no cache)",
-                          r.value(), stats, true});
+    PrintRow("pagerank", "gas program", r.value());
   }
 }
 
@@ -111,47 +86,13 @@ void E2LoopyBp(uint64_t side, size_t threads, const std::string& engine) {
     auto g = apps::BuildMrf(structure, 5, 0.15, 1.2, 7);
     auto r = apps::SolveBp(&g, engine, eo, psi, 1e-5);
     GL_CHECK_OK(r.status());
-    PrintRow("loopy_bp", {"classic update fn", r.value(), {}, false});
+    PrintRow("loopy_bp", "classic update fn", r.value());
   }
-  for (bool cache : {false, true}) {
+  {
     auto g = apps::BuildMrf(structure, 5, 0.15, 1.2, 7);
-    EngineOptions gas_eo = eo;
-    gas_eo.gather_cache = cache;
-    GasStats stats;
-    auto r = apps::SolveGasBp(&g, engine, gas_eo, psi, 1e-5, &stats);
+    auto r = apps::SolveGasBp(&g, engine, eo, psi, 1e-5);
     GL_CHECK_OK(r.status());
-    PrintRow("loopy_bp", {cache ? "gas (delta cache)" : "gas (no cache)",
-                          r.value(), stats, true});
-  }
-}
-
-void E3HitRateVsPressure(uint64_t n, size_t threads,
-                         const std::string& engine) {
-  bench::PrintHeader(
-      "delta-cache hit rate vs re-execution pressure (GAS PageRank)");
-  auto web = gen::PowerLawWeb(n, 8, 0.85, 1);
-  std::printf("tolerance,updates,updates_per_vertex,hit_rate,deltas\n");
-  for (double tol : {1e-4, 1e-6, 1e-8, 1e-10}) {
-    auto g = apps::BuildPageRankGraph(web);
-    EngineOptions eo;
-    eo.num_threads = threads;
-    eo.gather_cache = true;
-    GasStats stats;
-    auto r = apps::SolveGasPageRank(&g, engine, eo, 0.85, tol, &stats);
-    GL_CHECK_OK(r.status());
-    std::printf("%.0e,%llu,%.1f,%.3f,%llu\n", tol,
-                static_cast<unsigned long long>(r.value().updates),
-                static_cast<double>(r.value().updates) / n,
-                stats.cache_hit_rate(),
-                static_cast<unsigned long long>(stats.cache.deltas_applied));
-    g_json->AddRow()
-        .Set("experiment", "hit_rate_vs_pressure")
-        .Set("tolerance", tol)
-        .Set("updates", r.value().updates)
-        .Set("updates_per_vertex",
-             static_cast<double>(r.value().updates) / n)
-        .Set("hit_rate", stats.cache_hit_rate())
-        .Set("deltas", stats.cache.deltas_applied);
+    PrintRow("loopy_bp", "gas program", r.value());
   }
 }
 
@@ -181,7 +122,6 @@ int main(int argc, char** argv) {
   graphlab::g_json = &json;
   graphlab::E1PageRank(n, threads, engine);
   graphlab::E2LoopyBp(60, threads, engine);
-  graphlab::E3HitRateVsPressure(n, threads, engine);
   json.WriteFile(opts.GetString("out", ""));
   return 0;
 }

@@ -454,7 +454,6 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
                             tele.cluster
                                 .FormatLiveTable({"engine.updates.rate",
                                                   "rpc.bytes_sent.rate",
-                                                  "gas.cache_hit_ratio",
                                                   "lock.stall_ns.p99"})
                                 .c_str());
                 std::fflush(stdout);

@@ -2,11 +2,10 @@
 //
 // Demonstrates writing a gather-apply-scatter program (the library's
 // apps::PageRankProgram), compiling it onto an engine picked by name, and
-// reading the gather/delta-cache counters.  Runs the same workload three
-// ways — classic handwritten update function, GAS without caching, GAS
-// with the gather delta cache — and reports the cost and accuracy of
-// each, so the GAS abstraction's overhead (and the cache's refund) is
-// visible in one screen of output.
+// reading the compiled program's gather/scatter counters.  Runs the same
+// workload two ways — classic handwritten update function and GAS
+// program — and reports the cost and accuracy of each, so the GAS
+// abstraction's overhead is visible in one screen of output.
 //
 // Usage: ./example_gas_pagerank [--vertices=20000] [--engine=shared_memory]
 //                               [--scheduler=fifo] [--tolerance=1e-6]
@@ -79,35 +78,17 @@ int main(int argc, char** argv) {
     report("classic update fn", g, r.value());
   }
 
-  // 2. The same math as a compiled vertex program, no caching.
+  // 2. The same math as a compiled vertex program.
   {
     auto g = apps::BuildPageRankGraph(web);
     GasStats stats;
     auto r = apps::SolveGasPageRank(&g, engine_kind, eo, 0.85, tolerance,
                                     &stats);
     GL_CHECK_OK(r.status());
-    report("gas (no cache)", g, r.value());
-  }
-
-  // 3. With the gather delta cache: scatter-side PostDelta keeps cached
-  // totals fresh, so re-executions skip their gather loop.
-  {
-    auto g = apps::BuildPageRankGraph(web);
-    EngineOptions cached = eo;
-    cached.gather_cache = true;
-    GasStats stats;
-    auto r = apps::SolveGasPageRank(&g, engine_kind, cached, 0.85,
-                                    tolerance, &stats);
-    GL_CHECK_OK(r.status());
-    report("gas (delta cache)", g, r.value());
-    std::printf(
-        "  cache: %.1f%% of gathers answered from cache "
-        "(%llu hits, %llu full, %llu deltas folded, %llu invalidations)\n",
-        100.0 * stats.cache_hit_rate(),
-        static_cast<unsigned long long>(stats.cache_hits),
-        static_cast<unsigned long long>(stats.full_gathers),
-        static_cast<unsigned long long>(stats.cache.deltas_applied),
-        static_cast<unsigned long long>(stats.cache.invalidations));
+    report("gas program", g, r.value());
+    std::printf("  gas: %llu edges gathered, %llu edges scattered\n",
+                static_cast<unsigned long long>(stats.edges_gathered),
+                static_cast<unsigned long long>(stats.edges_scattered));
   }
   return 0;
 }

@@ -6,8 +6,8 @@
 //   1. generate a power-law web graph,
 //   2. color + partition it and cut it into a distributed graph,
 //   3. run the Alg. 1 PageRank update function on the chosen engine,
-//   4. run the same math as a GAS program (with the gather delta cache)
-//      and check both converge to the same ranks,
+//   4. run the same math as a GAS program and check both converge to the
+//      same ranks,
 //   5. gather and print the top pages.
 //
 // Usage: ./quickstart [--vertices=20000] [--machines=4] [--engine=chromatic]
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
 
   // `install` hooks the per-machine engine with either API's update fn.
   auto run_cluster = [&](const char* label, std::vector<Graph>& partitions,
-                         const EngineOptions& opts, auto&& install) {
+                         auto&& install) {
     rpc::ClusterOptions cluster;
     cluster.num_machines = machines;
     cluster.comm.latency = std::chrono::microseconds(50);
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       // so the runtime winds down cleanly.
       DistributedEngineDeps<apps::PageRankVertex, apps::PageRankEdge> deps;
       deps.allreduce = &allreduce;
-      auto created = CreateEngine(engine_kind, ctx, &graph, opts, deps);
+      auto created = CreateEngine(engine_kind, ctx, &graph, eo, deps);
       if (!created.ok()) {
         if (ctx.id == 0) {
           std::printf("cannot create engine: %s\n",
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
         return;
       }
       auto engine = std::move(created.value());
-      install(&graph, engine.get(), ctx);
+      install(&graph, engine.get());
       engine->ScheduleAll();
       RunResult result = engine->Start();
       if (ctx.id == 0) {
@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
   };
 
   // 3. Classic API: install the handwritten f(v, S_v) of Alg. 1.
-  run_cluster("classic update fn", classic_parts, eo,
-              [](Graph*, IEngine<Graph>* engine, rpc::MachineContext&) {
+  run_cluster("classic update fn", classic_parts,
+              [](Graph*, IEngine<Graph>* engine) {
                 engine->SetUpdateFn(
                     apps::MakePageRankUpdateFn<Graph>(0.85, 1e-4));
               });
@@ -140,36 +140,16 @@ int main(int argc, char** argv) {
   }
 
   // 4. GAS API: the same math as a vertex program, compiled per machine
-  // onto the same engine, with the gather delta cache enabled.
-  EngineOptions gas_eo = eo;
-  gas_eo.gather_cache = true;
-  std::vector<std::function<GasStats()>> stat_fns(machines);
-  run_cluster("gas vertex program", gas_parts, gas_eo,
-              [&](Graph* graph, IEngine<Graph>* engine,
-                  rpc::MachineContext& ctx) {
+  // onto the same engine.
+  run_cluster("gas vertex program", gas_parts,
+              [](Graph* graph, IEngine<Graph>* engine) {
                 apps::PageRankProgram<Graph> program;
                 program.damping = 0.85;
                 program.tolerance = 1e-4;
-                auto compiled =
-                    CompileVertexProgram(graph, gas_eo, program);
-                engine->SetUpdateFn(compiled.update_fn());
-                stat_fns[ctx.id] = [compiled] { return compiled.stats(); };
+                engine->SetUpdateFn(
+                    CompileVertexProgram(graph, program).update_fn());
               });
   if (failed.load()) return 1;
-
-  GasStats cluster_stats;
-  for (const auto& fn : stat_fns) {
-    if (!fn) continue;
-    GasStats s = fn();
-    cluster_stats.cache_hits += s.cache_hits;
-    cluster_stats.full_gathers += s.full_gathers;
-    cluster_stats.cache.deltas_applied += s.cache.deltas_applied;
-  }
-  std::printf(
-      "gas delta cache: %.1f%% of gathers served from cache "
-      "(%llu deltas folded in)\n",
-      100.0 * cluster_stats.cache_hit_rate(),
-      static_cast<unsigned long long>(cluster_stats.cache.deltas_applied));
 
   double l1 = 0.0;
   for (Graph& graph : gas_parts) {

@@ -11,11 +11,9 @@
 //      Sec. 4.1 two-phase scheme.
 //
 // Gather folds one weighted vote per incident edge for the *other*
-// endpoint's label (never the center's own data, so the delta cache stays
-// sound).  Apply adopts the heaviest label, preferring the current label
-// on ties (oscillation damping) and refusing moves past the balance cap.
-// Scatter repairs neighbors' cached vote totals with a signed PostDelta
-// pair {old -w, new +w} and signals them only when the label changed.
+// endpoint's label.  Apply adopts the heaviest label, preferring the
+// current label on ties (oscillation damping) and refusing moves past the
+// balance cap.  Scatter signals the neighbors only when the label changed.
 
 #ifndef GRAPHLAB_APPS_LABEL_PROP_H_
 #define GRAPHLAB_APPS_LABEL_PROP_H_
@@ -53,9 +51,7 @@ struct LabelPropEdge {
 using LabelPropGraph = LocalGraph<LabelPropVertex, LabelPropEdge>;
 
 /// Gather type: a sparse histogram of label -> accumulated vote weight.
-/// `+=` merges (commutative, associative); weights may go negative via
-/// scatter's signed PostDelta pairs — a vote that cancels to <= 0 simply
-/// loses the argmax.
+/// `+=` merges (commutative, associative).
 struct LabelVotes {
   std::vector<std::pair<uint32_t, double>> votes;
 
@@ -106,8 +102,7 @@ struct LabelPropProgram : public IVertexProgram<Graph, LabelVotes> {
     return EdgeDirection::kAll;
   }
 
-  /// One vote for the non-central endpoint's label.  Reads neighbor and
-  /// edge data only (cache contract).
+  /// One vote for the non-central endpoint's label.
   LabelVotes gather(const context_type& ctx, LocalEid e) const {
     LabelVotes v;
     v.Add(ctx.neighbor_data(ctx.other(e)).label,
@@ -117,7 +112,6 @@ struct LabelPropProgram : public IVertexProgram<Graph, LabelVotes> {
 
   void apply(context_type& ctx, const LabelVotes& total) {
     const uint32_t current = ctx.const_vertex_data().label;
-    old_label_ = current;
     uint32_t best = current;
     double best_weight = 0.0;
     bool have_current = false;
@@ -138,7 +132,7 @@ struct LabelPropProgram : public IVertexProgram<Graph, LabelVotes> {
       }
     }
     changed_ = false;
-    if (best == current) return;  // no write: neighbor caches stay valid
+    if (best == current) return;
     if (shared != nullptr &&
         shared->moves_budget.fetch_sub(1, std::memory_order_relaxed) <= 0) {
       return;  // budget spent: freeze labels so the engine drains
@@ -164,19 +158,11 @@ struct LabelPropProgram : public IVertexProgram<Graph, LabelVotes> {
   }
 
   void scatter(context_type& ctx, LocalEid e) {
-    if (!changed_) return;
-    const LocalVid other = ctx.other(e);
-    const double w = ctx.const_edge_data(e).weight;
-    LabelVotes delta;
-    delta.Add(old_label_, -w);
-    delta.Add(ctx.const_vertex_data().label, w);
-    ctx.PostDelta(other, delta);
-    ctx.Signal(other);
+    if (changed_) ctx.Signal(ctx.other(e));
   }
 
  private:
-  uint32_t old_label_ = 0;  // apply -> scatter (per-update copy)
-  bool changed_ = false;
+  bool changed_ = false;  // apply -> scatter (per-update copy)
 };
 
 /// Builds the data graph: labels from `initial` (identity labeling when
@@ -220,7 +206,7 @@ inline Expected<RunResult> SolveLabelProp(LabelPropGraph* graph,
   program.shared->moves_budget.store(
       static_cast<int64_t>(max_sweeps * graph->num_vertices()),
       std::memory_order_relaxed);
-  auto compiled = CompileVertexProgram(graph, options, program);
+  auto compiled = CompileVertexProgram(graph, program);
   (*engine)->SetUpdateFn(compiled.update_fn());
   (*engine)->ScheduleAll();
   return (*engine)->Start();

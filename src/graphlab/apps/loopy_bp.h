@@ -173,8 +173,7 @@ UpdateFn<Graph> MakeBpUpdateFn(PottsPotential psi = {},
 /// Multiplicative gather accumulator for GAS loopy BP: the element-wise
 /// product of the center's incoming messages.  `+=` is element-wise
 /// multiplication (commutative and associative, as the compiler
-/// requires); an empty vector is the fold identity, which also lets a
-/// scatter-side delta be the new/old *ratio* of one message.
+/// requires); an empty vector is the fold identity.
 struct BpMessageProduct {
   std::vector<double> prod;
 
@@ -192,10 +191,8 @@ struct BpMessageProduct {
 /// Loopy BP in gather-apply-scatter form (same math as BpUpdateScope):
 /// gather multiplies the incoming message of every adjacent edge, apply
 /// folds in the unary potential and normalizes into the belief, scatter
-/// recomputes each outgoing message from the cavity belief.  With delta
-/// caching the scatter posts the message's new/old ratio to the
-/// neighbor's cached product — falling back to ClearGatherCache when a
-/// message component is too small to divide by safely.
+/// recomputes each outgoing message from the cavity belief and signals
+/// the neighbor when that message moved by more than `tolerance`.
 template <typename Graph>
 struct BpProgram : public IVertexProgram<Graph, BpMessageProduct> {
   using context_type = GasContext<Graph, BpMessageProduct>;
@@ -246,30 +243,12 @@ struct BpProgram : public IVertexProgram<Graph, BpMessageProduct> {
     }
     NormalizeInPlace(&out);
 
-    const LocalVid nbr = ctx.other(e);
-    const bool caching = ctx.caching_enabled();
     double residual = 0.0;
-    BpMessageProduct delta;
-    if (caching) delta.prod.resize(k);
-    bool ratio_ok = true;
     for (size_t t = 0; t < k; ++t) {
       residual = std::max(residual, std::fabs(out[t] - outgoing[t]));
-      if (!caching) continue;
-      if (outgoing[t] > 1e-12) {
-        delta.prod[t] = out[t] / outgoing[t];
-      } else {
-        ratio_ok = false;
-      }
     }
     outgoing = out;
-    if (caching) {
-      if (ratio_ok) {
-        ctx.PostDelta(nbr, delta);
-      } else {
-        ctx.ClearGatherCache(nbr);
-      }
-    }
-    if (residual > tolerance) ctx.Signal(nbr, residual);
+    if (residual > tolerance) ctx.Signal(ctx.other(e), residual);
   }
 
  private:
@@ -288,7 +267,7 @@ inline Expected<RunResult> SolveGasBp(BpGraph* graph,
   BpProgram<BpGraph> program;
   program.psi = psi;
   program.tolerance = tolerance;
-  auto compiled = CompileVertexProgram(graph, options, program);
+  auto compiled = CompileVertexProgram(graph, program);
   (*engine)->SetUpdateFn(compiled.update_fn());
   (*engine)->ScheduleAll();
   auto result = (*engine)->Start();

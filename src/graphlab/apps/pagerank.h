@@ -81,9 +81,8 @@ UpdateFn<Graph> MakePageRankUpdateFn(double damping = 0.85,
 
 /// PageRank in gather-apply-scatter form (the same math as Alg. 1,
 /// factored for the GAS compiler): gather sums weighted in-neighbor
-/// ranks, apply damps, scatter pushes the rank change to the
-/// out-neighbors — as a cache delta always (keeping their cached gather
-/// totals exact) and as a scheduler signal only past `tolerance`.
+/// ranks, apply damps, scatter signals the out-neighbors when the rank
+/// moved by more than `tolerance`.
 template <typename Graph>
 struct PageRankProgram : public IVertexProgram<Graph, double> {
   using context_type = GasContext<Graph, double>;
@@ -111,10 +110,8 @@ struct PageRankProgram : public IVertexProgram<Graph, double> {
   }
 
   void scatter(context_type& ctx, LocalEid e) {
-    const LocalVid target = ctx.edge_target(e);
-    ctx.PostDelta(target, ctx.const_edge_data(e).weight * rank_change_);
     const double residual = std::fabs(rank_change_);
-    if (residual > tolerance) ctx.Signal(target, residual);
+    if (residual > tolerance) ctx.Signal(ctx.edge_target(e), residual);
   }
 
  private:
@@ -123,7 +120,7 @@ struct PageRankProgram : public IVertexProgram<Graph, double> {
 
 /// Engine-agnostic GAS entry point, the vertex-program twin of
 /// SolvePageRank.  `stats_out` (optional) receives the compiled
-/// program's gather/cache counters.
+/// program's gather/scatter counters.
 inline Expected<RunResult> SolveGasPageRank(PageRankGraph* graph,
                                             const std::string& engine_name,
                                             EngineOptions options = {},
@@ -135,7 +132,7 @@ inline Expected<RunResult> SolveGasPageRank(PageRankGraph* graph,
   PageRankProgram<PageRankGraph> program;
   program.damping = damping;
   program.tolerance = tolerance;
-  auto compiled = CompileVertexProgram(graph, options, program);
+  auto compiled = CompileVertexProgram(graph, program);
   (*engine)->SetUpdateFn(compiled.update_fn());
   (*engine)->ScheduleAll();
   auto result = (*engine)->Start();

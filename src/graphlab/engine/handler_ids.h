@@ -2,7 +2,8 @@
 //
 // Central allocation of RPC handler ids used by the framework components,
 // so collisions are impossible.  DistributedGraph owns kFirstUserHandler
-// (16) and 17; engine-level protocols start at 18.
+// (16); engine-level protocols start at 18.  17 and 27 are unassigned:
+// ids are never renumbered, since every machine must agree on them.
 
 #ifndef GRAPHLAB_ENGINE_HANDLER_IDS_H_
 #define GRAPHLAB_ENGINE_HANDLER_IDS_H_
@@ -13,8 +14,6 @@ namespace graphlab {
 
 enum EngineHandlers : rpc::HandlerId {
   // 16: DistributedGraph ghost data push.
-  // 17: DistributedGraph write-back (full consistency neighbor writes).
-  kWriteBackHandler = 17,
   kScheduleForwardHandler = 18,  // locking engine remote scheduling
   kLockChainHandler = 19,        // pipelined lock chain hop
   kLockGrantHandler = 20,        // scope-ready notification to requester
@@ -24,7 +23,6 @@ enum EngineHandlers : rpc::HandlerId {
   kAllreduceValueHandler = 24,   // engine allreduce contribution
   kAllreduceResultHandler = 25,  // engine allreduce result broadcast
   kBspMessageHandler = 26,       // BSP/Pregel baseline vertex messages
-  kBulkExchangeHandler = 27,     // MPI-style bulk all-to-all exchange
   kSnapshotTriggerHandler = 28,  // coordinator-initiated snapshot trigger
   kCheckpointControlHandler = 29,  // checkpoint decide/done/commit protocol
   kRecoveryControlHandler = 30,    // recovery rendezvous enter/release

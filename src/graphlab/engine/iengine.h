@@ -85,13 +85,6 @@ struct EngineOptions {
   /// (bulk_sync kernel mode).
   double residual_tolerance = 0.0;
 
-  /// Enables the per-vertex gather delta cache of the GAS runtime
-  /// (consumed by CompileVertexProgram, not by the engines themselves):
-  /// scatter-side PostDelta() keeps cached gather totals fresh so
-  /// repeated updates skip their gather loop.  Ignored by classic update
-  /// functions.  See vertex_program/gas_compiler.h.
-  bool gather_cache = false;
-
   /// Coalesce ghost pushes into per-peer framed delta batches shipped at
   /// window boundaries (chromatic color-steps, bulk-sync supersteps)
   /// instead of one frame per scope commit.  Repeated writes to the same
@@ -120,18 +113,16 @@ struct EngineOptions {
   uint32_t snapshot_epoch = 1;
 
   /// Checkpoint cadence (consumed by fault::CheckpointCoordinator via the
-  /// fault-tolerant runner, not by the engines themselves — like
-  /// gather_cache is consumed by the GAS compiler).  A fixed interval in
-  /// seconds wins when > 0; otherwise mtbf_seconds > 0 derives the
-  /// interval from Young's approximation (Eq. 3 of Sec. 4.3,
+  /// fault-tolerant runner, not by the engines themselves).  A fixed
+  /// interval in seconds wins when > 0; otherwise mtbf_seconds > 0 derives
+  /// the interval from Young's approximation (Eq. 3 of Sec. 4.3,
   /// OptimalCheckpointIntervalSeconds) using the measured checkpoint
   /// cost.  Both 0 = no periodic checkpoints.
   double checkpoint_interval_seconds = 0;
   double mtbf_seconds = 0;
 
-  /// Metrics namespace the engine (and the scheduler / GAS runtime it
-  /// hosts) reports through: engine.updates, sched.steals, lock.stall_ns,
-  /// gas.cache_hits...  nullptr resolves to the machine's registry on the
+  /// Metrics namespace the engine (and the scheduler it hosts) reports
+  /// through: engine.updates, sched.steals, lock.stall_ns...  nullptr resolves to the machine's registry on the
   /// distributed CreateEngine path (rpc/transport.h) and to
   /// metrics::Default() otherwise, so reporting is always on; the cost is
   /// one relaxed striped increment per event.

@@ -82,19 +82,8 @@ class LockingEngine final
         });
     ctx_.comm().RegisterHandler(
         ctx_.id, kScheduleForwardHandler,
-        [this](rpc::MachineId, InArchive& ia) {
-          while (!ia.AtEnd()) {
-            VertexId gvid = ia.ReadValue<VertexId>();
-            double priority = ia.ReadValue<double>();
-            uint8_t snap = ia.ReadValue<uint8_t>();
-            tasks_received_.fetch_add(1, std::memory_order_acq_rel);
-            LocalVid l = graph_->Lvid(gvid);
-            if (snap != 0) {
-              ScheduleSnapshotLocal(l);
-            } else {
-              ScheduleUserLocal(l, priority);
-            }
-          }
+        [this](rpc::MachineId src, InArchive& ia) {
+          DeliverForwards(src, ia);
         });
     ctx_.comm().RegisterHandler(
         ctx_.id, kSnapshotTriggerHandler,
@@ -269,6 +258,52 @@ class LockingEngine final
   void ScheduleSnapshotLocal(LocalVid l) {
     snapshot_pending_.SetBit(l);
     scheduler_->Schedule(l, kSnapshotPriority);
+  }
+
+  /// Decodes one schedule-forward frame of (gvid, priority, snapshot)
+  /// triples.  The frame is accepted whole or dropped whole: a torn
+  /// triple, a gvid this machine does not hold, or a gvid it holds only
+  /// as a ghost (the bytes are corrupt or hostile; a real sender forwards
+  /// to the owner) is logged and schedules nothing.  Only accepted
+  /// triples count as received tasks, so a dropped frame cannot unbalance
+  /// termination detection.
+  void DeliverForwards(rpc::MachineId src, InArchive& ia) {
+    struct Forward {
+      LocalVid l;
+      double priority;
+      bool snapshot;
+    };
+    thread_local std::vector<Forward> forwards;
+    forwards.clear();
+    const char* problem = nullptr;
+    while (problem == nullptr && !ia.AtEnd()) {
+      const VertexId gvid = ia.ReadValue<VertexId>();
+      const double priority = ia.ReadValue<double>();
+      const uint8_t snap = ia.ReadValue<uint8_t>();
+      const LocalVid l = ia.ok() ? graph_->TryLvid(gvid) : kInvalidLocalVid;
+      if (!ia.ok()) {
+        problem = "torn triple";
+      } else if (l == kInvalidLocalVid) {
+        problem = "non-local vertex";
+      } else if (!graph_->is_owned(l)) {
+        problem = "ghost vertex";
+      } else {
+        forwards.push_back({l, priority, snap != 0});
+      }
+    }
+    if (problem != nullptr) {
+      GL_LOG(ERROR) << "machine " << ctx_.id << ": schedule forward from "
+                    << src << ": " << problem << "; dropping frame";
+      return;
+    }
+    for (const Forward& f : forwards) {
+      tasks_received_.fetch_add(1, std::memory_order_acq_rel);
+      if (f.snapshot) {
+        ScheduleSnapshotLocal(f.l);
+      } else {
+        ScheduleUserLocal(f.l, f.priority);
+      }
+    }
   }
 
   void ForwardSchedule(LocalVid ghost, double priority, bool snapshot) {

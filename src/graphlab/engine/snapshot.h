@@ -757,14 +757,10 @@ class SnapshotManager {
     return true;
   }
 
-  /// A restore rewrites whole property columns: retire any cached gather
-  /// state derived from the pre-restore columns, and the dirty baseline
-  /// with it (the next checkpoint must be full).
-  void RetireDerivedState() {
-    graph_->BumpVertexDataEpoch();
-    graph_->BumpEdgeDataEpoch();
-    has_baseline_ = false;
-  }
+  /// A restore rewrites whole property columns: retire the dirty baseline
+  /// derived from the pre-restore columns (the next checkpoint must be
+  /// full).
+  void RetireDerivedState() { has_baseline_ = false; }
 
   // Dirty tracking for O(dirty) deltas: the per-entity version columns
   // (bumped by MarkVertexModified / MarkEdgeModified) compared against a

@@ -64,7 +64,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -276,17 +275,6 @@ class DistributedGraph {
     return vstore_.owner_span();
   }
 
-  /// Dirty epochs of the data columns (see property_column.h): bumped when
-  /// data is overwritten out-of-band — by a coherence push landing on this
-  /// machine (ApplyDataPush) or a journal restore (BumpVertexDataEpoch is
-  /// public for the snapshot layer).  Scope-locked engine writes are
-  /// tracked by the per-entity version columns instead, keeping the update
-  /// hot path free of shared atomics.
-  uint64_t vertex_data_epoch() const { return vstore_.data_epoch(); }
-  uint64_t edge_data_epoch() const { return estore_.data_epoch(); }
-  void BumpVertexDataEpoch() { vstore_.BumpDataEpoch(); }
-  void BumpEdgeDataEpoch() { estore_.BumpDataEpoch(); }
-
   /// Selects how ghost pushes travel (see file header).  Engines set this
   /// at Start(): chromatic/bulk-sync use kCoalesced windows, the locking
   /// engine requires kPerScope.  `max_batch_bytes` 0 means the default
@@ -458,23 +446,10 @@ class DistributedGraph {
                : coalesced_merges_metric_->Value() - coalesced_merges_base_;
   }
 
-  /// Registers callbacks fired (from the comm dispatch thread) whenever a
-  /// coherence push actually overwrites a local replica — the hook layers
-  /// above use to invalidate derived per-vertex state (the GAS gather
-  /// delta cache, see vertex_program/gas_compiler.h).  Replaces any
-  /// previous listener; pass empty functions to clear.  Callbacks must be
-  /// thread-safe against concurrently running update functions.
-  void SetCoherenceListener(std::function<void(LocalVid)> on_vertex,
-                            std::function<void(LocalEid)> on_edge) {
-    on_remote_vertex_ = std::move(on_vertex);
-    on_remote_edge_ = std::move(on_edge);
-  }
-
   /// Applies one framed ghost delta batch (runs on the dispatch thread).
   /// Decoding is fully checked: a truncated or unknown-format frame is
   /// logged and dropped; entities already applied stay (idempotent under
-  /// the version rule).  Writes land directly in the property columns; a
-  /// frame that overwrote anything bumps the column dirty epochs.
+  /// the version rule).  Writes land directly in the property columns.
   void ApplyDataPush(InArchive& ia) {
     uint8_t format = ia.ReadValue<uint8_t>();
     if (!ia.ok() || format != kGhostFrameVersion) {
@@ -487,8 +462,6 @@ class DistributedGraph {
 
     thread_local std::vector<VertexId> keys;
     thread_local std::vector<uint64_t> versions;
-    bool vertex_applied = false;
-    bool edge_applied = false;
 
     const uint32_t vcount = ia.ReadValue<uint32_t>();
     if (!ReadColumn(ia, vcount, &keys) ||
@@ -502,7 +475,6 @@ class DistributedGraph {
       if (!ia.ok()) {
         GL_LOG(ERROR) << "machine " << me_
                       << ": truncated vertex blob in ghost frame";
-        if (vertex_applied) vstore_.BumpDataEpoch();
         return;
       }
       // Corrupt-but-decodable keys (not local, or claiming an owned
@@ -518,11 +490,8 @@ class DistributedGraph {
       if (versions[i] > vstore_.VersionOf(l)) {
         vstore_.Data(l) = std::move(data);
         vstore_.Version(l) = versions[i];
-        vertex_applied = true;
-        if (on_remote_vertex_) on_remote_vertex_(l);
       }
     }
-    if (vertex_applied) vstore_.BumpDataEpoch();
 
     thread_local std::vector<VertexId> dst_keys;
     const uint32_t ecount = ia.ReadValue<uint32_t>();
@@ -538,7 +507,6 @@ class DistributedGraph {
       if (!ia.ok()) {
         GL_LOG(ERROR) << "machine " << me_
                       << ": truncated edge blob in ghost frame";
-        if (edge_applied) estore_.BumpDataEpoch();
         return;
       }
       auto it = leid_of_.find(EdgeKey(keys[i], dst_keys[i]));
@@ -555,11 +523,8 @@ class DistributedGraph {
         // Keep flushed in sync so this machine does not re-push data it
         // merely received.
         estore_.Flushed(e) = versions[i];
-        edge_applied = true;
-        if (on_remote_edge_) on_remote_edge_(e);
       }
     }
-    if (edge_applied) estore_.BumpDataEpoch();
   }
 
   /// Local edge id for a global (src, dst) pair; CHECKs presence.
@@ -921,11 +886,6 @@ class DistributedGraph {
   metrics::Counter* coalesced_merges_metric_ = nullptr;
   uint64_t delta_batches_base_ = 0;
   uint64_t coalesced_merges_base_ = 0;
-
-  // Coherence listener (set before Start(); fired from the dispatch
-  // thread while it holds no graph locks).
-  std::function<void(LocalVid)> on_remote_vertex_;
-  std::function<void(LocalEid)> on_remote_edge_;
 };
 
 }  // namespace graphlab

@@ -146,11 +146,6 @@ class LocalGraph {
     return estore_.dst_span();
   }
 
-  /// Dirty epoch of the vertex data column (see property_column.h); on
-  /// LocalGraph only bulk restores bump it.
-  uint64_t vertex_data_epoch() const { return vstore_.data_epoch(); }
-  void BumpVertexDataEpoch() { vstore_.BumpDataEpoch(); }
-
   // ------------------------------------------------------------------
   // API shims so LocalGraph satisfies the same graph concept the engines'
   // Context uses for DistributedGraph (single-machine setting: local and

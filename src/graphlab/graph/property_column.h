@@ -16,22 +16,10 @@
 //  * the compiler sees plain `T* __restrict`-able pointers it can
 //    vectorize over (bench/columnar_kernels.cc carries the -fopt-info-vec
 //    evidence).
-//
-// Dirty epoch: every column carries a monotonically increasing epoch that
-// out-of-band bulk mutators bump — coherence pushes overwriting ghost
-// replicas (DistributedGraph::ApplyDataPush) and journal restores.  An
-// unchanged epoch is a cheap "no remote write landed in this column since
-// I last looked" signal for layered caches (the GAS gather delta cache
-// keeps its precise per-slot epochs for correctness; the column epoch
-// answers the column-wide question without walking the slots).  Writes
-// that go through an engine-locked scope are tracked by the per-entity
-// version columns instead, keeping the update hot path free of shared
-// atomics.
 
 #ifndef GRAPHLAB_GRAPH_PROPERTY_COLUMN_H_
 #define GRAPHLAB_GRAPH_PROPERTY_COLUMN_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -78,23 +66,6 @@ class PropertyColumn {
   PropertyColumn() = default;
   explicit PropertyColumn(std::size_t n) : values_(n) {}
 
-  // The dirty epoch is an atomic, so copies/moves spell out what happens
-  // to it: the new column inherits the source's epoch value.
-  PropertyColumn(const PropertyColumn& o)
-      : values_(o.values_), epoch_(o.dirty_epoch()) {}
-  PropertyColumn(PropertyColumn&& o) noexcept
-      : values_(std::move(o.values_)), epoch_(o.dirty_epoch()) {}
-  PropertyColumn& operator=(const PropertyColumn& o) {
-    values_ = o.values_;
-    epoch_.store(o.dirty_epoch(), std::memory_order_relaxed);
-    return *this;
-  }
-  PropertyColumn& operator=(PropertyColumn&& o) noexcept {
-    values_ = std::move(o.values_);
-    epoch_.store(o.dirty_epoch(), std::memory_order_relaxed);
-    return *this;
-  }
-
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
   void clear() { values_.clear(); }
@@ -122,15 +93,8 @@ class PropertyColumn {
   auto begin() const { return values_.begin(); }
   auto end() const { return values_.end(); }
 
-  /// Monotonic counter of out-of-band bulk mutations (see file header).
-  uint64_t dirty_epoch() const {
-    return epoch_.load(std::memory_order_relaxed);
-  }
-  void BumpDirtyEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
-
  private:
   std::vector<T, AlignedAllocator<T, kAlignment>> values_;
-  std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace graphlab

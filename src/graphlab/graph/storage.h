@@ -86,9 +86,6 @@ struct DistVertexSoA {
 
   std::span<const V> data_span() const { return data.span(); }
   std::span<const rpc::MachineId> owner_span() const { return owner.span(); }
-
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 // ======================================================================
@@ -138,9 +135,6 @@ struct DistEdgeSoA {
   std::span<const E> data_span() const { return data.span(); }
   std::span<const LocalVid> src_span() const { return src.span(); }
   std::span<const LocalVid> dst_span() const { return dst.span(); }
-
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 // ======================================================================
@@ -157,8 +151,6 @@ struct LocalVertexSoA {
   V& Data(VertexId v) { return data[v]; }
   const V& DataOf(VertexId v) const { return data[v]; }
   std::span<const V> data_span() const { return data.span(); }
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 template <typename E>
@@ -180,8 +172,6 @@ struct LocalEdgeSoA {
   std::span<const E> data_span() const { return data.span(); }
   std::span<const VertexId> src_span() const { return src.span(); }
   std::span<const VertexId> dst_span() const { return dst.span(); }
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 }  // namespace storage

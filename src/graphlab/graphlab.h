@@ -54,10 +54,9 @@
 #include "graphlab/fault/recovery.h"
 
 // GAS vertex programs: gather-apply-scatter programs compiled onto any
-// engine, with optional gather delta caching.
+// engine.
 #include "graphlab/vertex_program/gas_compiler.h"
 #include "graphlab/vertex_program/gas_context.h"
-#include "graphlab/vertex_program/gather_cache.h"
 #include "graphlab/vertex_program/ivertex_program.h"
 
 #endif  // GRAPHLAB_GRAPHLAB_H_

@@ -4,15 +4,14 @@
 // runtime reports through.
 //
 // The paper's evaluation (Figs. 1, 3-9) hinges on quantities — updates per
-// second, lock stalls, bytes on the wire, gather-cache hit rates,
-// checkpoint/recovery stalls — that used to be scattered one-off counters.
+// second, lock stalls, bytes on the wire, checkpoint/recovery stalls —
+// that used to be scattered one-off counters.
 // This registry unifies them behind hierarchical names:
 //
 //   engine.updates        update-function executions (Counter)
 //   sched.steals          cross-shard scheduler pops (Counter)
 //   rpc.bytes_sent        transport traffic (Counter, per machine)
 //   lock.stall_ns         contended scope-lock waits (Histogram)
-//   gas.cache_hits        gather-cache hits (Counter)
 //   fault.recovery_ms     recovery latency (Histogram)
 //
 // Fast-path discipline: incrementing a Counter is ONE relaxed atomic add

@@ -229,17 +229,6 @@ TelemetrySample TimeSeriesSampler::SampleOnce() {
     prev_scalars_[name] = value;
   }
 
-  // Composite: windowed gather-cache hit ratio, when both feeds exist.
-  {
-    const double hit_rate = FindPair(sample.rates, "gas.cache_hits.rate", -1);
-    const double miss_rate =
-        FindPair(sample.rates, "gas.full_gathers.rate", -1);
-    if (hit_rate >= 0 && miss_rate >= 0 && hit_rate + miss_rate > 0) {
-      sample.rates.emplace_back("gas.cache_hit_ratio",
-                                hit_rate / (hit_rate + miss_rate));
-    }
-  }
-
   for (const auto& [name, data] : hists) {
     const auto prev = prev_hists_.find(name);
     const HistogramData window =

@@ -5,8 +5,7 @@
 // The PR 7 registry answers "how much happened since the run started";
 // the paper's evaluation questions (Secs. 5-6) are about *rates while
 // the cluster runs* — updates/s per machine, bytes/s per link, whether
-// the gather cache is still hitting, whether the p99 lock stall is
-// drifting.  This layer derives those windows:
+// the p99 lock stall is drifting.  This layer derives those windows:
 //
 //   TimeSeriesRing     fixed-capacity ring of (t, value) sample points;
 //                      overwrites oldest on overflow and counts the
@@ -98,8 +97,7 @@ HistogramData HistogramWindowDelta(const HistogramData& prev,
 /// One machine's sample window — the unit the telemetry channel ships
 /// to machine 0 every tick.  `values` are cumulative registry readings
 /// at t_ns; `rates` are the windowed derivations against the previous
-/// tick ("<name>.rate" in units/s, "<name>.p99" for histograms, plus
-/// composites like gas.cache_hit_ratio).
+/// tick ("<name>.rate" in units/s, "<name>.p99" for histograms).
 struct TelemetrySample {
   uint32_t machine = 0;
   uint64_t seq = 0;          // per-machine tick number, from 1
@@ -123,9 +121,8 @@ struct TimeSeriesOptions {
   size_t ring_capacity = 600;
   /// Counter/gauge names to sample (cumulative; ".rate" derived).
   std::vector<std::string> scalars = {
-      "engine.updates",  "rpc.bytes_sent",      "rpc.messages_sent",
-      "gas.cache_hits",  "gas.full_gathers",    "sched.depth",
-      "sched.steals",    "trace.dropped_events"};
+      "engine.updates", "rpc.bytes_sent", "rpc.messages_sent",
+      "sched.depth",    "sched.steals",   "trace.dropped_events"};
   /// Histogram names to sample (".p99" derived over the window).
   std::vector<std::string> histograms = {"lock.stall_ns"};
 };

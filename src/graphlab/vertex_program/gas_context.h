@@ -4,37 +4,27 @@
 //
 // Wraps the engine's Context<Graph> (the scope the engine locked under
 // its consistency model) and adds the GAS surface: phase-gated data
-// access, Signal() into the scheduler, and the delta-cache maintenance
-// calls PostDelta() / ClearGatherCache().
+// access and Signal() into the scheduler.
 //
-// Phase rights (checked, not just documented — a program that writes in
-// gather would silently break the cached-gather equivalence):
+// Phase rights (checked, not just documented — the declared data-flow is
+// what lets one program run unchanged under every engine's consistency
+// model):
 //
-//   phase     reads                 writes            cache / scheduling
-//   -------   -------------------   ---------------   -------------------
+//   phase     reads                 writes            scheduling
+//   -------   -------------------   ---------------   ----------
 //   gather    center, nbrs, edges   —                 —
 //   apply     center, nbrs, edges   vertex_data()     —
-//   scatter   center, nbrs, edges   edge_data()       Signal, PostDelta,
-//                                                     ClearGatherCache
+//   scatter   center, nbrs, edges   edge_data()       Signal
 //
 // Neighbor vertex data is never writable through the GAS surface: GAS
 // programs are edge-consistency programs by construction, which is what
 // lets them run unmodified on every engine.
-//
-// The context also records what the update touched (center written, edges
-// written, neighbors whose cache the scatter maintained) — the compiler
-// reads that ledger to invalidate exactly the neighbor caches this update
-// made stale (gas_compiler.h).
 
 #ifndef GRAPHLAB_VERTEX_PROGRAM_GAS_CONTEXT_H_
 #define GRAPHLAB_VERTEX_PROGRAM_GAS_CONTEXT_H_
 
-#include <algorithm>
-#include <vector>
-
 #include "graphlab/engine/context.h"
 #include "graphlab/util/logging.h"
-#include "graphlab/vertex_program/gather_cache.h"
 #include "graphlab/vertex_program/ivertex_program.h"
 
 namespace graphlab {
@@ -49,26 +39,7 @@ class GasContext {
   using edge_data_type = typename Graph::edge_data_type;
   using gather_type = GatherT;
 
-  GasContext(base_context_type* ctx, GatherCache<GatherT>* cache)
-      : GasContext(ctx, cache, nullptr, nullptr) {}
-
-  /// Allocation-free form: the compiler's per-thread scratch vectors back
-  /// the write/handled ledgers, so a GAS update allocates nothing after
-  /// warmup (the default-constructed form above keeps small owned vectors
-  /// for direct/test use).  Scratch is cleared here; it must not be shared
-  /// by two live contexts.
-  GasContext(base_context_type* ctx, GatherCache<GatherT>* cache,
-             std::vector<LocalEid>* written_scratch,
-             std::vector<LocalVid>* handled_scratch)
-      : ctx_(ctx),
-        cache_(cache),
-        written_edges_(written_scratch != nullptr ? written_scratch
-                                                  : &own_written_),
-        handled_(handled_scratch != nullptr ? handled_scratch
-                                            : &own_handled_) {
-    written_edges_->clear();
-    handled_->clear();
-  }
+  explicit GasContext(base_context_type* ctx) : ctx_(ctx) {}
 
   // ------------------------------------------------------------------
   // Identity / topology (any phase)
@@ -108,7 +79,6 @@ class GasContext {
   vertex_data_type& vertex_data() {
     GL_CHECK(phase_ == GasPhase::kApply)
         << "vertex_data() is writable in apply only";
-    center_written_ = true;
     return ctx_->vertex_data();
   }
 
@@ -116,12 +86,11 @@ class GasContext {
   edge_data_type& edge_data(LocalEid e) {
     GL_CHECK(phase_ == GasPhase::kScatter)
         << "edge_data() is writable in scatter only";
-    if (cache_ != nullptr) written_edges_->push_back(e);
     return ctx_->edge_data(e);
   }
 
   // ------------------------------------------------------------------
-  // Scheduling and cache maintenance (scatter only)
+  // Scheduling (scatter only)
   // ------------------------------------------------------------------
   /// Requests a future execution of `v` (ghosts are forwarded to their
   /// owner by the engine, exactly like Context::Schedule).
@@ -131,64 +100,14 @@ class GasContext {
   }
   void SignalSelf(double priority = 1.0) { Signal(lvid(), priority); }
 
-  /// Folds `delta` into v's cached gather total, declaring "this update's
-  /// effect on v's gather is exactly `delta`" — which exempts v from the
-  /// compiler's conservative invalidation.  No-op without the cache.
-  void PostDelta(LocalVid v, const gather_type& delta) {
-    GL_CHECK(phase_ == GasPhase::kScatter) << "PostDelta() from scatter only";
-    if (cache_ == nullptr) return;
-    cache_->PostDelta(v, delta);
-    MarkHandled(v);
-  }
-
-  /// Drops v's cached gather total, forcing its next update to gather
-  /// fresh.  Use when this update changed v's gather inputs in a way no
-  /// single delta expresses.  No-op without the cache.
-  void ClearGatherCache(LocalVid v) {
-    GL_CHECK(phase_ == GasPhase::kScatter)
-        << "ClearGatherCache() from scatter only";
-    if (cache_ == nullptr) return;
-    cache_->Invalidate(v);
-    MarkHandled(v);
-  }
-
-  bool caching_enabled() const { return cache_ != nullptr; }
-
   // ------------------------------------------------------------------
   // Compiler internals (gas_compiler.h) — not part of the program API.
   // ------------------------------------------------------------------
   void BeginPhase(GasPhase p) { phase_ = p; }
-  bool center_written() const { return center_written_; }
-
-  /// Sorts the write/handled ledgers so the lookups below are
-  /// O(log degree).  Call once, after scatter, before querying.
-  void FinalizeLedger() {
-    std::sort(written_edges_->begin(), written_edges_->end());
-    std::sort(handled_->begin(), handled_->end());
-  }
-  bool edge_written(LocalEid e) const {
-    return std::binary_search(written_edges_->begin(), written_edges_->end(),
-                              e);
-  }
-  bool handled(LocalVid v) const {
-    return std::binary_search(handled_->begin(), handled_->end(), v);
-  }
-  base_context_type& base() { return *ctx_; }
 
  private:
-  // Appends may duplicate (a scatter can touch a neighbor twice); the
-  // ledgers stay O(scatter calls) and FinalizeLedger sorts once, so no
-  // per-append dedup scan on the hot path.
-  void MarkHandled(LocalVid v) { handled_->push_back(v); }
-
   base_context_type* ctx_;
-  GatherCache<GatherT>* cache_;
   GasPhase phase_ = GasPhase::kGather;
-  bool center_written_ = false;
-  std::vector<LocalEid> own_written_;  // fallback ledger storage
-  std::vector<LocalVid> own_handled_;
-  std::vector<LocalEid>* written_edges_;  // scatter writes (cache mode only)
-  std::vector<LocalVid>* handled_;        // PostDelta/Clear targets
 };
 
 }  // namespace graphlab

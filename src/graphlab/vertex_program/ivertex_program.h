@@ -7,20 +7,16 @@
 //
 //   gather   read-only fold over a declared edge direction; the per-edge
 //            results are combined with `+=`, which must be commutative
-//            and associative so the engine may reorder (and cache) the
-//            accumulation.
+//            and associative so the engine may reorder the accumulation.
 //   apply    writes the central vertex from the gathered total.
 //   scatter  per-edge follow-up over a declared direction: write edge
-//            data, Signal() neighbors into the scheduler, and maintain
-//            neighbor gather caches with PostDelta()/ClearGatherCache().
+//            data and Signal() neighbors into the scheduler.
 //
 // Programs are *compiled* onto the classic engines (vertex_program/
 // gas_compiler.h): the three phases become one ordinary update function
 // that runs unmodified through every CreateEngine() strategy under its
-// consistency model.  The declared directions are what make the delta
-// cache sound: the compiler knows exactly which edges a cached gather
-// read, so it can invalidate precisely when scope data changes underneath
-// it (see gas_compiler.h for the invalidation contract).
+// consistency model.  The declared directions tell the compiler which
+// edges each phase walks.
 //
 // A program type must provide (duck-typed; deriving from IVertexProgram
 // supplies the defaults):
@@ -70,8 +66,7 @@ inline const char* ToString(EdgeDirection d) {
 }
 
 /// True when direction `d` includes the in-edges (resp. out-edges) of the
-/// central vertex.  The delta cache uses these to decide whether a cached
-/// gather read a changed entity.
+/// central vertex.
 inline bool CoversInEdges(EdgeDirection d) {
   return d == EdgeDirection::kIn || d == EdgeDirection::kAll;
 }
@@ -96,7 +91,7 @@ class IVertexProgram {
   EdgeDirection scatter_edges(const context_type&) const {
     return EdgeDirection::kOut;
   }
-  /// Default scatter: nothing.  Programs that Signal() or maintain caches
+  /// Default scatter: nothing.  Programs that Signal() or write edges
   /// shadow this.
   void scatter(context_type&, LocalEid) const {}
 };

@@ -6,8 +6,7 @@
 // distributed strategies on a simulated cluster — and the converged
 // vertex values must agree within tolerance.  The GAS subsystem rides the
 // same harness: a compiled vertex program must reach the same fixed point
-// as the handwritten update function on every engine, with the gather
-// delta cache enabled and disabled.
+// as the handwritten update function on every engine.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +39,7 @@ bool IsLocalEngine(const std::string& name) {
 /// `global` — locally or on a `machines`-wide simulated cluster — and
 /// returns the converged global graph.  The update-function builders
 /// receive the graph instance they will run on, so they can bind
-/// graph-coupled state (the GAS compiler's delta cache does).
+/// graph-coupled state (the GAS compiler does).
 template <typename V, typename E>
 LocalGraph<V, E> RunThroughFactory(
     const std::string& name, const LocalGraph<V, E>& global_in,
@@ -132,11 +131,11 @@ TEST_P(EngineEquivalenceTest, PageRankConvergesToExactFixedPoint) {
 
 // ---------------------------------------------------------------------
 // GAS PageRank: the compiled vertex program vs the handwritten update
-// function, with the gather delta cache off and on (the acceptance bar
-// for the vertex-program subsystem: L1 distance below 1e-8 everywhere).
+// function (the acceptance bar for the vertex-program subsystem: L1
+// distance below 1e-8 everywhere).
 // ---------------------------------------------------------------------
 
-TEST_P(EngineEquivalenceTest, GasPageRankMatchesClassicWithAndWithoutCache) {
+TEST_P(EngineEquivalenceTest, GasPageRankMatchesClassic) {
   const std::string name = GetParam();
   using V = apps::PageRankVertex;
   using E = apps::PageRankEdge;
@@ -158,34 +157,27 @@ TEST_P(EngineEquivalenceTest, GasPageRankMatchesClassicWithAndWithoutCache) {
         return apps::MakePageRankUpdateFn<DistGraph>(kDamping, kTolerance);
       });
 
-  for (bool cache : {false, true}) {
-    EngineOptions opts;
-    opts.gather_cache = cache;
-    auto gas = RunThroughFactory<V, E>(
-        name, global, /*machines=*/2,
-        [&](apps::PageRankGraph* g) {
-          apps::PageRankProgram<apps::PageRankGraph> program;
-          program.damping = kDamping;
-          program.tolerance = kTolerance;
-          return CompileVertexProgram(g, opts, program).update_fn();
-        },
-        [&](DistGraph* g) {
-          apps::PageRankProgram<DistGraph> program;
-          program.damping = kDamping;
-          program.tolerance = kTolerance;
-          return CompileVertexProgram(g, opts, program).update_fn();
-        },
-        opts);
+  auto gas = RunThroughFactory<V, E>(
+      name, global, /*machines=*/2,
+      [&](apps::PageRankGraph* g) {
+        apps::PageRankProgram<apps::PageRankGraph> program;
+        program.damping = kDamping;
+        program.tolerance = kTolerance;
+        return CompileVertexProgram(g, program).update_fn();
+      },
+      [&](DistGraph* g) {
+        apps::PageRankProgram<DistGraph> program;
+        program.damping = kDamping;
+        program.tolerance = kTolerance;
+        return CompileVertexProgram(g, program).update_fn();
+      });
 
-    double err = 0.0;
-    for (VertexId v = 0; v < structure.num_vertices; ++v) {
-      err += std::fabs(gas.vertex_data(v).rank -
-                       classic.vertex_data(v).rank);
-    }
-    EXPECT_LT(err, 1e-8) << "engine " << name << " with gather_cache="
-                         << cache
-                         << ": GAS PageRank diverged from classic";
+  double err = 0.0;
+  for (VertexId v = 0; v < structure.num_vertices; ++v) {
+    err += std::fabs(gas.vertex_data(v).rank - classic.vertex_data(v).rank);
   }
+  EXPECT_LT(err, 1e-8) << "engine " << name
+                       << ": GAS PageRank diverged from classic";
 }
 
 // ---------------------------------------------------------------------

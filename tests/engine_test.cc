@@ -468,15 +468,17 @@ struct BipartiteMachine {
 };
 using BipartiteDrive = std::function<void(BipartiteMachine&)>;
 
-/// Runs one chromatic job on the bipartite graph.  `drive` runs on each
-/// machine once the engines exist, behind a barrier, and must call
-/// Start(); `hook`, when set, is the sweep-boundary hook.  Returns
-/// machine 0's per-vertex update counts, indexed by gvid.
+/// Runs one job on the bipartite graph, on the chromatic engine unless
+/// `kind` names another.  `drive` runs on each machine once the engines
+/// exist, behind a barrier, and must call Start(); `hook`, when set, is
+/// the sweep-boundary hook.  Returns machine 0's per-vertex update counts,
+/// indexed by gvid (all zero on engines that do not count updates).
 std::vector<uint32_t> RunBipartite(
     const rpc::ClusterOptions& cluster, const EngineOptions& opts,
     const BipartiteDrive& drive, const UpdateFn<DPRGraph>& update,
     const std::function<Status(rpc::MachineContext&, uint64_t)>& hook =
-        nullptr) {
+        nullptr,
+    const std::string& kind = "chromatic") {
   const size_t machines = cluster.num_machines;
   auto global = BuildPageRankGraph(BipartiteStructure());
   PartitionAssignment atom_of(kSideA + kSideB, 0);
@@ -501,7 +503,7 @@ std::vector<uint32_t> RunBipartite(
     DistributedEngineDeps<PageRankVertex, PageRankEdge> deps;
     deps.allreduce = &allreduce.at(ctx.id);
     auto engine =
-        std::move(CreateEngine("chromatic", ctx, &graph, opts, deps).value());
+        std::move(CreateEngine(kind, ctx, &graph, opts, deps).value());
     engine->SetUpdateFn(update);
     engine->EnableUpdateCounting();
     if (hook) {
@@ -511,7 +513,7 @@ std::vector<uint32_t> RunBipartite(
     ctx.barrier().Wait(ctx.id);
     BipartiteMachine machine{ctx, *engine, graph, allreduce.at(ctx.id)};
     drive(machine);
-    if (ctx.id == 0) {
+    if (ctx.id == 0 && !engine->update_counts().empty()) {
       for (LocalVid l : graph.owned_vertices()) {
         counts[graph.Gvid(l)] = engine->update_counts()[l];
       }
@@ -788,6 +790,67 @@ TEST_P(ChromaticStepEndTest, RequestAbortReleasesWaitingMachine) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, ChromaticStepEndTest,
+                         ::testing::ValuesIn(testutil::kAllTransports),
+                         testutil::KindParamName);
+
+// ---------------------------------------------------------------------
+// Locking engine schedule forwards from hostile bytes
+// ---------------------------------------------------------------------
+
+class LockingForwardTest
+    : public ::testing::TestWithParam<rpc::TransportKind> {};
+
+// Machine 1 sends machine 0 schedule-forward frames no real sender
+// produces: empty, a torn triple, a good triple followed by a torn one, a
+// gvid unknown on machine 0, and a gvid machine 0 holds only as a ghost
+// (as a user and as a snapshot forward).  None may abort or schedule a
+// vertex, and none may count as a received task, or termination
+// detection could never balance.  The real forward machine 1 then sends
+// still arrives and runs once.
+TEST_P(LockingForwardTest, MalformedForwardFramesDropCleanly) {
+  EngineOptions opts;
+  opts.num_threads = 1;
+  auto triple = [](OutArchive* oa, VertexId gvid, uint8_t snap = 0) {
+    *oa << gvid << 1.0 << snap;
+  };
+  std::vector<std::atomic<uint32_t>> counts(kSideA + kSideB);
+  RunBipartite(
+      testutil::ClusterFor(GetParam(), 2), opts,
+      [&](BipartiteMachine& m) {
+        rpc::MachineContext& ctx = m.ctx;
+        if (ctx.id == 1) {
+          std::vector<OutArchive> corpus;
+          corpus.emplace_back();                     // empty frame
+          corpus.emplace_back();                     // torn triple
+          corpus.back() << VertexId{1} << 1.0;
+          corpus.emplace_back();                     // good, then torn
+          triple(&corpus.back(), 2);
+          corpus.back() << uint8_t{7} << uint8_t{7};
+          corpus.emplace_back();                     // unknown gvid
+          triple(&corpus.back(), 9999);
+          corpus.emplace_back();                     // a ghost on 0
+          triple(&corpus.back(), kSideA);
+          corpus.emplace_back();                     // ghost, snapshot
+          triple(&corpus.back(), kSideA, 1);
+          for (OutArchive& oa : corpus) {
+            ctx.comm().Send(ctx.id, 0, kScheduleForwardHandler,
+                            std::move(oa));
+          }
+        }
+        ctx.barrier().Wait(ctx.id);
+        ctx.comm().WaitQuiescent();
+        ctx.barrier().Wait(ctx.id);
+        if (ctx.id == 1) m.engine.Schedule(m.graph.Lvid(1));
+        m.engine.Start();
+      },
+      [&](Context<DPRGraph>& ctx) { counts[ctx.vertex_id()]++; },
+      /*hook=*/nullptr, "locking");
+  for (VertexId v = 0; v < kSideA + kSideB; ++v) {
+    EXPECT_EQ(counts[v].load(), v == 1 ? 1u : 0u) << "vertex " << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, LockingForwardTest,
                          ::testing::ValuesIn(testutil::kAllTransports),
                          testutil::KindParamName);
 

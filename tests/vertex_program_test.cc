@@ -1,8 +1,7 @@
 // Unit and integration tests for the GAS vertex-program subsystem
-// (src/graphlab/vertex_program/): the gather cache's delta/invalidation
-// protocol, the compiler's phase sequencing and direction handling, the
-// dependency-aware invalidation the compiler performs after scatter, and
-// end-to-end GAS PageRank / loopy BP runs with caching on and off.
+// (src/graphlab/vertex_program/): the compiler's phase sequencing and
+// direction handling, the phase rights GasContext enforces, and
+// end-to-end GAS PageRank / loopy BP runs.
 
 #include <gtest/gtest.h>
 
@@ -21,85 +20,6 @@ namespace {
 
 using apps::PageRankGraph;
 using PRProgram = apps::PageRankProgram<PageRankGraph>;
-
-// ---------------------------------------------------------------------
-// GatherCache protocol
-// ---------------------------------------------------------------------
-
-TEST(GatherCacheTest, MissDepositHitRoundTrip) {
-  GatherCache<double> cache(4);
-  double out = 0.0;
-  uint64_t epoch = 99;
-  EXPECT_FALSE(cache.TryGet(1, EdgeDirection::kIn, &out, &epoch));
-  cache.Deposit(1, 2.5, EdgeDirection::kIn, epoch);
-  EXPECT_TRUE(cache.IsCached(1));
-  EXPECT_TRUE(cache.TryGet(1, EdgeDirection::kIn, &out, &epoch));
-  EXPECT_DOUBLE_EQ(out, 2.5);
-  // A total folded over kIn must not answer a kAll gather.
-  EXPECT_FALSE(cache.TryGet(1, EdgeDirection::kAll, &out, &epoch));
-  EXPECT_FALSE(cache.IsCached(0));  // other slots untouched
-  auto st = cache.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.deposits, 1u);
-}
-
-TEST(GatherCacheTest, PostDeltaFoldsIntoValidSlotOnly) {
-  GatherCache<double> cache(2);
-  double out = 0.0;
-  uint64_t epoch = 0;
-  EXPECT_FALSE(cache.TryGet(0, EdgeDirection::kIn, &out, &epoch));
-  // A delta against the empty slot is dropped but advances the epoch,
-  // so the in-flight gather above cannot deposit a total that missed
-  // the change the delta described.
-  cache.PostDelta(0, 1.0);
-  cache.Deposit(0, 10.0, EdgeDirection::kIn, epoch);
-  EXPECT_FALSE(cache.IsCached(0));
-  EXPECT_EQ(cache.stats().stale_deposits, 1u);
-
-  EXPECT_FALSE(cache.TryGet(0, EdgeDirection::kIn, &out, &epoch));
-  cache.Deposit(0, 10.0, EdgeDirection::kIn, epoch);
-  cache.PostDelta(0, -2.5);
-  EXPECT_TRUE(cache.TryGet(0, EdgeDirection::kIn, &out, &epoch));
-  EXPECT_DOUBLE_EQ(out, 7.5);
-  auto st = cache.stats();
-  EXPECT_EQ(st.deltas_applied, 1u);
-  EXPECT_EQ(st.deltas_dropped, 1u);
-}
-
-TEST(GatherCacheTest, EpochClosesTheGatherInvalidateDepositRace) {
-  GatherCache<double> cache(1);
-  double out = 0.0;
-  uint64_t epoch = 0;
-  EXPECT_FALSE(cache.TryGet(0, EdgeDirection::kIn, &out, &epoch));
-  // An invalidation lands while the gather is "in flight"...
-  cache.Invalidate(0);
-  // ...so the deposit started from the old epoch must be discarded.
-  cache.Deposit(0, 5.0, EdgeDirection::kIn, epoch);
-  EXPECT_FALSE(cache.IsCached(0));
-  EXPECT_EQ(cache.stats().stale_deposits, 1u);
-}
-
-TEST(GatherCacheTest, InvalidateIfCoversRespectsCachedDirection) {
-  GatherCache<double> cache(2);
-  double out;
-  uint64_t epoch;
-  cache.TryGet(0, EdgeDirection::kIn, &out, &epoch);
-  cache.Deposit(0, 1.0, EdgeDirection::kIn, epoch);
-  cache.TryGet(1, EdgeDirection::kOut, &out, &epoch);
-  cache.Deposit(1, 2.0, EdgeDirection::kOut, epoch);
-
-  // A change reachable through slot 0's *out*-edges does not touch its
-  // in-edge gather; the converse holds for slot 1.
-  cache.InvalidateIfCovers(0, /*reached_via_in_edge=*/false);
-  cache.InvalidateIfCovers(1, /*reached_via_in_edge=*/true);
-  EXPECT_TRUE(cache.IsCached(0));
-  EXPECT_TRUE(cache.IsCached(1));
-
-  cache.InvalidateIfCovers(0, /*reached_via_in_edge=*/true);
-  cache.InvalidateIfCovers(1, /*reached_via_in_edge=*/false);
-  EXPECT_FALSE(cache.IsCached(0));
-  EXPECT_FALSE(cache.IsCached(1));
-}
 
 // ---------------------------------------------------------------------
 // BpMessageProduct accumulator
@@ -148,11 +68,10 @@ void DriveUpdate(const UpdateFn<PageRankGraph>& fn, PageRankGraph* g,
 
 TEST(GasCompilerTest, GatherApplyScatterMatchesHandwrittenMath) {
   auto g = ChainGraph();
-  EngineOptions opts;
   PRProgram program;
   program.damping = 0.85;
   program.tolerance = 1e-3;
-  auto compiled = CompileVertexProgram(&g, opts, program);
+  auto compiled = CompileVertexProgram(&g, program);
   auto fn = compiled.update_fn();
 
   ScheduleLog log;
@@ -167,19 +86,16 @@ TEST(GasCompilerTest, GatherApplyScatterMatchesHandwrittenMath) {
   // stay empty but the update itself must execute all three phases.
   auto st = compiled.stats();
   EXPECT_EQ(st.updates, 1u);
-  EXPECT_EQ(st.full_gathers, 1u);
   EXPECT_EQ(st.edges_gathered, 1u);
   EXPECT_EQ(st.edges_scattered, 1u);
-  EXPECT_EQ(st.cache_hits, 0u);
 }
 
 TEST(GasCompilerTest, SignalsCarryResidualPriority) {
   auto g = ChainGraph();
   g.vertex_data(0).rank = 3.0;  // force a large rank change at 1
-  EngineOptions opts;
   PRProgram program;
   program.tolerance = 1e-3;
-  auto compiled = CompileVertexProgram(&g, opts, program);
+  auto compiled = CompileVertexProgram(&g, program);
   auto fn = compiled.update_fn();
 
   ScheduleLog log;
@@ -187,78 +103,6 @@ TEST(GasCompilerTest, SignalsCarryResidualPriority) {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].first, 2u);
   EXPECT_GT(log[0].second, 1.0);  // |0.15 + 0.85*3 - 1.0| = 1.7
-}
-
-TEST(GasCompilerTest, CacheHitSkipsGatherAndDeltasKeepItExact) {
-  auto g = ChainGraph();
-  g.vertex_data(0).rank = 2.0;
-  EngineOptions opts;
-  opts.gather_cache = true;
-  PRProgram program;
-  program.tolerance = 1e-9;
-  auto compiled = CompileVertexProgram(&g, opts, program);
-  auto fn = compiled.update_fn();
-  ScheduleLog log;
-
-  // First update of 2 gathers fresh and deposits.
-  DriveUpdate(fn, &g, 2, &log);
-  ASSERT_NE(compiled.cache(), nullptr);
-  EXPECT_TRUE(compiled.cache()->IsCached(2));
-
-  // Updating 1 changes its rank; its scatter posts the delta to 2, so
-  // 2's cache stays valid *and* truthful.
-  DriveUpdate(fn, &g, 1, &log);
-  EXPECT_TRUE(compiled.cache()->IsCached(2));
-
-  // Second update of 2 must hit the cache and still produce exactly the
-  // handwritten result.
-  DriveUpdate(fn, &g, 2, &log);
-  const double rank1 = g.vertex_data(1).rank;
-  EXPECT_NEAR(g.vertex_data(2).rank, 0.15 + 0.85 * rank1, 1e-12);
-  auto st = compiled.stats();
-  EXPECT_EQ(st.cache_hits, 1u);
-  EXPECT_EQ(st.cache.deltas_applied, 1u);
-  EXPECT_GT(st.cache_hit_rate(), 0.0);
-}
-
-// A program that changes the center in apply but never maintains its
-// neighbors' caches: the compiler must invalidate exactly the dependent
-// slots.
-struct SilentRankBump : public IVertexProgram<PageRankGraph, double> {
-  using context_type = GasContext<PageRankGraph, double>;
-  double gather(const context_type& ctx, LocalEid e) const {
-    return ctx.const_edge_data(e).weight *
-           ctx.neighbor_data(ctx.edge_source(e)).rank;
-  }
-  void apply(context_type& ctx, const double&) {
-    ctx.vertex_data().rank += 1.0;
-  }
-  EdgeDirection scatter_edges(const context_type&) const {
-    return EdgeDirection::kNone;
-  }
-};
-
-TEST(GasCompilerTest, CompilerInvalidatesUnmaintainedDependentCaches) {
-  auto g = ChainGraph();
-  EngineOptions opts;
-  opts.gather_cache = true;
-  auto compiled = CompileVertexProgram(&g, opts, SilentRankBump{});
-  auto fn = compiled.update_fn();
-  ScheduleLog log;
-
-  // Prime caches for 0 (no in-edges: empty gather) and 2.
-  DriveUpdate(fn, &g, 0, &log);
-  DriveUpdate(fn, &g, 2, &log);
-  EXPECT_TRUE(compiled.cache()->IsCached(0));
-  EXPECT_TRUE(compiled.cache()->IsCached(2));
-
-  // Updating 1 bumps its rank without posting deltas.  Vertex 2 gathers
-  // over its in-edge from 1 -> must be invalidated.  Vertex 0 gathers
-  // over in-edges only and reaches 1 through an out-edge -> its cached
-  // total does not depend on 1 and must survive.
-  DriveUpdate(fn, &g, 1, &log);
-  EXPECT_FALSE(compiled.cache()->IsCached(2));
-  EXPECT_TRUE(compiled.cache()->IsCached(0));
 }
 
 // Direction selection: gather over all edges counts both endpoints.
@@ -275,8 +119,7 @@ struct DegreeCount : public IVertexProgram<PageRankGraph, double> {
 
 TEST(GasCompilerTest, GatherDirectionAllFoldsBothEdgeSets) {
   auto g = ChainGraph();
-  EngineOptions opts;
-  auto fn = CompileVertexProgram(&g, opts, DegreeCount{}).update_fn();
+  auto fn = CompileVertexProgram(&g, DegreeCount{}).update_fn();
   ScheduleLog log;
   for (LocalVid v = 0; v < 3; ++v) DriveUpdate(fn, &g, v, &log);
   EXPECT_DOUBLE_EQ(g.vertex_data(0).rank, 1.0);  // out-degree 1
@@ -285,34 +128,72 @@ TEST(GasCompilerTest, GatherDirectionAllFoldsBothEdgeSets) {
 }
 
 // ---------------------------------------------------------------------
+// Phase rights: a write or Signal() outside its phase aborts.
+// ---------------------------------------------------------------------
+
+enum class Violation {
+  kCenterWriteInScatter,
+  kEdgeWriteInApply,
+  kSignalInApply,
+};
+
+/// PageRank-shaped program that breaks one phase right.
+struct PhaseViolator : public IVertexProgram<PageRankGraph, double> {
+  using context_type = GasContext<PageRankGraph, double>;
+  Violation violation = Violation::kCenterWriteInScatter;
+  double gather(const context_type&, LocalEid) const { return 0.0; }
+  void apply(context_type& ctx, const double&) {
+    if (violation == Violation::kEdgeWriteInApply) {
+      ctx.edge_data(*ctx.in_edges().begin()).weight = 0.0f;
+    } else if (violation == Violation::kSignalInApply) {
+      ctx.Signal(0);
+    }
+  }
+  void scatter(context_type& ctx, LocalEid) {
+    if (violation == Violation::kCenterWriteInScatter) {
+      ctx.vertex_data().rank = 0.0;
+    }
+  }
+};
+
+void RunViolator(Violation violation) {
+  auto g = ChainGraph();
+  PhaseViolator program;
+  program.violation = violation;
+  ScheduleLog log;
+  DriveUpdate(CompileVertexProgram(&g, program).update_fn(), &g, 1, &log);
+}
+
+TEST(GasPhaseRightsTest, VertexDataOutsideApplyDies) {
+  EXPECT_DEATH(RunViolator(Violation::kCenterWriteInScatter),
+               "writable in apply only");
+}
+
+TEST(GasPhaseRightsTest, EdgeDataOutsideScatterDies) {
+  EXPECT_DEATH(RunViolator(Violation::kEdgeWriteInApply),
+               "writable in scatter only");
+}
+
+TEST(GasPhaseRightsTest, SignalOutsideScatterDies) {
+  EXPECT_DEATH(RunViolator(Violation::kSignalInApply),
+               "from scatter only");
+}
+
+// ---------------------------------------------------------------------
 // End-to-end: GAS programs through the engine factory
 // ---------------------------------------------------------------------
 
 TEST(GasEndToEndTest, GasPageRankConvergesToExactSolution) {
   auto structure = gen::PowerLawWeb(500, 5, 0.8, 21);
-  for (bool cache : {false, true}) {
-    auto g = apps::BuildPageRankGraph(structure);
-    auto exact = apps::ExactPageRank(g);
-    EngineOptions opts;
-    opts.gather_cache = cache;
-    GasStats stats;
-    auto r = apps::SolveGasPageRank(&g, "shared_memory", opts, 0.85, 1e-8,
-                                    &stats);
-    ASSERT_TRUE(r.ok());
-    EXPECT_GT(r.value().updates, 0u);
-    EXPECT_LT(apps::PageRankL1Error(g, exact), 1e-2)
-        << "gather_cache=" << cache;
-    EXPECT_EQ(stats.updates, r.value().updates);
-    if (cache) {
-      // Dynamic PageRank re-executes vertices; deltas must have kept a
-      // meaningful share of those re-gathers cached.
-      EXPECT_GT(stats.cache_hits, 0u);
-      EXPECT_GT(stats.cache.deltas_applied, 0u);
-    } else {
-      EXPECT_EQ(stats.cache_hits, 0u);
-      EXPECT_EQ(stats.full_gathers, stats.updates);
-    }
-  }
+  auto g = apps::BuildPageRankGraph(structure);
+  auto exact = apps::ExactPageRank(g);
+  GasStats stats;
+  auto r = apps::SolveGasPageRank(&g, "shared_memory", EngineOptions{}, 0.85,
+                                  1e-8, &stats);
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r.value().updates, 0u);
+  EXPECT_LT(apps::PageRankL1Error(g, exact), 1e-2);
+  EXPECT_EQ(stats.updates, r.value().updates);
 }
 
 TEST(GasEndToEndTest, GasLoopyBpMatchesClassicBeliefs) {
@@ -329,26 +210,19 @@ TEST(GasEndToEndTest, GasLoopyBpMatchesClassicBeliefs) {
   ASSERT_TRUE(
       apps::SolveBp(&reference, "shared_memory", ref_opts, {1.5}, 1e-6).ok());
 
-  for (bool cache : {false, true}) {
-    auto g = apps::BuildMrf(structure, 3, 0.15, 1.2, 7);
-    EngineOptions opts;
-    opts.num_threads = 1;
-    opts.gather_cache = cache;
-    GasStats stats;
-    auto r = apps::SolveGasBp(&g, "shared_memory", opts, {1.5}, 1e-6,
-                              &stats);
-    ASSERT_TRUE(r.ok());
-    double max_diff = 0.0;
-    for (VertexId v = 0; v < structure.num_vertices; ++v) {
-      for (size_t s = 0; s < 3; ++s) {
-        max_diff = std::max(
-            max_diff, std::fabs(g.vertex_data(v).belief[s] -
-                                reference.vertex_data(v).belief[s]));
-      }
+  auto g = apps::BuildMrf(structure, 3, 0.15, 1.2, 7);
+  EngineOptions opts;
+  opts.num_threads = 1;
+  ASSERT_TRUE(apps::SolveGasBp(&g, "shared_memory", opts, {1.5}, 1e-6).ok());
+  double max_diff = 0.0;
+  for (VertexId v = 0; v < structure.num_vertices; ++v) {
+    for (size_t s = 0; s < 3; ++s) {
+      max_diff =
+          std::max(max_diff, std::fabs(g.vertex_data(v).belief[s] -
+                                       reference.vertex_data(v).belief[s]));
     }
-    EXPECT_LT(max_diff, 1e-4) << "gather_cache=" << cache;
-    if (cache) EXPECT_GT(stats.cache.deltas_applied, 0u);
   }
+  EXPECT_LT(max_diff, 1e-4);
 }
 
 // ---------------------------------------------------------------------
