@@ -4,8 +4,8 @@
 // their own translation unit (columnar_kernels.cc) so CMake can compile
 // exactly this code at -O3 and, under -DGRAPHLAB_VEC_REPORT=ON, emit the
 // gcc vectorizer report (-fopt-info-vec / -fopt-info-vec-missed) for the
-// loops that matter — the same fold the GAS flat-gather fast path
-// (vertex_program/gas_compiler.h) runs over PropertyColumn spans.
+// loops that matter: the PageRank gather fold, streamed over the
+// PropertyColumn spans DistributedGraph exposes.
 //
 // Three kernels, one gather shape (PageRank: total += weight * rank):
 //

@@ -44,8 +44,8 @@
 //             process writes FILE.m<id>, the coordinator writes FILE
 //             and, over TCP, merges every process's file into one
 //             offset-aligned cluster timeline at FILE.cluster.json)
-//           --trace-categories=LIST (engine,sched,rpc,gas,fault,
-//             snapshot,health or "all"; default all)
+//           --trace-categories=LIST (engine,sched,rpc,fault,snapshot,
+//             health or "all"; default all)
 //           --trace-buffer=N (per-thread event ring capacity; default
 //             1M so per-message rpc events cannot evict the rare
 //             fault-recovery spans on long runs)
@@ -65,7 +65,7 @@
 //
 // Placement: --partitioner=NAME (random | block | striped | bfs |
 //             greedy | refined; "greedy" is the streaming LDG
-//             edge-cut partitioner, "refined" adds GAS
+//             edge-cut partitioner, "refined" adds
 //             label-propagation refinement.  Deterministic, so every
 //             process derives the identical layout.  Default random.)
 //           --rebalance-at-boundary=B (force one live migration check

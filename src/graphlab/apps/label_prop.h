@@ -1,33 +1,37 @@
 // Copyright 2026 The Distributed GraphLab Reproduction Authors.
 //
-// Label propagation as a GAS vertex program, serving two roles:
+// Label propagation as an update function, serving two roles:
 //
 //   1. A new app (community detection / semi-supervised labeling) for the
-//      scenario-diversity item: majority-vote gather, argmax apply,
-//      change-driven scatter — exercises a non-arithmetic gather type.
+//      scenario-diversity item: a majority vote over the scope, argmax
+//      adoption, change-driven scheduling — exercises a non-arithmetic
+//      neighborhood fold.
 //   2. A partition refiner: seed labels with any PartitionAssignment and
 //      the converged labels are a lower-cut assignment respecting a
 //      balance cap (RefinePartitionLabelProp below) — phase 1.5 of the
 //      Sec. 4.1 two-phase scheme.
 //
-// Gather folds one weighted vote per incident edge for the *other*
-// endpoint's label.  Apply adopts the heaviest label, preferring the
-// current label on ties (oscillation damping) and refusing moves past the
-// balance cap.  Scatter signals the neighbors only when the label changed.
+// The update folds one weighted vote per incident edge (in-edges, then
+// out-edges) for the *other* endpoint's label, adopts the heaviest label
+// (the current label wins ties, for oscillation damping) unless the move
+// would pass the balance cap, and schedules the neighbors only when the
+// label changed.
 
 #ifndef GRAPHLAB_APPS_LABEL_PROP_H_
 #define GRAPHLAB_APPS_LABEL_PROP_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graphlab/engine/engine_factory.h"
 #include "graphlab/graph/local_graph.h"
 #include "graphlab/graph/partition.h"
 #include "graphlab/util/serialization.h"
-#include "graphlab/vertex_program/gas_compiler.h"
 
 namespace graphlab {
 namespace apps {
@@ -50,8 +54,8 @@ struct LabelPropEdge {
 
 using LabelPropGraph = LocalGraph<LabelPropVertex, LabelPropEdge>;
 
-/// Gather type: a sparse histogram of label -> accumulated vote weight.
-/// `+=` merges (commutative, associative).
+/// A sparse histogram of label -> accumulated vote weight, in first-vote
+/// order.
 struct LabelVotes {
   std::vector<std::pair<uint32_t, double>> votes;
 
@@ -64,17 +68,12 @@ struct LabelVotes {
     }
     votes.emplace_back(label, weight);
   }
-
-  LabelVotes& operator+=(const LabelVotes& other) {
-    for (const auto& [l, w] : other.votes) Add(l, w);
-    return *this;
-  }
 };
 
 /// Cluster-shared knobs + mutable balance/termination state.  Every
-/// per-update program copy shares one instance (per machine on
-/// distributed runs, where the cap is enforced against local counts —
-/// best effort; exact on the single-machine refinement path).
+/// update shares one instance (per machine on distributed runs, where the
+/// cap is enforced against local counts — best effort; exact on the
+/// single-machine refinement path).
 struct LabelPropShared {
   /// label -> vertices currently carrying it.
   std::vector<std::atomic<uint64_t>> label_size;
@@ -92,25 +91,22 @@ struct LabelPropShared {
   }
 };
 
+/// The label propagation update function.  `shared` may be null (no
+/// balance cap, no moves budget).
 template <typename Graph>
-struct LabelPropProgram : public IVertexProgram<Graph, LabelVotes> {
-  using context_type = GasContext<Graph, LabelVotes>;
+UpdateFn<Graph> MakeLabelPropUpdateFn(
+    std::shared_ptr<LabelPropShared> shared) {
+  return [shared = std::move(shared)](Context<Graph>& ctx) {
+    LabelVotes total;
+    for (auto e : ctx.in_edges()) {
+      total.Add(ctx.neighbor_data(ctx.edge_source(e)).label,
+                ctx.const_edge_data(e).weight);
+    }
+    for (auto e : ctx.out_edges()) {
+      total.Add(ctx.neighbor_data(ctx.edge_target(e)).label,
+                ctx.const_edge_data(e).weight);
+    }
 
-  std::shared_ptr<LabelPropShared> shared;
-
-  EdgeDirection gather_edges(const context_type&) const {
-    return EdgeDirection::kAll;
-  }
-
-  /// One vote for the non-central endpoint's label.
-  LabelVotes gather(const context_type& ctx, LocalEid e) const {
-    LabelVotes v;
-    v.Add(ctx.neighbor_data(ctx.other(e)).label,
-          ctx.const_edge_data(e).weight);
-    return v;
-  }
-
-  void apply(context_type& ctx, const LabelVotes& total) {
     const uint32_t current = ctx.const_vertex_data().label;
     uint32_t best = current;
     double best_weight = 0.0;
@@ -126,12 +122,12 @@ struct LabelPropProgram : public IVertexProgram<Graph, LabelVotes> {
       if (l == current) continue;
       // Strict improvement only (current label wins ties); smallest label
       // wins equal-weight challenger ties for determinism.
-      if (w > best_weight || (w == best_weight && best != current && l < best)) {
+      if (w > best_weight ||
+          (w == best_weight && best != current && l < best)) {
         best = l;
         best_weight = w;
       }
     }
-    changed_ = false;
     if (best == current) return;
     if (shared != nullptr &&
         shared->moves_budget.fetch_sub(1, std::memory_order_relaxed) <= 0) {
@@ -150,20 +146,10 @@ struct LabelPropProgram : public IVertexProgram<Graph, LabelVotes> {
       shared->label_size[current].fetch_sub(1, std::memory_order_relaxed);
     }
     ctx.vertex_data().label = best;
-    changed_ = true;
-  }
-
-  EdgeDirection scatter_edges(const context_type&) const {
-    return EdgeDirection::kAll;
-  }
-
-  void scatter(context_type& ctx, LocalEid e) {
-    if (changed_) ctx.Signal(ctx.other(e));
-  }
-
- private:
-  bool changed_ = false;  // apply -> scatter (per-update copy)
-};
+    for (auto e : ctx.out_edges()) ctx.Schedule(ctx.edge_target(e), 1.0);
+    for (auto e : ctx.in_edges()) ctx.Schedule(ctx.edge_source(e), 1.0);
+  };
+}
 
 /// Builds the data graph: labels from `initial` (identity labeling when
 /// empty), unit edge weights.
@@ -180,34 +166,39 @@ inline LabelPropGraph BuildLabelPropGraph(
   return g;
 }
 
-/// Engine-agnostic label propagation entry point (the app form): runs the
-/// compiled program to quiescence, bounded by `max_sweeps * n` moves.
+/// Engine-agnostic label propagation entry point: runs the update
+/// function to quiescence, bounded by `max_sweeps * n` moves.  Every
+/// vertex label must be below `num_labels` (when nonzero).
 inline Expected<RunResult> SolveLabelProp(LabelPropGraph* graph,
                                           const std::string& engine_name,
                                           EngineOptions options = {},
                                           uint32_t num_labels = 0,
                                           uint64_t label_capacity = 0,
                                           uint64_t max_sweeps = 16) {
-  auto engine = CreateEngine(engine_name, graph, options);
-  if (!engine.ok()) return engine.status();
   uint32_t labels = num_labels;
   if (labels == 0) {
     for (VertexId v = 0; v < graph->num_vertices(); ++v) {
       labels = std::max(labels, graph->vertex_data(v).label + 1);
     }
   }
-  LabelPropProgram<LabelPropGraph> program;
-  program.shared = std::make_shared<LabelPropShared>(labels);
-  program.shared->capacity = label_capacity;
+  auto shared = std::make_shared<LabelPropShared>(labels);
+  shared->capacity = label_capacity;
   for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-    program.shared->label_size[graph->vertex_data(v).label].fetch_add(
-        1, std::memory_order_relaxed);
+    const uint32_t label = graph->vertex_data(v).label;
+    if (label >= labels) {
+      return Status::InvalidArgument(
+          "vertex " + std::to_string(v) + " has label " +
+          std::to_string(label) + ", not below num_labels=" +
+          std::to_string(labels));
+    }
+    shared->label_size[label].fetch_add(1, std::memory_order_relaxed);
   }
-  program.shared->moves_budget.store(
+  shared->moves_budget.store(
       static_cast<int64_t>(max_sweeps * graph->num_vertices()),
       std::memory_order_relaxed);
-  auto compiled = CompileVertexProgram(graph, program);
-  (*engine)->SetUpdateFn(compiled.update_fn());
+  auto engine = CreateEngine(engine_name, graph, options);
+  if (!engine.ok()) return engine.status();
+  (*engine)->SetUpdateFn(MakeLabelPropUpdateFn<LabelPropGraph>(shared));
   (*engine)->ScheduleAll();
   return (*engine)->Start();
 }

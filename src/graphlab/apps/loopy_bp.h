@@ -27,7 +27,6 @@
 #include "graphlab/graph/local_graph.h"
 #include "graphlab/util/random.h"
 #include "graphlab/util/serialization.h"
-#include "graphlab/vertex_program/gas_compiler.h"
 
 namespace graphlab {
 namespace apps {
@@ -168,111 +167,6 @@ UpdateFn<Graph> MakeBpUpdateFn(PottsPotential psi = {},
   return [psi, tolerance](Context<Graph>& ctx) {
     BpUpdateScope(ctx, psi, tolerance);
   };
-}
-
-/// Multiplicative gather accumulator for GAS loopy BP: the element-wise
-/// product of the center's incoming messages.  `+=` is element-wise
-/// multiplication (commutative and associative, as the compiler
-/// requires); an empty vector is the fold identity.
-struct BpMessageProduct {
-  std::vector<double> prod;
-
-  BpMessageProduct& operator+=(const BpMessageProduct& o) {
-    if (o.prod.empty()) return *this;
-    if (prod.empty()) {
-      prod = o.prod;
-      return *this;
-    }
-    for (size_t s = 0; s < prod.size(); ++s) prod[s] *= o.prod[s];
-    return *this;
-  }
-};
-
-/// Loopy BP in gather-apply-scatter form (same math as BpUpdateScope):
-/// gather multiplies the incoming message of every adjacent edge, apply
-/// folds in the unary potential and normalizes into the belief, scatter
-/// recomputes each outgoing message from the cavity belief and signals
-/// the neighbor when that message moved by more than `tolerance`.
-template <typename Graph>
-struct BpProgram : public IVertexProgram<Graph, BpMessageProduct> {
-  using context_type = GasContext<Graph, BpMessageProduct>;
-
-  PottsPotential psi{};
-  double tolerance = 1e-3;
-
-  EdgeDirection gather_edges(const context_type&) const {
-    return EdgeDirection::kAll;
-  }
-
-  BpMessageProduct gather(const context_type& ctx, LocalEid e) const {
-    const BpEdge& edge = ctx.const_edge_data(e);
-    const bool incoming_is_fwd = ctx.edge_target(e) == ctx.lvid();
-    return BpMessageProduct{incoming_is_fwd ? edge.msg_fwd : edge.msg_rev};
-  }
-
-  void apply(context_type& ctx, const BpMessageProduct& total) {
-    belief_ = ctx.const_vertex_data().unary;
-    if (!total.prod.empty()) {
-      for (size_t s = 0; s < belief_.size(); ++s) belief_[s] *= total.prod[s];
-    }
-    NormalizeInPlace(&belief_);
-    ctx.vertex_data().belief = belief_;
-  }
-
-  EdgeDirection scatter_edges(const context_type&) const {
-    return EdgeDirection::kAll;
-  }
-
-  void scatter(context_type& ctx, LocalEid e) {
-    const size_t k = belief_.size();
-    const bool forward = ctx.edge_source(e) == ctx.lvid();
-    BpEdge& edge = ctx.edge_data(e);
-    const std::vector<double>& incoming = forward ? edge.msg_rev
-                                                  : edge.msg_fwd;
-    std::vector<double>& outgoing = forward ? edge.msg_fwd : edge.msg_rev;
-
-    std::vector<double> cavity(k), out(k);
-    for (size_t s = 0; s < k; ++s) {
-      cavity[s] = incoming[s] > 1e-300 ? belief_[s] / incoming[s]
-                                       : belief_[s];
-    }
-    for (size_t t = 0; t < k; ++t) {
-      double sum = 0.0;
-      for (size_t s = 0; s < k; ++s) sum += cavity[s] * psi(s, t);
-      out[t] = sum;
-    }
-    NormalizeInPlace(&out);
-
-    double residual = 0.0;
-    for (size_t t = 0; t < k; ++t) {
-      residual = std::max(residual, std::fabs(out[t] - outgoing[t]));
-    }
-    outgoing = out;
-    if (residual > tolerance) ctx.Signal(ctx.other(e), residual);
-  }
-
- private:
-  std::vector<double> belief_;  // apply -> scatter (per-update copy)
-};
-
-/// Engine-agnostic GAS entry point, the vertex-program twin of SolveBp.
-inline Expected<RunResult> SolveGasBp(BpGraph* graph,
-                                      const std::string& engine_name,
-                                      EngineOptions options = {},
-                                      PottsPotential psi = {},
-                                      double tolerance = 1e-4,
-                                      GasStats* stats_out = nullptr) {
-  auto engine = CreateEngine(engine_name, graph, options);
-  if (!engine.ok()) return engine.status();
-  BpProgram<BpGraph> program;
-  program.psi = psi;
-  program.tolerance = tolerance;
-  auto compiled = CompileVertexProgram(graph, program);
-  (*engine)->SetUpdateFn(compiled.update_fn());
-  (*engine)->ScheduleAll();
-  auto result = (*engine)->Start();
-  if (stats_out != nullptr) *stats_out = compiled.stats();
-  return result;
 }
 
 /// Fixed-iteration variant: every vertex re-runs until it has executed

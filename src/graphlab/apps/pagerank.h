@@ -18,7 +18,6 @@
 #include "graphlab/engine/context.h"
 #include "graphlab/graph/local_graph.h"
 #include "graphlab/util/serialization.h"
-#include "graphlab/vertex_program/gas_compiler.h"
 
 namespace graphlab {
 namespace apps {
@@ -77,67 +76,6 @@ UpdateFn<Graph> MakePageRankUpdateFn(double damping = 0.85,
       }
     }
   };
-}
-
-/// PageRank in gather-apply-scatter form (the same math as Alg. 1,
-/// factored for the GAS compiler): gather sums weighted in-neighbor
-/// ranks, apply damps, scatter signals the out-neighbors when the rank
-/// moved by more than `tolerance`.
-template <typename Graph>
-struct PageRankProgram : public IVertexProgram<Graph, double> {
-  using context_type = GasContext<Graph, double>;
-
-  double damping = 0.85;
-  double tolerance = 1e-3;
-
-  double gather(const context_type& ctx, LocalEid e) const {
-    return ctx.const_edge_data(e).weight *
-           ctx.neighbor_data(ctx.edge_source(e)).rank;
-  }
-
-  /// Flat kernel for the columnar fast path (gas_compiler.h): identical
-  /// expression to gather() — in-edge neighbor == edge source — so the
-  /// two paths fold bit-identically.
-  double FlatGather(const PageRankVertex& neighbor,
-                    const PageRankEdge& edge) const {
-    return edge.weight * neighbor.rank;
-  }
-
-  void apply(context_type& ctx, const double& total) {
-    const double new_rank = (1.0 - damping) + damping * total;
-    rank_change_ = new_rank - ctx.const_vertex_data().rank;
-    ctx.vertex_data().rank = new_rank;
-  }
-
-  void scatter(context_type& ctx, LocalEid e) {
-    const double residual = std::fabs(rank_change_);
-    if (residual > tolerance) ctx.Signal(ctx.edge_target(e), residual);
-  }
-
- private:
-  double rank_change_ = 0.0;  // apply -> scatter (per-update copy)
-};
-
-/// Engine-agnostic GAS entry point, the vertex-program twin of
-/// SolvePageRank.  `stats_out` (optional) receives the compiled
-/// program's gather/scatter counters.
-inline Expected<RunResult> SolveGasPageRank(PageRankGraph* graph,
-                                            const std::string& engine_name,
-                                            EngineOptions options = {},
-                                            double damping = 0.85,
-                                            double tolerance = 1e-6,
-                                            GasStats* stats_out = nullptr) {
-  auto engine = CreateEngine(engine_name, graph, options);
-  if (!engine.ok()) return engine.status();
-  PageRankProgram<PageRankGraph> program;
-  program.damping = damping;
-  program.tolerance = tolerance;
-  auto compiled = CompileVertexProgram(graph, program);
-  (*engine)->SetUpdateFn(compiled.update_fn());
-  (*engine)->ScheduleAll();
-  auto result = (*engine)->Start();
-  if (stats_out != nullptr) *stats_out = compiled.stats();
-  return result;
 }
 
 /// The synchronous (Pregel-style) step function for the BSP baseline:

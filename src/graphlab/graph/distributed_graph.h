@@ -12,8 +12,8 @@
 // Storage: vertex and edge properties are struct-of-arrays
 // (graph/storage.h) — each logical field (gvid, color, owner, owned,
 // version, flushed, user data) is a contiguous cache-line-aligned
-// PropertyColumn parallel to the CSR built by Ingest(), so the GAS gather
-// loop streams only the columns it reads, the dedicated owner column
+// PropertyColumn parallel to the CSR built by Ingest(), so a gather loop
+// streams only the columns it reads, the dedicated owner column
 // feeds mirror/scope compilation without striding over records, and ghost
 // replicas occupy rows of the same columns (a coherence push writes
 // straight into the data column).  The row-oriented accessors below are
@@ -254,9 +254,8 @@ class DistributedGraph {
   uint64_t edge_version(LocalEid e) const { return estore_.VersionOf(e); }
 
   // --------------------------------------------------------------------
-  // Contiguous property columns.  The flat-gather fast path streams
-  // these; the serving/snapshot layers scan them.  Spans stay
-  // valid until the next Ingest().
+  // Contiguous property columns (bench_columnar_scan's kernels stream
+  // these).  Spans stay valid until the next Ingest().
   // --------------------------------------------------------------------
   std::span<const VertexData> vertex_data_span() const {
     return vstore_.data_span();

@@ -13,9 +13,7 @@
 // fixes the graph structure during execution).
 //
 // Storage: properties live in struct-of-arrays property columns
-// (graph/storage.h).  The accessors below are thin views into them, and
-// the *_span() accessors expose the contiguous columns the GAS
-// flat-gather fast path streams (vertex_program/gas_compiler.h).
+// (graph/storage.h).  The accessors below are thin views into them.
 
 #ifndef GRAPHLAB_GRAPH_LOCAL_GRAPH_H_
 #define GRAPHLAB_GRAPH_LOCAL_GRAPH_H_
@@ -121,29 +119,11 @@ class LocalGraph {
 
   /// All distinct neighbors of v in either direction, ascending — a view
   /// into the CSR index compiled by Finalize(), so repeated calls (the
-  /// engines' hot path, scope-lock plan compilation, GAS contexts)
-  /// allocate nothing.
+  /// engines' hot path and scope-lock plan compilation) allocate nothing.
   std::span<const VertexId> neighbors(VertexId v) const {
     GL_CHECK(finalized_);
     return {nbr_list_.data() + nbr_index_[v],
             nbr_index_[v + 1] - nbr_index_[v]};
-  }
-
-  // ------------------------------------------------------------------
-  // Contiguous property columns: what the flat-gather fast path streams.  Spans stay valid until the next structural
-  // mutation.
-  // ------------------------------------------------------------------
-  std::span<const VertexData> vertex_data_span() const {
-    return vstore_.data_span();
-  }
-  std::span<const EdgeData> edge_data_span() const {
-    return estore_.data_span();
-  }
-  std::span<const VertexId> edge_source_span() const {
-    return estore_.src_span();
-  }
-  std::span<const VertexId> edge_target_span() const {
-    return estore_.dst_span();
   }
 
   // ------------------------------------------------------------------

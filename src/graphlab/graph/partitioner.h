@@ -42,7 +42,7 @@ PartitionAssignment StreamingGreedyPartition(
 
 /// Names accepted by PartitionByName: "random", "block", "striped", "bfs",
 /// "greedy".  ("refined" = greedy + label-propagation refinement lives in
-/// apps/label_prop.h — the graph layer cannot depend on the GAS compiler.)
+/// apps/label_prop.h — the graph layer cannot depend on the engines.)
 std::vector<std::string> ListPartitionerNames();
 
 /// Dispatch by name; GL_CHECK-fails on an unknown name.

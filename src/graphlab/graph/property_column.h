@@ -3,7 +3,7 @@
 // PropertyColumn<T>: one contiguous, cache-line-aligned property column of
 // the struct-of-arrays graph storage (graph/storage.h).
 //
-// The GAS gather loop spends its time streaming one or two property fields
+// A gather loop spends its time streaming one or two property fields
 // of many entities; an array-of-structs layout drags every unrelated field
 // of each record through the cache with them.  A PropertyColumn stores one
 // field for ALL entities contiguously, 64-byte aligned, so

@@ -5,14 +5,14 @@
 // The graph API (vertex_data()/edge_data()/Gvid()/owner()/...) is
 // row-oriented; the rows are *stored* struct-of-arrays: each logical
 // field lives in its own contiguous, cache-line-aligned PropertyColumn
-// parallel to the CSR adjacency index.  The GAS gather loop streams
-// exactly the columns it reads (user data + endpoints) instead of
-// dragging versions/colors/owners through the cache, and the compiler can
-// vectorize over the plain column pointers (the *_span() accessors the
-// flat-gather fast path reads).  Ghost replicas occupy rows of the same
-// columns, so coherence pushes (ApplyDataPush) land columnar too.
-// bench_columnar_scan keeps its own array-of-structs baseline and
-// BENCH_columnar.json records the comparison.
+// parallel to the CSR adjacency index.  A gather loop streams exactly
+// the columns it reads (user data + endpoints) instead of dragging
+// versions/colors/owners through the cache, and the compiler can
+// vectorize over the plain column pointers (DistributedGraph's *_span()
+// accessors, which bench_columnar_scan's kernels read).  Ghost replicas
+// occupy rows of the same columns, so coherence pushes (ApplyDataPush)
+// land columnar too.  bench_columnar_scan keeps its own array-of-structs
+// baseline and BENCH_columnar.json records the comparison.
 
 #ifndef GRAPHLAB_GRAPH_STORAGE_H_
 #define GRAPHLAB_GRAPH_STORAGE_H_
@@ -150,7 +150,6 @@ struct LocalVertexSoA {
   void push_back(V d) { data.push_back(std::move(d)); }
   V& Data(VertexId v) { return data[v]; }
   const V& DataOf(VertexId v) const { return data[v]; }
-  std::span<const V> data_span() const { return data.span(); }
 };
 
 template <typename E>
@@ -169,9 +168,6 @@ struct LocalEdgeSoA {
   VertexId DstOf(EdgeId e) const { return dst[e]; }
   E& Data(EdgeId e) { return data[e]; }
   const E& DataOf(EdgeId e) const { return data[e]; }
-  std::span<const E> data_span() const { return data.span(); }
-  std::span<const VertexId> src_span() const { return src.span(); }
-  std::span<const VertexId> dst_span() const { return dst.span(); }
 };
 
 }  // namespace storage

@@ -53,10 +53,4 @@
 #include "graphlab/fault/options.h"
 #include "graphlab/fault/recovery.h"
 
-// GAS vertex programs: gather-apply-scatter programs compiled onto any
-// engine.
-#include "graphlab/vertex_program/gas_compiler.h"
-#include "graphlab/vertex_program/gas_context.h"
-#include "graphlab/vertex_program/ivertex_program.h"
-
 #endif  // GRAPHLAB_GRAPHLAB_H_

@@ -133,7 +133,6 @@ const char* CategoryName(Category c) {
     case kEngine: return "engine";
     case kSched: return "sched";
     case kRpc: return "rpc";
-    case kGas: return "gas";
     case kFault: return "fault";
     case kSnapshot: return "snapshot";
     case kHealth: return "health";
@@ -151,7 +150,6 @@ uint32_t ParseCategories(const std::string& spec) {
     if (token == "engine") mask |= kEngine;
     else if (token == "sched") mask |= kSched;
     else if (token == "rpc") mask |= kRpc;
-    else if (token == "gas") mask |= kGas;
     else if (token == "fault") mask |= kFault;
     else if (token == "snapshot") mask |= kSnapshot;
     else if (token == "health") mask |= kHealth;

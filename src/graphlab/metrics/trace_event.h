@@ -47,7 +47,7 @@ enum Category : uint32_t {
   kEngine = 1u << 0,    // color-steps, supersteps, sweeps, drains
   kSched = 1u << 1,     // scheduler steals
   kRpc = 1u << 2,       // transport send/dispatch/quiescence
-  kGas = 1u << 3,       // gather/apply/scatter phases
+  // 1u << 3 is unassigned.
   kFault = 1u << 4,     // heartbeats, recovery state machine, checkpoints
   kSnapshot = 1u << 5,  // snapshot journal writes
   kHealth = 1u << 6,    // online health monitor detections

@@ -4,9 +4,7 @@
 // loopy BP (vs the shared-memory reference run) are executed through the
 // factory on every engine name — local strategies on a LocalGraph,
 // distributed strategies on a simulated cluster — and the converged
-// vertex values must agree within tolerance.  The GAS subsystem rides the
-// same harness: a compiled vertex program must reach the same fixed point
-// as the handwritten update function on every engine.
+// vertex values must agree within tolerance.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +20,6 @@
 #include "graphlab/graph/generators.h"
 #include "graphlab/graph/partition.h"
 #include "graphlab/rpc/runtime.h"
-#include "graphlab/vertex_program/gas_compiler.h"
 #include "tests/transport_param.h"
 
 namespace graphlab {
@@ -39,7 +36,7 @@ bool IsLocalEngine(const std::string& name) {
 /// `global` — locally or on a `machines`-wide simulated cluster — and
 /// returns the converged global graph.  The update-function builders
 /// receive the graph instance they will run on, so they can bind
-/// graph-coupled state (the GAS compiler does).
+/// graph-coupled state.
 template <typename V, typename E>
 LocalGraph<V, E> RunThroughFactory(
     const std::string& name, const LocalGraph<V, E>& global_in,
@@ -127,57 +124,6 @@ TEST_P(EngineEquivalenceTest, PageRankConvergesToExactFixedPoint) {
   }
   EXPECT_LT(err, 1e-2) << "engine " << name
                        << " left the PageRank fixed point";
-}
-
-// ---------------------------------------------------------------------
-// GAS PageRank: the compiled vertex program vs the handwritten update
-// function (the acceptance bar for the vertex-program subsystem: L1
-// distance below 1e-8 everywhere).
-// ---------------------------------------------------------------------
-
-TEST_P(EngineEquivalenceTest, GasPageRankMatchesClassic) {
-  const std::string name = GetParam();
-  using V = apps::PageRankVertex;
-  using E = apps::PageRankEdge;
-  using DistGraph = DistributedGraph<V, E>;
-  auto structure = gen::PowerLawWeb(300, 5, 0.8, 77);
-  auto global = apps::BuildPageRankGraph(structure);
-  // Drive both forms to the fixed point at machine precision so the
-  // remaining distance between the runs is pure accumulated rounding.
-  const double kDamping = 0.85;
-  const double kTolerance = 1e-13;
-
-  auto classic = RunThroughFactory<V, E>(
-      name, global, /*machines=*/2,
-      [&](apps::PageRankGraph*) {
-        return apps::MakePageRankUpdateFn<apps::PageRankGraph>(kDamping,
-                                                               kTolerance);
-      },
-      [&](DistGraph*) {
-        return apps::MakePageRankUpdateFn<DistGraph>(kDamping, kTolerance);
-      });
-
-  auto gas = RunThroughFactory<V, E>(
-      name, global, /*machines=*/2,
-      [&](apps::PageRankGraph* g) {
-        apps::PageRankProgram<apps::PageRankGraph> program;
-        program.damping = kDamping;
-        program.tolerance = kTolerance;
-        return CompileVertexProgram(g, program).update_fn();
-      },
-      [&](DistGraph* g) {
-        apps::PageRankProgram<DistGraph> program;
-        program.damping = kDamping;
-        program.tolerance = kTolerance;
-        return CompileVertexProgram(g, program).update_fn();
-      });
-
-  double err = 0.0;
-  for (VertexId v = 0; v < structure.num_vertices; ++v) {
-    err += std::fabs(gas.vertex_data(v).rank - classic.vertex_data(v).rank);
-  }
-  EXPECT_LT(err, 1e-8) << "engine " << name
-                       << ": GAS PageRank diverged from classic";
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Integration tests for the execution engines: shared-memory, chromatic,
 // locking — all running PageRank to convergence and checked against the
 // exact power-iteration solution; plus scheduler unit tests, the
-// CreateEngine/CreateScheduler factories' error paths, consistency model
-// enforcement, and the sync operation.
+// CreateEngine/CreateScheduler factories' error paths and name listings,
+// consistency model enforcement, and the sync operation.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -179,6 +180,30 @@ TEST(EngineFactoryTest, UnfinalizedGraphRejected) {
   auto engine = CreateEngine("shared_memory", &g, EngineOptions{});
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FactoryNamesTest, ListsCoverEveryStrategyAndScheduler) {
+  EXPECT_EQ(ListEngineNames().size(), ListLocalEngineNames().size() +
+                                          ListDistributedEngineNames().size());
+  for (const std::string& name : ListEngineNames()) {
+    EXPECT_FALSE(name.empty());
+  }
+  EXPECT_EQ(ListSchedulerNames().size(), 3u);
+  EXPECT_EQ(JoinedSchedulerNames(), "fifo|sweep|priority");
+}
+
+TEST(FactoryNamesTest, UnknownNamesEchoTheListedAlternatives) {
+  auto sched = CreateScheduler("bogus", 8);
+  ASSERT_FALSE(sched.ok());
+  EXPECT_NE(sched.status().ToString().find(JoinedSchedulerNames()),
+            std::string::npos);
+
+  auto g = BuildPageRankGraph(gen::Grid2D(3, 3));
+  auto engine = CreateEngine("bogus", &g, EngineOptions{});
+  ASSERT_FALSE(engine.ok());
+  for (const std::string& name : ListLocalEngineNames()) {
+    EXPECT_NE(engine.status().ToString().find(name), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------

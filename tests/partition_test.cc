@@ -1,7 +1,7 @@
 // Partitioning subsystem tests: the flat-CSR adjacency build, streaming
 // greedy edge-cut quality vs random hashing (the ISSUE 9 acceptance
 // gates: cut <= 0.7x random, balance within the 1.25x cap, determinism),
-// label-propagation refinement (as a partition refiner and as a GAS app),
+// label-propagation refinement (as a partition refiner and as an app),
 // the collective edge-cut statistic, weighted atom placement, engine
 // equivalence of PageRank under every partitioner, and the live-migration
 // path: a mid-run rebalance on the TCP backend that must converge to the
@@ -108,7 +108,7 @@ TEST(StreamingPartitionTest, EveryVertexPlacedInRange) {
 }
 
 // ---------------------------------------------------------------------
-// Label-propagation refinement (GAS program)
+// Label-propagation refinement (update function)
 // ---------------------------------------------------------------------
 
 TEST(LabelPropTest, RefinementReducesCutKeepsBalance) {
@@ -126,6 +126,10 @@ TEST(LabelPropTest, RefinementReducesCutKeepsBalance) {
   const double cap_balance =
       (1.25 * static_cast<double>(n) / k + 1.0) / (static_cast<double>(n) / k);
   EXPECT_LE(after.balance, cap_balance);
+  // Single-threaded refinement is deterministic: pin its exact output so
+  // a drift in vote order or schedule order shows up here.
+  EXPECT_EQ(after.cut_edges, 5985u);
+  EXPECT_EQ(after.max_atom_size, 271u);
 
   // From a random start the refiner must make real progress.
   auto random = RandomPartition(n, k, 3);
@@ -134,6 +138,22 @@ TEST(LabelPropTest, RefinementReducesCutKeepsBalance) {
       EvaluatePartition(structure, RefinePartitionLabelProp(structure, random, k),
                         k);
   EXPECT_LT(refined_random.cut_edges, random_q.cut_edges);
+  EXPECT_EQ(refined_random.cut_edges, 6532u);
+  EXPECT_EQ(refined_random.max_atom_size, 312u);
+}
+
+TEST(LabelPropTest, LabelAtOrAboveNumLabelsIsInvalidArgument) {
+  GraphStructure s;
+  s.num_vertices = 3;
+  s.edges = {{0, 1}, {1, 2}};
+  auto g = apps::BuildLabelPropGraph(s, PartitionAssignment{0, 1, 5});
+  EngineOptions options;
+  options.num_threads = 1;
+  auto result = apps::SolveLabelProp(&g, "shared_memory", options,
+                                     /*num_labels=*/2);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.vertex_data(2).label, 5u) << "no update may run";
 }
 
 TEST(LabelPropTest, MajorityVoteFlipsMinorityLabel) {

@@ -29,7 +29,6 @@
 #include "graphlab/util/random.h"
 #include "graphlab/graph/partition.h"
 #include "graphlab/rpc/runtime.h"
-#include "graphlab/vertex_program/gas_compiler.h"
 #include "tests/transport_param.h"
 
 namespace graphlab {
@@ -585,139 +584,6 @@ TEST(ColumnarStorage, SyncSnapshotColumnRoundTrip) {
   });
   std::filesystem::remove_all(dir);
 }
-
-// ---------------------------------------------------------------------
-// Flat-gather equivalence: the column-streaming gather folds in the same
-// order as the generic per-edge walk, bit for bit
-// ---------------------------------------------------------------------
-
-/// PageRankProgram without FlatGather, so the compiler falls back to the
-/// generic gather() row walk over the same columns.
-template <typename Graph>
-struct RowWalkPageRank : IVertexProgram<Graph, double> {
-  using context_type = GasContext<Graph, double>;
-
-  explicit RowWalkPageRank(apps::PageRankProgram<Graph> p) : inner(p) {}
-
-  double gather(const context_type& ctx, LocalEid e) const {
-    return inner.gather(ctx, e);
-  }
-  void apply(context_type& ctx, const double& total) {
-    inner.apply(ctx, total);
-  }
-  void scatter(context_type& ctx, LocalEid e) { inner.scatter(ctx, e); }
-
-  apps::PageRankProgram<Graph> inner;
-};
-
-/// PageRankProgram (kFlat) or its row-walk twin, identically configured.
-template <typename Graph, bool kFlat>
-auto MakeGatherProgram() {
-  apps::PageRankProgram<Graph> prog;
-  prog.damping = 0.85;
-  prog.tolerance = 1e-8;
-  if constexpr (kFlat) {
-    return prog;
-  } else {
-    return RowWalkPageRank<Graph>(prog);
-  }
-}
-
-struct GatherCase {
-  const char* engine;
-  size_t machines;          // 1 for the local engines
-  rpc::TransportKind kind;  // ignored by local engines
-};
-
-std::string GatherCaseName(const ::testing::TestParamInfo<GatherCase>& i) {
-  return std::string(i.param.engine) + "_m" +
-         std::to_string(i.param.machines) + "_" +
-         rpc::TransportKindName(i.param.kind);
-}
-
-/// Runs GAS PageRank to convergence with the flat or the row-walk gather
-/// and returns the final ranks indexed by global vertex id.
-/// Single-threaded so the fold order — and therefore every
-/// floating-point bit — is deterministic.
-template <bool kFlat>
-std::vector<double> RunGasPageRank(const GatherCase& c,
-                                   const GraphStructure& structure) {
-  EngineOptions eo;
-  eo.num_threads = 1;
-  eo.scheduler = "fifo";
-  std::vector<double> ranks(structure.num_vertices, 0.0);
-
-  auto global = apps::BuildPageRankGraph(structure);
-  const std::string name(c.engine);
-  if (c.machines == 1) {
-    auto engine = std::move(CreateEngine(name, &global, eo).value());
-    auto compiled = CompileVertexProgram(
-        &global, MakeGatherProgram<apps::PageRankGraph, kFlat>());
-    EXPECT_EQ(compiled.uses_flat_gather(), kFlat);
-    engine->SetUpdateFn(compiled.update_fn());
-    engine->ScheduleAll();
-    engine->Start();
-    for (VertexId v = 0; v < structure.num_vertices; ++v) {
-      ranks[v] = global.vertex_data(v).rank;
-    }
-    return ranks;
-  }
-
-  auto colors = GreedyColoring(structure);
-  auto atom_of = BlockPartition(structure.num_vertices, c.machines);
-  std::vector<rpc::MachineId> placement(c.machines);
-  for (size_t m = 0; m < c.machines; ++m) placement[m] = m;
-  rpc::Runtime runtime(testutil::ClusterFor(c.kind, c.machines));
-  testutil::ClusterAllreduce allreduce(&runtime, 1);
-  std::vector<DGraph> graphs(c.machines);
-  runtime.Run([&](rpc::MachineContext& ctx) {
-    auto& graph = graphs[ctx.id];
-    ASSERT_TRUE(graph
-                    .InitFromGlobal(global, atom_of, colors, placement,
-                                    ctx.id, &ctx.comm())
-                    .ok());
-    ctx.barrier().Wait(ctx.id);
-    DistributedEngineDeps<PageRankVertex, PageRankEdge> deps;
-    deps.allreduce = &allreduce.at(ctx.id);
-    auto engine =
-        std::move(CreateEngine(name, ctx, &graph, eo, deps).value());
-    auto compiled =
-        CompileVertexProgram(&graph, MakeGatherProgram<DGraph, kFlat>());
-    EXPECT_EQ(compiled.uses_flat_gather(), kFlat);
-    engine->SetUpdateFn(compiled.update_fn());
-    engine->ScheduleAll();
-    engine->Start();
-  });
-  for (auto& graph : graphs) {
-    for (LocalVid l : graph.owned_vertices()) {
-      ranks[graph.Gvid(l)] = graph.vertex_data(l).rank;
-    }
-  }
-  return ranks;
-}
-
-class FlatGatherEquivalence : public ::testing::TestWithParam<GatherCase> {};
-
-TEST_P(FlatGatherEquivalence, BitIdenticalRanksToRowWalk) {
-  const GatherCase& c = GetParam();
-  auto structure = gen::PowerLawWeb(300, 5, 0.85, 42);
-  auto flat = RunGasPageRank<true>(c, structure);
-  auto row_walk = RunGasPageRank<false>(c, structure);
-  ASSERT_EQ(flat.size(), row_walk.size());
-  for (VertexId v = 0; v < structure.num_vertices; ++v) {
-    // Exact double comparison: the flat gather must fold in the same
-    // order as the generic path, bit for bit.
-    ASSERT_EQ(flat[v], row_walk[v])
-        << "vertex " << v << " diverged under engine=" << c.engine;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    GasEngines, FlatGatherEquivalence,
-    ::testing::Values(
-        GatherCase{"shared_memory", 1, rpc::TransportKind::kInProcess},
-        GatherCase{"chromatic", 2, rpc::TransportKind::kInProcess}),
-    GatherCaseName);
 
 }  // namespace
 }  // namespace graphlab

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -30,6 +32,7 @@
 #include "graphlab/rpc/clock_sync.h"
 #include "graphlab/rpc/comm_layer.h"
 #include "graphlab/rpc/runtime.h"
+#include "graphlab/util/random.h"
 #include "graphlab/util/timer.h"
 #include "tests/transport_param.h"
 
@@ -374,6 +377,108 @@ TEST(TelemetrySampleTest, SerializationRoundTrips) {
   EXPECT_EQ(t.interval_ns, 100000000u);
   EXPECT_DOUBLE_EQ(t.Value("engine.updates"), 1e6);
   EXPECT_DOUBLE_EQ(t.Rate("engine.updates.rate"), 2613.75);
+}
+
+// Structured-mutation fuzzing of the TelemetrySample decoder: every
+// input, however corrupt, must decode to a clean value (one that
+// re-encodes to exactly the bytes it consumed) or fail the archive, and
+// never allocate more than the input could describe.
+
+TelemetrySample FuzzSeedSample() {
+  TelemetrySample s;
+  s.machine = 2;
+  s.seq = 7;
+  s.t_ns = 987654321;
+  s.interval_ns = 100000000;
+  s.values.emplace_back("engine.updates", 1e6);
+  s.values.emplace_back("sched.depth", 3.0);
+  s.rates.emplace_back("engine.updates.rate", 2613.75);
+  return s;
+}
+
+/// Byte offsets of the two pair counts and of every key length in the
+/// encoding of `s` (4-byte machine + three 8-byte header fields, then per
+/// pair list: count, {key length, key bytes, 8-byte value}...).
+std::vector<size_t> LengthFieldOffsets(const TelemetrySample& s) {
+  std::vector<size_t> offsets;
+  size_t pos = 4 + 3 * 8;
+  for (const auto* pairs : {&s.values, &s.rates}) {
+    offsets.push_back(pos);
+    pos += 8;
+    for (const auto& [key, value] : *pairs) {
+      offsets.push_back(pos);
+      pos += 8 + key.size() + 8;
+    }
+  }
+  return offsets;
+}
+
+/// Decodes `bytes`, checks the clean-value-or-error contract, and returns
+/// whether the archive stayed ok.
+bool CheckedDecode(const std::vector<char>& bytes) {
+  InArchive ia(bytes);
+  TelemetrySample t;
+  ia >> t;
+  // No allocation beyond what the input could encode: each pair costs at
+  // least 16 bytes on the wire, each key byte one.
+  const size_t max_pairs = bytes.size() / 16;
+  EXPECT_LE(t.values.size() + t.rates.size(), max_pairs);
+  EXPECT_LE(t.values.capacity(), 2 * max_pairs + 1);
+  EXPECT_LE(t.rates.capacity(), 2 * max_pairs + 1);
+  for (const auto* pairs : {&t.values, &t.rates}) {
+    for (const auto& [key, value] : *pairs) {
+      EXPECT_LE(key.size(), bytes.size());
+    }
+  }
+  if (!ia.ok()) return false;
+  OutArchive oa;
+  oa << t;
+  EXPECT_EQ(oa.buffer().size(), ia.position());
+  EXPECT_TRUE(oa.buffer().size() <= bytes.size() &&
+              std::equal(oa.buffer().begin(), oa.buffer().end(),
+                         bytes.begin()));
+  return true;
+}
+
+TEST(TelemetrySampleTest, DecoderSurvivesStructuredMutations) {
+  const TelemetrySample seed = FuzzSeedSample();
+  OutArchive oa;
+  oa << seed;
+  const std::vector<char> good = oa.buffer();
+  ASSERT_EQ(LengthFieldOffsets(seed).back() + 8 +
+                seed.rates.back().first.size() + 8,
+            good.size());
+
+  // Truncation at every byte: every field is required, so every proper
+  // prefix must fail.
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    EXPECT_FALSE(CheckedDecode({good.begin(), good.begin() + cut}))
+        << "prefix of " << cut << " bytes decoded";
+  }
+  EXPECT_TRUE(CheckedDecode(good));
+
+  // Huge pair counts and string lengths: must fail before allocating.
+  for (size_t offset : LengthFieldOffsets(seed)) {
+    for (uint64_t huge : {~uint64_t{0}, uint64_t{1} << 63, uint64_t{1} << 32,
+                          static_cast<uint64_t>(good.size())}) {
+      std::vector<char> bytes = good;
+      std::memcpy(bytes.data() + offset, &huge, sizeof(huge));
+      EXPECT_FALSE(CheckedDecode(bytes))
+          << "length " << huge << " at byte " << offset;
+    }
+  }
+
+  // Seeded random bit flips (1-4 per input) anywhere in the encoding.
+  Rng rng(17);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::vector<char> bytes = good;
+    const uint64_t flips = 1 + rng.UniformInt(4);
+    for (uint64_t f = 0; f < flips; ++f) {
+      const uint64_t bit = rng.UniformInt(bytes.size() * 8);
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1u << (bit % 8)));
+    }
+    CheckedDecode(bytes);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -113,8 +113,8 @@ TEST_F(TraceEventTest, ParseCategories) {
   EXPECT_EQ(trace::ParseCategories("engine"), trace::kEngine);
   EXPECT_EQ(trace::ParseCategories("engine,rpc"),
             trace::kEngine | trace::kRpc);
-  EXPECT_EQ(trace::ParseCategories("sched,gas,fault,snapshot"),
-            trace::kSched | trace::kGas | trace::kFault | trace::kSnapshot);
+  EXPECT_EQ(trace::ParseCategories("sched,fault,snapshot"),
+            trace::kSched | trace::kFault | trace::kSnapshot);
   EXPECT_EQ(trace::ParseCategories("all"), trace::kAll);
   EXPECT_EQ(trace::ParseCategories("*"), trace::kAll);
   EXPECT_EQ(trace::ParseCategories("bogus"), 0u);  // ignored with a warning
@@ -238,7 +238,7 @@ TEST_F(TraceEventTest, MetadataRecordsDropsAndClockOffsets) {
 // ---------------------------------------------------------------------
 
 TEST_F(TraceEventTest, ChromaticRunEmitsPairedColorSteps) {
-  trace::EnableCategories(trace::kEngine | trace::kGas | trace::kRpc);
+  trace::EnableCategories(trace::kEngine | trace::kRpc);
 
   constexpr size_t kMachines = 2;
   constexpr size_t kVertices = 300;
@@ -282,9 +282,6 @@ TEST_F(TraceEventTest, ChromaticRunEmitsPairedColorSteps) {
   EXPECT_EQ(CountEvents(json, "chromatic.sweep", 'B'),
             CountEvents(json, "chromatic.sweep", 'E'));
   EXPECT_GT(CountEvents(json, "chromatic.sweep", 'B'), 0u);
-  // The engines drive the GAS phases inside the color steps.
-  EXPECT_EQ(CountEvents(json, "gas.gather", 'B'),
-            CountEvents(json, "gas.gather", 'E'));
   // Both machines appear as distinct pids (MachineScope in Runtime::Run).
   EXPECT_NE(json.find("\"pid\":0"), std::string::npos);
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
