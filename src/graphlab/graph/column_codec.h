@@ -1,10 +1,11 @@
 // Copyright 2026 The Distributed GraphLab Reproduction Authors.
 //
-// Cold-column codec: compact encodings for property columns that rarely
-// (or never) change after Finalize() — static edge weights, BP edge
-// potentials, sorted global-id columns in snapshot journals.
+// Column codec: compact encodings for id and property columns — static
+// edge weights, BP edge potentials, sorted global-id columns in snapshot
+// journals, and the sorted key and version columns of every ghost delta
+// frame (graph/distributed_graph.h).
 //
-// A cold column is written as
+// A column is written as
 //
 //     [u8 codec] [u32 count] [payload]
 //
@@ -17,10 +18,13 @@
 //                 columns (uniform edge weights, colors, owner ids).
 //   kDeltaVarint  integral columns only: zigzag(v[i] - v[i-1]) in LEB128.
 //                 Wins on sorted or clustered id columns (the gvid/src/dst
-//                 columns of a columnar snapshot journal).
+//                 columns of a columnar snapshot journal or a ghost frame)
+//                 and on version columns.
 //
 // The encoder is deterministic — same input bytes, same output bytes — so
-// golden-byte tests can pin the format (property_test.cc).  Values are
+// golden-byte tests can pin the format (property_test.cc).  The decoder
+// is fully checked: corrupt or truncated input returns false, and a
+// column's allocation is bounded by the bytes it arrived in.  Values are
 // encoded in host representation; like the rest of the repo's storage
 // formats this targets little-endian LP64 (util/serialization.h holds the
 // same assumption for its bulk paths).
@@ -28,6 +32,7 @@
 #ifndef GRAPHLAB_GRAPH_COLUMN_CODEC_H_
 #define GRAPHLAB_GRAPH_COLUMN_CODEC_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -139,37 +144,11 @@ template <typename T>
 ColumnEncodingStats EncodeColumn(std::span<const T> col, std::string* out) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "cold-column codec requires trivially copyable values");
+  static_assert(sizeof(T) <= 8, "the dictionary indexes values by bits");
   namespace ci = codec_internal;
   const uint32_t count = static_cast<uint32_t>(col.size());
   ColumnEncodingStats stats;
   stats.raw_bytes = col.size() * sizeof(T);
-
-  // Candidate: dictionary.  Distinct values in first-occurrence order;
-  // give up past 65536 distinct (dict would not win anyway).
-  std::vector<T> dict;
-  std::vector<uint32_t> codes;
-  bool dict_ok = !col.empty();
-  if (dict_ok) {
-    std::unordered_map<std::string, uint32_t> index;
-    codes.reserve(col.size());
-    for (const T& v : col) {
-      std::string key(reinterpret_cast<const char*>(&v), sizeof(T));
-      auto [it, inserted] =
-          index.emplace(std::move(key), static_cast<uint32_t>(dict.size()));
-      if (inserted) {
-        dict.push_back(v);
-        if (dict.size() > 65536) {
-          dict_ok = false;
-          break;
-        }
-      }
-      codes.push_back(it->second);
-    }
-  }
-  const size_t code_width = dict.size() <= 256 ? 1 : 2;
-  const size_t dict_bytes =
-      dict_ok ? 4 + dict.size() * sizeof(T) + col.size() * code_width
-              : SIZE_MAX;
 
   // Candidate: zigzag delta varint (integral values only).
   size_t delta_bytes = SIZE_MAX;
@@ -180,6 +159,29 @@ ColumnEncodingStats EncodeColumn(std::span<const T> col, std::string* out) {
       const uint64_t cur = ci::WideImage(v);
       delta_bytes += ci::VarintSize(ci::ZigZagDelta(cur, prev));
       prev = cur;
+    }
+  }
+
+  // Candidate: dictionary.  Its size needs only the number of distinct
+  // values, counted on a sorted copy of their bits; the dictionary itself
+  // is built below only if it wins.  Give up past 65536 distinct (dict
+  // would not win anyway).  A dictionary costs at least
+  // 4 + sizeof(T) + count bytes, so when the delta candidate is already
+  // strictly smaller the count is skipped: the codec chosen below is the
+  // same either way.
+  size_t distinct = 0;
+  size_t dict_bytes = SIZE_MAX;
+  if (!col.empty() && delta_bytes >= 4 + sizeof(T) + col.size()) {
+    std::vector<uint64_t> bits(col.size());
+    for (size_t i = 0; i < col.size(); ++i) {
+      std::memcpy(&bits[i], &col[i], sizeof(T));
+    }
+    std::sort(bits.begin(), bits.end());
+    distinct = static_cast<size_t>(std::unique(bits.begin(), bits.end()) -
+                                   bits.begin());
+    if (distinct <= 65536) {
+      dict_bytes = 4 + distinct * sizeof(T) +
+                   col.size() * (distinct <= 256 ? 1 : 2);
     }
   }
 
@@ -202,10 +204,25 @@ ColumnEncodingStats EncodeColumn(std::span<const T> col, std::string* out) {
                   col.size() * sizeof(T));
       break;
     case ColumnCodec::kDict: {
+      // Distinct values in first-occurrence order, indexed by their bits.
+      std::vector<T> dict;
+      std::vector<uint32_t> codes;
+      std::unordered_map<uint64_t, uint32_t> index;
+      dict.reserve(distinct);
+      codes.reserve(col.size());
+      index.reserve(distinct);
+      for (const T& v : col) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(T));
+        auto [it, inserted] =
+            index.try_emplace(bits, static_cast<uint32_t>(dict.size()));
+        if (inserted) dict.push_back(v);
+        codes.push_back(it->second);
+      }
       ci::AppendU32(static_cast<uint32_t>(dict.size()), out);
       out->append(reinterpret_cast<const char*>(dict.data()),
                   dict.size() * sizeof(T));
-      if (code_width == 1) {
+      if (distinct <= 256) {
         for (uint32_t c : codes) out->push_back(static_cast<char>(c));
       } else {
         for (uint32_t c : codes) {
@@ -243,6 +260,10 @@ bool DecodeColumn(std::string_view in, size_t* pos, std::vector<T>* out) {
   const uint8_t codec_byte = static_cast<uint8_t>(in[(*pos)++]);
   uint32_t count = 0;
   if (!ci::ReadU32(in, pos, &count)) return false;
+  // Every codec spends at least one byte per value, so a count above the
+  // bytes left is corrupt; checking first keeps a wire-controlled count
+  // from sizing the allocation below.
+  if (count > in.size() - *pos) return false;
   out->reserve(out->size() + count);
   switch (static_cast<ColumnCodec>(codec_byte)) {
     case ColumnCodec::kRaw: {
@@ -250,7 +271,9 @@ bool DecodeColumn(std::string_view in, size_t* pos, std::vector<T>* out) {
       if (in.size() - *pos < need) return false;
       const size_t base = out->size();
       out->resize(base + count);
-      std::memcpy(out->data() + base, in.data() + *pos, need);
+      // An empty column may leave data() null, which memcpy rejects even
+      // for zero bytes.
+      if (need != 0) std::memcpy(out->data() + base, in.data() + *pos, need);
       *pos += need;
       return true;
     }
@@ -260,6 +283,7 @@ bool DecodeColumn(std::string_view in, size_t* pos, std::vector<T>* out) {
       if (dict_size > 65536) return false;
       const size_t dict_need = static_cast<size_t>(dict_size) * sizeof(T);
       if (in.size() - *pos < dict_need) return false;
+      if (dict_size == 0) return count == 0;  // no code can index it
       std::vector<T> dict(dict_size);
       std::memcpy(dict.data(), in.data() + *pos, dict_need);
       *pos += dict_need;

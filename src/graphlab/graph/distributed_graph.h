@@ -40,21 +40,28 @@
 //    (chromatic color-steps, bulk-sync supersteps) use this —
 //    one frame per peer per window instead of one per scope commit.
 //
-// Wire format of a ghost delta batch (columnar; handler kDataPushHandler):
+// Wire format of a ghost delta batch (columnar; handler kDataPushHandler).
+// Every column is one graph/column_codec.h column — [u8 codec][u32 count]
+// [payload] — so the sorted key columns and the version columns travel
+// as delta varints (about one byte per entity) instead of raw words:
 //
-//   u8  format         kGhostFrameVersion (2)
-//   u32 vertex_count
-//       vertex_count x u32 gvid          (column)
-//       vertex_count x u64 version       (column)
-//       vertex_count x VertexData blobs  (concatenated, self-delimiting)
-//   u32 edge_count
-//       edge_count x u32 source gvid
-//       edge_count x u32 target gvid
-//       edge_count x u64 version
-//       edge_count x EdgeData blobs
+//   u8  format         kGhostFrameVersion (3)
+//   vertex section, ascending gvid:
+//       column u32 gvid
+//       column u64 version
+//       VertexData blobs  (concatenated in gvid order, self-delimiting)
+//   edge section, ascending (source gvid, target gvid):
+//       column u32 source gvid
+//       column u32 target gvid
+//       column u64 version
+//       EdgeData blobs
 //
-// Decoding is fully checked: a truncated or corrupt frame logs and drops
-// the remainder instead of crashing (see util/serialization.h).
+// GhostFrame (graph/ghost_frame.h) stages and encodes a frame.  Decoding
+// is fully checked: the columns of a section must decode and agree on
+// their count, and a frame that fails either check, or whose blob is
+// truncated, is logged and dropped from that point on instead of
+// crashing (see util/serialization.h).  Entities already applied stay;
+// the version rule makes that idempotent.
 //
 // Memory-sharing discipline: machines interact with each other's
 // DistributedGraph instances only through CommLayer messages.
@@ -68,11 +75,13 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "graphlab/graph/atom.h"
+#include "graphlab/graph/ghost_frame.h"
 #include "graphlab/graph/local_graph.h"
 #include "graphlab/graph/storage.h"
 #include "graphlab/graph/types.h"
@@ -87,9 +96,6 @@ enum class GhostSyncMode {
   kPerScope,   // send immediately on every scope flush
   kCoalesced,  // stage into per-peer buffers; FlushDeltas() ships windows
 };
-
-/// Leading byte of every ghost push frame; bump when the layout changes.
-inline constexpr uint8_t kGhostFrameVersion = 2;
 
 template <typename VertexData, typename EdgeData>
 class DistributedGraph {
@@ -304,28 +310,27 @@ class DistributedGraph {
   void FlushVertexScope(LocalVid l) {
     GL_CHECK(is_owned(l));
     const bool coalesce = ghost_sync_mode_ == GhostSyncMode::kCoalesced;
-    thread_local std::vector<std::pair<rpc::MachineId, DeltaFrame>> batches;
-    thread_local std::string blob;
-    if (!coalesce) batches.clear();
-    auto frame_for = [&](rpc::MachineId m) -> DeltaFrame& {
+    // Per-scope frames, one per destination.  They outlive the call, so
+    // their buffers are reused; each is cleared once sent.
+    thread_local std::vector<std::pair<rpc::MachineId, GhostFrame>> batches;
+    auto frame_for = [&](rpc::MachineId m) -> GhostFrame& {
       for (auto& [dst, frame] : batches) {
         if (dst == m) return frame;
       }
-      batches.emplace_back(m, DeltaFrame());
+      batches.emplace_back(m, GhostFrame());
       return batches.back().second;
     };
 
     if (vstore_.VersionOf(l) > vstore_.FlushedOf(l)) {
       auto mirrors = MirrorSpan(l);
       if (!mirrors.empty()) {
-        SerializeBlob(vstore_.DataOf(l), &blob);
-        const VertexId gvid = vstore_.GvidOf(l);
+        const std::string_view blob = SerializeBlob(vstore_.DataOf(l));
         const uint64_t version = vstore_.VersionOf(l);
         for (rpc::MachineId m : mirrors) {
           if (coalesce) {
-            StageVertex(m, gvid, version, blob);
+            StageVertex(m, l, version, blob);
           } else {
-            frame_for(m).AddVertex(gvid, version, blob);
+            frame_for(m).AddVertex(vstore_.GvidOf(l), version, blob);
           }
         }
         pushes_sent_ += mirrors.size();
@@ -338,11 +343,10 @@ class DistributedGraph {
       if (estore_.VersionOf(e) <= estore_.FlushedOf(e)) return;
       rpc::MachineId other = EdgeMirror(e);
       if (other != me_) {
-        SerializeBlob(estore_.DataOf(e), &blob);
+        const std::string_view blob = SerializeBlob(estore_.DataOf(e));
         const uint64_t version = estore_.VersionOf(e);
         if (coalesce) {
-          StageEdge(other, Gvid(estore_.SrcOf(e)), Gvid(estore_.DstOf(e)),
-                    version, blob);
+          StageEdge(other, e, version, blob);
         } else {
           frame_for(other).AddEdge(Gvid(estore_.SrcOf(e)),
                                    Gvid(estore_.DstOf(e)), version, blob);
@@ -356,13 +360,10 @@ class DistributedGraph {
 
     if (!coalesce) {
       for (auto& [dst, frame] : batches) {
-        if (!frame.empty()) {
-          OutArchive oa;
-          frame.Encode(&oa);
-          if (delta_batches_metric_ != nullptr) delta_batches_metric_->Inc();
-          comm_->Send(me_, dst, kDataPushHandler, std::move(oa));
-          frame.Clear();
-        }
+        if (frame.empty()) continue;
+        if (delta_batches_metric_ != nullptr) delta_batches_metric_->Inc();
+        comm_->Send(me_, dst, kDataPushHandler, frame.Encode());
+        frame.Clear();
       }
     }
   }
@@ -397,7 +398,6 @@ class DistributedGraph {
   /// overwrites (FlushVertexScope would read every adjacent edge).
   void PushEntities(std::span<const LocalVid> vertices,
                     std::span<const LocalEid> edges) {
-    std::string blob;
     for (LocalVid l : vertices) {
       if (vstore_.VersionOf(l) <= vstore_.FlushedOf(l)) {
         pushes_skipped_++;
@@ -405,9 +405,9 @@ class DistributedGraph {
       }
       auto mirrors = MirrorSpan(l);
       if (!mirrors.empty()) {
-        SerializeBlob(vstore_.DataOf(l), &blob);
+        const std::string_view blob = SerializeBlob(vstore_.DataOf(l));
         for (rpc::MachineId m : mirrors) {
-          StageVertex(m, vstore_.GvidOf(l), vstore_.VersionOf(l), blob);
+          StageVertex(m, l, vstore_.VersionOf(l), blob);
           pushes_sent_++;
         }
       }
@@ -417,9 +417,8 @@ class DistributedGraph {
       if (estore_.VersionOf(e) <= estore_.FlushedOf(e)) continue;
       const rpc::MachineId other = EdgeMirror(e);
       if (other != me_) {
-        SerializeBlob(estore_.DataOf(e), &blob);
-        StageEdge(other, Gvid(estore_.SrcOf(e)), Gvid(estore_.DstOf(e)),
-                  estore_.VersionOf(e), blob);
+        StageEdge(other, e, estore_.VersionOf(e),
+                  SerializeBlob(estore_.DataOf(e)));
         pushes_sent_++;
       }
       estore_.Flushed(e) = estore_.VersionOf(e);
@@ -446,9 +445,11 @@ class DistributedGraph {
   }
 
   /// Applies one framed ghost delta batch (runs on the dispatch thread).
-  /// Decoding is fully checked: a truncated or unknown-format frame is
-  /// logged and dropped; entities already applied stay (idempotent under
-  /// the version rule).  Writes land directly in the property columns.
+  /// Decoding is fully checked: an unknown-format frame, a section whose
+  /// columns fail to decode or disagree on their count, and a truncated
+  /// blob are logged and dropped from that point on; entities already
+  /// applied stay (idempotent under the version rule).  Writes land
+  /// directly in the property columns.
   void ApplyDataPush(InArchive& ia) {
     uint8_t format = ia.ReadValue<uint8_t>();
     if (!ia.ok() || format != kGhostFrameVersion) {
@@ -462,13 +463,11 @@ class DistributedGraph {
     thread_local std::vector<VertexId> keys;
     thread_local std::vector<uint64_t> versions;
 
-    const uint32_t vcount = ia.ReadValue<uint32_t>();
-    if (!ReadColumn(ia, vcount, &keys) ||
-        !ReadColumn(ia, vcount, &versions)) {
-      GL_LOG(ERROR) << "machine " << me_ << ": truncated ghost frame";
+    if (!ReadGhostVertexColumns(ia, &keys, &versions)) {
+      GL_LOG(ERROR) << "machine " << me_ << ": corrupt ghost frame";
       return;
     }
-    for (uint32_t i = 0; i < vcount; ++i) {
+    for (size_t i = 0; i < keys.size(); ++i) {
       VertexData data;
       ia >> data;
       if (!ia.ok()) {
@@ -493,14 +492,11 @@ class DistributedGraph {
     }
 
     thread_local std::vector<VertexId> dst_keys;
-    const uint32_t ecount = ia.ReadValue<uint32_t>();
-    if (!ReadColumn(ia, ecount, &keys) ||
-        !ReadColumn(ia, ecount, &dst_keys) ||
-        !ReadColumn(ia, ecount, &versions)) {
-      GL_LOG(ERROR) << "machine " << me_ << ": truncated ghost frame";
+    if (!ReadGhostEdgeColumns(ia, &keys, &dst_keys, &versions)) {
+      GL_LOG(ERROR) << "machine " << me_ << ": corrupt ghost frame";
       return;
     }
-    for (uint32_t i = 0; i < ecount; ++i) {
+    for (size_t i = 0; i < keys.size(); ++i) {
       EdgeData data;
       ia >> data;
       if (!ia.ok()) {
@@ -550,122 +546,85 @@ class DistributedGraph {
   // Ghost delta frames (see the wire-format comment in the file header)
   // --------------------------------------------------------------------
 
-  /// Column-oriented frame contents: entity keys and versions in flat
-  /// columns, pre-serialized data blobs appended in entity order.
-  struct DeltaFrame {
-    std::vector<VertexId> vgvid;
-    std::vector<uint64_t> vversion;
-    std::vector<std::string> vblob;
-    std::vector<VertexId> esrc, edst;
-    std::vector<uint64_t> eversion;
-    std::vector<std::string> eblob;
-
-    bool empty() const { return vgvid.empty() && esrc.empty(); }
-    size_t ApproxBytes() const {
-      size_t b = vgvid.size() * 12 + esrc.size() * 16;
-      for (const auto& s : vblob) b += s.size();
-      for (const auto& s : eblob) b += s.size();
-      return b;
-    }
-    void Clear() {
-      vgvid.clear();
-      vversion.clear();
-      vblob.clear();
-      esrc.clear();
-      edst.clear();
-      eversion.clear();
-      eblob.clear();
-    }
-    void AddVertex(VertexId gvid, uint64_t version, const std::string& blob) {
-      vgvid.push_back(gvid);
-      vversion.push_back(version);
-      vblob.push_back(blob);
-    }
-    void AddEdge(VertexId src, VertexId dst, uint64_t version,
-                 const std::string& blob) {
-      esrc.push_back(src);
-      edst.push_back(dst);
-      eversion.push_back(version);
-      eblob.push_back(blob);
-    }
-    void Encode(OutArchive* oa) const {
-      *oa << kGhostFrameVersion;
-      *oa << static_cast<uint32_t>(vgvid.size());
-      for (VertexId v : vgvid) *oa << v;
-      for (uint64_t v : vversion) *oa << v;
-      for (const auto& b : vblob) oa->WriteBytes(b.data(), b.size());
-      *oa << static_cast<uint32_t>(esrc.size());
-      for (VertexId v : esrc) *oa << v;
-      for (VertexId v : edst) *oa << v;
-      for (uint64_t v : eversion) *oa << v;
-      for (const auto& b : eblob) oa->WriteBytes(b.data(), b.size());
-    }
-  };
-
-  /// Per-peer coalescing buffer: a DeltaFrame plus slot maps so repeated
-  /// writes to the same entity within a window replace in place.
+  /// Per-peer coalescing buffer: a GhostFrame plus, per local vertex and
+  /// edge, the entity's index in the frame, so repeated writes within a
+  /// window replace in place.  A slot counts only if it was set in the
+  /// current window, so closing a window is one increment.
   struct PeerStage {
+    struct Slot {
+      uint32_t window = 0;
+      uint32_t index = 0;
+    };
     std::mutex mutex;
-    DeltaFrame frame;
-    std::unordered_map<VertexId, size_t> vslot;
-    std::unordered_map<uint64_t, size_t> eslot;
+    GhostFrame frame;
+    std::vector<Slot> vslot;  // by LocalVid, sized on first use
+    std::vector<Slot> eslot;  // by LocalEid, sized on first use
+    uint32_t window = 1;
     size_t approx_bytes = 0;
+
+    /// The slot of row `row` among `rows`.  Sets `*fresh` when the row
+    /// is not yet staged in this window, claiming the slot for `next`.
+    Slot& Claim(std::vector<Slot>* slots, size_t rows, size_t row,
+                size_t next, bool* fresh) {
+      if (slots->empty()) slots->resize(rows);
+      Slot& slot = (*slots)[row];
+      *fresh = slot.window != window;
+      if (*fresh) slot = {window, static_cast<uint32_t>(next)};
+      return slot;
+    }
+    void CloseWindow() {
+      frame.Clear();
+      approx_bytes = 0;
+      if (++window == 0) {  // wrapped: forget every slot
+        std::fill(vslot.begin(), vslot.end(), Slot{});
+        std::fill(eslot.begin(), eslot.end(), Slot{});
+        window = 1;
+      }
+    }
   };
 
+  /// Serializes `value` into a per-thread buffer; the view stays valid
+  /// until the thread's next call.
   template <typename T>
-  static bool ReadColumn(InArchive& ia, uint32_t count,
-                         std::vector<T>* out) {
-    // Validate the wire-controlled count against the bytes left BEFORE
-    // allocating (a corrupt count of 2^32-1 must not resize gigabytes).
-    if (count > ia.remaining() / sizeof(T)) {
-      out->clear();
-      return false;
-    }
-    out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) ia >> (*out)[i];
-    return ia.ok();
-  }
-
-  template <typename T>
-  static void SerializeBlob(const T& value, std::string* out) {
+  static std::string_view SerializeBlob(const T& value) {
     thread_local OutArchive scratch;
     scratch.Clear();
     scratch << value;
-    out->assign(scratch.buffer().data(), scratch.size());
+    return {scratch.buffer().data(), scratch.size()};
   }
 
-  void StageVertex(rpc::MachineId dst, VertexId gvid, uint64_t version,
-                   const std::string& blob) {
+  void StageVertex(rpc::MachineId dst, LocalVid l, uint64_t version,
+                   std::string_view blob) {
     PeerStage& st = *stages_[dst];
     std::lock_guard<std::mutex> lock(st.mutex);
-    auto [it, inserted] = st.vslot.try_emplace(gvid, st.frame.vgvid.size());
-    if (inserted) {
-      st.frame.AddVertex(gvid, version, blob);
+    GhostFrame& f = st.frame;
+    bool fresh;
+    const auto& slot =
+        st.Claim(&st.vslot, vstore_.size(), l, f.num_vertices(), &fresh);
+    if (fresh) {
+      f.AddVertex(vstore_.GvidOf(l), version, blob);
       st.approx_bytes += 12 + blob.size();
     } else {
-      DeltaFrame& f = st.frame;
-      st.approx_bytes += blob.size() - f.vblob[it->second].size();
-      f.vversion[it->second] = version;
-      f.vblob[it->second] = blob;
+      st.approx_bytes += blob.size() - f.SetVertex(slot.index, version, blob);
       if (coalesced_merges_metric_ != nullptr) coalesced_merges_metric_->Inc();
     }
     if (st.approx_bytes >= ghost_batch_bytes_) FlushStageLocked(dst, &st);
   }
 
-  void StageEdge(rpc::MachineId dst, VertexId gsrc, VertexId gdst,
-                 uint64_t version, const std::string& blob) {
+  void StageEdge(rpc::MachineId dst, LocalEid e, uint64_t version,
+                 std::string_view blob) {
     PeerStage& st = *stages_[dst];
     std::lock_guard<std::mutex> lock(st.mutex);
-    auto [it, inserted] =
-        st.eslot.try_emplace(EdgeKey(gsrc, gdst), st.frame.esrc.size());
-    if (inserted) {
-      st.frame.AddEdge(gsrc, gdst, version, blob);
+    GhostFrame& f = st.frame;
+    bool fresh;
+    const auto& slot =
+        st.Claim(&st.eslot, estore_.size(), e, f.num_edges(), &fresh);
+    if (fresh) {
+      f.AddEdge(Gvid(estore_.SrcOf(e)), Gvid(estore_.DstOf(e)), version,
+                blob);
       st.approx_bytes += 16 + blob.size();
     } else {
-      DeltaFrame& f = st.frame;
-      st.approx_bytes += blob.size() - f.eblob[it->second].size();
-      f.eversion[it->second] = version;
-      f.eblob[it->second] = blob;
+      st.approx_bytes += blob.size() - f.SetEdge(slot.index, version, blob);
       if (coalesced_merges_metric_ != nullptr) coalesced_merges_metric_->Inc();
     }
     if (st.approx_bytes >= ghost_batch_bytes_) FlushStageLocked(dst, &st);
@@ -674,12 +633,8 @@ class DistributedGraph {
   /// Encodes and ships one peer's staged frame.  Caller holds st->mutex.
   void FlushStageLocked(rpc::MachineId dst, PeerStage* st) {
     if (st->frame.empty()) return;
-    OutArchive oa;
-    st->frame.Encode(&oa);
-    st->frame.Clear();
-    st->vslot.clear();
-    st->eslot.clear();
-    st->approx_bytes = 0;
+    OutArchive oa = st->frame.Encode();
+    st->CloseWindow();
     if (delta_batches_metric_ != nullptr) delta_batches_metric_->Inc();
     comm_->Send(me_, dst, kDataPushHandler, std::move(oa));
   }

@@ -38,6 +38,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -144,6 +145,9 @@ class OutArchive {
     Write<uint64_t>(m.size());
     for (const auto& kv : m) Write(kv);
   }
+
+  /// Pre-sizes the buffer for `n` bytes in total.
+  void Reserve(size_t n) { buffer_.reserve(n); }
 
   const std::vector<char>& buffer() const { return buffer_; }
   std::vector<char> TakeBuffer() { return std::move(buffer_); }
@@ -311,6 +315,21 @@ class InArchive {
   }
 
   size_t remaining() const { return size_ - pos_; }
+
+  /// The unread bytes, for decoders that parse a run of the archive in
+  /// place (graph/column_codec.h); Skip() then consumes what they used.
+  std::string_view Rest() const { return {data_ + pos_, size_ - pos_}; }
+
+  /// Consumes `n` bytes.  Returns false (and fails the archive) when
+  /// fewer remain.
+  bool Skip(size_t n) {
+    if (failed_ || n > size_ - pos_) {
+      Fail(nullptr, 0);
+      return false;
+    }
+    pos_ += n;
+    return true;
+  }
 
   /// True once the archive is exhausted — including after a failed read,
   /// so `while (!ia.AtEnd())` decode loops always terminate.

@@ -7,14 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <string>
+#include <string_view>
 
 #include "graphlab/graph/atom.h"
 #include "graphlab/graph/coloring.h"
+#include "graphlab/graph/column_codec.h"
 #include "graphlab/graph/distributed_graph.h"
 #include "graphlab/graph/generators.h"
 #include "graphlab/graph/partition.h"
 #include "graphlab/rpc/runtime.h"
+#include "graphlab/util/random.h"
 #include "tests/transport_param.h"
 
 namespace graphlab {
@@ -45,6 +51,56 @@ LGraph PathGraph(size_t n) {
   }
   g.Finalize();
   return g;
+}
+
+/// One entity of a hand-built ghost frame.
+struct VertexPush {
+  VertexId gvid;
+  uint64_t version;
+  TV data;
+};
+struct EdgePush {
+  VertexId src, dst;
+  uint64_t version;
+  TE data;
+};
+
+/// Hand-builds a ghost frame in the documented v3 wire layout: the format
+/// byte, then per section the coded key and version columns and the
+/// blobs, with the entities in the order given.
+std::string MakeFrame(const std::vector<VertexPush>& vertices,
+                      const std::vector<EdgePush>& edges = {}) {
+  std::string frame(1, static_cast<char>(kGhostFrameVersion));
+  std::vector<VertexId> ids, dsts;
+  std::vector<uint64_t> versions;
+  OutArchive blobs;
+  for (const auto& v : vertices) {
+    ids.push_back(v.gvid);
+    versions.push_back(v.version);
+    blobs << v.data;
+  }
+  EncodeColumn<VertexId>(ids, &frame);
+  EncodeColumn<uint64_t>(versions, &frame);
+  frame.append(blobs.buffer().data(), blobs.size());
+  ids.clear();
+  versions.clear();
+  blobs.Clear();
+  for (const auto& e : edges) {
+    ids.push_back(e.src);
+    dsts.push_back(e.dst);
+    versions.push_back(e.version);
+    blobs << e.data;
+  }
+  EncodeColumn<VertexId>(ids, &frame);
+  EncodeColumn<VertexId>(dsts, &frame);
+  EncodeColumn<uint64_t>(versions, &frame);
+  frame.append(blobs.buffer().data(), blobs.size());
+  return frame;
+}
+
+void Apply(DGraph& graph, std::string_view frame) {
+  InArchive ia(frame.data(), frame.size());
+  graph.ApplyDataPush(ia);
 }
 
 class DistributedGraphTest
@@ -250,16 +306,6 @@ TEST_P(DistributedGraphTest, StaleVersionNotApplied) {
   rpc::Runtime runtime(TestCluster(2));
   std::vector<DGraph> graphs(2);
 
-  // Hand-build single-vertex delta frames in the documented wire layout:
-  // format byte, vertex column count, gvid column, version column, blob,
-  // then an empty edge section.
-  auto make_vertex_frame = [](VertexId gvid, uint64_t version, TV data) {
-    OutArchive oa;
-    oa << kGhostFrameVersion << uint32_t{1} << gvid << version << data
-       << uint32_t{0};
-    return oa;
-  };
-
   runtime.Run([&](rpc::MachineContext& ctx) {
     ASSERT_TRUE(graphs[ctx.id]
                     .InitFromGlobal(g, atom_of, colors, placement, ctx.id,
@@ -269,15 +315,14 @@ TEST_P(DistributedGraphTest, StaleVersionNotApplied) {
     if (ctx.id == 1) {
       // Craft a stale push (version 0 == initial) for ghosted vertex 1.
       LocalVid l = graphs[1].Lvid(1);
-      OutArchive oa = make_vertex_frame(1, 0, TV{999.0, 0});
-      InArchive ia(oa.buffer());
+      const std::string stale = MakeFrame({{1, 0, TV{999.0, 0}}});
+      InArchive ia(stale.data(), stale.size());
       graphs[1].ApplyDataPush(ia);
       EXPECT_TRUE(ia.ok());
+      EXPECT_TRUE(ia.AtEnd());
       EXPECT_EQ(graphs[1].vertex_data(l).x, 1.0) << "stale push applied";
       // A fresh one (version 5) applies.
-      OutArchive oa2 = make_vertex_frame(1, 5, TV{555.0, 0});
-      InArchive ia2(oa2.buffer());
-      graphs[1].ApplyDataPush(ia2);
+      Apply(graphs[1], MakeFrame({{1, 5, TV{555.0, 0}}}));
       EXPECT_EQ(graphs[1].vertex_data(l).x, 555.0);
     }
     ctx.barrier().Wait(ctx.id);
@@ -309,27 +354,88 @@ TEST_P(DistributedGraphTest, TruncatedOrAlienPushDroppedCleanly) {
       graphs[1].ApplyDataPush(ia);
       EXPECT_EQ(graphs[1].vertex_data(l).x, before);
 
+      // A v2 frame (raw u32 gvid and u64 version columns behind a u32
+      // count) is dropped whole, with the format on the log line.
+      OutArchive v2;
+      v2 << uint8_t{2} << uint32_t{1} << VertexId{1} << uint64_t{9}
+         << TV{777.0, 0} << uint32_t{0};
+      ::testing::internal::CaptureStderr();
+      InArchive v2_in(v2.buffer());
+      graphs[1].ApplyDataPush(v2_in);
+      const std::string log = ::testing::internal::GetCapturedStderr();
+      EXPECT_NE(log.find("dropping ghost frame with format 2 (want 3)"),
+                std::string::npos)
+          << log;
+      EXPECT_EQ(graphs[1].vertex_data(l).x, before);
+
       // Valid frame truncated at every prefix: never crashes, never
       // applies a half-read blob.  Prefixes long enough to carry the
-      // complete vertex section legitimately apply it (decoding is
-      // entity-at-a-time), so the value is either untouched or final —
-      // anything else means a torn read.
-      OutArchive full;
-      full << kGhostFrameVersion << uint32_t{1} << VertexId{1} << uint64_t{9}
-           << TV{777.0, 0} << uint32_t{0};
+      // key and version columns and the whole blob legitimately apply
+      // it, so the value is either untouched or final — anything else
+      // means a torn read.
+      const std::string full = MakeFrame({{1, 9, TV{777.0, 0}}});
       for (size_t cut = 0; cut + 1 < full.size(); ++cut) {
-        InArchive truncated(full.buffer().data(), cut);
-        graphs[1].ApplyDataPush(truncated);
+        Apply(graphs[1], std::string_view(full).substr(0, cut));
         double x = graphs[1].vertex_data(l).x;
         ASSERT_TRUE(x == before || x == 777.0)
             << "torn value " << x << " applied at cut " << cut;
       }
       // The intact frame (re)applies cleanly.
-      InArchive whole(full.buffer());
-      graphs[1].ApplyDataPush(whole);
+      Apply(graphs[1], full);
       EXPECT_EQ(graphs[1].vertex_data(l).x, 777.0);
     }
     ctx.barrier().Wait(ctx.id);
+  });
+}
+
+// Entities staged in descending gvid order reach the peer intact: the
+// encoder sorts each section by key, and the blobs must travel with
+// their keys.
+TEST_P(DistributedGraphTest, DescendingStagingAppliesInKeyOrder) {
+  constexpr size_t kN = 16;
+  LGraph g = PathGraph(kN);
+  PartitionAssignment atom_of(kN);
+  for (VertexId v = 0; v < kN; ++v) atom_of[v] = v % 2;  // all boundary
+  auto colors = GreedyColoring(g.Structure());
+  std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(TestCluster(2));
+  std::vector<DGraph> graphs(2);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    DGraph& graph = graphs[ctx.id];
+    ASSERT_TRUE(graph
+                    .InitFromGlobal(g, atom_of, colors, placement, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 0) {
+      graph.SetGhostSyncMode(GhostSyncMode::kCoalesced);
+      const auto& owned = graph.owned_vertices();
+      for (auto it = owned.rbegin(); it != owned.rend(); ++it) {
+        const LocalVid l = *it;
+        graph.vertex_data(l).x = 100.0 + graph.Gvid(l);
+        graph.MarkVertexModified(l);
+        for (LocalEid e : graph.out_edges(l)) {
+          graph.edge_data(e).w = 1000.0 + graph.Gvid(l);
+          graph.MarkEdgeModified(e);
+        }
+        graph.FlushVertexScope(l);
+      }
+      graph.FlushDeltas();
+      EXPECT_EQ(graph.delta_batches_sent(), 1u);
+      graph.SetGhostSyncMode(GhostSyncMode::kPerScope);
+    }
+    ctx.barrier().Wait(ctx.id);
+    ctx.comm().WaitQuiescent();
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 1) {
+      for (VertexId v = 0; v < kN; v += 2) {
+        EXPECT_EQ(graph.vertex_data(graph.Lvid(v)).x, 100.0 + v) << v;
+        if (v + 1 < kN) {
+          EXPECT_EQ(graph.edge_data(graph.LeidOf(v, v + 1)).w, 1000.0 + v)
+              << v;
+        }
+      }
+    }
   });
 }
 
@@ -441,6 +547,233 @@ TEST_P(DistributedGraphTest, BulkFlushSynchronizesAllBoundaries) {
 INSTANTIATE_TEST_SUITE_P(Transports, DistributedGraphTest,
                          ::testing::ValuesIn(testutil::kAllTransports),
                          testutil::KindParamName);
+
+// The encoder's bytes for one small frame, pinned: two vertices staged in
+// descending gvid order and one edge, as the v3 layout in the
+// distributed_graph.h header describes them.
+TEST(GhostFrameV3, GoldenBytes) {
+  LGraph g = PathGraph(4);
+  const PartitionAssignment atom_of = {0, 1, 0, 1};
+  auto colors = GreedyColoring(g.Structure());
+  std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kInProcess, 2));
+  std::vector<DGraph> graphs(2);
+  std::mutex mu;
+  std::vector<std::string> frames;
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    DGraph& graph = graphs[ctx.id];
+    ASSERT_TRUE(graph
+                    .InitFromGlobal(g, atom_of, colors, placement, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+    if (ctx.id == 1) {
+      ctx.comm().RegisterHandler(
+          1, DGraph::kDataPushHandler, [&](rpc::MachineId, InArchive& ia) {
+            std::lock_guard<std::mutex> lock(mu);
+            frames.emplace_back(ia.Rest());
+          });
+    }
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 0) {
+      graph.SetGhostSyncMode(GhostSyncMode::kCoalesced);
+      const LocalVid l0 = graph.Lvid(0), l2 = graph.Lvid(2);
+      graph.vertex_data(l0).x = 0.5;
+      graph.vertex_data(l2).x = 2.5;
+      graph.MarkVertexModified(l0);
+      graph.MarkVertexModified(l2);
+      const LocalEid e = graph.LeidOf(0, 1);
+      graph.edge_data(e).w = 1.5;
+      graph.MarkEdgeModified(e);
+      const std::vector<LocalVid> vertices = {l2, l0};
+      const std::vector<LocalEid> edges = {e};
+      graph.PushEntities(vertices, edges);
+      graph.SetGhostSyncMode(GhostSyncMode::kPerScope);
+    }
+    ctx.barrier().Wait(ctx.id);
+    ctx.comm().WaitQuiescent();
+    ctx.barrier().Wait(ctx.id);
+  });
+
+  ASSERT_EQ(frames.size(), 1u);
+  const uint8_t golden[] = {
+      0x03,                                // format = kGhostFrameVersion
+      0x02, 0x02, 0x00, 0x00, 0x00,        // gvid column: delta, count 2
+      0x00, 0x04,                          //   zigzag(0), zigzag(2 - 0)
+      0x02, 0x02, 0x00, 0x00, 0x00,        // version column: delta
+      0x02, 0x00,                          //   zigzag(1), zigzag(0)
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // vertex 0: x = 0.5
+      0x00, 0x00, 0x00, 0x00,                          //   snapshot_epoch
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  // vertex 2: x = 2.5
+      0x00, 0x00, 0x00, 0x00,                          //   snapshot_epoch
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x00,  // source column: 0
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x02,  // target column: 1
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x02,  // version column: 1
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F,  // edge 0->1: w = 1.5
+  };
+  const std::string& frame = frames[0];
+  ASSERT_EQ(frame.size(), sizeof(golden));
+  EXPECT_EQ(std::memcmp(frame.data(), golden, sizeof(golden)), 0);
+
+  // The pinned bytes decode to what was staged.
+  DGraph& peer = graphs[1];
+  Apply(peer, frame);
+  EXPECT_EQ(peer.vertex_data(peer.Lvid(0)).x, 0.5);
+  EXPECT_EQ(peer.vertex_data(peer.Lvid(2)).x, 2.5);
+  EXPECT_EQ(peer.edge_data(peer.LeidOf(0, 1)).w, 1.5);
+}
+
+/// Decodes `bytes` as one column of T.  Whatever the outcome, the decoder
+/// must not have allocated more values than the input has bytes.
+template <typename T>
+bool DecodeBounded(std::string_view bytes) {
+  std::vector<T> back;
+  const bool ok = DecodeColumn<T>(bytes, &back);
+  EXPECT_LE(back.capacity(), bytes.size());
+  return ok;
+}
+
+std::string FlipBit(std::string bytes, Rng* rng) {
+  const uint64_t bit = rng->UniformInt(bytes.size() * 8);
+  bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+  return bytes;
+}
+
+std::string WithCount(std::string column, uint32_t count) {
+  std::memcpy(column.data() + 1, &count, 4);
+  return column;
+}
+
+// Seeded structured mutations of coded columns and of a v3 ghost frame:
+// truncation at every byte, bit flips, huge and mismatched column counts
+// and over-long varints.  Every decoder must answer with a clean false
+// or a dropped frame: no abort, and no allocation sized by a corrupt
+// count.
+TEST(GhostFrameFuzz, StructuredMutationsFailCleanly) {
+  Rng rng(0x6F57);
+  constexpr int kFlips = 300;
+
+  // --- DecodeColumn ---
+  std::vector<uint64_t> raw_col, version_col;
+  std::vector<uint32_t> dict_col, id_col;
+  for (uint32_t i = 0; i < 24; ++i) {
+    raw_col.push_back(rng.Next());
+    version_col.push_back(40 + rng.UniformInt(8));
+    dict_col.push_back(static_cast<uint32_t>(rng.UniformInt(3)) * 1000003u);
+    id_col.push_back(i * 3 + static_cast<uint32_t>(rng.UniformInt(3)));
+  }
+  std::vector<std::string> u64_cols(2), u32_cols(2);
+  EXPECT_EQ(EncodeColumn<uint64_t>(raw_col, &u64_cols[0]).codec,
+            ColumnCodec::kRaw);
+  EXPECT_EQ(EncodeColumn<uint64_t>(version_col, &u64_cols[1]).codec,
+            ColumnCodec::kDeltaVarint);
+  EXPECT_EQ(EncodeColumn<uint32_t>(dict_col, &u32_cols[0]).codec,
+            ColumnCodec::kDict);
+  EXPECT_EQ(EncodeColumn<uint32_t>(id_col, &u32_cols[1]).codec,
+            ColumnCodec::kDeltaVarint);
+
+  auto mutate_column = [&](const std::string& col, auto decode) {
+    ASSERT_TRUE(decode(col));
+    for (size_t cut = 0; cut < col.size(); ++cut) {
+      EXPECT_FALSE(decode(std::string_view(col).substr(0, cut))) << cut;
+    }
+    for (int i = 0; i < kFlips / 4; ++i) decode(FlipBit(col, &rng));
+    for (uint32_t count :
+         {0xFFFFFFFFu, 0x80000000u, static_cast<uint32_t>(col.size())}) {
+      EXPECT_FALSE(decode(WithCount(col, count))) << count;
+    }
+  };
+  for (const auto& col : u64_cols) mutate_column(col, DecodeBounded<uint64_t>);
+  for (const auto& col : u32_cols) mutate_column(col, DecodeBounded<uint32_t>);
+  // Over-long varints: eleven continuation bytes, and a ten-byte varint
+  // still asking for more.
+  const std::string overlong = std::string("\x02\x01\x00\x00\x00", 5) +
+                               std::string(11, '\x80') + '\x01';
+  EXPECT_FALSE(DecodeBounded<uint64_t>(overlong));
+  EXPECT_FALSE(DecodeBounded<uint64_t>(overlong.substr(0, 15)));
+
+  // --- v3 ghost frame ---
+  constexpr size_t kN = 8;
+  LGraph g = PathGraph(kN);
+  PartitionAssignment atom_of(kN);
+  for (VertexId v = 0; v < kN; ++v) atom_of[v] = v % 2;
+  auto colors = GreedyColoring(g.Structure());
+  std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kInProcess, 2));
+  std::vector<DGraph> graphs(2);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    ASSERT_TRUE(graphs[ctx.id]
+                    .InitFromGlobal(g, atom_of, colors, placement, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+  });
+  DGraph& peer = graphs[1];  // holds ghosts of the even vertices
+  auto ghost_x = [&](VertexId v) { return peer.vertex_data(peer.Lvid(v)).x; };
+  auto edge_w = [&]() { return peer.edge_data(peer.LeidOf(0, 1)).w; };
+  auto untouched = [&]() {
+    return ghost_x(0) == 0.0 && ghost_x(2) == 2.0 && ghost_x(4) == 4.0 &&
+           edge_w() == 0.0;
+  };
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);  // every mutation logs a drop
+
+  std::string ids, versions, blobs, empty_ids, empty_versions;
+  EncodeColumn<VertexId>(std::vector<VertexId>{0, 2, 4}, &ids);
+  EncodeColumn<uint64_t>(std::vector<uint64_t>{5, 5, 5}, &versions);
+  EncodeColumn<VertexId>(std::vector<VertexId>{}, &empty_ids);
+  EncodeColumn<uint64_t>(std::vector<uint64_t>{}, &empty_versions);
+  {
+    OutArchive oa;
+    oa << TV{50.0, 0} << TV{52.0, 0} << TV{54.0, 0};
+    blobs.assign(oa.buffer().data(), oa.size());
+  }
+  const std::string format(1, static_cast<char>(kGhostFrameVersion));
+  const std::string no_edges = empty_ids + empty_ids + empty_versions;
+  // Mismatched counts within a section, huge counts and an over-long
+  // varint key: each frame is dropped before any entity applies.
+  std::string short_versions;
+  EncodeColumn<uint64_t>(std::vector<uint64_t>{5, 5}, &short_versions);
+  std::string one_id, two_ids, one_version;
+  EncodeColumn<VertexId>(std::vector<VertexId>{0}, &one_id);
+  EncodeColumn<VertexId>(std::vector<VertexId>{1, 3}, &two_ids);
+  EncodeColumn<uint64_t>(std::vector<uint64_t>{5}, &one_version);
+  const std::vector<std::string> dropped = {
+      format + ids + short_versions + blobs + no_edges,
+      format + empty_ids + empty_versions + one_id + two_ids + one_version +
+          std::string(8, '\0'),
+      format + WithCount(ids, 0xFFFFFFFFu) + versions + blobs + no_edges,
+      format + ids + WithCount(versions, 0x7FFFFFFFu) + blobs + no_edges,
+      format + overlong + versions + blobs + no_edges,
+  };
+  for (const auto& frame : dropped) {
+    Apply(peer, frame);
+    ASSERT_TRUE(untouched());
+  }
+
+  // Truncation at every byte: each entity is untouched or final.
+  const std::string frame = MakeFrame({{0, 5, TV{50.0, 0}},
+                                       {2, 5, TV{52.0, 0}},
+                                       {4, 5, TV{54.0, 0}}},
+                                      {{0, 1, 5, TE{7.0}}});
+  for (size_t cut = 0; cut < frame.size(); ++cut) {
+    Apply(peer, std::string_view(frame).substr(0, cut));
+    for (VertexId v : {0u, 2u, 4u}) {
+      ASSERT_TRUE(ghost_x(v) == v || ghost_x(v) == 50.0 + v) << cut;
+    }
+    ASSERT_TRUE(edge_w() == 0.0 || edge_w() == 7.0) << cut;
+  }
+  Apply(peer, frame);
+  EXPECT_EQ(ghost_x(4), 54.0);
+  EXPECT_EQ(edge_w(), 7.0);
+
+  // Bit flips anywhere: no crash, and owned rows are never written.
+  for (int i = 0; i < kFlips; ++i) Apply(peer, FlipBit(frame, &rng));
+  SetLogLevel(saved_level);
+  for (LocalVid l : peer.owned_vertices()) {
+    EXPECT_EQ(peer.vertex_data(l).x, static_cast<double>(peer.Gvid(l)));
+  }
+}
 
 }  // namespace
 }  // namespace graphlab

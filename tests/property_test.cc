@@ -12,10 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <random>
+#include <string_view>
 
 #include "graphlab/apps/pagerank.h"
 #include "graphlab/engine/allreduce.h"
@@ -511,6 +513,42 @@ TEST(ColumnCodec, RandomColumnsRoundTrip) {
     ASSERT_TRUE(DecodeColumn<uint64_t>(enc, &back)) << "trial " << trial;
     EXPECT_EQ(back, col) << "trial " << trial;
   }
+}
+
+// Five bytes claiming 2^32-1 values: the decoder must reject the count
+// against the bytes left before it allocates, for every codec (a reserve
+// sized by the count threw std::bad_alloc and killed the process).
+TEST(ColumnCodec, HugeCountRejectedBeforeAllocation) {
+  using Wide = std::array<uint64_t, 4>;
+  for (char codec : {'\x00', '\x01', '\x02'}) {
+    const char bytes[] = {codec, '\xFF', '\xFF', '\xFF', '\xFF'};
+    const std::string_view in(bytes, sizeof(bytes));
+    std::vector<uint64_t> u64;
+    EXPECT_FALSE(DecodeColumn<uint64_t>(in, &u64));
+    EXPECT_EQ(u64.capacity(), 0u);
+    std::vector<Wide> wide;
+    EXPECT_FALSE(DecodeColumn<Wide>(in, &wide));
+    EXPECT_EQ(wide.capacity(), 0u);
+  }
+}
+
+// Empty columns (every ghost frame without edges carries three) decode
+// without handing memcpy the null data() of an empty vector, and a
+// dictionary with no entries holds only an empty column.
+TEST(ColumnCodec, EmptyColumnAndEmptyDictionary) {
+  std::string empty;
+  EncodeColumn<uint32_t>({}, &empty);
+  std::vector<uint32_t> back;
+  ASSERT_TRUE(DecodeColumn<uint32_t>(empty, &back));
+  EXPECT_TRUE(back.empty());
+
+  const char no_dict[] = {1, 0, 0, 0, 0, 0, 0, 0, 0};
+  EXPECT_TRUE(DecodeColumn<uint32_t>(
+      std::string_view(no_dict, sizeof(no_dict)), &back));
+  EXPECT_TRUE(back.empty());
+  const char no_dict_one_code[] = {1, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+  EXPECT_FALSE(DecodeColumn<uint32_t>(
+      std::string_view(no_dict_one_code, sizeof(no_dict_one_code)), &back));
 }
 
 // ---------------------------------------------------------------------
