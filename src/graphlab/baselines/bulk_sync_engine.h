@@ -119,8 +119,7 @@ class BulkSyncEngine final
     // read ghosts after the scatter barrier.
     graph_->SetGhostSyncMode(this->options_.ghost_coalescing
                                  ? GhostSyncMode::kCoalesced
-                                 : GhostSyncMode::kPerScope,
-                             this->options_.ghost_batch_bytes);
+                                 : GhostSyncMode::kPerScope);
     ctx_.barrier().Wait(ctx_.id);
 
     uint64_t max_supersteps = this->options_.max_sweeps;

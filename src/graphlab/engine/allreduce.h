@@ -1,190 +1,39 @@
 // Copyright 2026 The Distributed GraphLab Reproduction Authors.
 //
-// A small RPC all-reduce used by the engines for collective decisions
-// (e.g. the chromatic engine's "any work left?" check after each sweep).
-// Master-based: contributions flow to machine 0, the combined result is
-// broadcast back.  One instance serves the whole cluster; machines touch
-// only their own slot.
-//
-// Failure semantics mirror rpc::Barrier: rounds complete against the
-// fabric's live membership (re-evaluated on every death, so survivors
-// are not stuck waiting on a dead machine's contribution), Cancel(m)
-// yanks machine m out of a blocked Reduce (which then returns zeros —
-// callers must check their engine's abort state), and the recovery
-// rendezvous realigns round counters before the next run.
+// The engines' sum all-reduce for collective decisions (e.g. the chromatic
+// engine's "any work left?" check after each sweep): rpc::AllReduce over
+// kAllreduceValueHandler / kAllreduceResultHandler.  Failure semantics
+// are the round's: a death releases the survivors, and a machine
+// cancelled while waiting gets all zeros back — callers in fault-tolerant
+// runs consult their abort flag after each Reduce.
 
 #ifndef GRAPHLAB_ENGINE_ALLREDUCE_H_
 #define GRAPHLAB_ENGINE_ALLREDUCE_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "graphlab/engine/handler_ids.h"
-#include "graphlab/rpc/comm_layer.h"
-#include "graphlab/util/logging.h"
+#include "graphlab/rpc/allreduce.h"
 
 namespace graphlab {
 
-/// Sum all-reduce over fixed-width vectors of uint64 values.
-class SumAllReduce {
+class SumAllReduce : public rpc::AllReduce {
  public:
   /// `width`: number of summed slots per reduction.
   SumAllReduce(rpc::CommLayer* comm, size_t width)
-      : comm_(comm), width_(width) {
-    size_t n = comm->num_machines();
-    slots_.reserve(n);
-    for (size_t i = 0; i < n; ++i) slots_.push_back(std::make_unique<Slot>());
-    rounds_.resize(64);
-    for (rpc::MachineId m = 0; m < n; ++m) {
-      comm_->RegisterHandler(
-          m, kAllreduceValueHandler,
-          [this](rpc::MachineId src, InArchive& ia) { OnValue(src, ia); });
-      comm_->RegisterHandler(
-          m, kAllreduceResultHandler,
-          [this, m](rpc::MachineId, InArchive& ia) { OnResult(m, ia); });
-    }
-    membership_token_ = comm_->membership().Subscribe(
-        [this](rpc::MachineId, uint64_t) {
-          // The dead machine may have been the one whose contribution a
-          // round was waiting for: complete anything now satisfied.
-          std::vector<std::pair<uint64_t, std::vector<uint64_t>>> ready;
-          {
-            std::lock_guard<std::mutex> lock(master_mutex_);
-            for (Round& r : rounds_) {
-              if (!r.done && r.contributions > 0 &&
-                  r.contributions >= comm_->membership().num_alive()) {
-                r.done = true;
-                ready.emplace_back(r.id, r.sum);
-              }
-            }
-          }
-          for (auto& [round, sum] : ready) BroadcastResult(round, sum);
-        });
-  }
-
-  ~SumAllReduce() { comm_->membership().Unsubscribe(membership_token_); }
+      : rpc::AllReduce(comm, width, kAllreduceValueHandler,
+                       kAllreduceResultHandler) {}
 
   /// Collective: every machine must call with the same round cadence.
-  /// Returns the element-wise sum across machines.  Blocks.  A machine
-  /// cancelled while waiting (peer death) gets all-zeros back — callers
-  /// in fault-tolerant runs consult their abort flag after each Reduce.
+  /// Returns the element-wise sum across machines; all zeros when `me`
+  /// was cancelled.
   std::vector<uint64_t> Reduce(rpc::MachineId me,
                                const std::vector<uint64_t>& value) {
-    GL_CHECK_EQ(value.size(), width_);
-    Slot& slot = *slots_[me];
-    uint64_t round;
-    {
-      std::lock_guard<std::mutex> lock(slot.mutex);
-      if (slot.cancelled) return std::vector<uint64_t>(width_, 0);
-      round = ++slot.round;
-    }
-    OutArchive oa;
-    oa << round << value;
-    comm_->Send(me, 0, kAllreduceValueHandler, std::move(oa));
-    std::unique_lock<std::mutex> lock(slot.mutex);
-    slot.cv.wait(lock, [&] {
-      return slot.result_round >= round || slot.cancelled;
-    });
-    if (slot.result_round < round) return std::vector<uint64_t>(width_, 0);
-    return slot.result;
-  }
-
-  /// Local "stop participating" switch + realignment — see rpc::Barrier.
-  void Cancel(rpc::MachineId m) {
-    Slot& slot = *slots_[m];
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    slot.cancelled = true;
-    slot.cv.notify_all();
-  }
-  uint64_t round(rpc::MachineId m) {
-    Slot& slot = *slots_[m];
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    return slot.round;
-  }
-  void Realign(rpc::MachineId m, uint64_t round) {
-    Slot& slot = *slots_[m];
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    slot.round = round;
-    slot.result_round = round;
-    slot.cancelled = false;
-  }
-  void MasterReset() {
-    std::lock_guard<std::mutex> lock(master_mutex_);
-    for (Round& r : rounds_) r = Round{};
-  }
-
- private:
-  struct Slot {
-    std::mutex mutex;
-    std::condition_variable cv;
-    uint64_t round = 0;
-    uint64_t result_round = 0;
-    bool cancelled = false;
-    std::vector<uint64_t> result;
-  };
-  struct Round {
-    uint64_t id = 0;
-    size_t contributions = 0;
-    bool done = false;
     std::vector<uint64_t> sum;
-  };
-
-  void OnValue(rpc::MachineId src, InArchive& ia) {
-    uint64_t round = ia.ReadValue<uint64_t>();
-    std::vector<uint64_t> value;
-    ia >> value;
-    (void)src;
-    bool complete = false;
-    std::vector<uint64_t> sum;
-    {
-      std::lock_guard<std::mutex> lock(master_mutex_);
-      Round& r = rounds_[round % rounds_.size()];
-      if (r.id != round) {
-        r.id = round;
-        r.contributions = 0;
-        r.done = false;
-        r.sum.assign(width_, 0);
-      }
-      if (r.done) return;  // late contribution after a degraded release
-      for (size_t i = 0; i < width_; ++i) r.sum[i] += value[i];
-      if (++r.contributions >= comm_->membership().num_alive()) {
-        r.done = true;
-        complete = true;
-        sum = r.sum;
-      }
-    }
-    if (complete) BroadcastResult(round, sum);
+    if (!Exchange(me, value, &sum)) sum.assign(width(), 0);
+    return sum;
   }
-
-  void BroadcastResult(uint64_t round, const std::vector<uint64_t>& sum) {
-    for (rpc::MachineId dst = 0; dst < comm_->num_machines(); ++dst) {
-      OutArchive oa;
-      oa << round << sum;
-      comm_->Send(0, dst, kAllreduceResultHandler, std::move(oa));
-    }
-  }
-
-  void OnResult(rpc::MachineId self, InArchive& ia) {
-    uint64_t round = ia.ReadValue<uint64_t>();
-    std::vector<uint64_t> sum;
-    ia >> sum;
-    Slot& slot = *slots_[self];
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (round > slot.result_round) {
-      slot.result_round = round;
-      slot.result = std::move(sum);
-      slot.cv.notify_all();
-    }
-  }
-
-  rpc::CommLayer* comm_;
-  size_t width_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  size_t membership_token_ = 0;
-  std::mutex master_mutex_;
-  std::vector<Round> rounds_;
 };
 
 }  // namespace graphlab

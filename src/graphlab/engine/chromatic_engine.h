@@ -186,8 +186,7 @@ class ChromaticEngine final
     // frame per scope commit.
     graph_->SetGhostSyncMode(this->options_.ghost_coalescing
                                  ? GhostSyncMode::kCoalesced
-                                 : GhostSyncMode::kPerScope,
-                             this->options_.ghost_batch_bytes);
+                                 : GhostSyncMode::kPerScope);
 
     // Every peer's step-end handler exists once this barrier releases;
     // then the opening exchange ships ghosts scheduled before Start(), so

@@ -4,6 +4,8 @@
 // so collisions are impossible.  DistributedGraph owns kFirstUserHandler
 // (16); engine-level protocols start at 18.  17 and 27 are unassigned:
 // ids are never renumbered, since every machine must agree on them.
+// 24/25 and 33/32 are the value/result pairs of rpc::AllReduce rounds,
+// like the barrier's kBarrierEnter / kBarrierRelease.
 
 #ifndef GRAPHLAB_ENGINE_HANDLER_IDS_H_
 #define GRAPHLAB_ENGINE_HANDLER_IDS_H_
@@ -27,8 +29,8 @@ enum EngineHandlers : rpc::HandlerId {
   kCheckpointControlHandler = 29,  // checkpoint decide/done/commit protocol
   kRecoveryControlHandler = 30,    // recovery rendezvous enter/release
   kMetricsSnapshotHandler = 31,    // metrics registry snapshot -> master
-  kRebalanceControlHandler = 32,   // load rebalancer decide broadcast
-  kRebalanceMetricsHandler = 33,   // load rebalancer's private metrics poll
+  kRebalanceResultHandler = 32,    // load rebalancer round: reduced loads
+  kRebalanceValueHandler = 33,     // load rebalancer round: load -> master
   kTelemetryPushHandler = 34,      // streaming telemetry sample -> master
   kColorStepEndHandler = 35,       // chromatic step-end frame + forwards
 };

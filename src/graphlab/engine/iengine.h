@@ -92,9 +92,6 @@ struct EngineOptions {
   /// locking engine ignores this: its coherence argument needs pushes on
   /// the channel before lock releases (per-scope mode).
   bool ghost_coalescing = true;
-  /// Per-peer staging budget before a coalesced buffer auto-flushes
-  /// mid-window; 0 = the graph's default (256 KiB).
-  size_t ghost_batch_bytes = 0;
 
   /// Background sync cadence in milliseconds (locking; 0 = off).
   uint64_t sync_interval_ms = 0;

@@ -48,7 +48,9 @@ class SyncManager {
           [this](rpc::MachineId src, InArchive& ia) { OnPartial(src, ia); });
       comm_->RegisterHandler(
           m, kSyncPublishHandler,
-          [this, m](rpc::MachineId, InArchive& ia) { OnPublish(m, ia); });
+          [this, m](rpc::MachineId src, InArchive& ia) {
+            OnPublish(m, src, ia);
+          });
     }
   }
 
@@ -75,6 +77,7 @@ class SyncManager {
     op->num_machines = comm_->num_machines();
     op->published.assign(comm_->num_machines(), zero);
     op->published_round.assign(comm_->num_machines(), 0);
+    op->local_round.assign(comm_->num_machines(), 0);
     ops_[key] = std::move(op);
   }
 
@@ -122,16 +125,17 @@ class SyncManager {
     virtual void SerializePartial(const Graph& graph, OutArchive* oa) = 0;
     /// Coordinator: merge a serialized partial; returns true and fills
     /// `publish` with the finalized serialized value when the round
-    /// completes.
+    /// completes.  A torn partial fails `ia` and is not merged.
     virtual bool Accumulate(uint64_t round, InArchive& ia,
                             uint64_t num_global_vertices,
                             OutArchive* publish) = 0;
+    /// A torn value fails `ia` and is not applied.
     virtual void ApplyPublish(rpc::MachineId m, uint64_t round,
                               InArchive& ia) = 0;
 
     std::mutex mutex;
     std::condition_variable cv;
-    std::vector<uint64_t> local_round = std::vector<uint64_t>(1024, 0);
+    std::vector<uint64_t> local_round;
     std::vector<uint64_t> published_round;
     size_t num_machines = 0;
   };
@@ -165,6 +169,7 @@ class SyncManager {
                     OutArchive* publish) override {
       Acc partial;
       ia >> partial;
+      if (!ia.ok()) return false;
       std::lock_guard<std::mutex> lock(this->mutex);
       RoundAcc& r = rounds[round];
       if (r.contributions == 0) r.acc = zero;
@@ -182,6 +187,7 @@ class SyncManager {
                       InArchive& ia) override {
       Acc value;
       ia >> value;
+      if (!ia.ok()) return;
       std::lock_guard<std::mutex> lock(this->mutex);
       if (round > this->published_round[m]) {
         this->published_round[m] = round;
@@ -192,21 +198,48 @@ class SyncManager {
   };
 
   OpBase* FindOp(const std::string& key) {
+    OpBase* op = LookupOp(key);
+    GL_CHECK(op != nullptr) << "unknown sync op: " << key;
+    return op;
+  }
+
+  /// nullptr when no op is registered under `key` (wire input).
+  OpBase* LookupOp(const std::string& key) {
     std::lock_guard<std::mutex> lock(ops_mutex_);
     auto it = ops_.find(key);
-    GL_CHECK(it != ops_.end()) << "unknown sync op: " << key;
-    return it->second.get();
+    return it == ops_.end() ? nullptr : it->second.get();
+  }
+
+  /// Reads a frame's `key | round` header; logs and returns nullptr for a
+  /// torn header or an unknown key.
+  OpBase* ReadHeader(const char* what, rpc::MachineId src, InArchive& ia,
+                     std::string* key, uint64_t* round) {
+    ia >> *key >> *round;
+    OpBase* op = ia.ok() ? LookupOp(*key) : nullptr;
+    if (op == nullptr) DropFrame(what, src, "unknown sync op or torn header");
+    return op;
+  }
+
+  static void DropFrame(const char* what, rpc::MachineId src,
+                        const char* why) {
+    GL_LOG(WARNING) << "dropping sync " << what << " from machine " << src
+                    << ": " << why;
   }
 
   void OnPartial(rpc::MachineId src, InArchive& ia) {
     std::string key;
-    uint64_t round;
-    ia >> key >> round;
-    OpBase* op = FindOp(key);
+    uint64_t round = 0;
+    OpBase* op = ReadHeader("partial", src, ia, &key, &round);
+    if (op == nullptr) return;
     uint64_t nv = graphs_[0] != nullptr ? graphs_[0]->num_global_vertices()
                                         : 0;
     OutArchive publish;
-    if (op->Accumulate(round, ia, nv, &publish)) {
+    const bool complete = op->Accumulate(round, ia, nv, &publish);
+    if (!ia.ok()) {
+      DropFrame("partial", src, "torn value");
+      return;
+    }
+    if (complete) {
       for (rpc::MachineId dst = 0; dst < comm_->num_machines(); ++dst) {
         OutArchive oa;
         oa << key << round;
@@ -216,11 +249,13 @@ class SyncManager {
     }
   }
 
-  void OnPublish(rpc::MachineId self, InArchive& ia) {
+  void OnPublish(rpc::MachineId self, rpc::MachineId src, InArchive& ia) {
     std::string key;
-    uint64_t round;
-    ia >> key >> round;
-    FindOp(key)->ApplyPublish(self, round, ia);
+    uint64_t round = 0;
+    OpBase* op = ReadHeader("publish", src, ia, &key, &round);
+    if (op == nullptr) return;
+    op->ApplyPublish(self, round, ia);
+    if (!ia.ok()) DropFrame("publish", src, "torn value");
   }
 
   rpc::CommLayer* comm_;

@@ -328,6 +328,16 @@ class FaultTolerantRunner {
       options_.mtbf_seconds = problem.engine_options.mtbf_seconds;
     }
 
+    // Online rebalancing, when asked for.  Constructed before the fence
+    // barrier below for the same handler-alignment reason: a fast
+    // machine's round frame must never beat machine 0's handler
+    // registration.  And before the abort bundle, which cancels its round.
+    rebalancer_.reset();
+    if (LoadRebalancer::Enabled(options_)) {
+      rebalancer_ =
+          std::make_unique<LoadRebalancer>(ctx_, &problem.meta, options_);
+    }
+
     // Arm the abort bundle for the whole Run(): any observed death —
     // including this machine's own InjectKill — yanks this machine out
     // of every blocking collective, and aborts whatever engine is
@@ -336,6 +346,7 @@ class FaultTolerantRunner {
       failure_observed_.store(true, std::memory_order_release);
       ctx_.barrier().Cancel(me);
       allreduce_.Cancel(me);
+      if (rebalancer_ != nullptr) rebalancer_->Cancel();
       // The engine pointer is guarded: RunAttempt clears it under the
       // same mutex before destroying the engine, so RequestAbort can
       // never hit a freed object.
@@ -346,16 +357,6 @@ class FaultTolerantRunner {
       FailureDetector* d;
       ~ListenerGuard() { d->SetPeerDownListener(nullptr); }
     } guard{&detector_};
-
-    // Online rebalancing, when asked for.  Constructed before the fence
-    // barrier below for the same handler-alignment reason: a fast
-    // coordinator's decide broadcast must never beat a worker's handler
-    // registration.
-    rebalancer_.reset();
-    if (LoadRebalancer::Enabled(options_)) {
-      rebalancer_ =
-          std::make_unique<LoadRebalancer>(ctx_, &problem.meta, options_);
-    }
 
     // Handler-registration alignment: rendezvous ENTER frames go to
     // machine 0, whose handler is registered in ITS runner's
@@ -430,8 +431,8 @@ class FaultTolerantRunner {
     {
       // Rebuild: same atoms, surviving machines.  A pending rebalance
       // placement (decided collectively at the aborted attempt's last
-      // boundary) wins; it was validated against the survivor set, so a
-      // death racing the migration falls back to fresh placement.
+      // boundary) wins unless a death interrupted that attempt; then
+      // every survivor falls back to fresh placement.
       GL_TRACE_SCOPE(trace::kFault, "fault.rebuild");
       std::vector<rpc::MachineId> placement;
       if (rebalancer_ != nullptr) {
@@ -442,7 +443,7 @@ class FaultTolerantRunner {
         placement = PlaceAtomsOnMachines(problem.meta, alive);
       }
       GRAPHLAB_RETURN_IF_ERROR(problem.build(graph, placement));
-      if (rebalancer_ != nullptr) rebalancer_->BeginAttempt(placement);
+      if (rebalancer_ != nullptr) rebalancer_->BeginAttempt(alive, placement);
       // All partitions rebuilt before anyone pushes restored ghosts.
       if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
     }

@@ -1,6 +1,5 @@
 #include "graphlab/fault/rebalancer.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "graphlab/engine/handler_ids.h"
@@ -9,35 +8,16 @@
 namespace graphlab {
 namespace fault {
 
-namespace {
-constexpr rpc::MachineId kMaster = 0;
-}  // namespace
-
 LoadRebalancer::LoadRebalancer(rpc::MachineContext ctx, const AtomIndex* meta,
                                const FtOptions& options)
     : ctx_(ctx),
       comm_(&ctx.comm()),
       meta_(meta),
       options_(options),
-      epoch_at_start_(comm_->membership().epoch()) {
+      round_(comm_, 2 * comm_->num_machines(), kRebalanceValueHandler,
+             kRebalanceResultHandler),
+      epoch_(comm_->membership().epoch()) {
   GL_CHECK(meta_ != nullptr);
-  comm_->RegisterHandler(
-      ctx_.id, kRebalanceControlHandler,
-      [this](rpc::MachineId src, InArchive& ia) { OnMessage(src, ia); });
-  // A private metrics channel: the launcher's post-run --metrics-report
-  // service owns kMetricsSnapshotHandler with its own round counter;
-  // sharing the handler would cross their rounds.
-  metrics_ = std::make_unique<metrics::MetricsService>(
-      comm_, ctx_.id, &comm_->registry(ctx_.id), kRebalanceMetricsHandler);
-  membership_token_ =
-      comm_->membership().Subscribe([this](rpc::MachineId, uint64_t) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        cv_.notify_all();
-      });
-}
-
-LoadRebalancer::~LoadRebalancer() {
-  comm_->membership().Unsubscribe(membership_token_);
 }
 
 bool LoadRebalancer::ShouldCheck(uint64_t boundary) const {
@@ -55,11 +35,22 @@ bool LoadRebalancer::ShouldCheck(uint64_t boundary) const {
 }
 
 void LoadRebalancer::BeginAttempt(
+    const std::vector<rpc::MachineId>& alive,
     const std::vector<rpc::MachineId>& placement) {
+  attempt_alive_ = alive;
   current_placement_ = placement;
-  // The metric baselines survive across attempts on purpose: totals are
-  // cumulative counters, so deltas computed at the next check cover
-  // exactly the work since the last one, whichever attempt did it.
+  // last_signal_ survives across attempts on purpose: the counters are
+  // cumulative, so the delta contributed at the next check covers
+  // exactly the work since this machine's last contribution, whichever
+  // attempt did it.
+  //
+  // The round restarts from 0: a death may have left machines in
+  // different rounds, or cancelled, and the drain before this call
+  // flushed every frame of the aborted attempt.  Machine 0 resets its
+  // ring before the barrier that precedes any machine's next round.
+  round_.Realign(ctx_.id, 0);
+  if (ctx_.id == 0) round_.MasterReset(0);
+  epoch_ = comm_->membership().epoch();
 }
 
 bool LoadRebalancer::migration_pending() const {
@@ -70,21 +61,26 @@ bool LoadRebalancer::migration_pending() const {
 std::vector<rpc::MachineId> LoadRebalancer::TakePendingPlacement(
     const std::vector<rpc::MachineId>& alive) {
   std::vector<rpc::MachineId> placement;
+  bool forced;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     placement.swap(pending_placement_);
+    forced = pending_forced_;
   }
   if (placement.empty()) return placement;
-  for (rpc::MachineId m : placement) {
-    if (std::find(alive.begin(), alive.end(), m) == alive.end()) {
-      // Decided before a death landed: the target set is stale.  Drop it
-      // and let the caller re-place over the survivors.
-      GL_LOG(WARNING) << "discarding pending rebalance placement naming "
-                         "dead machine "
-                      << m;
-      return {};
-    }
+  if (alive != attempt_alive_) {
+    // A death landed during the attempt, so its decision round may have
+    // completed on some survivors and not on others.  Every survivor
+    // drops what it holds and re-places over the survivors, and none
+    // counts the migration: the rebalance state stays the same
+    // everywhere.
+    GL_LOG(WARNING) << "machine " << ctx_.id
+                    << ": discarding pending rebalance placement decided "
+                       "before a death";
+    return {};
   }
+  migrations_++;
+  if (forced) forced_done_ = true;
   return placement;
 }
 
@@ -93,92 +89,62 @@ Status LoadRebalancer::AtBoundary(uint64_t boundary, bool* migrate) {
   if (!ShouldCheck(boundary)) return Status::OK();
   const bool forced = options_.rebalance_at_boundary != 0 && !forced_done_ &&
                       boundary == options_.rebalance_at_boundary;
-  if (forced) forced_done_ = true;
-
-  const uint64_t round = ++round_;
-
-  // POLL: non-masters ship their snapshot and fall through to the
-  // decision wait; the master blocks until the survivors reported.
-  metrics::ClusterMetricsView view = metrics_->Collect();
-
-  if (ctx_.id == kMaster) {
-    std::vector<rpc::MachineId> placement;
-    const bool do_migrate = Decide(view, forced, &placement);
-    const auto alive = comm_->membership().alive_bitmap();
-    for (rpc::MachineId dst = 0; dst < alive.size(); ++dst) {
-      if (!alive[dst]) continue;
-      OutArchive oa;
-      oa << static_cast<uint8_t>(kDecide) << round
-         << static_cast<uint8_t>(do_migrate ? 1 : 0) << placement;
-      comm_->Send(kMaster, dst, kRebalanceControlHandler, std::move(oa));
-    }
+  if (comm_->membership().epoch() != epoch_) {
+    return Status::Aborted("membership changed before rebalance");
   }
 
-  // DECIDE wait (everyone, master via its self-send), aborted if the
-  // membership moves past this runner's baseline mid-protocol.
-  bool do_migrate = false;
-  std::vector<rpc::MachineId> placement;
+  const size_t n = comm_->num_machines();
+  const char* signal = options_.rebalance_signal == "bytes"
+                           ? "rpc.bytes_sent"
+                           : "engine.updates";
+  const uint64_t total = comm_->registry(ctx_.id).counter(signal)->Value();
+  std::vector<uint64_t> mine(2 * n, 0);
+  mine[ctx_.id] = total >= last_signal_ ? total - last_signal_ : total;
+  mine[n + ctx_.id] = 1;
+  last_signal_ = total;
+  std::vector<uint64_t> reduced;
+  if (!round_.Exchange(ctx_.id, mine, &reduced)) {
+    return Status::Aborted("membership changed during rebalance");
+  }
+
+  const MigrationDecision d =
+      DecideMigration(*meta_, current_placement_, reduced,
+                      options_.rebalance_skew_threshold, forced);
+  if (!d.migrate) return Status::OK();
+  if (ctx_.id == 0) {
+    GL_LOG(WARNING) << "rebalance: skew " << d.skew << " -> moving atom "
+                    << d.atom << " from machine " << d.from
+                    << " to machine " << d.to;
+  }
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    RoundState& r = RoundFor(round);
-    bool dead = false;
-    cv_.wait(lock, [&] {
-      if (comm_->membership().epoch() != epoch_at_start_) {
-        dead = true;
-        return true;
-      }
-      return r.have_decision;
-    });
-    if (dead && !r.have_decision) {
-      return Status::Aborted("membership changed during rebalance");
-    }
-    do_migrate = r.migrate;
-    placement = r.placement;
-    if (do_migrate) pending_placement_ = placement;
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_placement_ = current_placement_;
+    pending_placement_[d.atom] = d.to;
+    pending_forced_ = forced;
   }
-
-  if (do_migrate) {
-    migrations_++;
-    *migrate = true;
-    GL_LOG(WARNING) << "machine " << ctx_.id
-                    << ": live migration decided at boundary " << boundary
-                    << " (migration " << migrations_ << ")";
-  }
+  *migrate = true;
+  GL_LOG(WARNING) << "machine " << ctx_.id
+                  << ": live migration decided at boundary " << boundary
+                  << " (migration " << migrations_ + 1 << ")";
   return Status::OK();
 }
 
-bool LoadRebalancer::Decide(const metrics::ClusterMetricsView& view,
-                            bool forced,
-                            std::vector<rpc::MachineId>* placement) {
-  const std::vector<rpc::MachineId> alive = comm_->membership().alive_machines();
-  if (alive.size() < 2 || current_placement_.size() != meta_->num_atoms()) {
-    return false;
+MigrationDecision DecideMigration(const AtomIndex& meta,
+                                  const std::vector<rpc::MachineId>& placement,
+                                  const std::vector<uint64_t>& reduced,
+                                  double skew_threshold, bool forced) {
+  MigrationDecision none;
+  const size_t n = reduced.size() / 2;
+  std::vector<rpc::MachineId> alive;
+  for (rpc::MachineId m = 0; m < n; ++m) {
+    if (reduced[n + m] != 0) alive.push_back(m);
   }
+  if (alive.size() < 2 || placement.size() != meta.num_atoms()) return none;
 
-  // Per-machine load-signal deltas since the previous check.  Slots
-  // index by machine id (dense, monotone-down membership).  The signal
-  // is compute (engine.updates) or communication (rpc.bytes_sent) load,
-  // per options; both are cumulative counters so the same delta
-  // machinery applies.
-  const std::string signal_metric = options_.rebalance_signal == "bytes"
-                                        ? "rpc.bytes_sent"
-                                        : "engine.updates";
-  const size_t n = comm_->num_machines();
-  std::vector<double> totals(n, 0.0);
-  if (const metrics::ClusterMetric* m = view.Find(signal_metric)) {
-    for (size_t i = 0; i < m->machines.size(); ++i) {
-      if (m->machines[i] < n) {
-        totals[m->machines[i]] =
-            static_cast<double>(m->per_machine[i].counter);
-      }
-    }
-  }
-  if (prev_updates_.size() != n) prev_updates_.assign(n, 0.0);
-  std::vector<double> delta(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    delta[i] = std::max(0.0, totals[i] - prev_updates_[i]);
-  }
-  prev_updates_ = totals;
+  // Per-machine load-signal deltas: compute (engine.updates) or
+  // communication (rpc.bytes_sent) load since each machine's previous
+  // contribution.
+  const std::vector<double> delta(reduced.begin(), reduced.begin() + n);
 
   double sum = 0.0, max = 0.0;
   rpc::MachineId hot = alive[0], cold = alive[0];
@@ -190,14 +156,14 @@ bool LoadRebalancer::Decide(const metrics::ClusterMetricsView& view,
   }
   const double mean = sum / static_cast<double>(alive.size());
   const double skew = mean > 0 ? max / mean : 0.0;
-  if (!forced && skew < options_.rebalance_skew_threshold) return false;
+  if (!forced && skew < skew_threshold) return none;
   if (hot == cold) {
     // No measurable spread (e.g. a forced check before any updates):
     // deterministic fallback so the forced CI pass still migrates —
     // heaviest-loaded machine by owned vertices donates to the lightest.
     std::vector<uint64_t> owned(n, 0);
-    for (AtomId a = 0; a < meta_->num_atoms(); ++a) {
-      owned[current_placement_[a]] += meta_->atoms[a].num_owned_vertices;
+    for (AtomId a = 0; a < meta.num_atoms(); ++a) {
+      owned[placement[a]] += meta.atoms[a].num_owned_vertices;
     }
     hot = cold = alive[0];
     for (rpc::MachineId m : alive) {
@@ -217,31 +183,31 @@ bool LoadRebalancer::Decide(const metrics::ClusterMetricsView& view,
   // or no measured spread yet) takes the gap-minimizing atom instead so
   // the deterministic CI pass still migrates.
   uint64_t atoms_on_hot = 0, owned_hot = 0;
-  for (AtomId a = 0; a < meta_->num_atoms(); ++a) {
-    if (current_placement_[a] == hot) {
+  for (AtomId a = 0; a < meta.num_atoms(); ++a) {
+    if (placement[a] == hot) {
       atoms_on_hot++;
-      owned_hot += meta_->atoms[a].num_owned_vertices;
+      owned_hot += meta.atoms[a].num_owned_vertices;
     }
   }
-  if (atoms_on_hot < 2 || owned_hot == 0) return false;
+  if (atoms_on_hot < 2 || owned_hot == 0) return none;
 
   const double gap_before = delta[hot] - delta[cold];
   AtomId best_atom = kInvalidVertex, fallback_atom = kInvalidVertex;
   int64_t best_score = 0;
   double fallback_gap = 0;
-  for (AtomId a = 0; a < meta_->num_atoms(); ++a) {
-    if (current_placement_[a] != hot) continue;
+  for (AtomId a = 0; a < meta.num_atoms(); ++a) {
+    if (placement[a] != hot) continue;
     const double moved =
         delta[hot] *
-        static_cast<double>(meta_->atoms[a].num_owned_vertices) /
+        static_cast<double>(meta.atoms[a].num_owned_vertices) /
         static_cast<double>(owned_hot);
     const double gap_after =
         std::fabs((delta[hot] - moved) - (delta[cold] + moved));
     int64_t aff_cold = 0, aff_hot = 0;
-    for (const auto& [nbr, w] : meta_->atoms[a].neighbors) {
-      if (current_placement_[nbr] == cold) {
+    for (const auto& [nbr, w] : meta.atoms[a].neighbors) {
+      if (placement[nbr] == cold) {
         aff_cold += static_cast<int64_t>(w);
-      } else if (current_placement_[nbr] == hot) {
+      } else if (placement[nbr] == hot) {
         aff_hot += static_cast<int64_t>(w);
       }
     }
@@ -257,43 +223,10 @@ bool LoadRebalancer::Decide(const metrics::ClusterMetricsView& view,
     }
   }
   if (best_atom == kInvalidVertex) {
-    if (!forced) return false;
+    if (!forced) return none;
     best_atom = fallback_atom;
   }
-
-  *placement = current_placement_;
-  (*placement)[best_atom] = cold;
-  GL_LOG(WARNING) << "rebalance: skew " << skew << " -> moving atom "
-                  << best_atom << " from machine " << hot << " to machine "
-                  << cold;
-  return true;
-}
-
-LoadRebalancer::RoundState& LoadRebalancer::RoundFor(uint64_t round) {
-  RoundState& r = rounds_[round % rounds_.size()];
-  if (r.id != round) {
-    r = RoundState{};
-    r.id = round;
-  }
-  return r;
-}
-
-void LoadRebalancer::OnMessage(rpc::MachineId src, InArchive& ia) {
-  uint8_t tag = ia.ReadValue<uint8_t>();
-  uint64_t round = ia.ReadValue<uint64_t>();
-  uint8_t migrate = ia.ReadValue<uint8_t>();
-  std::vector<rpc::MachineId> placement;
-  ia >> placement;
-  if (!ia.ok() || tag != kDecide) {
-    GL_LOG(ERROR) << "rebalancer: corrupt decide from machine " << src;
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  RoundState& r = RoundFor(round);
-  r.have_decision = true;
-  r.migrate = migrate != 0;
-  r.placement = std::move(placement);
-  cv_.notify_all();
+  return MigrationDecision{true, best_atom, hot, cold, skew};
 }
 
 }  // namespace fault

@@ -5,60 +5,82 @@
 // The static two-phase placement (PlaceAtomsOnMachines) is decided once,
 // from topology alone; on power-law graphs the *runtime* load — update
 // work, ghost traffic — still concentrates.  This component watches the
-// per-machine cluster metrics mid-run and, when the skew warrants it,
-// moves a hot machine's atom to a cold machine by replaying the recovery
-// path over the amended placement (the PR 5 machinery: drain at a
-// boundary, rebuild from atoms, restore the just-forced full checkpoint,
-// re-push owned scopes) — migration is recovery with nobody dead.
+// per-machine load mid-run and, when the skew warrants it, moves a hot
+// machine's atom to a cold machine by replaying the recovery path over
+// the amended placement (drain at a boundary, rebuild from atoms,
+// restore the just-forced full checkpoint, re-push owned scopes) —
+// migration is recovery with nobody dead.
 //
 // Protocol, at boundaries ShouldCheck() selects (collective — boundary
 // numbers are globally aligned on the collective engines):
 //
-//   POLL    every machine contributes its registry snapshot through a
-//           private MetricsService (kRebalanceMetricsHandler, so the
-//           launcher's post-run report service keeps its own rounds).
-//   DECIDE  machine 0 computes per-machine engine.updates deltas since
-//           the previous check; on skew >= threshold (or a forced
-//           check), it picks the hottest machine, the coldest machine,
-//           and the atom on the hot machine whose meta-graph affinity
-//           most favors the cold one, then broadcasts the amended
-//           placement on kRebalanceControlHandler.
+//   ROUND   one rpc::AllReduce round of width 2n over
+//           kRebalanceValueHandler / kRebalanceResultHandler: machine m
+//           puts its load signal (engine.updates or rpc.bytes_sent)
+//           since its previous contribution in slot m and a live flag
+//           of 1 in slot n+m.
+//   DECIDE  the decision is a function of the reduced vector, the
+//           attempt's placement and the atom index alone, all the same
+//           on every machine, so each one runs DecideMigration()
+//           itself: on skew >= threshold (or a forced check), the
+//           hottest machine, the coldest machine, and the atom on the
+//           hot machine whose meta-graph affinity most favors the cold
+//           one.  Machines whose flag is 0 did not contribute and are
+//           never picked.
 //   ADOPT   every machine stores the pending placement; the runner's
 //           boundary hook forces a full checkpoint at this boundary and
 //           aborts the attempt, and the next attempt rebuilds from
-//           TakePendingPlacement().
+//           TakePendingPlacement(), which counts the migration.
 //
-// Waits are membership-epoch aware (checkpoint.h style): a real death
-// mid-protocol aborts the round, and the pending placement is validated
-// against the survivor set before use.
+// No round is entered once the membership moved during the attempt
+// (AtBoundary returns Aborted); a death mid-round releases the survivors
+// or, through the runner's abort bundle, cancels the round.  So after a
+// death the survivors may hold different verdicts: every one of them
+// discards its pending placement, and the state ShouldCheck() reads
+// (migrations, the forced check) changes only on adoption, which happens
+// everywhere or nowhere.
 
 #ifndef GRAPHLAB_FAULT_REBALANCER_H_
 #define GRAPHLAB_FAULT_REBALANCER_H_
 
-#include <array>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "graphlab/fault/options.h"
 #include "graphlab/graph/atom.h"
-#include "graphlab/metrics/metrics_service.h"
+#include "graphlab/rpc/allreduce.h"
 #include "graphlab/rpc/runtime.h"
 #include "graphlab/util/status.h"
 
 namespace graphlab {
 namespace fault {
 
+/// One check's verdict: move `atom` from machine `from` to machine `to`.
+struct MigrationDecision {
+  bool migrate = false;
+  AtomId atom = 0;
+  rpc::MachineId from = 0;
+  rpc::MachineId to = 0;
+  double skew = 0;  // max / mean of the signal deltas
+};
+
+/// The decision every machine computes from the same reduced round.
+/// `reduced` holds 2n slots for n machines: machine m's load signal since
+/// its previous contribution in slot m and its live flag in slot n+m.
+/// `placement` maps each of meta's atoms to its machine.
+MigrationDecision DecideMigration(const AtomIndex& meta,
+                                  const std::vector<rpc::MachineId>& placement,
+                                  const std::vector<uint64_t>& reduced,
+                                  double skew_threshold, bool forced);
+
 class LoadRebalancer {
  public:
   /// `meta` must outlive the rebalancer (it is the runner Problem's atom
   /// index).  Construct before the runner's handler-alignment barrier so
-  /// no decide broadcast can beat the handler registration.
+  /// no round frame can beat the handler registration.
   LoadRebalancer(rpc::MachineContext ctx, const AtomIndex* meta,
                  const FtOptions& options);
-  ~LoadRebalancer();
 
   LoadRebalancer(const LoadRebalancer&) = delete;
   LoadRebalancer& operator=(const LoadRebalancer&) = delete;
@@ -74,60 +96,54 @@ class LoadRebalancer {
   /// on boundaries ShouldCheck rejects.
   Status AtBoundary(uint64_t boundary, bool* migrate);
 
-  /// Record the placement an attempt actually built with — the baseline
-  /// the next decision amends.
-  void BeginAttempt(const std::vector<rpc::MachineId>& placement);
+  /// Record the survivor set an attempt runs over and the placement it
+  /// actually built with — the baseline the next decision amends — and
+  /// realign the decision round.  Every machine calls it at the same
+  /// point of an attempt, with channels drained.
+  void BeginAttempt(const std::vector<rpc::MachineId>& alive,
+                    const std::vector<rpc::MachineId>& placement);
+
+  /// Part of the runner's abort bundle: a peer died, so a blocked
+  /// decision round returns Aborted.  Non-blocking.
+  void Cancel() { round_.Cancel(ctx_.id); }
 
   bool migration_pending() const;
 
-  /// Consume the pending placement.  Empty when none is pending or when
-  /// it names a machine not in `alive` (decided before a death landed) —
-  /// callers then fall back to fresh placement.
+  /// Consume the pending placement and count the migration.  Empty when
+  /// none is pending or when `alive` differs from the attempt's survivor
+  /// set (decided in an attempt a death interrupted) — callers then fall
+  /// back to fresh placement.
   std::vector<rpc::MachineId> TakePendingPlacement(
       const std::vector<rpc::MachineId>& alive);
 
   uint64_t migrations() const { return migrations_; }
+  /// This machine's last entered decision round in the current attempt.
+  uint64_t round() { return round_.round(ctx_.id); }
 
  private:
-  enum Tag : uint8_t { kDecide = 0 };
-
-  struct RoundState {
-    uint64_t id = 0;
-    bool have_decision = false;
-    bool migrate = false;
-    std::vector<rpc::MachineId> placement;
-  };
-
   bool ShouldCheck(uint64_t boundary) const;
-  void OnMessage(rpc::MachineId src, InArchive& ia);
-  RoundState& RoundFor(uint64_t round);
-
-  /// Coordinator-only: decide from the merged metrics view.  Returns
-  /// true and fills *placement when a migration should happen.
-  bool Decide(const metrics::ClusterMetricsView& view, bool forced,
-              std::vector<rpc::MachineId>* placement);
 
   rpc::MachineContext ctx_;
   rpc::CommLayer* comm_;
   const AtomIndex* meta_;
   FtOptions options_;
-  std::unique_ptr<metrics::MetricsService> metrics_;
-  const uint64_t epoch_at_start_;  // membership epoch at construction
-  size_t membership_token_ = 0;
+  rpc::AllReduce round_;
+  uint64_t epoch_;  // membership epoch the current attempt started in
 
-  uint64_t round_ = 0;
   uint64_t migrations_ = 0;
   bool forced_done_ = false;
 
-  // Coordinator state: the placement being amended and the previous
-  // check's per-machine engine.updates totals (deltas = work since then).
+  // Identical on every machine: the attempt's survivors and the
+  // placement being amended.
+  std::vector<rpc::MachineId> attempt_alive_;
   std::vector<rpc::MachineId> current_placement_;
-  std::vector<double> prev_updates_;
+  // This machine's signal counter at its last contribution.
+  uint64_t last_signal_ = 0;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::array<RoundState, 16> rounds_{};
-  std::vector<rpc::MachineId> pending_placement_;  // guarded by mutex_
+  // Guarded by mutex_.
+  std::vector<rpc::MachineId> pending_placement_;
+  bool pending_forced_ = false;
 };
 
 }  // namespace fault

@@ -130,10 +130,11 @@ void RecoveryRendezvous::EvaluateLocked() {
     p.released = true;
     // All survivors' stale barrier/allreduce master traffic has been
     // FIFO-delivered behind their rendezvous enters: safe to wipe the
-    // master rings before anyone sends realigned traffic (which only
-    // happens after this release).
-    barrier_->MasterReset();
-    allreduce_->MasterReset();
+    // master rings, at the rounds every survivor realigns to, before
+    // anyone sends realigned traffic (which only happens after this
+    // release).
+    barrier_->MasterReset(p.max_barrier_gen);
+    allreduce_->MasterReset(p.max_allreduce_round);
     OutArchive release;
     release << uint8_t{kRelease} << seq << p.max_barrier_gen
             << p.max_allreduce_round << static_cast<uint8_t>(p.any_failure ? 1 : 0)

@@ -106,8 +106,8 @@ class DistributedGraph {
   /// Handler id used for ghost data pushes.
   static constexpr rpc::HandlerId kDataPushHandler = rpc::kFirstUserHandler;
 
-  /// Default per-peer staging budget before a coalesced buffer
-  /// auto-flushes mid-window (bounds memory, pipelines the wire).
+  /// Per-peer staging budget before a coalesced buffer auto-flushes
+  /// mid-window (bounds memory, pipelines the wire).
   static constexpr size_t kDefaultGhostBatchBytes = 256 * 1024;
 
   DistributedGraph() = default;
@@ -282,18 +282,15 @@ class DistributedGraph {
 
   /// Selects how ghost pushes travel (see file header).  Engines set this
   /// at Start(): chromatic/bulk-sync use kCoalesced windows, the locking
-  /// engine requires kPerScope.  `max_batch_bytes` 0 means the default
-  /// budget.  Not thread safe against in-flight flushes — switch only
-  /// between runs; switching away from kCoalesced ships any staged
-  /// deltas first.
-  void SetGhostSyncMode(GhostSyncMode mode, size_t max_batch_bytes = 0) {
+  /// engine requires kPerScope.  Not thread safe against in-flight
+  /// flushes — switch only between runs; switching away from kCoalesced
+  /// ships any staged deltas first.
+  void SetGhostSyncMode(GhostSyncMode mode) {
     if (ghost_sync_mode_ == GhostSyncMode::kCoalesced &&
         mode != GhostSyncMode::kCoalesced) {
       FlushDeltas();
     }
     ghost_sync_mode_ = mode;
-    ghost_batch_bytes_ =
-        max_batch_bytes == 0 ? kDefaultGhostBatchBytes : max_batch_bytes;
   }
   GhostSyncMode ghost_sync_mode() const { return ghost_sync_mode_; }
 
@@ -608,7 +605,7 @@ class DistributedGraph {
       st.approx_bytes += blob.size() - f.SetVertex(slot.index, version, blob);
       if (coalesced_merges_metric_ != nullptr) coalesced_merges_metric_->Inc();
     }
-    if (st.approx_bytes >= ghost_batch_bytes_) FlushStageLocked(dst, &st);
+    if (st.approx_bytes >= kDefaultGhostBatchBytes) FlushStageLocked(dst, &st);
   }
 
   void StageEdge(rpc::MachineId dst, LocalEid e, uint64_t version,
@@ -627,7 +624,7 @@ class DistributedGraph {
       st.approx_bytes += blob.size() - f.SetEdge(slot.index, version, blob);
       if (coalesced_merges_metric_ != nullptr) coalesced_merges_metric_->Inc();
     }
-    if (st.approx_bytes >= ghost_batch_bytes_) FlushStageLocked(dst, &st);
+    if (st.approx_bytes >= kDefaultGhostBatchBytes) FlushStageLocked(dst, &st);
   }
 
   /// Encodes and ships one peer's staged frame.  Caller holds st->mutex.
@@ -831,7 +828,6 @@ class DistributedGraph {
   std::atomic<uint64_t> pushes_skipped_{0};
 
   GhostSyncMode ghost_sync_mode_ = GhostSyncMode::kPerScope;
-  size_t ghost_batch_bytes_ = kDefaultGhostBatchBytes;
   std::vector<std::unique_ptr<PeerStage>> stages_;
   // Registry-backed coalescing counters (null until Ingest binds them);
   // the bases let accessors report per-instance counts off the shared

@@ -108,13 +108,12 @@ std::string ClusterMetricsView::FormatTable() const {
 }
 
 MetricsService::MetricsService(rpc::CommLayer* comm, rpc::MachineId me,
-                               MetricsRegistry* registry,
-                               rpc::HandlerId handler_id)
-    : comm_(comm), me_(me), registry_(registry), handler_id_(handler_id) {
+                               MetricsRegistry* registry)
+    : comm_(comm), me_(me), registry_(registry) {
   GL_CHECK(comm_ != nullptr);
   GL_CHECK(registry_ != nullptr);
   comm_->RegisterHandler(
-      me_, handler_id_,
+      me_, kMetricsSnapshotHandler,
       [this](rpc::MachineId src, InArchive& ia) { OnSnapshot(src, ia); });
   membership_token_ =
       comm_->membership().Subscribe([this](rpc::MachineId, uint64_t) {
@@ -148,7 +147,7 @@ ClusterMetricsView MetricsService::Collect(std::chrono::milliseconds timeout) {
   if (me_ != kMaster) {
     OutArchive oa;
     oa << round << local;
-    comm_->Send(me_, kMaster, handler_id_, std::move(oa));
+    comm_->Send(me_, kMaster, kMetricsSnapshotHandler, std::move(oa));
     std::map<rpc::MachineId, RegistrySnapshot> mine;
     mine[me_] = std::move(local);
     ClusterMetricsView view = Merge(round, mine);

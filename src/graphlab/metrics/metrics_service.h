@@ -17,6 +17,12 @@
 //
 // The wire cost is one message per non-master machine per collection;
 // nothing here touches the per-update fast path.
+//
+// Machine 0 receives metrics on two handlers: these snapshots
+// (kMetricsSnapshotHandler, 31) and the TelemetryChannel stream below
+// (kTelemetryPushHandler, 34).  Mid-run decisions that need the same
+// numbers on every machine, like the load rebalancer's, run an
+// rpc::AllReduce round instead.
 
 #ifndef GRAPHLAB_METRICS_METRICS_SERVICE_H_
 #define GRAPHLAB_METRICS_METRICS_SERVICE_H_
@@ -87,13 +93,9 @@ struct ClusterMetricsView {
 /// then be called by every live machine, like a barrier.
 class MetricsService {
  public:
-  /// `handler_id` lets independent services coexist on one comm layer
-  /// (RegisterHandler replaces): e.g. the load rebalancer polls mid-run
-  /// on its own handler while the launcher's post-run report uses the
-  /// default, with separate round counters.
+  /// Registers on kMetricsSnapshotHandler; one service per machine.
   MetricsService(rpc::CommLayer* comm, rpc::MachineId me,
-                 MetricsRegistry* registry,
-                 rpc::HandlerId handler_id = kMetricsSnapshotHandler);
+                 MetricsRegistry* registry);
   ~MetricsService();
 
   MetricsService(const MetricsService&) = delete;
@@ -116,7 +118,6 @@ class MetricsService {
   rpc::CommLayer* comm_;
   rpc::MachineId me_;
   MetricsRegistry* registry_;
-  rpc::HandlerId handler_id_;
   uint64_t round_ = 0;
 
   std::mutex mutex_;

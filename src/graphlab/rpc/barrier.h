@@ -1,103 +1,34 @@
 // Copyright 2026 The Distributed GraphLab Reproduction Authors.
 //
-// A cluster-wide barrier implemented purely with RPC messages (no shared
-// state between machines beyond per-machine slots inside this object).
-//
-// Protocol: every machine sends BARRIER_ENTER(generation) to machine 0;
-// machine 0's handler counts entries and, when all LIVE machines of a
-// generation have arrived, broadcasts BARRIER_RELEASE(generation).  Each
-// machine's release handler wakes its waiting thread.
-//
-// Failure semantics: the master counts arrivals against the fabric's
-// current Membership, and re-evaluates every pending generation when a
-// machine dies — so survivors blocked on a dead machine's entry are
-// released (with degraded collective semantics; the engines abort and the
-// fault runner re-synchronizes) instead of hanging forever.  Cancel(m)
-// wakes machine m's own waiter locally and makes its Wait() calls return
-// false until ClearCancel(m); the fault runner uses this to yank a
-// machine out of a run the moment it observes a peer death.
+// A cluster-wide barrier: the width-0 AllReduce (rpc/allreduce.h) over
+// BARRIER_ENTER / BARRIER_RELEASE, whose frames are a bare u64
+// generation.  Every machine enters a generation at machine 0, which
+// releases it once every LIVE machine is in — re-checked on each death,
+// so survivors are released rather than left waiting on a dead machine.
+// Cancel(m) makes machine m's Wait() return false until the recovery
+// rendezvous realigns it; the fault runner uses this to yank a machine
+// out of a run the moment it observes a peer death.
 
 #ifndef GRAPHLAB_RPC_BARRIER_H_
 #define GRAPHLAB_RPC_BARRIER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
-#include "graphlab/rpc/comm_layer.h"
+#include "graphlab/rpc/allreduce.h"
 
 namespace graphlab {
 namespace rpc {
 
-/// RPC-based sense-reversing barrier.  One instance serves the whole
-/// cluster; each machine interacts only with its own slot.
-class Barrier {
+class Barrier : public AllReduce {
  public:
-  explicit Barrier(CommLayer* comm);
-  ~Barrier();
+  explicit Barrier(CommLayer* comm)
+      : AllReduce(comm, 0, kBarrierEnter, kBarrierRelease) {}
 
-  /// Blocks the calling (machine `m`) thread until all live machines have
-  /// entered the barrier for the same generation.  Returns true on a
-  /// normal release; false when the wait ended because machine m was
-  /// cancelled (peer death observed locally).
-  bool Wait(MachineId m);
+  /// Blocks machine m until every live machine has entered the same
+  /// generation.  True on a release; false when m was cancelled.
+  bool Wait(MachineId m) { return Exchange(m, {}, nullptr); }
 
-  /// Wakes machine m's waiter (if blocked) and short-circuits its
-  /// subsequent Wait() calls to return false immediately — the local
-  /// "stop participating, a peer is dead" switch.  Note the entry message
-  /// may already be counted at the master; the recovery rendezvous
-  /// realigns generations before the next run.
-  void Cancel(MachineId m);
-  void ClearCancel(MachineId m);
-
-  // ------------------------------------------------------------------
-  // Recovery realignment (driven by fault/recovery.h)
-  // ------------------------------------------------------------------
-  //
-  // Machines abort a failed run through different code paths, so their
-  // generation counters diverge (a cancelled Wait may or may not have
-  // sent its entry).  The rendezvous collects every survivor's
-  // entered_generation, the coordinator resets the master ring — on its
-  // dispatch thread, after all survivors' stale entries have been
-  // FIFO-delivered and before any survivor can send a realigned one —
-  // and every survivor jumps to the collected maximum.
-
-  uint64_t entered_generation(MachineId m);
-  /// Sets machine m's entered and released generation to `generation`
-  /// and clears its cancel flag.  Only call while m runs no barrier.
-  void Realign(MachineId m, uint64_t generation);
-  /// Master side: forget all pending arrivals (machine 0's instance).
-  void MasterReset();
-
- private:
-  struct Slot {
-    std::mutex mutex;
-    std::condition_variable cv;
-    uint64_t entered_generation = 0;
-    uint64_t released_generation = 0;
-    bool cancelled = false;
-  };
-  struct Generation {
-    uint64_t id = 0;     // which generation this ring slot currently holds
-    uint64_t count = 0;  // arrivals for it (0 after release)
-  };
-
-  void OnEnter(MachineId src, InArchive& payload);
-  void OnRelease(MachineId self, InArchive& payload);
-  /// Master: release every pending generation satisfied under the current
-  /// membership.  Caller holds master_mutex_.
-  void EvaluateLocked();
-  void Broadcast(uint64_t generation);
-
-  CommLayer* comm_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  size_t membership_token_ = 0;
-
-  // Master (machine 0) bookkeeping: arrivals per generation (ring).
-  std::mutex master_mutex_;
-  std::vector<Generation> arrivals_;
-  static constexpr size_t kGenWindow = 64;
+  uint64_t entered_generation(MachineId m) { return round(m); }
 };
 
 }  // namespace rpc

@@ -14,7 +14,7 @@
 // recovery rendezvous (fault/recovery.h) forces convergence by
 // broadcasting the coordinator's bitmap, which survivors Adopt().
 //
-// Subscribers (Barrier, SumAllReduce, TerminationDetector, the fault
+// Subscribers (the rpc::AllReduce rounds, TerminationDetector, the fault
 // runner) are notified after each transition, outside the state lock but
 // serialized with each other; callbacks must not block — they run on
 // transport threads (receive/heartbeat/send), and stalling those delays

@@ -961,6 +961,58 @@ TEST(ChromaticSyncTest, SyncEveryStepSeesTheFinishedStep) {
   EXPECT_EQ(inproc, tcp);
 }
 
+// Sync frames come off the wire: an unknown key, a torn header and a torn
+// value are logged and dropped — not a process abort, and not a zero
+// folded into the round as a machine's partial.
+TEST(ChromaticSyncTest, BadWireFramesAreDropped) {
+  auto structure = gen::Grid2D(10, 10);
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  auto atom_of = BlockPartition(structure.num_vertices, 2);
+  std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(TestCluster(2));
+  SyncManager<DPRGraph> sync(&runtime.comm());
+  sync.Register<uint64_t>(
+      "count", uint64_t{0},
+      [](const DPRGraph&, LocalVid, uint64_t* acc) { *acc += 1; },
+      [](uint64_t* a, const uint64_t& b) { *a += b; });
+  std::vector<DPRGraph> graphs(2);
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    ASSERT_TRUE(graphs[ctx.id]
+                    .InitFromGlobal(global, atom_of, colors, placement,
+                                    ctx.id, &ctx.comm())
+                    .ok());
+    sync.AttachGraph(ctx.id, &graphs[ctx.id]);
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 1) {
+      // Each frame goes to the coordinator as a partial and back to this
+      // machine as a publish, ahead of the real partial on the channel.
+      std::vector<OutArchive> frames(4);
+      frames[0] << std::string("no_such_op") << uint64_t{1} << uint64_t{5};
+      frames[1] << std::string("count") << uint64_t{1} << uint32_t{5};
+      frames[2] << std::string("count");
+      frames[3] << uint64_t{1} << std::string("count");
+      for (const OutArchive& frame : frames) {
+        for (auto [dst, handler] : {std::pair{rpc::MachineId{0},
+                                              kSyncPartialHandler},
+                                    std::pair{rpc::MachineId{1},
+                                              kSyncPublishHandler}}) {
+          OutArchive copy;
+          copy.WriteBytes(frame.buffer().data(), frame.size());
+          ctx.comm().Send(1, dst, handler, std::move(copy));
+        }
+      }
+    }
+    sync.RunSyncBlocking("count", ctx.id);
+    EXPECT_EQ(sync.PublishedRound("count", ctx.id), 1u);
+    EXPECT_EQ(sync.Get<uint64_t>("count", ctx.id), 100u);
+    ctx.barrier().Wait(ctx.id);
+  });
+  SetLogLevel(saved_level);
+}
+
 // A ghost scheduled before Start() must reach its owner before color-step
 // 0 collects its batch.  Machine 1 seeds only a color-0 vertex owned by
 // machine 0, over a 5 ms link; with one sweep allowed, it runs exactly

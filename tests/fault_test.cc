@@ -121,6 +121,104 @@ TEST(PlacementTest, PlaceAtomsOnMachinesCoversSurvivors) {
 }
 
 // ---------------------------------------------------------------------
+// Rebalance decision round losing a member
+// ---------------------------------------------------------------------
+
+// Regression: a death during a rebalance round can leave the survivors
+// with different verdicts.  Machines 0-2 contribute to boundary 4's
+// round; machine 2's abort bundle cancels it; then machine 3 dies and
+// machine 0's degraded release hands machines 0 and 1 a decision that
+// machine 2 never sees.  Recovery must leave every survivor with the
+// same rebalance state, so that the next round is entered everywhere and
+// ends in one verdict.  Counting the stale decision on machines 0 and 1
+// made them skip every later round, in which machine 2 then blocked.
+TEST(RebalanceRoundTest, DeathMidRoundLeavesSurvivorsInStep) {
+  constexpr size_t kMachines = 4;
+  constexpr rpc::MachineId kVictim = 3;
+  auto structure = gen::PowerLawWeb(600, 5, 0.8, 7);
+  auto atom_of = RandomPartition(600, 16, 3);
+  AtomIndex meta =
+      BuildMetaIndex(structure, atom_of, GreedyColoring(structure), 16);
+  fault::FtOptions ft;
+  ft.rebalance_every_boundaries = 2;
+  ft.rebalance_min_boundary = 4;
+  ft.rebalance_skew_threshold = 1.0;
+  const std::vector<rpc::MachineId> all = {0, 1, 2, 3};
+  const std::vector<rpc::MachineId> survivors = {0, 1, 2};
+
+  // One fabric per machine: each machine's rebalancer owns its round.
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kTcp, kMachines));
+  std::vector<std::unique_ptr<fault::LoadRebalancer>> rebalancers(kMachines);
+  std::vector<uint64_t> migrations(kMachines, 0);
+  std::vector<std::vector<rpc::MachineId>> adopted(kMachines);
+
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    const rpc::MachineId me = ctx.id;
+    rebalancers[me] = std::make_unique<fault::LoadRebalancer>(ctx, &meta, ft);
+    fault::LoadRebalancer& rebalancer = *rebalancers[me];
+    rebalancer.BeginAttempt(all, PlaceAtomsOnMachines(meta, all));
+    ctx.comm().registry(me).counter("engine.updates")->Inc(1000 * (me + 1));
+    ctx.barrier().Wait(me);
+
+    bool migrate = false;
+    if (me == kVictim) {
+      // Once machines 0-2 are in boundary 4's round (past the membership
+      // check; entering sends the contribution), cancel machine 2's wait
+      // — its abort bundle won the race — and die without contributing.
+      Timer timer;
+      for (rpc::MachineId m = 0; m < kVictim; ++m) {
+        while (rebalancers[m]->round() < 1) {
+          ASSERT_LT(timer.Seconds(), 10.0) << "machine " << m;
+          std::this_thread::yield();
+        }
+      }
+      rebalancers[2]->Cancel();
+      ctx.comm().InjectKill(kVictim);
+      return;
+    }
+    const Status st = rebalancer.AtBoundary(4, &migrate);
+    if (me == 2) {
+      EXPECT_FALSE(st.ok());
+    } else {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(migrate) << "machine " << me;
+    }
+
+    // Recovery: adopt the death (the rendezvous does this for machines
+    // that never talked to the victim), drain, take the pending placement
+    // over the survivors, and rebuild on fresh placement.
+    ctx.comm().InjectKill(kVictim);
+    ctx.barrier().Wait(me);
+    EXPECT_TRUE(ctx.comm().WaitQuiescent());
+    ctx.barrier().Wait(me);
+    EXPECT_TRUE(rebalancer.TakePendingPlacement(survivors).empty())
+        << "machine " << me << " adopted a placement decided mid-death";
+    migrations[me] = rebalancer.migrations();
+    rebalancer.BeginAttempt(survivors,
+                            PlaceAtomsOnMachines(meta, survivors));
+    ctx.barrier().Wait(me);
+    if (migrations[0] != migrations[1] || migrations[1] != migrations[2]) {
+      return;  // out of step: the next round would block; reported below
+    }
+
+    ctx.comm().registry(me).counter("engine.updates")->Inc(1000 * (3 - me));
+    const Status next = rebalancer.AtBoundary(6, &migrate);
+    EXPECT_TRUE(next.ok()) << next.ToString();
+    EXPECT_TRUE(migrate) << "machine " << me;
+    adopted[me] = rebalancer.TakePendingPlacement(survivors);
+    migrations[me] = rebalancer.migrations();
+  });
+
+  EXPECT_EQ(migrations[0], migrations[1]);
+  EXPECT_EQ(migrations[0], migrations[2]);
+  ASSERT_FALSE(adopted[0].empty());
+  EXPECT_EQ(adopted[0], adopted[1]);
+  EXPECT_EQ(adopted[0], adopted[2]);
+  EXPECT_EQ(migrations[0], 1u);
+}
+
+// ---------------------------------------------------------------------
 // End-to-end: kill a machine mid-run, recover, match the unfailed run
 // ---------------------------------------------------------------------
 
@@ -139,6 +237,9 @@ struct FtScenario {
   // The victim lingers this long at the kill boundary before dying, so
   // the others reach the checkpoint round (and send DONE) first.
   uint32_t kill_delay_ms = 0;
+  // > 0: a rebalance check every this many boundaries from boundary 4,
+  // at any skew.
+  uint64_t rebalance_every = 0;
 };
 
 /// Flips a bit in the middle of machine 0's journal for the newest
@@ -224,6 +325,9 @@ std::pair<fault::FtReport, std::vector<double>> RunFtCluster(
   } else {
     ft.checkpoint_interval_seconds = 0.001;  // checkpoint every boundary
   }
+  ft.rebalance_every_boundaries = s.rebalance_every;
+  ft.rebalance_min_boundary = 4;
+  ft.rebalance_skew_threshold = 1.0;
 
   std::vector<DGraph> graphs(s.machines);
   fault::FtReport report0;
@@ -391,6 +495,51 @@ TEST_F(FaultRecoveryTest, CheckpointRoundLosingAMemberNeverCommits) {
     l1 += std::fabs(ranks[v] - reference[v]);
   }
   EXPECT_LT(l1, 1e-8);
+}
+
+// Regression: once a kill was recovered from, later rebalance checks run
+// over the survivors.  Judging them against the membership the run
+// started with aborted every later check, and so every later attempt.
+TEST_F(FaultRecoveryTest, RebalancesOverSurvivorsAfterRecovery) {
+  FtScenario s;
+  s.snapshot_dir = dir_;
+  s.rebalance_every = 2;
+  auto reference = ReferenceRanks(s);
+  auto [report, ranks] = RunFtCluster(s);
+  EXPECT_GE(report.recoveries, 1u);
+  EXPECT_EQ(report.rebalances, 1u);
+  double l1 = 0;
+  for (size_t v = 0; v < ranks.size(); ++v) {
+    l1 += std::fabs(ranks[v] - reference[v]);
+  }
+  EXPECT_LT(l1, 1e-8);
+}
+
+// Regression: the victim dies at a rebalance boundary, so the survivors'
+// decision round races the death — some may finish it, some are
+// cancelled, some never enter.  Whatever each saw, the survivors must
+// leave recovery with the same rebalance state: a survivor that counted
+// a migration the others did not would skip a later round they block in.
+TEST_F(FaultRecoveryTest, KillAtRebalanceBoundaryKeepsSurvivorsInStep) {
+  for (uint32_t delay_ms : {0u, 300u}) {
+    FtScenario s;
+    s.snapshot_dir = dir_ + "_" + std::to_string(delay_ms);
+    s.kill_at_boundary = 4;
+    s.kill_delay_ms = delay_ms;
+    s.rebalance_every = 2;
+    auto reference = ReferenceRanks(s);
+    auto [report, ranks] = RunFtCluster(s);
+    std::filesystem::remove_all(s.snapshot_dir);
+    EXPECT_GE(report.recoveries, 1u) << "delay " << delay_ms;
+    // The interrupted round's verdict is discarded uncounted, so the
+    // survivors' later check still migrates once.
+    EXPECT_EQ(report.rebalances, 1u) << "delay " << delay_ms;
+    double l1 = 0;
+    for (size_t v = 0; v < ranks.size(); ++v) {
+      l1 += std::fabs(ranks[v] - reference[v]);
+    }
+    EXPECT_LT(l1, 1e-8) << "delay " << delay_ms;
+  }
 }
 
 }  // namespace

@@ -409,8 +409,14 @@ std::vector<double> MigrationReferenceRanks(const MigrationScenario& s) {
   return ranks;
 }
 
-std::pair<fault::FtReport, std::vector<double>> RunMigrationCluster(
-    const MigrationScenario& s) {
+struct MigrationRun {
+  fault::FtReport report;  // machine 0's
+  std::vector<double> ranks;
+  /// Per machine, the placement each attempt built on.
+  std::vector<std::vector<std::vector<rpc::MachineId>>> builds;
+};
+
+MigrationRun RunMigrationCluster(const MigrationScenario& s) {
   auto structure = gen::PowerLawWeb(s.vertices, 5, 0.8, 7);
   auto global = BuildPageRankGraph(structure);
   auto colors = GreedyColoring(structure);
@@ -427,8 +433,9 @@ std::pair<fault::FtReport, std::vector<double>> RunMigrationCluster(
   ft.rebalance_at_boundary = s.rebalance_at_boundary;
 
   std::vector<PRGraph> graphs(s.machines);
-  fault::FtReport report0;
-  std::vector<double> ranks(s.vertices, 0.0);
+  MigrationRun run;
+  run.ranks.assign(s.vertices, 0.0);
+  run.builds.resize(s.machines);
   std::mutex ranks_mutex;
 
   runtime.Run([&](rpc::MachineContext& ctx) {
@@ -439,6 +446,7 @@ std::pair<fault::FtReport, std::vector<double>> RunMigrationCluster(
     problem.meta = meta;
     problem.build = [&, me](PRGraph* graph,
                             const std::vector<rpc::MachineId>& placement) {
+      run.builds[me].push_back(placement);
       return graph->InitFromGlobal(global, atom_of, colors, placement, me,
                                    &ctx.comm());
     };
@@ -447,14 +455,31 @@ std::pair<fault::FtReport, std::vector<double>> RunMigrationCluster(
 
     auto result = runner.Run(problem, &graphs[me]);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    if (me == 0) report0 = *result;
+    if (me == 0) run.report = *result;
 
     std::lock_guard<std::mutex> lock(ranks_mutex);
     for (LocalVid l : graphs[me].owned_vertices()) {
-      ranks[graphs[me].Gvid(l)] = graphs[me].vertex_data(l).rank;
+      run.ranks[graphs[me].Gvid(l)] = graphs[me].vertex_data(l).rank;
     }
   });
-  return {report0, ranks};
+  return run;
+}
+
+// Every machine decides the migration itself from the same reduced
+// round, so every machine must rebuild on the same placement: the
+// pre-migration one, then the same single atom moved.
+void ExpectOneDecisionEverywhere(
+    const std::vector<std::vector<std::vector<rpc::MachineId>>>& builds) {
+  const auto& first = builds[0];
+  ASSERT_GE(first.size(), 2u);
+  size_t moved = 0;
+  for (size_t a = 0; a < first.front().size(); ++a) {
+    moved += first.front()[a] != first.back()[a];
+  }
+  EXPECT_EQ(moved, 1u);
+  for (size_t m = 1; m < builds.size(); ++m) {
+    EXPECT_EQ(builds[m], first) << "machine " << m << " decided differently";
+  }
 }
 
 class LiveMigrationTest : public ::testing::Test {
@@ -475,7 +500,8 @@ TEST_F(LiveMigrationTest, MidRunMigrationMatchesUnmigratedFixedPoint) {
   MigrationScenario s;
   s.snapshot_dir = dir_;
   auto reference = MigrationReferenceRanks(s);
-  auto [report, ranks] = RunMigrationCluster(s);
+  auto [report, ranks, builds] = RunMigrationCluster(s);
+  ExpectOneDecisionEverywhere(builds);
 
   // Exactly one migration was adopted: the attempt aborted at the forced
   // boundary, the next attempt rebuilt on the amended placement, and no
@@ -499,7 +525,8 @@ TEST_F(LiveMigrationTest, MigrationWithoutSnapshotsRecomputes) {
   MigrationScenario s;
   s.snapshot_dir = "";  // no checkpointing: the move restarts from inputs
   auto reference = MigrationReferenceRanks(s);
-  auto [report, ranks] = RunMigrationCluster(s);
+  auto [report, ranks, builds] = RunMigrationCluster(s);
+  ExpectOneDecisionEverywhere(builds);
   EXPECT_EQ(report.rebalances, 1u);
   EXPECT_EQ(report.checkpoints_written, 0u);
   double l1 = 0.0;
@@ -507,6 +534,41 @@ TEST_F(LiveMigrationTest, MigrationWithoutSnapshotsRecomputes) {
     l1 += std::fabs(ranks[v] - reference[v]);
   }
   EXPECT_LT(l1, 1e-8);
+}
+
+// A machine whose live flag is 0 did not contribute to the decision
+// round; whatever its load slot reads, it is never picked as hot or cold.
+TEST(RebalanceDecisionTest, MachineWithoutLiveFlagIsNeverPicked) {
+  MigrationScenario s;
+  auto structure = gen::PowerLawWeb(s.vertices, 5, 0.8, 7);
+  auto atom_of = RandomPartition(s.vertices, s.atoms, 3);
+  AtomIndex meta =
+      BuildMetaIndex(structure, atom_of, GreedyColoring(structure), s.atoms);
+  const size_t n = s.machines;
+  const auto placement = PlaceAtoms(meta, n);
+  for (rpc::MachineId absent = 0; absent < n; ++absent) {
+    // Live machines with skewed loads, with equal loads (a forced check
+    // falls back to owned vertices), and the absent machine's slot
+    // reading as the hottest or the coldest.
+    for (bool skewed : {true, false}) {
+      for (uint64_t absent_load : {uint64_t{0}, uint64_t{1} << 40}) {
+        std::vector<uint64_t> reduced(2 * n, 0);
+        for (rpc::MachineId m = 0; m < n; ++m) {
+          reduced[m] = skewed ? 1000 * (m + 1) : 1000;
+          reduced[n + m] = 1;
+        }
+        reduced[absent] = absent_load;
+        reduced[n + absent] = 0;
+        const fault::MigrationDecision d = fault::DecideMigration(
+            meta, placement, reduced, 1.3, /*forced=*/!skewed);
+        ASSERT_TRUE(d.migrate) << "absent " << absent;
+        EXPECT_NE(d.from, absent);
+        EXPECT_NE(d.to, absent);
+        EXPECT_NE(d.from, d.to);
+        EXPECT_EQ(placement[d.atom], d.from);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "graphlab/engine/allreduce.h"
 #include "graphlab/rpc/barrier.h"
@@ -16,6 +18,8 @@
 #include "graphlab/rpc/runtime.h"
 #include "graphlab/rpc/tcp_transport.h"
 #include "graphlab/rpc/termination.h"
+#include "graphlab/util/logging.h"
+#include "graphlab/util/random.h"
 #include "graphlab/util/timer.h"
 #include "tests/transport_param.h"
 
@@ -601,6 +605,135 @@ TEST(AllreduceTest, SumsContributions) {
     }
   });
 }
+
+// ---------------------------------------------------------------------
+// Collective frame fuzzing: the barrier and the all-reduce share one
+// decoder pair, which must drop a bad frame rather than count it
+// ---------------------------------------------------------------------
+
+std::string RoundFrame(uint64_t round, size_t width) {
+  OutArchive oa;
+  oa << round;
+  if (width > 0) oa << std::vector<uint64_t>(width, 1000);
+  return std::string(oa.buffer().data(), oa.size());
+}
+
+/// Seeded structured mutations of a well-formed frame of `round` (a bare
+/// round for width 0, else `round | width values`): truncation at every
+/// byte, a trailing byte, wrong widths, a length prefix far past the end,
+/// and well-formed frames — three copies each, enough to complete a round
+/// — for rounds no receiver can be in.
+std::vector<std::string> RoundFrameMutations(uint64_t round, size_t width,
+                                             Rng* rng) {
+  const std::string good = RoundFrame(round, width);
+  std::vector<std::string> out;
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    out.push_back(good.substr(0, cut));
+  }
+  out.push_back(good + '\x01');
+  if (width > 0) {
+    for (size_t w : {size_t{0}, width - 1, width + 1, 3 * width}) {
+      if (w != width) out.push_back(RoundFrame(round, w));
+    }
+    OutArchive oa;
+    oa << round << (uint64_t{1} << 60) << uint64_t{7};
+    out.emplace_back(oa.buffer().data(), oa.size());
+  }
+  for (uint64_t huge : {round + 65 + rng->UniformInt(uint64_t{1} << 40),
+                        (uint64_t{1} << 63) + rng->UniformInt(1000),
+                        ~uint64_t{0}}) {
+    for (int copy = 0; copy < 3; ++copy) {
+      out.push_back(RoundFrame(huge, width));
+    }
+  }
+  return out;
+}
+
+class CollectiveFrameFuzz : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(CollectiveFrameFuzz, BadFramesNeitherReleaseNorShortenARound) {
+  constexpr size_t kMachines = 3;
+  Runtime runtime(graphlab::testutil::ClusterFor(GetParam(), kMachines));
+  graphlab::testutil::ClusterAllreduce allreduce(&runtime, 2);
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);  // every mutation logs a drop
+  Rng rng(0xA11D);
+
+  auto dropped = [&](MachineId m) {
+    return runtime.metrics(m).counter("rpc.collective_dropped")->Value();
+  };
+  std::vector<uint64_t> expect_dropped(kMachines, 0);
+  std::atomic<int> released{0};  // machines 1 and 2 out of the fuzzed round
+
+  // Machine 0 stays out of `round` until machines 1 and 2 wait in it, then
+  // feeds mutated frames to machine 0's value handler and to their result
+  // handlers.  Each must be dropped and counted at its receiver, and none
+  // may complete or release the round.
+  auto fuzz = [&](HandlerId value_handler, HandlerId result_handler,
+                  uint64_t round, size_t width, auto entered) {
+    Timer timer;
+    while (entered(1) < round || entered(2) < round) {
+      ASSERT_LT(timer.Seconds(), 10.0) << "machines never entered the round";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    auto send = [&](MachineId src, MachineId dst, HandlerId handler,
+                    const std::string& bytes) {
+      OutArchive oa;
+      oa.WriteBytes(bytes.data(), bytes.size());
+      runtime.comm(src).Send(src, dst, handler, std::move(oa));
+      expect_dropped[dst]++;
+    };
+    for (const std::string& bytes :
+         RoundFrameMutations(round, width, &rng)) {
+      send(1, 0, value_handler, bytes);
+      send(0, 1, result_handler, bytes);
+      send(0, 2, result_handler, bytes);
+    }
+    for (MachineId m = 0; m < kMachines; ++m) {
+      timer.Start();
+      while (dropped(m) < expect_dropped[m] && timer.Seconds() < 5.0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(dropped(m), expect_dropped[m]) << "machine " << m;
+    }
+    EXPECT_EQ(released.load(), 0) << "a bad frame released the round";
+  };
+
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    SumAllReduce& ar = allreduce.at(me);
+    const std::vector<uint64_t> mine = {me + uint64_t{1}, 1};
+    const std::vector<uint64_t> sum = {6, 3};
+    EXPECT_EQ(ar.Reduce(me, mine), sum);  // round 1: every handler is up
+    EXPECT_TRUE(ctx.barrier().Wait(me));  // generation 1
+
+    if (me == 0) {
+      fuzz(kAllreduceValueHandler, kAllreduceResultHandler, 2, 2,
+           [&](MachineId m) { return allreduce.at(m).round(m); });
+    }
+    EXPECT_EQ(ar.Reduce(me, mine), sum);  // round 2, fuzzed
+    if (me != 0) released.fetch_add(1);
+    EXPECT_TRUE(ctx.barrier().Wait(me));  // generation 2
+    if (me == 0) {
+      released.store(0);
+      fuzz(kBarrierEnter, kBarrierRelease, 3, 0, [&](MachineId m) {
+        return runtime.barrier(m).entered_generation(m);
+      });
+    }
+    EXPECT_TRUE(ctx.barrier().Wait(me));  // generation 3, fuzzed
+    if (me != 0) released.fetch_add(1);
+
+    // Real rounds still complete afterwards.
+    EXPECT_EQ(ar.Reduce(me, mine), sum);
+    EXPECT_TRUE(ctx.barrier().Wait(me));
+  });
+  SetLogLevel(saved_level);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, CollectiveFrameFuzz,
+                         ::testing::ValuesIn(
+                             graphlab::testutil::kAllTransports),
+                         graphlab::testutil::KindParamName);
 
 // ---------------------------------------------------------------------
 // Runtime
