@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <thread>
+
 #include "bench/bench_json.h"
 #include "graphlab/apps/pagerank.h"
 #include "graphlab/engine/locking/lock_table.h"
@@ -14,12 +17,15 @@
 #include "graphlab/graph/partition.h"
 #include "graphlab/metrics/metrics.h"
 #include "graphlab/rpc/comm_layer.h"
+#include "graphlab/rpc/inproc_transport.h"
 #include "graphlab/scheduler/scheduler.h"
 #include "graphlab/util/random.h"
 #include "graphlab/util/serialization.h"
 
 namespace graphlab {
 namespace {
+
+constexpr rpc::HandlerId kMarkerHandler = 40;
 
 void BM_SerializeVector(benchmark::State& state) {
   std::vector<double> v(state.range(0), 1.5);
@@ -49,7 +55,7 @@ BENCHMARK(BM_DeserializeVector)->Arg(16)->Arg(256)->Arg(4096);
 void BM_CommLayerRoundtrip(benchmark::State& state) {
   rpc::CommOptions opts;
   opts.latency = std::chrono::microseconds(0);
-  rpc::CommLayer comm(2, opts);
+  rpc::CommLayer comm(std::make_unique<rpc::InProcessTransport>(2, opts));
   std::atomic<uint64_t> received{0};
   comm.RegisterHandler(1, 100, [&](rpc::MachineId, InArchive&) {
     received.fetch_add(1, std::memory_order_relaxed);
@@ -62,7 +68,9 @@ void BM_CommLayerRoundtrip(benchmark::State& state) {
     comm.Send(0, 1, 100, std::move(oa));
     ++sent;
   }
-  comm.WaitQuiescent();
+  while (received.load(std::memory_order_relaxed) < sent) {
+    std::this_thread::yield();
+  }
   state.SetItemsProcessed(static_cast<int64_t>(sent));
 }
 BENCHMARK(BM_CommLayerRoundtrip);
@@ -157,7 +165,20 @@ void BM_GhostVersioningAblation(benchmark::State& state) {
   auto atom_of = RandomPartition(structure.num_vertices, 2, 3);
   rpc::CommOptions copts;
   copts.latency = std::chrono::microseconds(0);
-  rpc::CommLayer comm(2, copts);
+  rpc::CommLayer comm(std::make_unique<rpc::InProcessTransport>(2, copts));
+  // Machine 0's pushes to machine 1 are handled once a marker sent after
+  // them on the same FIFO channel is.
+  std::atomic<uint64_t> markers{0};
+  comm.RegisterHandler(1, kMarkerHandler, [&](rpc::MachineId, InArchive&) {
+    markers.fetch_add(1, std::memory_order_release);
+  });
+  auto drain = [&] {
+    const uint64_t want = markers.load(std::memory_order_acquire) + 1;
+    comm.Send(0, 1, kMarkerHandler, OutArchive());
+    while (markers.load(std::memory_order_acquire) < want) {
+      std::this_thread::yield();
+    }
+  };
   comm.Start();
   std::vector<G> graphs(2);
   for (rpc::MachineId m = 0; m < 2; ++m) {
@@ -169,14 +190,14 @@ void BM_GhostVersioningAblation(benchmark::State& state) {
     graphs[0].MarkVertexModified(l);
     graphs[0].FlushVertexScope(l);
   }
-  comm.WaitQuiescent();
+  drain();
   uint64_t skipped_before = graphs[0].pushes_skipped();
   for (auto _ : state) {
     for (LocalVid l : graphs[0].owned_vertices()) {
       graphs[0].FlushVertexScope(l);  // nothing changed: all skipped
     }
   }
-  comm.WaitQuiescent();
+  drain();
   state.counters["pushes_skipped_per_iter"] = benchmark::Counter(
       static_cast<double>(graphs[0].pushes_skipped() - skipped_before) /
       static_cast<double>(state.iterations()));

@@ -314,37 +314,52 @@ ProblemInputs BuildInputs(const Config& cfg) {
   return in;
 }
 
-/// Machine 0's rank-gather sink; machines send their owned (gvid, rank)
-/// batches after the run and the barrier orders delivery.
+using RankBatch = std::vector<std::pair<VertexId, double>>;
+
+/// Writes one machine's (gvid, rank) batch into machine 0's output.
+void ApplyRankBatch(const RankBatch& batch, RunOutput* out,
+                    std::atomic<size_t>* gathered) {
+  size_t applied = 0;
+  for (const auto& [gvid, rank] : batch) {
+    if (gvid >= out->ranks.size()) {
+      GL_LOG(ERROR) << "gathered rank for vertex " << gvid
+                    << " outside the coordinator's graph";
+      continue;
+    }
+    out->ranks[gvid] = rank;
+    applied++;
+  }
+  gathered->fetch_add(applied, std::memory_order_acq_rel);
+}
+
+/// Machine 0's rank-gather sink for the other machines' batches.
 void RegisterRankGather(rpc::MachineContext& ctx, RunOutput* out,
                         std::atomic<size_t>* gathered) {
   ctx.comm().RegisterHandler(
       0, kRankGatherHandler, [out, gathered](rpc::MachineId, InArchive& ia) {
-        std::vector<std::pair<VertexId, double>> batch;
+        RankBatch batch;
         ia >> batch;
         if (!ia.ok()) {
           GL_LOG(ERROR) << "corrupt rank gather batch";
           return;
         }
-        size_t applied = 0;
-        for (auto& [gvid, rank] : batch) {
-          if (gvid >= out->ranks.size()) {
-            GL_LOG(ERROR) << "gathered rank for vertex " << gvid
-                          << " outside the coordinator's graph";
-            continue;
-          }
-          out->ranks[gvid] = rank;
-          applied++;
-        }
-        gathered->fetch_add(applied, std::memory_order_acq_rel);
+        ApplyRankBatch(batch, out, gathered);
       });
 }
 
-void SendOwnedRanks(rpc::MachineContext& ctx, const DGraph& graph) {
-  std::vector<std::pair<VertexId, double>> batch;
+/// Ships this machine's owned ranks to machine 0, which applies its own
+/// batch in place: a message to itself would travel no channel that the
+/// flush round after the gather marks.
+void GatherOwnedRanks(rpc::MachineContext& ctx, const DGraph& graph,
+                      RunOutput* out, std::atomic<size_t>* gathered) {
+  RankBatch batch;
   batch.reserve(graph.num_owned_vertices());
   for (LocalVid l : graph.owned_vertices()) {
     batch.emplace_back(graph.Gvid(l), graph.vertex_data(l).rank);
+  }
+  if (ctx.id == 0) {
+    ApplyRankBatch(batch, out, gathered);
+    return;
   }
   OutArchive oa;
   oa << batch;
@@ -536,13 +551,18 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
       if (me == 0) out.updates = r.updates;
     }
 
-    // Ship converged owned ranks to machine 0.  The barrier after the
-    // send is delivery-ordered behind it on the same FIFO channel, so
-    // once everyone passes the barrier machine 0 holds every rank.
-    // After a recovery the surviving partitions cover every vertex.
-    SendOwnedRanks(ctx, graph);
-    ctx.barrier().Wait(me);
-    ctx.comm().WaitQuiescent();
+    // Ship converged owned ranks to machine 0, then flush: each machine's
+    // round frame trails its ranks on the same FIFO channel, so once
+    // machine 0's round completes it holds every rank (the rank handler
+    // sends nothing).  After a recovery the surviving partitions cover
+    // every vertex.
+    GatherOwnedRanks(ctx, graph, &out, &gathered);
+    ctx.flush().Run(me);
+    // A worker's round ends once it holds machine 0's frame, possibly
+    // before machine 0 has dispatched the worker's batch, and a TCP
+    // transport drops what is still queued from a peer whose connection
+    // closed.  Machine 0 enters this barrier only after its round, so no
+    // worker process exits before its ranks are in.
     ctx.barrier().Wait(me);
     if (me == 0) {
       GL_CHECK_EQ(gathered.load(), cfg.vertices) << "rank gather incomplete";
@@ -577,11 +597,12 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
     }
 
     if (!cfg.trace_out.empty()) {
-      // Peer steady-clock offsets (quiescence-probe midpoint estimates,
+      // Peer steady-clock offsets (clock-sync midpoint estimates,
       // rpc/clock_sync.h) land in this machine's trace metadata;
       // machine 0's set also drives the coordinator's offset-aligned
       // cluster merge.  The simulated backend shares one clock, so its
       // transport reports zero offsets.
+      ctx.comm().SyncClocks();
       for (rpc::MachineId p = 0; p < cfg.machines; ++p) {
         if (p == me) continue;
         const int64_t offset_ns = ctx.comm().ClockOffsetNs(p);

@@ -75,12 +75,12 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(result.updates), result.seconds,
           pipeline);
     }
-    // Demonstrate recovery: restore the Chandy-Lamport snapshot.
+    // Demonstrate recovery: restore the Chandy-Lamport snapshot.  The
+    // flush round applies every machine's re-pushed ghosts (the push
+    // handler sends nothing).
     ctx.barrier().Wait(ctx.id);
     GL_CHECK_OK(snapshot.Restore(1));
-    ctx.barrier().Wait(ctx.id);
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(ctx.id);
+    ctx.flush().Run(ctx.id);
     if (ctx.id == 0) {
       std::printf("recovery from snapshot epoch 1 verified on all %zu "
                   "machines\n", machines);

@@ -174,9 +174,11 @@ class BulkSyncEngine final
       // ghosts (the MPI_Alltoall this models is just as synchronizing).
       ctx_.barrier().Wait(ctx_.id);
 
-      // Scatter phase (MPI_Alltoall analogue) + full barrier.  Kernel
-      // mode ships vertices in one bulk message per machine pair; the
-      // update-fn surface flushes per scope so edge writes travel too.
+      // Scatter phase (MPI_Alltoall analogue), closed by one flush round.
+      // Kernel mode ships vertices in one bulk message per machine pair;
+      // the update-fn surface flushes per scope so edge writes travel
+      // too.  The round's precondition holds: the only handler that runs
+      // during it is the ghost push, which sends nothing.
       if (kernel_mode) {
         graph_->FlushAllOwnedBulk();
       } else {
@@ -185,9 +187,7 @@ class BulkSyncEngine final
         // buffers; the superstep boundary is the flush window.
         graph_->FlushDeltas();
       }
-      ctx_.barrier().Wait(ctx_.id);
-      ctx_.comm().WaitQuiescent();
-      ctx_.barrier().Wait(ctx_.id);
+      ctx_.flush().Run(ctx_.id);
 
       // Globally consistent boundary (all machines aligned, channels
       // flushed): the fault subsystem's checkpoint coordinator runs here.
@@ -221,7 +221,10 @@ class BulkSyncEngine final
       if (this->substrate_.aborted()) word += kAbortUnit;
       std::vector<uint64_t> continue_totals =
           allreduce_->Reduce(ctx_.id, {word});
-      if (continue_totals[0] >= kAbortUnit) break;  // someone aborted
+      if (continue_totals[0] >= kAbortUnit) {  // someone aborted
+        result.aborted = true;
+        break;
+      }
       uint64_t payload = continue_totals[0] & (kAbortUnit - 1);
       if (!kernel_mode && payload == 0) break;  // no continuation request
       if (check_residual && static_cast<double>(payload) / 1e6 <

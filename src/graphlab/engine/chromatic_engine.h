@@ -16,64 +16,48 @@
 // workers; the engine itself owns no threads.
 //
 // Color-step protocol.  The paper separates color-steps with a full
-// communication barrier.  Here one message round does that job: when a
-// machine's step ends it flushes its delta batches, then sends every live
-// peer exactly one step-end frame (handler kColorStepEndHandler):
+// communication barrier.  Here the runtime's flush round
+// (rpc/flush_round.h, handler 35) does that job: when a machine's step
+// ends it flushes its delta batches and runs one round, whose frame to
+// each live peer is
 //
 //   u64 generation | u32 gvid column
 //
-// The generation counts the exchanges of this engine (0 at the first
-// Start(), +1 per color-step, continuing across Start() calls).  The
-// column lists the peer-owned ghosts scheduled here during the step — a
-// bitset dedupes repeats — and is empty more often than not; the frame is
-// sent anyway.  The machine then waits for every live peer's frame of the
-// same generation before it starts the next step.
+// The column lists the peer-owned ghosts scheduled here during the step
+// — a bitset dedupes repeats — and is empty more often than not.  Once
+// the round completes, every ghost write of the step has been applied
+// here.  The round's precondition holds for every handler that can run
+// during a color-step: the ghost push decoder and the round's own
+// decoder send nothing, and the write-back handler id is reserved but
+// never registered.
 //
-// Why one round suffices: every ordered machine pair is a FIFO channel
-// and each machine runs all handlers on one dispatch thread (README,
-// "Distributed runtime & wire format").  A peer's step-end frame is therefore handled only after
-// every data frame that peer sent earlier in the step, so once all live
-// peers' frames of generation g are in, every ghost write of step g has
-// been applied here — what "barrier, quiescence, barrier" proved, in one
-// one-way hop instead of at least eight.  This holds under one precondition: no handler
-// that runs during a color-step sends a data message (a handler's send
-// could trail its machine's step-end frame).  Today's handlers honour it:
-// the ghost push decoder and the step-end decoder send nothing, and the
-// write-back handler id is reserved but never registered.
+// Forwards received in round g are merged into the schedule only after
+// g's wait, so a forwarded vertex runs in exactly the step it ran in
+// under the barrier protocol.  The engine installs the round's payload
+// decoder for its machine: a column whose length is not a whole number
+// of gvids, or that names a gvid this machine does not own, drops the
+// frame whole (rpc.flush_dropped), so it can never schedule a vertex or
+// release a wait.
 //
-// A fast peer can be one step ahead, so its next frame may arrive before
-// this machine's wait ends.  Received forwards are staged by generation
-// parity and merged into the schedule only after that generation's wait,
-// so a forwarded vertex runs in exactly the step it ran in under the
-// barrier protocol.  The decoder accepts a frame only when its generation
-// is exactly one past the last one seen from that source and its column
-// names whole gvids this machine owns; anything else (a stale frame of
-// an aborted attempt, hostile TCP input) is logged, counted in
-// engine.step_frames_dropped and dropped whole, so it can never schedule
-// a vertex or release a wait.
-//
-// The wait also ends when a peer dies (membership subscription) or the
-// engine aborts.  A death mid-run aborts the engine — the dead machine's
-// step is lost — and the run ends at the sweep's abort-bit decision.  An
-// aborted machine keeps walking the step sequence and keeps sending its
-// (now empty) frames, so the survivors stay aligned.  Start() opens with
-// a barrier — engines are built per machine with no ordering between
-// them, and it guarantees every step-end handler is registered before
-// the first frame flies — followed by exchange 0, which ships the ghosts
-// scheduled between runs.
+// The wait also ends when a peer dies or the engine aborts.  A death
+// mid-run aborts the engine — the dead machine's step is lost — and the
+// run ends at the sweep's abort-bit decision.  An aborted machine keeps
+// walking the step sequence and keeps sending its (now empty) frames, so
+// the survivors stay aligned.  Start() opens with a barrier — engines
+// are built per machine with no ordering between them, and it guarantees
+// every peer's decoder is installed before a forward flies — followed by
+// the opening round, which ships the ghosts scheduled between runs.
 //
 // One engine instance lives on each machine, and at most one chromatic
-// engine per machine at a time (the step-end handler id is per machine);
-// Start() is collective.  The destructor swaps in an inert handler, so a
-// frame that lands after the engine is gone is dropped, not dereferenced.
+// engine per machine at a time (it owns its machine's round decoder);
+// Start() is collective.  The destructor removes the decoder, so a
+// forward that lands after the engine is gone is dropped, not
+// dereferenced.
 
 #ifndef GRAPHLAB_ENGINE_CHROMATIC_ENGINE_H_
 #define GRAPHLAB_ENGINE_CHROMATIC_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,7 +65,6 @@
 #include "graphlab/engine/allreduce.h"
 #include "graphlab/engine/context.h"
 #include "graphlab/engine/execution_substrate.h"
-#include "graphlab/engine/handler_ids.h"
 #include "graphlab/engine/iengine.h"
 #include "graphlab/engine/sync.h"
 #include "graphlab/graph/distributed_graph.h"
@@ -111,35 +94,15 @@ class ChromaticEngine final
         sync_(sync),
         allreduce_(allreduce),
         scheduled_(graph->num_local_vertices()),
-        forwards_(graph->num_local_vertices()),
-        exchange_(std::make_shared<StepExchange>()) {
-    exchange_->graph = graph;
-    exchange_->self = ctx_.id;
-    exchange_->next_generation.assign(ctx_.comm().num_machines(), 0);
-    exchange_->dropped =
-        this->metrics_registry()->counter("engine.step_frames_dropped");
-    // The handler and the membership callback share the exchange state,
-    // not the engine, so a delivery still running while the engine is
-    // destroyed touches only memory it keeps alive itself.
-    ctx_.comm().RegisterHandler(
-        ctx_.id, kColorStepEndHandler,
-        [exchange = exchange_](rpc::MachineId src, InArchive& ia) {
-          exchange->Deliver(src, ia);
-        });
-    membership_token_ = ctx_.comm().membership().Subscribe(
-        [exchange = exchange_](rpc::MachineId, uint64_t) {
-          std::lock_guard<std::mutex> lock(exchange->mutex);
-          exchange->cv.notify_all();
+        forwards_(graph->num_local_vertices()) {
+    ctx_.flush().SetDecoder(
+        ctx_.id, [graph](rpc::MachineId, InArchive& ia,
+                         std::vector<uint64_t>* out) -> const char* {
+          return DecodeForwards(*graph, ia, out);
         });
   }
 
-  ~ChromaticEngine() override {
-    ctx_.comm().RegisterHandler(ctx_.id, kColorStepEndHandler,
-                                [](rpc::MachineId, InArchive&) {});
-    ctx_.comm().membership().Unsubscribe(membership_token_);
-    std::lock_guard<std::mutex> lock(exchange_->mutex);
-    exchange_->graph = nullptr;
-  }
+  ~ChromaticEngine() override { ctx_.flush().SetDecoder(ctx_.id, nullptr); }
 
   const char* name() const override { return "chromatic"; }
 
@@ -178,6 +141,7 @@ class ChromaticEngine final
     const double busy_before = this->substrate_.busy_seconds();
     local_updates_ = 0;
     uint64_t sweeps = 0;
+    bool collective_abort = false;
     const ColorId num_colors = graph_->num_colors();
 
     // Color-steps are natural coalescing windows: neighbors only read
@@ -188,7 +152,7 @@ class ChromaticEngine final
                                  ? GhostSyncMode::kCoalesced
                                  : GhostSyncMode::kPerScope);
 
-    // Every peer's step-end handler exists once this barrier releases;
+    // Every peer's forward decoder exists once this barrier releases;
     // then the opening exchange ships ghosts scheduled before Start(), so
     // their owners see them before color-step 0 collects its batch.
     ctx_.barrier().Wait(ctx_.id);
@@ -206,7 +170,7 @@ class ChromaticEngine final
                         color);
         RunColorStep(color);
         // Close the coalescing window, then the step: one delta batch
-        // and one step-end frame per peer.
+        // and one flush-round frame per peer.
         graph_->FlushDeltas();
         ExchangeStepEnd();
         if (this->options_.sync_interval_steps != 0 && sync_ != nullptr &&
@@ -234,7 +198,10 @@ class ChromaticEngine final
       // leaves through the T-empty branch; everyone else leaves through
       // the abort bit once their own cancellation or the collective
       // decision lands.
-      if (totals[0] >= kAbortUnit) break;                  // someone aborted
+      if (totals[0] >= kAbortUnit) {  // someone aborted
+        collective_abort = true;
+        break;
+      }
       if ((totals[0] & (kAbortUnit - 1)) == 0) break;      // T empty
       if (this->options_.max_sweeps != 0 &&
           sweeps >= this->options_.max_sweeps) {
@@ -246,6 +213,7 @@ class ChromaticEngine final
     graph_->SetGhostSyncMode(GhostSyncMode::kPerScope);
 
     this->last_result_ = RunResult{};
+    this->last_result_.aborted = collective_abort;
     this->last_result_.updates = CollectTotalUpdates(local_updates_);
     this->last_result_.seconds = timer.Seconds();
     this->last_result_.busy_seconds =
@@ -273,126 +241,60 @@ class ChromaticEngine final
 
  protected:
   /// Wakes a step-end wait in progress; it returns once it sees the flag.
-  void OnAbort() override {
-    std::lock_guard<std::mutex> lock(exchange_->mutex);
-    exchange_->cv.notify_all();
-  }
+  void OnAbort() override { ctx_.flush().Wake(ctx_.id); }
 
  private:
   /// Sweeps-with-abort are reduced in one word: low 48 bits carry the
   /// pending-task count, each aborted machine adds one kAbortUnit.
   static constexpr uint64_t kAbortUnit = uint64_t{1} << 48;
 
-  /// Receive side of the step-end exchange, shared by the engine, its
-  /// handler and its membership callback.  Everything is guarded by
-  /// `mutex`; `graph` is null once the engine is gone.
-  struct StepExchange {
-    std::mutex mutex;
-    std::condition_variable cv;
-    const GraphType* graph = nullptr;
-    rpc::MachineId self = 0;
-    std::vector<uint64_t> next_generation;  // per source machine
-    std::vector<LocalVid> staged[2];        // forwards by generation parity
-    metrics::Counter* dropped = nullptr;
-
-    /// Decodes one step-end frame (dispatch thread).  The frame is
-    /// accepted whole or dropped whole: a torn generation, a generation
-    /// other than the next one from `src`, a torn column, or a gvid this
-    /// machine does not own (the sender's partition differs from ours,
-    /// or the bytes are hostile) drops it without touching the schedule
-    /// or the generation count.
-    void Deliver(rpc::MachineId src, InArchive& ia) {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (graph == nullptr) return;
-      const size_t frame_bytes = ia.remaining();
-      const uint64_t generation = ia.ReadValue<uint64_t>();
-      const char* problem = nullptr;
-      std::vector<LocalVid> forwards;
-      if (!ia.ok()) {
-        problem = "torn generation";
-      } else if (generation != next_generation[src]) {
-        problem = "out-of-sequence generation";
-      } else if (ia.remaining() % sizeof(VertexId) != 0) {
-        problem = "torn gvid column";
-      } else {
-        forwards.reserve(ia.remaining() / sizeof(VertexId));
-        while (problem == nullptr && !ia.AtEnd()) {
-          const LocalVid l = graph->TryLvid(ia.ReadValue<VertexId>());
-          if (l == kInvalidLocalVid) {
-            problem = "non-local vertex in column";
-          } else if (!graph->is_owned(l)) {
-            problem = "ghost vertex in column";
-          } else {
-            forwards.push_back(l);
-          }
-        }
-      }
-      if (problem != nullptr) {
-        GL_LOG(ERROR) << "machine " << self << ": step-end frame from "
-                      << src << " (generation " << generation << ", "
-                      << frame_bytes << " bytes): " << problem
-                      << "; dropping frame";
-        dropped->Inc();
-        return;
-      }
-      std::vector<LocalVid>& stage = staged[generation & 1];
-      stage.insert(stage.end(), forwards.begin(), forwards.end());
-      ++next_generation[src];
-      cv.notify_all();
+  /// The flush round's payload decoder: a column of gvids this machine
+  /// owns, decoded into local ids.  A torn column, or a gvid this machine
+  /// does not hold or holds only as a ghost (the sender's partition
+  /// differs from ours, or the bytes are hostile), drops the frame.
+  static const char* DecodeForwards(const GraphType& graph, InArchive& ia,
+                                    std::vector<uint64_t>* out) {
+    if (ia.remaining() % sizeof(VertexId) != 0) return "torn gvid column";
+    out->reserve(ia.remaining() / sizeof(VertexId));
+    while (!ia.AtEnd()) {
+      const LocalVid l = graph.TryLvid(ia.ReadValue<VertexId>());
+      if (l == kInvalidLocalVid) return "non-local vertex in column";
+      if (!graph.is_owned(l)) return "ghost vertex in column";
+      out->push_back(l);
     }
-  };
+    return nullptr;
+  }
 
-  /// One step-end exchange: sends every live peer this generation's
-  /// frame (forwards it owns, empty once aborted), waits for every live
-  /// peer's frame of the same generation, then merges the forwards
-  /// staged for it.  Runs on the coordinator thread while no update
-  /// function is staging.  A peer that died since Start() aborts the run.
+  /// One step-end exchange: a flush round whose frame to each live peer
+  /// carries the forwards it owns (none once aborted), then a merge of
+  /// the forwards received for it.  Runs on the coordinator thread while
+  /// no update function is staging.  A peer that died since Start()
+  /// aborts the run.
   void ExchangeStepEnd() {
     GL_TRACE_SCOPE(trace::kEngine, "chromatic.step_exchange");
-    const uint64_t generation = next_generation_++;
     const size_t n = ctx_.comm().num_machines();
-    std::vector<OutArchive> frames(n);
-    for (OutArchive& frame : frames) frame << generation;
+    std::vector<OutArchive> payloads(n);
     const bool aborted = this->substrate_.aborted();
     for (size_t l = forwards_.FindFirstFrom(0); l < forwards_.size();
          l = forwards_.FindFirstFrom(l + 1)) {
       forwards_.ClearBit(l);
       if (aborted) continue;
       const auto lvid = static_cast<LocalVid>(l);
-      frames[graph_->owner(lvid)] << graph_->Gvid(lvid);
+      payloads[graph_->owner(lvid)] << graph_->Gvid(lvid);
     }
-    rpc::Membership& members = ctx_.comm().membership();
-    for (rpc::MachineId m = 0; m < n; ++m) {
-      if (m == ctx_.id || !members.alive(m)) continue;
-      ctx_.comm().Send(ctx_.id, m, kColorStepEndHandler,
-                       std::move(frames[m]));
-    }
-
-    std::vector<LocalVid> forwarded;
-    {
-      std::unique_lock<std::mutex> lock(exchange_->mutex);
-      exchange_->cv.wait(lock, [&] {
-        if (this->substrate_.aborted() || !members.alive(ctx_.id)) {
-          return true;
-        }
-        for (rpc::MachineId m = 0; m < n; ++m) {
-          if (m != ctx_.id && exchange_->next_generation[m] <= generation &&
-              members.alive(m)) {
-            return false;
-          }
-        }
-        return true;
-      });
-      forwarded.swap(exchange_->staged[generation & 1]);
-    }
-    if (members.num_alive() < alive_at_start_ &&
+    std::vector<uint64_t> forwarded;
+    const bool flushed = ctx_.flush().Run(
+        ctx_.id, std::move(payloads), &forwarded,
+        [this] { return this->substrate_.aborted(); });
+    if ((!flushed ||
+         ctx_.comm().membership().num_alive() < alive_at_start_) &&
         !this->substrate_.aborted()) {
       GL_LOG(WARNING) << "machine " << ctx_.id
                       << ": a machine died during the run; aborting";
       this->RequestAbort();
     }
     if (this->substrate_.aborted()) return;
-    for (LocalVid l : forwarded) {
+    for (uint64_t l : forwarded) {
       if (scheduled_.SetBit(l)) pending_.fetch_add(1);
     }
   }
@@ -449,10 +351,6 @@ class ChromaticEngine final
   uint64_t local_updates_ = 0;
   uint64_t steps_since_sync_ = 0;
   std::vector<uint32_t> update_counts_;
-
-  std::shared_ptr<StepExchange> exchange_;
-  size_t membership_token_ = 0;
-  uint64_t next_generation_ = 0;  // of this machine's next step-end frame
   size_t alive_at_start_ = 0;
 };
 

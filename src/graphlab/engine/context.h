@@ -35,6 +35,11 @@ struct RunResult {
   /// not reduced) — input to the modeled cluster wall-clock used by the
   /// scaling benchmarks on single-core hosts (see bench/bench_common.h).
   double busy_seconds = 0.0;
+  /// The run ended at a collective abort decision (chromatic sweep,
+  /// bulk-sync superstep): some machine aborted — a failed boundary hook,
+  /// a peer death, AbortAndJoin — so the result is partial.  The same on
+  /// every machine that took part in the decision.
+  bool aborted = false;
 };
 
 template <typename Graph>

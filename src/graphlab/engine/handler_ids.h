@@ -5,7 +5,8 @@
 // (16); engine-level protocols start at 18.  17 and 27 are unassigned:
 // ids are never renumbered, since every machine must agree on them.
 // 24/25 and 33/32 are the value/result pairs of rpc::AllReduce rounds,
-// like the barrier's kBarrierEnter / kBarrierRelease.
+// like the barrier's kBarrierEnter / kBarrierRelease.  35 belongs to the
+// rpc layer (rpc/message.h), which registers it before any engine runs.
 
 #ifndef GRAPHLAB_ENGINE_HANDLER_IDS_H_
 #define GRAPHLAB_ENGINE_HANDLER_IDS_H_
@@ -32,7 +33,8 @@ enum EngineHandlers : rpc::HandlerId {
   kRebalanceResultHandler = 32,    // load rebalancer round: reduced loads
   kRebalanceValueHandler = 33,     // load rebalancer round: load -> master
   kTelemetryPushHandler = 34,      // streaming telemetry sample -> master
-  kColorStepEndHandler = 35,       // chromatic step-end frame + forwards
+  // 35: rpc::kFlushRoundHandler, the Runtime's flush round
+  // (rpc/flush_round.h), which carries the chromatic step-end forwards.
 };
 
 }  // namespace graphlab

@@ -13,7 +13,7 @@
 //   ---------------  ------------------  --------------------------------
 //   shared_memory    LocalGraph          async workers, local scope locks
 //   bsp              LocalGraph          synchronous supersteps (Pregel)
-//   chromatic        DistributedGraph    color-steps + step-end frames
+//   chromatic        DistributedGraph    color-steps + flush rounds
 //   locking          DistributedGraph    pipelined distributed scope locks
 //   bulk_sync        DistributedGraph    dense supersteps + bulk exchange
 //

@@ -219,9 +219,15 @@ class LockingEngine final
     this->last_result_.messages_sent =
         after.messages_sent - before.messages_sent;
     // Let in-flight release / push messages land before anyone tears the
-    // engine down, then align all machines.
-    ctx_.comm().WaitQuiescent();
-    ctx_.barrier().Wait(ctx_.id);
+    // engine down: one flush round, which also aligns the machines.  Its
+    // precondition holds after the termination verdict: no lock request
+    // is outstanding anywhere, so a release frees locks nobody waits for
+    // and the grant and chain-hop handlers have nothing to send; every
+    // forwarded task was received (the verdict balances them), and ghost
+    // pushes send nothing.  A sync partial still in flight may make
+    // machine 0 publish after its frame, but that lands in the
+    // SyncManager, which outlives the engine.
+    ctx_.flush().Run(ctx_.id);
     this->substrate_.EndRun();
     return this->last_result_;
   }
@@ -451,9 +457,13 @@ class LockingEngine final
              this->substrate_.active_workers() == 0)) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
+    // Once every machine has entered the barrier, every pipeline is
+    // empty and paused, so no lock request is outstanding: the flush
+    // round's handlers (releases, ghost pushes, schedule forwards) send
+    // nothing.  A sync publish trailing machine 0's frame touches no
+    // vertex or edge data, so the journal stays consistent.
     ctx_.barrier().Wait(ctx_.id);
-    ctx_.comm().WaitQuiescent();
-    ctx_.barrier().Wait(ctx_.id);
+    ctx_.flush().Run(ctx_.id);
     GL_CHECK_OK(snapshot_->WriteSyncSnapshot(this->options_.snapshot_epoch));
     ctx_.barrier().Wait(ctx_.id);
     paused_.store(false, std::memory_order_release);

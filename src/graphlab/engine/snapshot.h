@@ -545,7 +545,8 @@ class SnapshotManager {
   /// of one epoch hold each record once cluster-wide, so the rows this
   /// replay writes and pushes are disjoint from the rows peers' pushes
   /// write, and no barrier is needed before the push.  Collective:
-  /// callers should barrier + WaitQuiescent afterwards.
+  /// callers run a flush round afterwards (rpc/flush_round.h; the push
+  /// handler sends nothing).
   Status Restore(uint32_t epoch) {
     const std::string path = JournalPath(epoch);
     size_t unplaced = 0;
@@ -567,8 +568,8 @@ class SnapshotManager {
   /// placement: owned vertices take vertex records, locally present
   /// edges take edge records, everything else is skipped.  Works on a
   /// freshly re-ingested graph whose membership shrank.  Purely local:
-  /// afterwards call barrier + RepushOwnedScopes() + barrier +
-  /// WaitQuiescent to re-sync ghosts cluster-wide.  Every machine holding
+  /// afterwards call barrier + RepushOwnedScopes() + a flush round to
+  /// re-sync ghosts cluster-wide.  Every machine holding
   /// an edge replays its record, so the first barrier must keep peers'
   /// pushes out until this machine's replay is done.
   Status RestoreFrom(uint32_t epoch,
@@ -637,8 +638,8 @@ class SnapshotManager {
 
   /// Restores a manifest chain: the full snapshot at `base_epoch`, then
   /// every delta epoch in order.  Purely local, lenient placement; call
-  /// barrier + RepushOwnedScopes() + barrier + WaitQuiescent afterwards
-  /// (see RestoreFrom).
+  /// barrier + RepushOwnedScopes() + a flush round afterwards (see
+  /// RestoreFrom).
   Status RestoreChain(const SnapshotManifest& manifest) {
     GRAPHLAB_RETURN_IF_ERROR(
         RestoreFrom(manifest.base_epoch, manifest.machines));
@@ -653,7 +654,7 @@ class SnapshotManager {
   /// applied to the machines holding replicas, so ghosts become coherent
   /// with the restored data (one coalesced delta batch per peer).  Reads
   /// only the rows the replay wrote (DistributedGraph::PushEntities).
-  /// Collective: barrier + WaitQuiescent after.
+  /// Collective: a flush round after (rpc/flush_round.h).
   void RepushOwnedScopes() {
     graph_->PushEntities(restored_vertices_, restored_edges_);
     std::vector<LocalVid>().swap(restored_vertices_);

@@ -11,11 +11,13 @@
 //   rendezvous -> drain -> rebuild -> restore -> resume
 //
 //   rendezvous  survivors meet (fault/recovery.h): membership converges
-//               to the coordinator's view, barrier/allreduce counters
-//               realign, and the collective retry/done decision is made.
-//   drain       barrier + WaitQuiescent flushes every surviving channel,
-//               so no stale ghost frame can race the rebuild (frames
-//               from the dead machine are dropped by the transport).
+//               to the coordinator's view, barrier/allreduce/flush-round
+//               counters realign, and the collective retry/done decision
+//               is made.
+//   drain       barrier + one flush round (rpc/flush_round.h) flushes
+//               every surviving channel, so no stale ghost frame can
+//               race the rebuild (frames from the dead machine are
+//               dropped by the transport).
 //   rebuild     the SAME phase-1 atom cut is re-placed over the
 //               survivors via the atom meta-graph (PlaceAtomsOnMachines)
 //               and each machine re-ingests its new partition — the dead
@@ -37,9 +39,15 @@
 //               unfailed run reaches.
 //
 // While an attempt runs, the failure detector's PeerDown event triggers
-// the non-blocking abort bundle — cancel this machine's barrier +
-// allreduce slots, request engine abort — so every blocking collective
-// the engine sits in returns with a status instead of hanging.
+// the non-blocking abort bundle — cancel this machine's barrier,
+// allreduce and flush-round slots, request engine abort — so every
+// blocking collective the engine sits in returns with a status instead
+// of hanging.
+//
+// A run that ends at a collective abort decision with nobody dead and no
+// migration pending was stopped by a failing boundary hook: Run() then
+// fails on every machine — with the hook's own error where it failed —
+// rather than report a partly converged graph as a result.
 //
 // Assumptions (documented in README): machine 0 survives (it is the
 // barrier/allreduce/rendezvous coordinator), and at most
@@ -306,7 +314,7 @@ class FaultTolerantRunner {
         options_(std::move(options)),
         detector_(&ctx.comm(), ctx.id, options_),
         allreduce_(&ctx.comm(), 1),
-        rendezvous_(&ctx.comm(), &ctx.barrier(), &allreduce_) {}
+        rendezvous_(&ctx.comm(), &ctx.barrier(), &allreduce_, &ctx.flush()) {}
 
   FailureDetector& detector() { return detector_; }
 
@@ -346,6 +354,7 @@ class FaultTolerantRunner {
       failure_observed_.store(true, std::memory_order_release);
       ctx_.barrier().Cancel(me);
       allreduce_.Cancel(me);
+      ctx_.flush().Cancel(me);
       if (rebalancer_ != nullptr) rebalancer_->Cancel();
       // The engine pointer is guarded: RunAttempt clears it under the
       // same mutex before destroying the engine, so RequestAbort can
@@ -381,6 +390,15 @@ class FaultTolerantRunner {
 
       Status st = RunAttempt(problem, graph, outcome->alive, &report);
       if (!st.ok() && st.code() != StatusCode::kAborted) return st;
+      if (st.ok() && report.result.aborted) {
+        // Nobody died and no migration is pending, yet the sweep decision
+        // carried an abort bit: a boundary hook failed.  Every machine
+        // saw the same decision, so every machine fails here, and no
+        // machine waits at a rendezvous the others skip.
+        if (!hook_error_.ok()) return hook_error_;
+        return Status::Internal(
+            "the run was aborted by another machine's boundary hook");
+      }
 
       const bool saw_failure =
           !st.ok() || failure_observed_.load(std::memory_order_acquire);
@@ -416,13 +434,18 @@ class FaultTolerantRunner {
     {
       // Drain: flush every surviving channel before touching the graph,
       // so no stale ghost frame from the aborted run can race the rebuild.
+      // The round's precondition holds for the handlers that can run
+      // during it: ghost pushes send nothing; the previous attempt's
+      // checkpoint coordinator only records control frames (it sends
+      // from the boundary-hook thread, and every machine here has left
+      // its engine); the barrier and all-reduce masters were reset at
+      // the rendezvous, so a stale contribution is discarded unanswered.
       GL_TRACE_SCOPE(trace::kFault, "fault.drain");
       if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
-      if (!ctx_.comm().WaitQuiescent()) return Status::Aborted("peer died");
-      if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
+      if (!ctx_.flush().Run(me)) return Status::Aborted("peer died");
     }
 
-    // Channels are proven empty: now it is safe to tear down the previous
+    // Channels are flushed: now it is safe to tear down the previous
     // attempt's checkpoint coordinator (its RPC handler must outlive any
     // in-flight checkpoint control frame).
     checkpoint_.reset();
@@ -479,9 +502,10 @@ class FaultTolerantRunner {
       // before any peer's re-push (ApplyDataPush) writes the same rows.
       if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
       if (chain.found && restoring) snapshots->RepushOwnedScopes();
-      if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
-      if (!ctx_.comm().WaitQuiescent()) return Status::Aborted("peer died");
-      if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
+      // The re-pushed ghosts are applied everywhere once the round is
+      // done; its only traffic is those pushes, whose handler sends
+      // nothing.
+      if (!ctx_.flush().Run(me)) return Status::Aborted("peer died");
     }
 
     // Every machine is past its ladder resolution (the barrier above),
@@ -515,6 +539,7 @@ class FaultTolerantRunner {
           std::make_unique<CheckpointCoordinator<VertexData, EdgeData>>(
               ctx_, snapshots_.get(), options_, first_epoch);
     }
+    hook_error_ = Status::OK();
     (*engine)->SetBoundaryHook([this, &problem](uint64_t boundary) -> Status {
       // The checkpoint and rebalance protocols are collective: even when
       // the extra hook fails, this machine must still participate or the
@@ -532,9 +557,11 @@ class FaultTolerantRunner {
       if (migrate && checkpoint_ != nullptr) checkpoint_->ForceFullNext();
       Status ckpt = checkpoint_ != nullptr ? checkpoint_->AtBoundary(boundary)
                                            : Status::OK();
-      if (!extra.ok()) return extra;
-      if (!rebal.ok()) return rebal;
-      if (!ckpt.ok()) return ckpt;
+      for (const Status* st : {&extra, &rebal, &ckpt}) {
+        if (st->ok()) continue;
+        if (hook_error_.ok()) hook_error_ = *st;
+        return *st;
+      }
       // Abort the attempt to run the drain -> rebuild -> restore path
       // over the amended placement.  Collective: every machine got the
       // same decision, so every machine aborts at this boundary.
@@ -611,6 +638,9 @@ class FaultTolerantRunner {
   std::mutex engine_mutex_;
   EngineType* current_engine_ = nullptr;  // guarded by engine_mutex_
   std::atomic<bool> failure_observed_{false};
+  // The attempt's first failed boundary-hook status; the hook runs on
+  // the thread that called the engine's Start().
+  Status hook_error_;
 };
 
 }  // namespace fault

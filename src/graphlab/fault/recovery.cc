@@ -8,8 +8,9 @@ namespace fault {
 
 RecoveryRendezvous::RecoveryRendezvous(rpc::CommLayer* comm,
                                        rpc::Barrier* barrier,
-                                       SumAllReduce* allreduce)
-    : comm_(comm), barrier_(barrier), allreduce_(allreduce) {
+                                       SumAllReduce* allreduce,
+                                       rpc::FlushRound* flush)
+    : comm_(comm), barrier_(barrier), allreduce_(allreduce), flush_(flush) {
   const size_t n = comm_->num_machines();
   slots_.reserve(n);
   for (size_t i = 0; i < n; ++i) slots_.push_back(std::make_unique<Slot>());
@@ -48,7 +49,8 @@ Expected<RendezvousOutcome> RecoveryRendezvous::Arrive(rpc::MachineId me,
   }
   OutArchive oa;
   oa << uint8_t{kEnter} << seq << barrier_->entered_generation(me)
-     << allreduce_->round(me) << static_cast<uint8_t>(saw_failure ? 1 : 0);
+     << allreduce_->round(me) << flush_->generation(me)
+     << static_cast<uint8_t>(saw_failure ? 1 : 0);
   comm_->Send(me, /*dst=*/0, kRecoveryControlHandler, std::move(oa));
 
   Slot& slot = *slots_[me];
@@ -67,6 +69,7 @@ Expected<RendezvousOutcome> RecoveryRendezvous::Arrive(rpc::MachineId me,
   comm_->membership().Adopt(slot.bitmap);
   barrier_->Realign(me, slot.max_barrier_gen);
   allreduce_->Realign(me, slot.max_allreduce_round);
+  flush_->Realign(me, slot.max_flush_gen);
 
   RendezvousOutcome outcome;
   outcome.any_failure = slot.any_failure;
@@ -82,6 +85,7 @@ void RecoveryRendezvous::OnMessage(rpc::MachineId self, rpc::MachineId src,
     uint64_t seq = ia.ReadValue<uint64_t>();
     uint64_t barrier_gen = ia.ReadValue<uint64_t>();
     uint64_t allreduce_round = ia.ReadValue<uint64_t>();
+    uint64_t flush_gen = ia.ReadValue<uint64_t>();
     uint8_t failure = ia.ReadValue<uint8_t>();
     if (!ia.ok()) return;
     std::lock_guard<std::mutex> lock(master_mutex_);
@@ -90,12 +94,14 @@ void RecoveryRendezvous::OnMessage(rpc::MachineId self, rpc::MachineId src,
     p.entered[src] = 1;
     p.max_barrier_gen = std::max(p.max_barrier_gen, barrier_gen);
     p.max_allreduce_round = std::max(p.max_allreduce_round, allreduce_round);
+    p.max_flush_gen = std::max(p.max_flush_gen, flush_gen);
     p.any_failure = p.any_failure || failure != 0;
     EvaluateLocked();
   } else if (tag == kRelease) {
     uint64_t seq = ia.ReadValue<uint64_t>();
     uint64_t max_gen = ia.ReadValue<uint64_t>();
     uint64_t max_round = ia.ReadValue<uint64_t>();
+    uint64_t max_flush = ia.ReadValue<uint64_t>();
     uint8_t any_failure = ia.ReadValue<uint8_t>();
     std::vector<uint8_t> bitmap;
     ia >> bitmap;
@@ -106,6 +112,7 @@ void RecoveryRendezvous::OnMessage(rpc::MachineId self, rpc::MachineId src,
       slot.released_seq = seq;
       slot.max_barrier_gen = max_gen;
       slot.max_allreduce_round = max_round;
+      slot.max_flush_gen = max_flush;
       slot.any_failure = any_failure != 0;
       slot.bitmap = std::move(bitmap);
       slot.cv.notify_all();
@@ -137,8 +144,8 @@ void RecoveryRendezvous::EvaluateLocked() {
     allreduce_->MasterReset(p.max_allreduce_round);
     OutArchive release;
     release << uint8_t{kRelease} << seq << p.max_barrier_gen
-            << p.max_allreduce_round << static_cast<uint8_t>(p.any_failure ? 1 : 0)
-            << alive;
+            << p.max_allreduce_round << p.max_flush_gen
+            << static_cast<uint8_t>(p.any_failure ? 1 : 0) << alive;
     for (rpc::MachineId dst = 0; dst < alive.size(); ++dst) {
       if (!alive[dst]) continue;
       OutArchive copy;

@@ -5,12 +5,13 @@
 //
 // After a machine loss every survivor aborts its engine through a
 // different code path — one was yanked out of a barrier, another out
-// of a quiescence wait or a step-end exchange — so their barrier
-// generations and allreduce rounds diverge, and their membership views
-// may briefly disagree.  Arrive(seq) fixes all of it in one exchange:
+// of a flush round — so their barrier generations, allreduce rounds and
+// flush-round generations diverge, and their membership views may
+// briefly disagree.  Arrive(seq) fixes all of it in one exchange:
 //
 //   1. every survivor sends ENTER(seq) to machine 0 with its local
-//      barrier generation, allreduce round, and failure flag;
+//      barrier generation, allreduce round, next flush-round generation
+//      and failure flag;
 //   2. machine 0 waits until every machine alive IN ITS VIEW has entered
 //      (re-evaluated on every membership change, so a second death
 //      cannot wedge the rendezvous), then — on its dispatch thread,
@@ -20,8 +21,12 @@
 //      alive bitmap, the maxima of the collected counters, and the OR of
 //      the failure flags;
 //   3. each survivor adopts the coordinator's bitmap (membership
-//      convergence), realigns its barrier/allreduce slots to the maxima,
-//      and learns the collective retry/done decision.
+//      convergence), realigns its barrier/allreduce/flush-round slots to
+//      the maxima, and learns the collective retry/done decision.  No
+//      survivor sent a flush frame of the maximum generation before the
+//      rendezvous, so no frame of an aborted attempt can be accepted
+//      afterwards, while a round a faster survivor starts right after
+//      its own release is not lost (FlushRound::Realign).
 //
 // Machine 0 is the immortal coordinator by assumption — the same role it
 // already plays for the barrier, the allreduce, and the termination
@@ -46,6 +51,7 @@
 #include "graphlab/engine/allreduce.h"
 #include "graphlab/rpc/barrier.h"
 #include "graphlab/rpc/comm_layer.h"
+#include "graphlab/rpc/flush_round.h"
 #include "graphlab/util/status.h"
 
 namespace graphlab {
@@ -59,10 +65,10 @@ struct RendezvousOutcome {
 
 class RecoveryRendezvous {
  public:
-  /// `barrier` / `allreduce` are the components realigned on release
-  /// (master state reset runs on machine 0's instance).
+  /// `barrier` / `allreduce` / `flush` are the components realigned on
+  /// release (master state reset runs on machine 0's instances).
   RecoveryRendezvous(rpc::CommLayer* comm, rpc::Barrier* barrier,
-                     SumAllReduce* allreduce);
+                     SumAllReduce* allreduce, rpc::FlushRound* flush);
   ~RecoveryRendezvous();
 
   RecoveryRendezvous(const RecoveryRendezvous&) = delete;
@@ -83,6 +89,7 @@ class RecoveryRendezvous {
     std::vector<uint8_t> entered;  // per machine
     uint64_t max_barrier_gen = 0;
     uint64_t max_allreduce_round = 0;
+    uint64_t max_flush_gen = 0;
     bool any_failure = false;
     bool released = false;
   };
@@ -93,6 +100,7 @@ class RecoveryRendezvous {
     uint64_t released_seq = 0;
     uint64_t max_barrier_gen = 0;
     uint64_t max_allreduce_round = 0;
+    uint64_t max_flush_gen = 0;
     bool any_failure = false;
     std::vector<uint8_t> bitmap;
   };
@@ -103,6 +111,7 @@ class RecoveryRendezvous {
   rpc::CommLayer* comm_;
   rpc::Barrier* barrier_;
   SumAllReduce* allreduce_;
+  rpc::FlushRound* flush_;
   size_t membership_token_ = 0;
 
   std::vector<std::unique_ptr<Slot>> slots_;

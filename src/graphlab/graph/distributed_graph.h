@@ -367,7 +367,7 @@ class DistributedGraph {
 
   /// Ships every staged coalesced delta, one framed batch per peer with
   /// anything pending.  Engines call this at window boundaries (end of a
-  /// color-step / superstep, before the step-end frame or barrier).  No-op
+  /// color-step / superstep, before its flush round).  No-op
   /// for peers with empty buffers and in kPerScope mode.
   void FlushDeltas() {
     GL_TRACE_SCOPE(trace::kRpc, "graph.flush_deltas");

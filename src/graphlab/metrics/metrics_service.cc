@@ -286,7 +286,7 @@ void TelemetryChannel::Publish(const TelemetrySample& sample) {
   if (comm_->IsPeerDown(kMaster)) return;
   OutArchive oa;
   oa << sample;
-  comm_->SendOutOfBand(me_, kMaster, handler_id_, std::move(oa));
+  comm_->Send(me_, kMaster, handler_id_, std::move(oa));
   published_.fetch_add(1, std::memory_order_relaxed);
 }
 

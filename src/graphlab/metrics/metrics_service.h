@@ -132,8 +132,7 @@ class MetricsService {
 /// TelemetrySample to Publish() each sampler tick and machine 0's
 /// `on_sample` callback sees the whole cluster's stream.
 ///
-/// Samples travel as OUT-OF-BAND traffic (CommLayer::SendOutOfBand), so a
-/// continuously streaming cluster still proves quiescence; they are
+/// Samples travel as ordinary messages from the sampler thread; they are
 /// membership-aware (pushes stop once machine 0 is marked down) and
 /// fire-and-forget — a lost sample just widens the next window.
 class TelemetryChannel {

@@ -4,7 +4,7 @@
 //
 // Per-thread ring buffers collect begin/end/instant events emitted from
 // engine phase boundaries (color-steps, supersteps, gather/apply/scatter),
-// scheduler steals, transport send/dispatch/quiescence rounds, and the
+// scheduler steals, transport sends and dispatches, and the
 // fault state machine (heartbeat miss -> rendezvous -> drain -> rebuild ->
 // restore -> resume).  WriteChromeTrace() merges the buffers into Chrome
 // `chrome://tracing` / Perfetto JSON ("trace event format", JSON object
@@ -46,7 +46,7 @@ namespace trace {
 enum Category : uint32_t {
   kEngine = 1u << 0,    // color-steps, supersteps, sweeps, drains
   kSched = 1u << 1,     // scheduler steals
-  kRpc = 1u << 2,       // transport send/dispatch/quiescence
+  kRpc = 1u << 2,       // transport send/dispatch
   // 1u << 3 is unassigned.
   kFault = 1u << 4,     // heartbeats, recovery state machine, checkpoints
   kSnapshot = 1u << 5,  // snapshot journal writes

@@ -5,7 +5,7 @@
 // Every machine timestamps trace events on its own steady clock;
 // merging worker traces into one cluster timeline needs the pairwise
 // offsets.  The estimator uses the classic midpoint (Cristian) method
-// over the quiescence-probe RTTs the transport already pays for:
+// over the clock-sync round trips of ITransport::SyncClocks():
 //
 //   local sends a probe at t_send, the peer stamps its clock remote_ts
 //   while handling it, local receives the reply at t_recv.  Assuming
@@ -20,9 +20,9 @@
 //   never replaces a cleaner sample.
 //
 // Header-only and transport-independent so the unit tests can drive it
-// with synthetic latency schedules; TcpTransport feeds it from probe
-// replies, the in-process transport's machines share one clock (offset
-// identically 0).
+// with synthetic latency schedules; TcpTransport feeds it from
+// clock-probe replies, the in-process transport's machines share one
+// clock (offset identically 0).
 
 #ifndef GRAPHLAB_RPC_CLOCK_SYNC_H_
 #define GRAPHLAB_RPC_CLOCK_SYNC_H_

@@ -1,14 +1,9 @@
 #include "graphlab/rpc/comm_layer.h"
 
-#include "graphlab/rpc/inproc_transport.h"
 #include "graphlab/util/logging.h"
 
 namespace graphlab {
 namespace rpc {
-
-CommLayer::CommLayer(size_t num_machines, CommOptions options)
-    : CommLayer(std::make_unique<InProcessTransport>(num_machines, options)) {
-}
 
 CommLayer::CommLayer(std::unique_ptr<ITransport> transport)
     : transport_(std::move(transport)),
@@ -31,8 +26,8 @@ CommLayer::CommLayer(std::unique_ptr<ITransport> transport)
   // adopted from the recovery coordinator's bitmap for a peer this
   // machine never heard from (its connection died pre-hello, so no EOF
   // and no heartbeat deadline ever fires) — must reach the transport
-  // too, or quiescence waits would keep probing the dead peer.  The
-  // cycle terminates: MarkPeerDown is idempotent and MarkDown only
+  // too, or it would keep sending to and dispatching from the dead peer.
+  // The cycle terminates: MarkPeerDown is idempotent and MarkDown only
   // notifies on a fresh transition.
   membership_.Subscribe(
       [this](MachineId peer, uint64_t) { transport_->MarkPeerDown(peer); });

@@ -9,7 +9,7 @@
 //   * InProcessTransport — the simulated interconnect (latency/bandwidth
 //     modeling, InjectStall fault injection) used by the figure benches.
 //   * TcpTransport — real localhost/LAN sockets, one OS process per
-//     machine, framed wire protocol, counter-exchange quiescence.
+//     machine, framed wire protocol.
 //
 // Engines, the distributed graph, barrier, termination detection and the
 // sync/allreduce components are transport-agnostic: they Send() archives
@@ -45,10 +45,7 @@ class CommLayer {
   /// Handler callback: (source machine, payload archive).
   using Handler = std::function<void(MachineId src, InArchive& payload)>;
 
-  /// Legacy spelling: a simulated cluster of `num_machines`.
-  CommLayer(size_t num_machines, CommOptions options);
-
-  /// Wraps an explicit transport backend.
+  /// Wraps a transport backend.
   explicit CommLayer(std::unique_ptr<ITransport> transport);
 
   ~CommLayer();
@@ -82,31 +79,15 @@ class CommLayer {
     transport_->Send(src, dst, handler, std::move(payload));
   }
 
-  /// Sends out-of-band traffic (telemetry pushes): delivered in order
-  /// with data on the destination's dispatch thread, but excluded from
-  /// quiescence accounting so continuous telemetry streaming does not
-  /// prevent the cluster from proving itself quiescent.
-  void SendOutOfBand(MachineId src, MachineId dst, HandlerId handler,
-                     OutArchive payload) {
-    transport_->SendOutOfBand(src, dst, handler, std::move(payload));
-  }
-
   /// Estimated `peer` steady-clock offset relative to this process
-  /// (remote - local, ns; 0 when unknown or clocks are shared).  The
-  /// TCP backend derives it from quiescence-probe round trips.
+  /// (remote - local, ns; 0 when unknown or clocks are shared), as of the
+  /// last SyncClocks().
   int64_t ClockOffsetNs(MachineId peer) const {
     return transport_->ClockOffsetNs(peer);
   }
 
-  /// Blocks until the number of delivered messages equals the number sent
-  /// between live machines and remains so for two consecutive checks
-  /// (handlers can send more).  Callers sandwich this between cluster
-  /// barriers.  Returns false when the wait was unblocked by a peer
-  /// death (or transport stop) instead of proven quiescence.
-  bool WaitQuiescent() { return transport_->WaitQuiescent(); }
-
-  /// Best-effort point check of the same condition.
-  bool IsQuiescent() const { return transport_->IsQuiescent(); }
+  /// Runs the transport's clock-sync exchange (TCP; no-op in-process).
+  void SyncClocks() { transport_->SyncClocks(); }
 
   // ------------------------------------------------------------------
   // Failure surface (see rpc/membership.h and fault/)
@@ -118,8 +99,8 @@ class CommLayer {
   Membership& membership() { return membership_; }
   const Membership& membership() const { return membership_; }
 
-  /// Declares `m` dead: transport drops its traffic and quiescence
-  /// excludes it, then membership subscribers fire.  Idempotent.
+  /// Declares `m` dead: transport drops its traffic, then membership
+  /// subscribers fire.  Idempotent.
   void MarkPeerDown(MachineId m) { transport_->MarkPeerDown(m); }
   bool IsPeerDown(MachineId m) const { return transport_->IsPeerDown(m); }
 
@@ -160,9 +141,6 @@ class CommLayer {
   }
   CommStats GetTotalStats() const;
   void ResetStats() { transport_->ResetStats(); }
-
-  /// Total messages handled locally since construction (monotonic).
-  uint64_t TotalDelivered() const { return transport_->TotalDelivered(); }
 
  private:
   struct MachineHandlers {

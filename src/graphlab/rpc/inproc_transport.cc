@@ -49,8 +49,7 @@ struct InProcessTransport::MachineState {
   metrics::Counter* bytes_received = nullptr;
   std::vector<PeerCounters> peers;
 
-  // Causal id stamped on this machine's outgoing data messages (from 1;
-  // 0 = unstamped control/out-of-band traffic).
+  // Causal id stamped on this machine's outgoing messages (from 1).
   std::atomic<uint64_t> data_seq{0};
 
   // Stall deadline in steady-clock nanoseconds; 0 = no stall.
@@ -116,26 +115,13 @@ void InProcessTransport::Stop() {
 
 void InProcessTransport::Send(MachineId src, MachineId dst, HandlerId handler,
                               OutArchive payload) {
-  SendImpl(src, dst, handler, std::move(payload), /*out_of_band=*/false);
-}
-
-void InProcessTransport::SendOutOfBand(MachineId src, MachineId dst,
-                                       HandlerId handler,
-                                       OutArchive payload) {
-  SendImpl(src, dst, handler, std::move(payload), /*out_of_band=*/true);
-}
-
-void InProcessTransport::SendImpl(MachineId src, MachineId dst,
-                                  HandlerId handler, OutArchive payload,
-                                  bool out_of_band) {
   GL_CHECK_LT(src, num_machines_);
   GL_CHECK_LT(dst, num_machines_);
   GL_CHECK(started_.load(std::memory_order_acquire))
       << "InProcessTransport::Send before Start()";
 
   // Traffic touching a dead machine vanishes: a dead sender cannot emit,
-  // a dead receiver cannot handle.  Nothing is counted so the global
-  // enqueued/delivered balance among survivors is undisturbed.
+  // a dead receiver cannot handle.  Nothing is counted.
   if (down_[src]->load(std::memory_order_acquire) ||
       down_[dst]->load(std::memory_order_acquire)) {
     return;
@@ -145,7 +131,6 @@ void InProcessTransport::SendImpl(MachineId src, MachineId dst,
   msg.src = src;
   msg.dst = dst;
   msg.handler = handler;
-  msg.out_of_band = out_of_band;
   msg.payload = payload.TakeBuffer();
 
   const uint64_t wire_bytes = msg.payload.size() + kMessageHeaderBytes;
@@ -160,15 +145,12 @@ void InProcessTransport::SendImpl(MachineId src, MachineId dst,
   d.peers[src].recv_msgs->Inc();
   d.peers[src].recv_bytes->Inc(wire_bytes);
   GL_TRACE_INSTANT1(trace::kRpc, "send", "bytes", wire_bytes);
-  if (!out_of_band) {
-    msg.origin_seq = s.data_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (trace::Enabled(trace::kRpc)) {
-      // Caller threads host many machines here; stamp the flow origin as
-      // the sending machine explicitly.
-      trace::MachineScope scope(static_cast<uint32_t>(src));
-      GL_TRACE_FLOW_SEND(trace::kRpc, "rpc.flow",
-                         FlowId(src, msg.origin_seq));
-    }
+  msg.origin_seq = s.data_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (trace::Enabled(trace::kRpc)) {
+    // Caller threads host many machines here; stamp the flow origin as
+    // the sending machine explicitly.
+    trace::MachineScope scope(static_cast<uint32_t>(src));
+    GL_TRACE_FLOW_SEND(trace::kRpc, "rpc.flow", FlowId(src, msg.origin_seq));
   }
 
   // Delivery time = max(now, nic_free) + serialization delay + latency.
@@ -189,17 +171,9 @@ void InProcessTransport::SendImpl(MachineId src, MachineId dst,
   uint64_t deliver_ns =
       depart + static_cast<uint64_t>(options_.latency.count());
 
-  // Out-of-band traffic skips the quiescence balance on BOTH sides (here
-  // and in DispatchLoop), so continuous telemetry streaming cannot keep
-  // the cluster from proving itself quiescent.
-  if (!out_of_band) enqueued_.fetch_add(1, std::memory_order_acq_rel);
-  auto deliver_at = std::chrono::steady_clock::time_point(
-      std::chrono::nanoseconds(deliver_ns));
-  if (!d.inbox.PushAt(std::move(msg), deliver_at) && !out_of_band) {
-    // Queue was shut down; account the message as delivered so that
-    // WaitQuiescent cannot deadlock during teardown.
-    delivered_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  // A push after shutdown is dropped: the destination is stopping.
+  d.inbox.PushAt(std::move(msg), std::chrono::steady_clock::time_point(
+                                     std::chrono::nanoseconds(deliver_ns)));
 }
 
 void InProcessTransport::DispatchLoop(MachineId machine) {
@@ -225,54 +199,16 @@ void InProcessTransport::DispatchLoop(MachineId machine) {
 
     // A dead destination handles nothing; a dead source's in-flight
     // messages are dropped (its state is being discarded by recovery).
-    // Either way the message is accounted as delivered so survivors'
-    // quiescence waits stay balanced.  Out-of-band traffic never entered
-    // the balance, so it is skipped symmetrically.
     if (down_[machine]->load(std::memory_order_acquire) ||
         down_[msg->src]->load(std::memory_order_acquire)) {
-      if (!msg->out_of_band) {
-        delivered_.fetch_add(1, std::memory_order_acq_rel);
-      }
       continue;
     }
 
-    {
-      GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", msg->handler);
-      if (msg->origin_seq != 0) {
-        GL_TRACE_FLOW_FINISH(trace::kRpc, "rpc.flow",
-                             FlowId(msg->src, msg->origin_seq));
-      }
-      InArchive ia(msg->payload);
-      sink_(machine, msg->src, msg->handler, ia);
-    }
-    if (!msg->out_of_band) {
-      delivered_.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-}
-
-bool InProcessTransport::IsQuiescent() {
-  return enqueued_.load(std::memory_order_acquire) ==
-         delivered_.load(std::memory_order_acquire);
-}
-
-bool InProcessTransport::WaitQuiescent() {
-  GL_TRACE_SCOPE(trace::kRpc, "wait_quiescent");
-  // Two consecutive stable observations guard against handlers that send.
-  // A membership change during the wait unblocks with false so callers
-  // can surface the fault instead of waiting on a dead machine.
-  const uint64_t down_at_entry =
-      down_version_.load(std::memory_order_acquire);
-  uint64_t last_delivered = ~uint64_t{0};
-  for (;;) {
-    if (down_version_.load(std::memory_order_acquire) != down_at_entry) {
-      return false;
-    }
-    uint64_t e = enqueued_.load(std::memory_order_acquire);
-    uint64_t d = delivered_.load(std::memory_order_acquire);
-    if (e == d && d == last_delivered) return true;
-    last_delivered = (e == d) ? d : ~uint64_t{0};
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", msg->handler);
+    GL_TRACE_FLOW_FINISH(trace::kRpc, "rpc.flow",
+                         FlowId(msg->src, msg->origin_seq));
+    InArchive ia(msg->payload);
+    sink_(machine, msg->src, msg->handler, ia);
   }
 }
 
@@ -288,7 +224,6 @@ void InProcessTransport::MarkPeerDown(MachineId peer) {
                                             std::memory_order_acq_rel)) {
     return;
   }
-  down_version_.fetch_add(1, std::memory_order_acq_rel);
   GL_TRACE_INSTANT1(trace::kFault, "peer_down", "peer", peer);
   PeerDownCallback cb;
   {

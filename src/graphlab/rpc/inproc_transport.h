@@ -13,11 +13,10 @@
 //    Send() (used by the pipelined lock chains of Sec. 4.2.2).
 //  * InjectStall(m, d) freezes machine m's dispatch for d — the mechanism
 //    used to reproduce the paper's simulated 15 s machine fault (Fig. 4b).
-//  * WaitQuiescent() blocks until every enqueued message has been handled
-//    (global enqueued == delivered counters, stable twice); the chromatic
-//    engine uses it for the full communication barrier between
-//    color-steps (Sec. 4.2.1) and the synchronous snapshot uses it to
-//    flush channels (Sec. 4.3).
+//  * Channels are flushed by the runtime's flush round (rpc/flush_round.h),
+//    which needs only the per-sender FIFO order above.  The simulated
+//    machines share one process clock, so ClockOffsetNs and SyncClocks
+//    keep the ITransport defaults (0 and nothing).
 
 #ifndef GRAPHLAB_RPC_INPROC_TRANSPORT_H_
 #define GRAPHLAB_RPC_INPROC_TRANSPORT_H_
@@ -55,25 +54,13 @@ class InProcessTransport final : public ITransport {
   void Send(MachineId src, MachineId dst, HandlerId handler,
             OutArchive payload) override;
 
-  /// Telemetry pushes: same timed delivery as data, excluded from the
-  /// global enqueued/delivered quiescence balance on both sides.  The
-  /// simulated machines share one process clock, so ClockOffsetNs stays
-  /// at the ITransport default of 0.
-  void SendOutOfBand(MachineId src, MachineId dst, HandlerId handler,
-                     OutArchive payload) override;
-
-  bool WaitQuiescent() override;
-  bool IsQuiescent() override;
   void InjectStall(MachineId machine,
                    std::chrono::nanoseconds duration) override;
   bool StallActive(MachineId machine) const override;
 
   // Failure surface.  Death in the simulated interconnect is always
   // injected (there is no wire to fail): InjectKill / MarkPeerDown stop a
-  // machine's inbox from delivering and drop its traffic; the global
-  // enqueued/delivered counters stay balanced because dropped messages
-  // are accounted as delivered, so surviving machines' quiescence waits
-  // complete instead of hanging.
+  // machine's inbox from delivering and drop its traffic.
   void SetPeerDownListener(PeerDownCallback cb) override;
   void MarkPeerDown(MachineId peer) override;
   bool IsPeerDown(MachineId peer) const override;
@@ -84,29 +71,20 @@ class InProcessTransport final : public ITransport {
   std::vector<PeerCommStats> GetPeerStats(MachineId machine) const override;
   void ResetStats() override;
   metrics::MetricsRegistry& registry(MachineId m) override;
-  uint64_t TotalDelivered() const override {
-    return delivered_.load(std::memory_order_acquire);
-  }
 
  private:
   struct MachineState;
 
   void DispatchLoop(MachineId machine);
-  void SendImpl(MachineId src, MachineId dst, HandlerId handler,
-                OutArchive payload, bool out_of_band);
 
   size_t num_machines_;
   CommOptions options_;
   DeliverySink sink_;
   std::vector<std::unique_ptr<MachineState>> machines_;
-  std::atomic<uint64_t> enqueued_{0};
-  std::atomic<uint64_t> delivered_{0};
   std::atomic<bool> started_{false};
 
-  // Failure state: down bitmap + change counter (quiescence waits return
-  // false when it moves mid-wait).
+  // Failure state: one down flag per machine.
   std::vector<std::unique_ptr<std::atomic<bool>>> down_;
-  std::atomic<uint64_t> down_version_{0};
   std::mutex peer_down_mutex_;
   PeerDownCallback peer_down_;
 };

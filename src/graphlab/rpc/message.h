@@ -35,6 +35,11 @@ enum SystemHandlers : HandlerId {
   kFirstUserHandler = 16,
 };
 
+/// The Runtime's flush round (rpc/flush_round.h).  It sits among the
+/// engine ids because it took over the chromatic step-end frame's id,
+/// and with it that frame's bytes.
+inline constexpr HandlerId kFlushRoundHandler = 35;
+
 /// A serialized message in flight.  `payload` was produced by an OutArchive
 /// on the sender and is consumed by an InArchive in the handler.
 struct Message {
@@ -43,13 +48,8 @@ struct Message {
   HandlerId handler = 0;
   /// Causal id: the sender's per-machine data-frame sequence number
   /// (from 1).  (src, origin_seq) identifies the send cluster-wide; the
-  /// transports emit paired flow trace events from it.  0 = unstamped
-  /// (control / out-of-band traffic).
+  /// transports emit paired flow trace events from it.
   uint64_t origin_seq = 0;
-  /// Out-of-band traffic (telemetry pushes) is delivered like data but
-  /// excluded from the quiescence accounting: a cluster streaming
-  /// telemetry must still be able to prove itself quiescent.
-  bool out_of_band = false;
   std::vector<char> payload;
 };
 

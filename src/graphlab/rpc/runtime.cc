@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "graphlab/metrics/trace_event.h"
+#include "graphlab/rpc/inproc_transport.h"
 #include "graphlab/rpc/tcp_transport.h"
 #include "graphlab/util/logging.h"
 
@@ -14,6 +15,7 @@ size_t MachineContext::num_machines() const {
 }
 CommLayer& MachineContext::comm() const { return runtime->comm(id); }
 Barrier& MachineContext::barrier() const { return runtime->barrier(id); }
+FlushRound& MachineContext::flush() const { return runtime->flush(id); }
 TerminationDetector& MachineContext::termination() const {
   return runtime->termination(id);
 }
@@ -30,8 +32,9 @@ Runtime::Runtime(ClusterOptions options) : options_(options) {
 
   if (options_.transport == TransportKind::kInProcess) {
     mode_ = Mode::kSharedFabric;
-    comms_.push_back(std::make_unique<CommLayer>(options_.num_machines,
-                                                 options_.comm));
+    comms_.push_back(std::make_unique<CommLayer>(
+        std::make_unique<InProcessTransport>(options_.num_machines,
+                                             options_.comm)));
     for (MachineId m = 0; m < options_.num_machines; ++m) {
       local_machines_.push_back(m);
     }
@@ -54,10 +57,12 @@ Runtime::Runtime(ClusterOptions options) : options_(options) {
     local_machines_.push_back(options_.tcp.me);
   }
 
-  // One barrier / termination detector per fabric, registered before any
-  // transport starts delivering.
+  // One barrier / flush round / termination detector per fabric,
+  // registered before any transport starts delivering.
   for (auto& comm : comms_) {
     barriers_.push_back(std::make_unique<Barrier>(comm.get()));
+    flushes_.push_back(
+        std::make_unique<FlushRound>(comm.get(), kFlushRoundHandler));
     terminations_.push_back(std::make_unique<TerminationDetector>(comm.get()));
   }
   for (auto& comm : comms_) comm->Start();

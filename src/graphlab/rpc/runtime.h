@@ -22,9 +22,12 @@
 //    executes the program once, for the local machine.
 //
 // Components that coordinate through their own message slots (Barrier,
-// TerminationDetector, SumAllReduce, SyncManager) are instantiated per
-// CommLayer; handler registrations for machines a fabric does not host
-// are inert, so the same component code serves all three shapes.
+// FlushRound, TerminationDetector, SumAllReduce, SyncManager) are
+// instantiated per CommLayer; handler registrations for machines a fabric
+// does not host are inert, so the same component code serves all three
+// shapes.  The Runtime owns each fabric's barrier, flush round and
+// termination detector, registered before its transport starts, so no
+// program needs a fence before its first round.
 
 #ifndef GRAPHLAB_RPC_RUNTIME_H_
 #define GRAPHLAB_RPC_RUNTIME_H_
@@ -36,6 +39,7 @@
 #include "graphlab/metrics/metrics.h"
 #include "graphlab/rpc/barrier.h"
 #include "graphlab/rpc/comm_layer.h"
+#include "graphlab/rpc/flush_round.h"
 #include "graphlab/rpc/termination.h"
 #include "graphlab/rpc/transport.h"
 
@@ -72,6 +76,7 @@ struct MachineContext {
   size_t num_machines() const;
   CommLayer& comm() const;
   Barrier& barrier() const;
+  FlushRound& flush() const;
   TerminationDetector& termination() const;
   metrics::MetricsRegistry& metrics() const;
   const ClusterOptions& options() const;
@@ -104,6 +109,7 @@ class Runtime {
   /// Per-machine fabric accessors; valid for any locally hosted machine.
   CommLayer& comm(MachineId m) { return *comms_[FabricIndex(m)]; }
   Barrier& barrier(MachineId m) { return *barriers_[FabricIndex(m)]; }
+  FlushRound& flush(MachineId m) { return *flushes_[FabricIndex(m)]; }
   TerminationDetector& termination(MachineId m) {
     return *terminations_[FabricIndex(m)];
   }
@@ -128,6 +134,7 @@ class Runtime {
   Mode mode_ = Mode::kSharedFabric;
   std::vector<std::unique_ptr<CommLayer>> comms_;
   std::vector<std::unique_ptr<Barrier>> barriers_;
+  std::vector<std::unique_ptr<FlushRound>> flushes_;
   std::vector<std::unique_ptr<TerminationDetector>> terminations_;
   std::vector<MachineId> local_machines_;
 };

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -21,11 +22,14 @@ namespace {
 enum FrameType : uint8_t {
   kFrameData = 0,
   kFrameHello = 1,
-  kFrameProbe = 2,
-  kFrameProbeReply = 3,
-  kFramePing = 4,       // heartbeat; any received frame counts as liveness
-  kFrameTelemetry = 5,  // out-of-band push, excluded from quiescence
+  kFrameClockProbe = 2,
+  kFrameClockReply = 3,
+  kFramePing = 4,  // heartbeat; any received frame counts as liveness
 };
+
+/// Clock-sync round trips per live peer and SyncClocks() call; the
+/// estimator keeps the minimum-RTT one.
+constexpr int kClockSyncRounds = 4;
 
 /// Cluster-unique flow id for the (origin machine, origin seq) causal
 /// pair; +1 keeps machine 0's ids nonzero.
@@ -48,7 +52,7 @@ struct FrameHeader {
   uint32_t src = 0;
   uint16_t handler = 0;
   uint16_t reserved = 0;
-  uint64_t seq = 0;  // causal id on data frames; 0 on control/telemetry
+  uint64_t seq = 0;  // causal id on data frames; 0 on control frames
   uint32_t payload_size = 0;
 };
 
@@ -180,21 +184,10 @@ struct TcpTransport::Peer {
   metrics::Counter* recv_msgs = nullptr;
   metrics::Counter* recv_bytes = nullptr;
 
-  // Quiescence accounting (never reset): data frames sent TO this peer
-  // and data frames FROM this peer whose handler completed.  Subtracted
-  // from the machine totals once the peer is marked down, so survivors'
-  // sums re-balance.
-  std::atomic<uint64_t> data_sent{0};
-  std::atomic<uint64_t> data_handled_from{0};
-
-  // Last probe reply observed from this peer.
-  std::atomic<uint64_t> reply_seq{0};
-  std::atomic<uint64_t> remote_sent{0};
-  std::atomic<uint64_t> remote_handled{0};
-
-  // Clock-offset estimation from completed probe round trips (the
-  // estimator is guarded by probe_mutex_; the atomic mirrors its current
-  // offset for lock-free ClockOffsetNs reads).
+  // Clock sync: the last answered probe, and the offset estimator fed by
+  // completed round trips (guarded by clock_mutex_; the atomic mirrors
+  // its current offset for lock-free ClockOffsetNs reads).
+  uint64_t reply_seq = 0;
   ClockOffsetEstimator clock;
   std::atomic<int64_t> clock_offset_ns{0};
 
@@ -290,7 +283,7 @@ void TcpTransport::ConnectToPeer(MachineId p) {
     if (std::chrono::steady_clock::now() >= deadline) {
       // An unconnectable WORKER is a dead peer, not a fatal condition of
       // THIS process: surface it as PeerDown so the fault subsystem can
-      // recover (or, without one, so quiescence excludes the machine).
+      // recover (or, without one, so collectives stop waiting for it).
       // Machine 0 is the exception — it coordinates barriers, consensus
       // and recovery itself, so a process that cannot reach it is
       // useless and should fail loudly (likely a misconfigured
@@ -442,8 +435,7 @@ void TcpTransport::ReceiveLoop(int fd) {
     Peer& peer = *peers_[from];
     peer.last_heard_ns.store(SteadyNowNs(), std::memory_order_release);
     switch (h.type) {
-      case kFrameData:
-      case kFrameTelemetry: {
+      case kFrameData: {
         peer.recv_msgs->Inc();
         peer.recv_bytes->Inc(kTcpFrameHeaderBytes + h.payload_size);
         msgs_received_->Inc();
@@ -453,49 +445,38 @@ void TcpTransport::ReceiveLoop(int fd) {
         msg.dst = me_;
         msg.handler = h.handler;
         msg.origin_seq = h.seq;
-        msg.out_of_band = h.type == kFrameTelemetry;
         msg.payload = std::move(payload);
         payload = std::vector<char>();
         dispatch_queue_.Push(std::move(msg));
         break;
       }
-      case kFrameProbe: {
+      case kFrameClockProbe: {
+        // Echo the probe with this machine's own clock reading: the
+        // prober turns the round trip into a midpoint offset estimate.
         InArchive ia(payload);
         uint64_t seq = ia.ReadValue<uint64_t>();
         uint64_t t_send = ia.ReadValue<uint64_t>();
         if (!ia.ok()) return;
-        // Replies carry counters adjusted by THIS machine's dead set;
-        // once all survivors' dead sets agree, their sums balance again.
-        // The echoed send timestamp plus this machine's own clock turn
-        // the round trip into a clock-sync exchange on the prober side.
-        uint64_t sent = 0, handled = 0;
-        AdjustedCounters(&sent, &handled);
         OutArchive reply;
-        reply << seq << sent << handled << t_send << SteadyNowNs();
-        EnqueueFrame(from, kFrameProbeReply, 0, reply.TakeBuffer());
+        reply << seq << t_send << SteadyNowNs();
+        EnqueueFrame(from, kFrameClockReply, 0, reply.TakeBuffer());
         break;
       }
-      case kFrameProbeReply: {
+      case kFrameClockReply: {
         InArchive ia(payload);
         uint64_t seq = ia.ReadValue<uint64_t>();
-        uint64_t sent = ia.ReadValue<uint64_t>();
-        uint64_t handled = ia.ReadValue<uint64_t>();
         uint64_t t_send_echo = ia.ReadValue<uint64_t>();
         uint64_t remote_now = ia.ReadValue<uint64_t>();
         if (!ia.ok()) return;
         const uint64_t t_recv = SteadyNowNs();
         {
-          std::lock_guard<std::mutex> lock(probe_mutex_);
-          peer.remote_sent.store(sent, std::memory_order_relaxed);
-          peer.remote_handled.store(handled, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(clock_mutex_);
           peer.clock.AddObservation(t_send_echo, t_recv, remote_now);
-          if (peer.clock.valid()) {
-            peer.clock_offset_ns.store(peer.clock.offset_ns(),
-                                       std::memory_order_relaxed);
-          }
-          peer.reply_seq.store(seq, std::memory_order_release);
+          peer.clock_offset_ns.store(peer.clock.offset_ns(),
+                                     std::memory_order_relaxed);
+          peer.reply_seq = std::max(peer.reply_seq, seq);
         }
-        probe_cv_.notify_all();
+        clock_cv_.notify_all();
         break;
       }
       case kFramePing:
@@ -515,26 +496,18 @@ void TcpTransport::DispatchLoop() {
     if (!msg.has_value()) return;
     // A frame from a peer marked down is a stale remnant of the dead
     // machine's last moments; dropping it keeps recovery's rebuilt graph
-    // state clean.  It still counts as handled (and as handled-from-the-
-    // dead-peer, which the adjusted sums subtract).
-    if (!peers_[msg->src]->down.load(std::memory_order_acquire) &&
-        !killed_.load(std::memory_order_acquire)) {
-      GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", msg->handler);
-      if (msg->origin_seq != 0) {
-        GL_TRACE_FLOW_FINISH(trace::kRpc, "rpc.flow",
-                             FlowId(msg->src, msg->origin_seq));
-      }
-      InArchive ia(msg->payload);
-      sink_(me_, msg->src, msg->handler, ia);
+    // state clean.
+    if (peers_[msg->src]->down.load(std::memory_order_acquire) ||
+        killed_.load(std::memory_order_acquire)) {
+      continue;
     }
-    // Out-of-band traffic never entered the quiescence sums; counting it
-    // handled here would make handled exceed sent forever.
-    if (msg->out_of_band) continue;
-    // Total first, per-peer second (see the Send() counting note).
-    data_handled_total_.fetch_add(1, std::memory_order_acq_rel);
-    peers_[msg->src]->data_handled_from.fetch_add(1,
-                                                  std::memory_order_acq_rel);
-    probe_cv_.notify_all();
+    GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", msg->handler);
+    if (msg->origin_seq != 0) {
+      GL_TRACE_FLOW_FINISH(trace::kRpc, "rpc.flow",
+                           FlowId(msg->src, msg->origin_seq));
+    }
+    InArchive ia(msg->payload);
+    sink_(me_, msg->src, msg->handler, ia);
   }
 }
 
@@ -576,16 +549,6 @@ void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,
     trace::MachineScope scope(me_);
     GL_TRACE_FLOW_SEND(trace::kRpc, "rpc.flow", FlowId(me_, seq));
   }
-  // Counted even when the peer is down (the frame is then dropped at
-  // enqueue): the per-peer data_sent counter is exactly what the
-  // adjusted quiescence sums subtract, so a racy send during the death
-  // transition can never strand the cluster-wide balance.  Total FIRST,
-  // per-peer second: AdjustedCounters reads per-peer then total, so the
-  // total it subtracts from always covers every per-peer increment it
-  // saw (never underflows).
-  data_sent_total_.fetch_add(1, std::memory_order_acq_rel);
-  peer.data_sent.fetch_add(1, std::memory_order_acq_rel);
-
   if (dst == me_) {
     // Self-send: skip the wire, keep the dispatch-thread semantics.
     Message msg;
@@ -598,47 +561,10 @@ void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,
     peer.recv_bytes->Inc(wire_bytes);
     msgs_received_->Inc();
     bytes_received_->Inc(wire_bytes);
-    if (!dispatch_queue_.Push(std::move(msg))) {
-      data_handled_total_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    return;
-  }
-  EnqueueFrame(dst, kFrameData, handler, std::move(bytes), seq);
-}
-
-void TcpTransport::SendOutOfBand(MachineId src, MachineId dst,
-                                 HandlerId handler, OutArchive payload) {
-  GL_CHECK(started_.load(std::memory_order_acquire))
-      << "TcpTransport::SendOutOfBand before Start()";
-  GL_CHECK_EQ(src, me_) << "TCP transport can only send as machine " << me_;
-  GL_CHECK_LT(dst, endpoints_.size());
-
-  // Real wire traffic: byte/message accounting applies.  Quiescence
-  // accounting (data_sent_total_ / peer.data_sent) deliberately does
-  // NOT — the receive and dispatch sides skip it symmetrically.
-  std::vector<char> bytes = payload.TakeBuffer();
-  const uint64_t wire_bytes = kTcpFrameHeaderBytes + bytes.size();
-  Peer& peer = *peers_[dst];
-  peer.sent_msgs->Inc();
-  peer.sent_bytes->Inc(wire_bytes);
-  msgs_sent_->Inc();
-  bytes_sent_->Inc(wire_bytes);
-
-  if (dst == me_) {
-    Message msg;
-    msg.src = me_;
-    msg.dst = me_;
-    msg.handler = handler;
-    msg.out_of_band = true;
-    msg.payload = std::move(bytes);
-    peer.recv_msgs->Inc();
-    peer.recv_bytes->Inc(wire_bytes);
-    msgs_received_->Inc();
-    bytes_received_->Inc(wire_bytes);
     dispatch_queue_.Push(std::move(msg));
     return;
   }
-  EnqueueFrame(dst, kFrameTelemetry, handler, std::move(bytes));
+  EnqueueFrame(dst, kFrameData, handler, std::move(bytes), seq);
 }
 
 int64_t TcpTransport::ClockOffsetNs(MachineId peer) const {
@@ -647,128 +573,30 @@ int64_t TcpTransport::ClockOffsetNs(MachineId peer) const {
   return peers_[peer]->clock_offset_ns.load(std::memory_order_relaxed);
 }
 
-void TcpTransport::AdjustedCounters(uint64_t* sent,
-                                    uint64_t* handled) const {
-  // Read per-dead-peer counters BEFORE the totals; writers bump the
-  // total before the per-peer counter.  Together the orders guarantee
-  // every per-peer increment this read observes is already in the total
-  // it subtracts from — the adjustment can be conservatively small,
-  // never negative.
-  uint64_t dead_sent = 0, dead_handled = 0;
-  for (MachineId p = 0; p < endpoints_.size(); ++p) {
-    const Peer& peer = *peers_[p];
-    if (!peer.down.load(std::memory_order_acquire)) continue;
-    dead_sent += peer.data_sent.load(std::memory_order_acquire);
-    dead_handled += peer.data_handled_from.load(std::memory_order_acquire);
-  }
-  *sent = data_sent_total_.load(std::memory_order_acquire) - dead_sent;
-  *handled =
-      data_handled_total_.load(std::memory_order_acquire) - dead_handled;
-}
-
-bool TcpTransport::ExchangeCounters(uint64_t* cluster_sent,
-                                    uint64_t* cluster_handled) {
-  const uint64_t seq =
-      probe_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  OutArchive probe;
-  // The send timestamp rides along and comes back echoed in the reply,
-  // turning every probe round into a clock-sync observation.
-  probe << seq << SteadyNowNs();
-  std::vector<char> probe_bytes = probe.TakeBuffer();
-  for (MachineId p = 0; p < endpoints_.size(); ++p) {
-    if (p == me_ || peers_[p]->down.load(std::memory_order_acquire)) {
-      continue;
+void TcpTransport::SyncClocks() {
+  for (int round = 0; round < kClockSyncRounds; ++round) {
+    const uint64_t seq = ++clock_seq_;
+    OutArchive probe;
+    probe << seq << SteadyNowNs();
+    std::vector<char> bytes = probe.TakeBuffer();
+    for (MachineId p = 0; p < endpoints_.size(); ++p) {
+      if (p != me_) EnqueueFrame(p, kFrameClockProbe, 0, bytes);
     }
-    EnqueueFrame(p, kFrameProbe, 0, probe_bytes);
+    // Every live peer answers within a loopback or LAN round trip; the
+    // timeout only bounds a stalled peer, which then keeps its older
+    // estimate.
+    std::unique_lock<std::mutex> lock(clock_mutex_);
+    clock_cv_.wait_for(lock, std::chrono::seconds(1), [&] {
+      if (stopping_.load(std::memory_order_acquire)) return true;
+      for (MachineId p = 0; p < endpoints_.size(); ++p) {
+        if (p != me_ && !peers_[p]->down.load(std::memory_order_acquire) &&
+            peers_[p]->reply_seq < seq) {
+          return false;
+        }
+      }
+      return true;
+    });
   }
-  // Wait for every live peer to answer this round (replies are
-  // monotonic); peers that die mid-round stop being waited for.
-  {
-    std::unique_lock<std::mutex> lock(probe_mutex_);
-    bool all = probe_cv_.wait_for(
-        lock, std::chrono::seconds(30), [&] {
-          if (stopping_.load(std::memory_order_acquire)) return true;
-          for (MachineId p = 0; p < endpoints_.size(); ++p) {
-            if (p == me_ ||
-                peers_[p]->down.load(std::memory_order_acquire)) {
-              continue;
-            }
-            if (peers_[p]->reply_seq.load(std::memory_order_acquire) < seq) {
-              return false;
-            }
-          }
-          return true;
-        });
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    if (!all) {
-      // A peer that cannot answer within the window is a fault, not
-      // quiescence: report and keep waiting rather than let the caller
-      // pass a "channels flushed" barrier with frames still in flight.
-      // (With heartbeats enabled the failure detector will mark the
-      // peer down long before this fires and unblock the wait.)
-      GL_LOG(ERROR) << "machine " << me_
-                    << ": quiescence probe round " << seq
-                    << " unanswered after 30s; a peer is down or stalled";
-      return false;
-    }
-  }
-  uint64_t sent = 0, handled = 0;
-  AdjustedCounters(&sent, &handled);
-  for (MachineId p = 0; p < endpoints_.size(); ++p) {
-    if (p == me_ || peers_[p]->down.load(std::memory_order_acquire)) {
-      continue;
-    }
-    sent += peers_[p]->remote_sent.load(std::memory_order_acquire);
-    handled += peers_[p]->remote_handled.load(std::memory_order_acquire);
-  }
-  *cluster_sent = sent;
-  *cluster_handled = handled;
-  return true;
-}
-
-bool TcpTransport::WaitQuiescent() {
-  GL_TRACE_SCOPE(trace::kRpc, "wait_quiescent");
-  // Same rule as the simulated backend, over exchanged counters: the
-  // cluster-wide sent and handled totals (adjusted for peers already
-  // dead) must be equal and unchanged for two consecutive probe rounds.
-  // A peer dying DURING the wait unblocks it with false — the caller is
-  // mid-protocol with a machine that no longer exists and must surface
-  // that, not wait out a 30s probe timeout per round forever.
-  const uint64_t down_at_entry =
-      down_version_.load(std::memory_order_acquire);
-  uint64_t prev_sent = ~uint64_t{0};
-  for (;;) {
-    if (down_version_.load(std::memory_order_acquire) != down_at_entry ||
-        killed_.load(std::memory_order_acquire)) {
-      return false;
-    }
-    uint64_t sent = 0, handled = 0;
-    if (!ExchangeCounters(&sent, &handled)) {
-      if (stopping_.load(std::memory_order_acquire)) return false;
-      // Probe round timed out (peer stalled): retry, never report
-      // quiescence we could not prove.
-      prev_sent = ~uint64_t{0};
-      continue;
-    }
-    if (sent == handled && sent == prev_sent) return true;
-    prev_sent = (sent == handled) ? sent : ~uint64_t{0};
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
-bool TcpTransport::IsQuiescent() {
-  // Best-effort point check from the last known remote counters (probe
-  // replies); exact only when the cluster is already idle.
-  uint64_t sent = 0, handled = 0;
-  AdjustedCounters(&sent, &handled);
-  for (MachineId p = 0; p < endpoints_.size(); ++p) {
-    if (p == me_ || peers_[p]->down.load(std::memory_order_acquire)) {
-      continue;
-    }
-    sent += peers_[p]->remote_sent.load(std::memory_order_acquire);
-    handled += peers_[p]->remote_handled.load(std::memory_order_acquire);
-  }
-  return sent == handled;
 }
 
 void TcpTransport::SetPeerDownListener(PeerDownCallback cb) {
@@ -784,7 +612,6 @@ void TcpTransport::MarkPeerDown(MachineId peer) {
                                        std::memory_order_acq_rel)) {
     return;
   }
-  down_version_.fetch_add(1, std::memory_order_acq_rel);
   GL_TRACE_INSTANT1(trace::kFault, "peer_down", "peer", peer);
   if (peer != me_) {
     GL_LOG(WARNING) << "machine " << me_ << ": peer " << peer
@@ -794,8 +621,11 @@ void TcpTransport::MarkPeerDown(MachineId peer) {
   // fd stays open (Stop() owns the close) but further IO errors out.
   int fd = pr.send_fd.load(std::memory_order_acquire);
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-  // Unblock quiescence waits that were counting on this peer's replies.
-  probe_cv_.notify_all();
+  // Stop a clock sync waiting for this peer's replies.
+  {
+    std::lock_guard<std::mutex> lock(clock_mutex_);
+    clock_cv_.notify_all();
+  }
   PeerDownCallback cb;
   {
     std::lock_guard<std::mutex> lock(peer_down_mutex_);
@@ -948,7 +778,10 @@ metrics::MetricsRegistry& TcpTransport::registry(MachineId m) {
 void TcpTransport::Stop() {
   if (!started_.load()) return;
   if (stopping_.exchange(true)) return;
-  probe_cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(clock_mutex_);
+    clock_cv_.notify_all();
+  }
 
   // 1. Stop producing: connector threads give up their retry loops, the
   //    heartbeat prober stops pinging.

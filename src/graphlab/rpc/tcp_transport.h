@@ -13,15 +13,15 @@
 //
 //   offset  size  field
 //   0       4     magic      0x31574C47 ("GLW1")
-//   4       2     version    kTcpWireVersion (2)
-//   6       1     type       0=data 1=hello 2=probe 3=probe-reply 4=ping
-//                            5=telemetry
+//   4       2     version    kTcpWireVersion (3)
+//   6       1     type       0=data 1=hello 2=clock-probe 3=clock-reply
+//                            4=ping (5 is retired)
 //   7       1     flags      0
 //   8       4     src        sending machine id
-//   12      2     handler    destination handler id (data/telemetry)
+//   12      2     handler    destination handler id (data)
 //   14      2     reserved   0
 //   16      8     seq        sender's data-frame sequence number, from 1
-//                            (causal id; 0 on control/telemetry frames)
+//                            (causal id; 0 on control frames)
 //   24      4     payload    payload byte count
 //
 // A connection opens with one hello frame (payload: u32 machine id,
@@ -30,16 +30,14 @@
 // flow 's' trace event when stamping it and the receiver a paired 'f'
 // at dispatch, so a merged cluster trace draws cross-machine arrows.
 //
-// Telemetry frames carry out-of-band pushes (metrics streaming): they
-// ride the same ordered connections and dispatch thread as data but are
-// excluded from the quiescence counters on both sides, so continuous
-// telemetry cannot prevent the cluster from proving itself quiescent.
-//
-// Probe frames double as clock-sync exchanges: the probe carries the
-// sender's steady-clock send timestamp, the reply echoes it alongside
-// the replier's own clock reading, and the prober feeds the completed
-// round trip to a per-peer midpoint estimator (rpc/clock_sync.h) whose
-// minimum-RTT offset ClockOffsetNs() exposes for trace alignment.
+// Clock sync: SyncClocks() sends every live peer a few clock-probe
+// frames `u64 seq | u64 t_send` (the sender's steady clock); each reply
+// is `u64 seq | u64 t_send | u64 t_remote`, echoing the send timestamp
+// beside the replier's own clock reading.  The prober feeds each
+// completed round trip to a per-peer midpoint estimator
+// (rpc/clock_sync.h) whose minimum-RTT offset ClockOffsetNs() exposes
+// for trace alignment.  Probes, replies, hellos and pings are control
+// frames: not charged to CommStats, never dispatched to handlers.
 //
 // Threads: one send thread per peer draining a per-peer frame queue, one
 // receive thread per accepted connection, one accept thread, optionally
@@ -47,26 +45,13 @@
 // runs all handlers — preserving the simulated backend's
 // serialized-handler semantics.
 //
-// Quiescence is a per-peer counter exchange instead of inbox inspection:
-// every machine counts data frames sent (S) and data frames whose handler
-// completed (H).  WaitQuiescent() probes every peer for its (S, H),
-// and returns once sum(S) == sum(H) cluster-wide for two consecutive
-// probe rounds with unchanged sums — the same two-stable-observations
-// rule the simulated backend applies to its global counters.  Probes and
-// replies are control frames, excluded from the counters and from
-// CommStats.
-//
 // Failure surface: a peer becomes DOWN through a send error, receive-side
 // EOF, a missed-heartbeat deadline, or an explicit MarkPeerDown.  From
-// then on (a) frames queued or submitted for it are dropped, (b) the
-// quiescence exchange skips it and every machine reports counters
-// ADJUSTED by its current dead set — sent minus data frames sent to dead
-// peers, handled minus data frames handled from dead peers — so the
-// surviving machines' sums balance again once their dead sets agree, and
-// (c) data frames from the dead peer still sitting in the dispatch queue
-// are dropped (counted handled), so a dead machine's stale ghost pushes
-// can never touch a graph being rebuilt by recovery.  A WaitQuiescent()
-// in progress when a peer dies returns false instead of hanging.
+// then on (a) frames queued or submitted for it are dropped, (b) a clock
+// sync stops waiting for its replies, and (c) data frames from the dead
+// peer still sitting in the dispatch queue are dropped, so a dead
+// machine's stale ghost pushes can never touch a graph being rebuilt by
+// recovery.
 
 #ifndef GRAPHLAB_RPC_TCP_TRANSPORT_H_
 #define GRAPHLAB_RPC_TCP_TRANSPORT_H_
@@ -90,7 +75,7 @@ namespace rpc {
 /// Fixed framing overhead per TCP frame (see header layout above).
 inline constexpr uint64_t kTcpFrameHeaderBytes = 28;
 inline constexpr uint32_t kTcpFrameMagic = 0x31574C47;  // "GLW1"
-inline constexpr uint16_t kTcpWireVersion = 2;
+inline constexpr uint16_t kTcpWireVersion = 3;
 
 /// Sanity bound on a single frame payload; larger lengths mark the
 /// connection corrupt (a coalesced ghost batch flushes well below this).
@@ -119,18 +104,12 @@ class TcpTransport final : public ITransport {
   void Send(MachineId src, MachineId dst, HandlerId handler,
             OutArchive payload) override;
 
-  /// Telemetry frames: same ordered delivery as data, excluded from the
-  /// quiescence counters (byte/message traffic accounting still applies).
-  void SendOutOfBand(MachineId src, MachineId dst, HandlerId handler,
-                     OutArchive payload) override;
-
   /// Estimated `peer` steady-clock offset (remote - local, ns) from the
-  /// minimum-RTT quiescence-probe exchange; 0 until the first completed
-  /// probe round trip to that peer.
+  /// minimum-RTT clock-sync round trip; 0 until the first completed one.
   int64_t ClockOffsetNs(MachineId peer) const override;
 
-  bool WaitQuiescent() override;
-  bool IsQuiescent() override;
+  /// A few clock-probe round trips to every live peer (see above).
+  void SyncClocks() override;
 
   /// Stall injection is a property of the simulated backend; here it
   /// logs once and is ignored.
@@ -155,9 +134,6 @@ class TcpTransport final : public ITransport {
   std::vector<PeerCommStats> GetPeerStats(MachineId machine) const override;
   void ResetStats() override;
   metrics::MetricsRegistry& registry(MachineId m) override;
-  uint64_t TotalDelivered() const override {
-    return data_handled_total_.load(std::memory_order_acquire);
-  }
 
  private:
   struct Peer;
@@ -169,10 +145,6 @@ class TcpTransport final : public ITransport {
   void ConnectToPeer(MachineId p);
   void EnqueueFrame(MachineId dst, uint8_t type, HandlerId handler,
                     std::vector<char> payload, uint64_t seq = 0);
-  bool ExchangeCounters(uint64_t* cluster_sent, uint64_t* cluster_handled);
-  /// This machine's (sent, handled) pair with all traffic to/from its
-  /// current dead set subtracted (what probe replies carry).
-  void AdjustedCounters(uint64_t* sent, uint64_t* handled) const;
   void StartHeartbeatThreadLocked();
 
   MachineId me_ = 0;
@@ -202,17 +174,14 @@ class TcpTransport final : public ITransport {
   std::vector<std::thread> receive_threads_;
   std::vector<int> receive_fds_;
 
-  // Quiescence counters: data frames this machine sent / fully handled.
-  std::atomic<uint64_t> data_sent_total_{0};
-  std::atomic<uint64_t> data_handled_total_{0};
   // Causal id stamped on outgoing data frames (from 1; 0 = unstamped).
   std::atomic<uint64_t> data_seq_{0};
-  std::atomic<uint64_t> probe_seq_{0};
-  std::mutex probe_mutex_;
-  std::condition_variable probe_cv_;
+  // Clock sync: probe sequence numbers, and the replies' lock and wakeup.
+  std::atomic<uint64_t> clock_seq_{0};
+  std::mutex clock_mutex_;
+  std::condition_variable clock_cv_;
 
   // Failure state.
-  std::atomic<uint64_t> down_version_{0};
   std::mutex peer_down_mutex_;
   PeerDownCallback peer_down_;
 

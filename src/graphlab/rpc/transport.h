@@ -14,12 +14,13 @@
 //  * TcpTransport (rpc/tcp_transport.h) — each machine is a real OS
 //    process; messages travel over localhost/LAN TCP sockets as
 //    length-prefixed versioned frames with per-peer send/receive
-//    threads.  Quiescence is detected by a per-peer sent/delivered
-//    counter exchange instead of inbox inspection.
+//    threads.
 //
 // Both backends deliver through a single dispatch thread per machine, so
 // handler executions on one machine are serialized — engines rely on
 // that (ApplyDataPush mutates ghost replicas without graph-wide locks).
+// Both keep every ordered machine pair a FIFO channel, which is all the
+// runtime's channel flush (rpc/flush_round.h) needs.
 //
 // CommLayer (rpc/comm_layer.h) is the thin policy layer on top: it owns
 // the (machine, handler-id) -> callback registry and delegates transport
@@ -147,41 +148,19 @@ class ITransport {
   virtual void Send(MachineId src, MachineId dst, HandlerId handler,
                     OutArchive payload) = 0;
 
-  /// Sends out-of-band traffic (telemetry pushes): delivered through the
-  /// same ordered dispatch path as data but excluded from the quiescence
-  /// accounting on both the send and the handle side, so a cluster that
-  /// streams telemetry continuously can still prove itself quiescent.
-  /// Byte/message traffic counters still include it (it is real wire
-  /// traffic).  Default forwards to Send for backends that do not
-  /// distinguish.
-  virtual void SendOutOfBand(MachineId src, MachineId dst, HandlerId handler,
-                             OutArchive payload) {
-    Send(src, dst, handler, std::move(payload));
-  }
-
   /// Estimated offset of `peer`'s steady clock relative to this
-  /// process's (remote - local, nanoseconds), derived from quiescence
-  /// probe round trips on the TCP backend (see rpc/clock_sync.h).  0
-  /// when unknown or when machines share one clock (in-process backend).
+  /// process's (remote - local, nanoseconds), from the clock-sync round
+  /// trips SyncClocks() runs on the TCP backend (see rpc/clock_sync.h).
+  /// 0 when unknown or when machines share one clock (in-process backend).
   virtual int64_t ClockOffsetNs(MachineId peer) const {
     (void)peer;
     return 0;
   }
 
-  /// Blocks until every message sent between LIVE machines has been
-  /// handled, observed stable twice (handlers can send more).  Callers
-  /// sandwich this between cluster barriers (the bulk-sync superstep,
-  /// the fault runner's drain) so no machine races new sends past the
-  /// check.  Traffic to and from peers already marked down is excluded
-  /// from the counting.
-  /// Returns true when quiescence was proven; false when the wait was
-  /// unblocked instead — a peer died during the wait, or the transport is
-  /// stopping — so callers surface a status instead of hanging forever on
-  /// a dead machine's missing acknowledgements.
-  virtual bool WaitQuiescent() = 0;
-
-  /// Best-effort point check of the same condition.
-  virtual bool IsQuiescent() = 0;
+  /// Refreshes ClockOffsetNs: a few clock-sync round trips to every live
+  /// peer, returning once they are answered (or a peer dies, or a short
+  /// timeout passes).  Nothing to do where machines share one clock.
+  virtual void SyncClocks() {}
 
   // ------------------------------------------------------------------
   // Failure surface (fault/ subsystem; see fault/failure_detector.h)
@@ -192,14 +171,15 @@ class ITransport {
   virtual void SetPeerDownListener(PeerDownCallback cb) = 0;
 
   /// Declares `peer` dead (heartbeat timeout, external decision).
-  /// Idempotent.  Quiescence waits exclude the peer from then on, queued
-  /// and future sends to it are dropped, and pending probe waits wake.
-  /// Fires the peer-down listener on the first call.
+  /// Idempotent.  Queued and future sends to it are dropped, frames from
+  /// it still awaiting dispatch are discarded, and a clock sync in
+  /// progress stops waiting for it.  Fires the peer-down listener on the
+  /// first call.
   virtual void MarkPeerDown(MachineId peer) = 0;
   virtual bool IsPeerDown(MachineId peer) const = 0;
 
   /// Starts liveness probing: the TCP backend pings every connected peer
-  /// each `interval` as control frames (excluded from quiescence
+  /// each `interval` as control frames (not charged to the traffic
   /// counters) and marks a peer down after `timeout` without hearing any
   /// frame from it.  May be called before or after Start().  The
   /// simulated backend has no wire to lose, so this records the
@@ -238,9 +218,6 @@ class ITransport {
   /// One registry per (cluster, machine); owning it here gives sequential
   /// clusters fresh counters.  `m` must be hosted (IsLocal).
   virtual metrics::MetricsRegistry& registry(MachineId m) = 0;
-
-  /// Messages handled locally since construction (monotonic; not reset).
-  virtual uint64_t TotalDelivered() const = 0;
 };
 
 }  // namespace rpc

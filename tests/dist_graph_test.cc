@@ -173,9 +173,7 @@ TEST_P(DistributedGraphTest, GhostPushPropagates) {
       graphs[0].MarkEdgeModified(e);
       graphs[0].FlushVertexScope(l);
     }
-    ctx.barrier().Wait(ctx.id);
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(ctx.id);
+    ctx.flush().Run(ctx.id);
     if (ctx.id == 1) {
       EXPECT_EQ(graphs[1].vertex_data(graphs[1].Lvid(3)).x, 333.0);
       EXPECT_EQ(graphs[1].edge_data(graphs[1].LeidOf(3, 4)).w, 34.0);
@@ -287,9 +285,7 @@ TEST_P(DistributedGraphTest, CoalescedWindowMergesRepeatedWrites) {
           << "one window must ship exactly one frame to the one peer";
       graphs[0].SetGhostSyncMode(GhostSyncMode::kPerScope);
     }
-    ctx.barrier().Wait(ctx.id);
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(ctx.id);
+    ctx.flush().Run(ctx.id);
     if (ctx.id == 1) {
       // The peer observes only the final merged value.
       EXPECT_EQ(graphs[1].vertex_data(graphs[1].Lvid(3)).x, 30.0);
@@ -424,9 +420,7 @@ TEST_P(DistributedGraphTest, DescendingStagingAppliesInKeyOrder) {
       EXPECT_EQ(graph.delta_batches_sent(), 1u);
       graph.SetGhostSyncMode(GhostSyncMode::kPerScope);
     }
-    ctx.barrier().Wait(ctx.id);
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(ctx.id);
+    ctx.flush().Run(ctx.id);
     if (ctx.id == 1) {
       for (VertexId v = 0; v < kN; v += 2) {
         EXPECT_EQ(graph.vertex_data(graph.Lvid(v)).x, 100.0 + v) << v;
@@ -532,9 +526,7 @@ TEST_P(DistributedGraphTest, BulkFlushSynchronizesAllBoundaries) {
       graphs[ctx.id].MarkVertexModified(l);
     }
     graphs[ctx.id].FlushAllOwnedBulk();
-    ctx.barrier().Wait(ctx.id);
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(ctx.id);
+    ctx.flush().Run(ctx.id);
     // All ghosts must now show +100.
     for (LocalVid l = 0; l < graphs[ctx.id].num_local_vertices(); ++l) {
       VertexId gv = graphs[ctx.id].Gvid(l);
@@ -590,9 +582,7 @@ TEST(GhostFrameV3, GoldenBytes) {
       graph.PushEntities(vertices, edges);
       graph.SetGhostSyncMode(GhostSyncMode::kPerScope);
     }
-    ctx.barrier().Wait(ctx.id);
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(ctx.id);
+    ctx.flush().Run(ctx.id);
   });
 
   ASSERT_EQ(frames.size(), 1u);

@@ -692,16 +692,16 @@ TEST_P(ChromaticStepEndTest, MalformedForwardFramesDropCleanly) {
           corpus.push_back(frame(kNext, {kSideA, 3}));  // a ghost on 0
           corpus_size = corpus.size();
           for (OutArchive& oa : corpus) {
-            ctx.comm().Send(ctx.id, 0, kColorStepEndHandler, std::move(oa));
+            ctx.comm().Send(ctx.id, 0, rpc::kFlushRoundHandler,
+                            std::move(oa));
           }
         }
-        ctx.barrier().Wait(ctx.id);
-        ctx.comm().WaitQuiescent();
-        ctx.barrier().Wait(ctx.id);
+        // Round kNext: machine 1's real frame trails the corpus.
+        ctx.flush().Run(ctx.id);
         if (ctx.id == 0) {
           dropped = ctx.comm()
                         .registry(0)
-                        .counter("engine.step_frames_dropped")
+                        .counter("rpc.flush_dropped")
                         ->Value();
         }
         // The real forward: gvid 1 rides machine 1's next frame.
@@ -862,9 +862,7 @@ TEST_P(LockingForwardTest, MalformedForwardFramesDropCleanly) {
                             std::move(oa));
           }
         }
-        ctx.barrier().Wait(ctx.id);
-        ctx.comm().WaitQuiescent();
-        ctx.barrier().Wait(ctx.id);
+        ctx.flush().Run(ctx.id);
         if (ctx.id == 1) m.engine.Schedule(m.graph.Lvid(1));
         m.engine.Start();
       },

@@ -71,24 +71,30 @@ TEST(MembershipTest, MarkDownIsMonotoneAndFiresSubscribersOnce) {
   EXPECT_EQ(alive[0], 0u);
 }
 
-TEST(MembershipTest, InProcessKillDropsTrafficAndKeepsQuiescence) {
-  rpc::CommLayer comm(3, rpc::CommOptions{});
+TEST(MembershipTest, InProcessKillDropsTrafficAndSurvivorsStillFlush) {
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kInProcess, 3));
+  rpc::CommLayer& comm = runtime.comm(0);
   std::atomic<int> delivered{0};
   for (rpc::MachineId m = 0; m < 3; ++m) {
     comm.RegisterHandler(
         m, 50, [&](rpc::MachineId, InArchive&) { delivered.fetch_add(1); });
   }
-  comm.Start();
   comm.Send(0, 2, 50, OutArchive());
-  ASSERT_TRUE(comm.WaitQuiescent());
-  EXPECT_EQ(delivered.load(), 1);
+  ASSERT_TRUE(testutil::WaitUntil([&] { return delivered.load() == 1; }));
 
   comm.InjectKill(2);
   EXPECT_FALSE(comm.membership().alive(2));
-  // To and from the dead machine: dropped, and quiescence still holds.
+  // To and from the dead machine: dropped.  The survivors' flush round
+  // skips the dead machine and completes.
   comm.Send(0, 2, 50, OutArchive());
   comm.Send(2, 1, 50, OutArchive());
-  EXPECT_TRUE(comm.WaitQuiescent());
+  std::vector<uint8_t> flushed(3, 0);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    if (ctx.id != 2) flushed[ctx.id] = ctx.flush().Run(ctx.id);
+  });
+  EXPECT_TRUE(flushed[0]);
+  EXPECT_TRUE(flushed[1]);
   EXPECT_EQ(delivered.load(), 1);
 }
 
@@ -190,8 +196,7 @@ TEST(RebalanceRoundTest, DeathMidRoundLeavesSurvivorsInStep) {
     // over the survivors, and rebuild on fresh placement.
     ctx.comm().InjectKill(kVictim);
     ctx.barrier().Wait(me);
-    EXPECT_TRUE(ctx.comm().WaitQuiescent());
-    ctx.barrier().Wait(me);
+    EXPECT_TRUE(ctx.flush().Run(me));
     EXPECT_TRUE(rebalancer.TakePendingPlacement(survivors).empty())
         << "machine " << me << " adopted a placement decided mid-death";
     migrations[me] = rebalancer.migrations();
@@ -433,6 +438,55 @@ TEST_F(FaultRecoveryTest, KilledWorkerRecoversAndMatchesReference) {
     l1 += std::fabs(ranks[v] - reference[v]);
   }
   EXPECT_LT(l1, 1e-8) << "recovered run diverged from unfailed reference";
+}
+
+// A boundary hook that fails with nobody dead stops the run at that
+// sweep's collective abort decision, with a partly converged graph.  The
+// runner must then fail on every machine — with the hook's own error on
+// the machine whose hook failed — rather than report that graph as the
+// result, and no machine may wait at a rendezvous the others skip.
+TEST_F(FaultRecoveryTest, FailingBoundaryHookFailsTheRunEverywhere) {
+  constexpr size_t kMachines = 3;
+  constexpr rpc::MachineId kFailing = 1;
+  auto structure = gen::PowerLawWeb(600, 5, 0.8, 7);
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  auto atom_of = RandomPartition(600, 12, 3);
+  AtomIndex meta = BuildMetaIndex(structure, atom_of, colors, 12);
+
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kTcp, kMachines));
+  fault::FtOptions ft;
+  ft.snapshot_dir = dir_;
+  ft.checkpoint_interval_seconds = 0.001;  // checkpoint every boundary
+  std::vector<DGraph> graphs(kMachines);
+  std::vector<Status> statuses(kMachines);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    const rpc::MachineId me = ctx.id;
+    fault::FaultTolerantRunner<PageRankVertex, PageRankEdge> runner(ctx, ft);
+    typename fault::FaultTolerantRunner<PageRankVertex,
+                                        PageRankEdge>::Problem problem;
+    problem.meta = meta;
+    problem.build = [&, me](DGraph* graph,
+                            const std::vector<rpc::MachineId>& placement) {
+      return graph->InitFromGlobal(global, atom_of, colors, placement, me,
+                                   &ctx.comm());
+    };
+    problem.update_fn = MakePageRankUpdateFn<DGraph>(0.85, 1e-13);
+    problem.engine_options.num_threads = 1;
+    if (me == kFailing) {
+      problem.on_boundary = [](uint64_t boundary) -> Status {
+        return boundary == 3 ? Status::IOError("hook failed at boundary 3")
+                             : Status::OK();
+      };
+    }
+    statuses[me] = runner.Run(problem, &graphs[me]).status();
+  });
+  for (rpc::MachineId m = 0; m < kMachines; ++m) {
+    EXPECT_FALSE(statuses[m].ok()) << "machine " << m;
+  }
+  EXPECT_EQ(statuses[kFailing].code(), StatusCode::kIOError);
+  EXPECT_EQ(statuses[kFailing].message(), "hook failed at boundary 3");
 }
 
 TEST_F(FaultRecoveryTest, CorruptedJournalFallsBackToEarlierEpoch) {

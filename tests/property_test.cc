@@ -609,9 +609,7 @@ TEST(ColumnarStorage, SyncSnapshotColumnRoundTrip) {
       for (LocalEid e : graph.out_edges(l)) graph.edge_data(e).weight = -1.0f;
     }
     ASSERT_TRUE(snapshot.Restore(1).ok());
-    ctx.barrier().Wait(ctx.id);
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(ctx.id);
+    ctx.flush().Run(ctx.id);
 
     for (LocalVid l : graph.owned_vertices()) {
       EXPECT_EQ(graph.vertex_data(l).rank, expected_rank(graph.Gvid(l)));

@@ -1,10 +1,11 @@
 // Tests for the cluster fabric: comm layer delivery/ordering/accounting,
-// RPC barrier, termination detection, allreduce, the SPMD runtime, and
-// the TCP transport (framing, FIFO, counter-exchange quiescence) over a
-// hermetic loopback socket mesh.
+// RPC barrier, flush round, termination detection, allreduce, the SPMD
+// runtime, and the TCP transport (framing, FIFO, clock sync, failures)
+// over a hermetic loopback socket mesh.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -15,6 +16,7 @@
 #include "graphlab/engine/allreduce.h"
 #include "graphlab/rpc/barrier.h"
 #include "graphlab/rpc/comm_layer.h"
+#include "graphlab/rpc/flush_round.h"
 #include "graphlab/rpc/runtime.h"
 #include "graphlab/rpc/tcp_transport.h"
 #include "graphlab/rpc/termination.h"
@@ -27,53 +29,60 @@ namespace graphlab {
 namespace rpc {
 namespace {
 
-CommOptions FastComm() {
-  CommOptions o;
-  o.latency = std::chrono::microseconds(0);
-  return o;
-}
+using graphlab::testutil::InProcessComm;
+using graphlab::testutil::WaitUntil;
+
+CommOptions FastComm() { return graphlab::testutil::ZeroLatency(); }
 
 TEST(CommLayerTest, DeliversToRegisteredHandler) {
-  CommLayer comm(2, FastComm());
+  auto comm = InProcessComm(2, FastComm());
   std::atomic<int> received{0};
-  comm.RegisterHandler(1, 100, [&](MachineId src, InArchive& ia) {
+  comm->RegisterHandler(1, 100, [&](MachineId src, InArchive& ia) {
     EXPECT_EQ(src, 0u);
     EXPECT_EQ(ia.ReadValue<int>(), 42);
     received.fetch_add(1);
   });
-  comm.Start();
+  comm->Start();
   OutArchive oa;
   oa << 42;
-  comm.Send(0, 1, 100, std::move(oa));
-  comm.WaitQuiescent();
-  EXPECT_EQ(received.load(), 1);
+  comm->Send(0, 1, 100, std::move(oa));
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 1; }));
 }
 
 TEST(CommLayerTest, SelfSendWorks) {
-  CommLayer comm(1, FastComm());
+  auto comm = InProcessComm(1, FastComm());
   std::atomic<int> received{0};
-  comm.RegisterHandler(0, 7, [&](MachineId, InArchive&) {
+  comm->RegisterHandler(0, 7, [&](MachineId, InArchive&) {
     received.fetch_add(1);
   });
-  comm.Start();
-  comm.Send(0, 0, 7, OutArchive());
-  comm.WaitQuiescent();
-  EXPECT_EQ(received.load(), 1);
+  comm->Start();
+  comm->Send(0, 0, 7, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 1; }));
+}
+
+/// Machine 0 sends `count` ints to machine 1; returns them in arrival
+/// order once all have been handled.
+std::vector<int> SendSequence(CommLayer* comm, int count) {
+  std::vector<int> order;
+  std::atomic<int> handled{0};
+  comm->RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
+    order.push_back(ia.ReadValue<int>());
+    handled.fetch_add(1, std::memory_order_release);
+  });
+  comm->Start();
+  for (int i = 0; i < count; ++i) {
+    OutArchive oa;
+    oa << i;
+    comm->Send(0, 1, 5, std::move(oa));
+  }
+  EXPECT_TRUE(WaitUntil([&] { return handled.load() == count; }));
+  comm->Stop();
+  return order;
 }
 
 TEST(CommLayerTest, FifoPerChannel) {
-  CommLayer comm(2, FastComm());
-  std::vector<int> order;
-  comm.RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
-    order.push_back(ia.ReadValue<int>());
-  });
-  comm.Start();
-  for (int i = 0; i < 100; ++i) {
-    OutArchive oa;
-    oa << i;
-    comm.Send(0, 1, 5, std::move(oa));
-  }
-  comm.WaitQuiescent();
+  auto comm = InProcessComm(2, FastComm());
+  std::vector<int> order = SendSequence(comm.get(), 100);
   ASSERT_EQ(order.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
@@ -81,18 +90,8 @@ TEST(CommLayerTest, FifoPerChannel) {
 TEST(CommLayerTest, FifoPerChannelWithLatency) {
   CommOptions o;
   o.latency = std::chrono::microseconds(200);
-  CommLayer comm(2, o);
-  std::vector<int> order;
-  comm.RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
-    order.push_back(ia.ReadValue<int>());
-  });
-  comm.Start();
-  for (int i = 0; i < 50; ++i) {
-    OutArchive oa;
-    oa << i;
-    comm.Send(0, 1, 5, std::move(oa));
-  }
-  comm.WaitQuiescent();
+  auto comm = InProcessComm(2, o);
+  std::vector<int> order = SendSequence(comm.get(), 50);
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
 }
@@ -100,105 +99,91 @@ TEST(CommLayerTest, FifoPerChannelWithLatency) {
 TEST(CommLayerTest, LatencyDelaysDelivery) {
   CommOptions o;
   o.latency = std::chrono::milliseconds(30);
-  CommLayer comm(2, o);
+  auto comm = InProcessComm(2, o);
   std::atomic<bool> received{false};
-  comm.RegisterHandler(1, 5, [&](MachineId, InArchive&) {
+  comm->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
     received.store(true);
   });
-  comm.Start();
+  comm->Start();
   Timer timer;
-  comm.Send(0, 1, 5, OutArchive());
-  comm.WaitQuiescent();
-  EXPECT_TRUE(received.load());
+  comm->Send(0, 1, 5, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return received.load(); }));
   EXPECT_GE(timer.Millis(), 25.0);
 }
 
 TEST(CommLayerTest, ByteAccountingIncludesHeader) {
-  CommLayer comm(2, FastComm());
-  comm.RegisterHandler(1, 5, [](MachineId, InArchive&) {});
-  comm.Start();
+  auto comm = InProcessComm(2, FastComm());
+  std::atomic<int> received{0};
+  comm->RegisterHandler(1, 5,
+                        [&](MachineId, InArchive&) { received.fetch_add(1); });
+  comm->Start();
   OutArchive oa;
   oa << uint64_t{1} << uint64_t{2};  // 16 payload bytes
-  comm.Send(0, 1, 5, std::move(oa));
-  comm.WaitQuiescent();
-  CommStats sender = comm.GetStats(0);
-  CommStats receiver = comm.GetStats(1);
+  comm->Send(0, 1, 5, std::move(oa));
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 1; }));
+  CommStats sender = comm->GetStats(0);
+  CommStats receiver = comm->GetStats(1);
   EXPECT_EQ(sender.messages_sent, 1u);
   EXPECT_EQ(sender.bytes_sent, 16u + kMessageHeaderBytes);
   EXPECT_EQ(receiver.messages_received, 1u);
   EXPECT_EQ(receiver.bytes_received, 16u + kMessageHeaderBytes);
-  comm.ResetStats();
-  EXPECT_EQ(comm.GetStats(0).bytes_sent, 0u);
+  comm->ResetStats();
+  EXPECT_EQ(comm->GetStats(0).bytes_sent, 0u);
 }
 
-TEST(CommLayerTest, HandlersMaySend) {
-  CommLayer comm(3, FastComm());
+/// Chain 0 -> 1 -> 2: machine 1's handler forwards what it receives.
+/// Returns how many messages machine 2 handled.
+int RunHandlerChain(CommLayer* at0, CommLayer* at1, CommLayer* at2) {
   std::atomic<int> final_count{0};
-  // Chain: 0 -> 1 -> 2.
-  comm.RegisterHandler(1, 5, [&](MachineId, InArchive&) {
-    comm.Send(1, 2, 5, OutArchive());
+  at1->RegisterHandler(1, 5, [at1](MachineId, InArchive&) {
+    at1->Send(1, 2, 5, OutArchive());
   });
-  comm.RegisterHandler(2, 5, [&](MachineId src, InArchive&) {
+  at2->RegisterHandler(2, 5, [&](MachineId src, InArchive&) {
     EXPECT_EQ(src, 1u);
     final_count.fetch_add(1);
   });
-  comm.Start();
-  comm.Send(0, 1, 5, OutArchive());
-  comm.WaitQuiescent();
-  EXPECT_EQ(final_count.load(), 1);
+  for (CommLayer* c : {at0, at1, at2}) c->Start();
+  at0->Send(0, 1, 5, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return final_count.load() == 1; }));
+  for (CommLayer* c : {at0, at1, at2}) c->Stop();
+  return final_count.load();
+}
+
+TEST(CommLayerTest, HandlersMaySend) {
+  auto comm = InProcessComm(3, FastComm());
+  EXPECT_EQ(RunHandlerChain(comm.get(), comm.get(), comm.get()), 1);
 }
 
 TEST(CommLayerTest, StallDelaysDispatch) {
-  CommLayer comm(2, FastComm());
+  auto comm = InProcessComm(2, FastComm());
   std::atomic<bool> received{false};
-  comm.RegisterHandler(1, 5, [&](MachineId, InArchive&) {
+  comm->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
     received.store(true);
   });
-  comm.Start();
-  comm.InjectStall(1, std::chrono::milliseconds(50));
-  EXPECT_TRUE(comm.StallActive(1));
+  comm->Start();
+  comm->InjectStall(1, std::chrono::milliseconds(50));
+  EXPECT_TRUE(comm->StallActive(1));
   Timer timer;
-  comm.Send(0, 1, 5, OutArchive());
-  comm.WaitQuiescent();
-  EXPECT_TRUE(received.load());
+  comm->Send(0, 1, 5, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return received.load(); }));
   EXPECT_GE(timer.Millis(), 40.0);
-}
-
-TEST(CommLayerTest, OutOfBandExcludedFromQuiescenceButCounted) {
-  CommLayer comm(2, FastComm());
-  std::atomic<int> received{0};
-  comm.RegisterHandler(1, 5, [&](MachineId, InArchive&) {
-    received.fetch_add(1);
-  });
-  comm.Start();
-  OutArchive oa;
-  oa << uint64_t{1} << uint64_t{2};  // 16 payload bytes
-  comm.SendOutOfBand(0, 1, 5, std::move(oa));
-  // Quiescence is provable without waiting on telemetry-class traffic...
-  EXPECT_TRUE(comm.WaitQuiescent());
-  // ...which is still delivered and still charged to the byte counters.
-  Timer timer;
-  while (received.load() == 0 && timer.Seconds() < 10.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(received.load(), 1);
-  EXPECT_EQ(comm.GetStats(0).messages_sent, 1u);
-  EXPECT_EQ(comm.GetStats(0).bytes_sent, 16u + kMessageHeaderBytes);
 }
 
 TEST(CommLayerTest, BandwidthModelAddsSerializationDelay) {
   CommOptions o;
   o.latency = std::chrono::microseconds(0);
   o.bandwidth_bytes_per_sec = 1000000;  // 1 MB/s
-  CommLayer comm(2, o);
-  comm.RegisterHandler(1, 5, [](MachineId, InArchive&) {});
-  comm.Start();
+  auto comm = InProcessComm(2, o);
+  std::atomic<bool> received{false};
+  comm->RegisterHandler(1, 5,
+                        [&](MachineId, InArchive&) { received.store(true); });
+  comm->Start();
   Timer timer;
   OutArchive oa;
   std::vector<char> big(50000);  // 50 KB at 1MB/s = 50 ms
   oa << big;
-  comm.Send(0, 1, 5, std::move(oa));
-  comm.WaitQuiescent();
+  comm->Send(0, 1, 5, std::move(oa));
+  EXPECT_TRUE(WaitUntil([&] { return received.load(); }));
   EXPECT_GE(timer.Millis(), 40.0);
 }
 
@@ -235,8 +220,7 @@ TEST(TcpTransportTest, DeliversToRegisteredHandler) {
   OutArchive oa;
   oa << 42;
   comms[0]->Send(0, 1, 100, std::move(oa));
-  comms[0]->WaitQuiescent();
-  EXPECT_EQ(received.load(), 1);
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 1; }));
 }
 
 TEST(TcpTransportTest, SelfSendSkipsTheWire) {
@@ -247,15 +231,16 @@ TEST(TcpTransportTest, SelfSendSkipsTheWire) {
   });
   StartAll(comms);
   comms[0]->Send(0, 0, 7, OutArchive());
-  comms[0]->WaitQuiescent();
-  EXPECT_EQ(received.load(), 1);
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 1; }));
 }
 
 TEST(TcpTransportTest, FifoPerChannel) {
   auto comms = MakeTcpComms(2);
   std::vector<int> order;
+  std::atomic<int> handled{0};
   comms[1]->RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
     order.push_back(ia.ReadValue<int>());
+    handled.fetch_add(1, std::memory_order_release);
   });
   StartAll(comms);
   for (int i = 0; i < 200; ++i) {
@@ -263,28 +248,31 @@ TEST(TcpTransportTest, FifoPerChannel) {
     oa << i;
     comms[0]->Send(0, 1, 5, std::move(oa));
   }
-  comms[0]->WaitQuiescent();
-  comms[1]->WaitQuiescent();
+  ASSERT_TRUE(WaitUntil([&] { return handled.load() == 200; }));
   ASSERT_EQ(order.size(), 200u);
   for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(TcpTransportTest, ByteAccountingCountsFrameHeader) {
   auto comms = MakeTcpComms(2);
-  comms[1]->RegisterHandler(1, 5, [](MachineId, InArchive&) {});
+  std::atomic<int> received{0};
+  comms[1]->RegisterHandler(1, 5,
+                            [&](MachineId, InArchive&) { received.fetch_add(1); });
   StartAll(comms);
   OutArchive oa;
   oa << uint64_t{1} << uint64_t{2};  // 16 payload bytes
   comms[0]->Send(0, 1, 5, std::move(oa));
-  comms[0]->WaitQuiescent();
-  comms[1]->WaitQuiescent();
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 1; }));
+  // Clock-sync probes and replies are control frames: not charged.
+  comms[0]->SyncClocks();
+  comms[1]->SyncClocks();
   CommStats sender = comms[0]->GetStats(0);
   CommStats receiver = comms[1]->GetStats(1);
   EXPECT_EQ(sender.messages_sent, 1u);
   EXPECT_EQ(sender.bytes_sent, 16u + kTcpFrameHeaderBytes);
   EXPECT_EQ(receiver.messages_received, 1u);
   EXPECT_EQ(receiver.bytes_received, 16u + kTcpFrameHeaderBytes);
-  // Control traffic (hello, quiescence probes) is not charged.
+  EXPECT_EQ(receiver.messages_sent, 0u);
   auto peers = comms[0]->GetPeerStats(0);
   ASSERT_EQ(peers.size(), 2u);
   EXPECT_EQ(peers[1].messages_sent, 1u);
@@ -292,47 +280,10 @@ TEST(TcpTransportTest, ByteAccountingCountsFrameHeader) {
   EXPECT_EQ(peers[0].messages_sent, 0u);
 }
 
-TEST(TcpTransportTest, OutOfBandExcludedFromQuiescenceButCounted) {
-  auto comms = MakeTcpComms(2);
-  std::atomic<int> received{0};
-  comms[1]->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
-    received.fetch_add(1);
-  });
-  StartAll(comms);
-  OutArchive oa;
-  oa << uint64_t{1} << uint64_t{2};  // 16 payload bytes
-  comms[0]->SendOutOfBand(0, 1, 5, std::move(oa));
-  // The cluster-wide counter exchange must balance without the
-  // out-of-band frame: both sides prove quiescence while it may still
-  // be in flight.
-  EXPECT_TRUE(comms[0]->WaitQuiescent());
-  EXPECT_TRUE(comms[1]->WaitQuiescent());
-  Timer timer;
-  while (received.load() == 0 && timer.Seconds() < 10.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(received.load(), 1);
-  EXPECT_EQ(comms[0]->GetStats(0).messages_sent, 1u);
-  EXPECT_EQ(comms[0]->GetStats(0).bytes_sent, 16u + kTcpFrameHeaderBytes);
-}
-
-TEST(TcpTransportTest, HandlersMaySendAndQuiescenceSeesTheChain) {
+TEST(TcpTransportTest, HandlersMaySend) {
   auto comms = MakeTcpComms(3);
-  std::atomic<int> final_count{0};
-  // Chain: 0 -> 1 -> 2.
-  comms[1]->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
-    comms[1]->Send(1, 2, 5, OutArchive());
-  });
-  comms[2]->RegisterHandler(2, 5, [&](MachineId src, InArchive&) {
-    EXPECT_EQ(src, 1u);
-    final_count.fetch_add(1);
-  });
-  StartAll(comms);
-  comms[0]->Send(0, 1, 5, OutArchive());
-  // Machine 0's quiescence must cover the handler-initiated 1 -> 2 hop
-  // it never saw locally: the counter exchange sums cluster-wide.
-  comms[0]->WaitQuiescent();
-  EXPECT_EQ(final_count.load(), 1);
+  EXPECT_EQ(RunHandlerChain(comms[0].get(), comms[1].get(), comms[2].get()),
+            1);
 }
 
 TEST(TcpTransportTest, RuntimeBarrierAndAllreduceOverTcp) {
@@ -380,6 +331,7 @@ TEST(TcpTransportTest, TerminationDetectionOverTcp) {
 
 TEST(TcpTransportTest, LargeFrameRoundTrips) {
   auto comms = MakeTcpComms(2);
+  std::atomic<bool> handled{false};
   std::atomic<bool> matched{false};
   std::vector<uint64_t> big(200000);
   for (size_t i = 0; i < big.size(); ++i) big[i] = i * 2654435761u;
@@ -387,12 +339,13 @@ TEST(TcpTransportTest, LargeFrameRoundTrips) {
     std::vector<uint64_t> got;
     ia >> got;
     matched.store(got == big);
+    handled.store(true);
   });
   StartAll(comms);
   OutArchive oa;
   oa << big;
   comms[0]->Send(0, 1, 9, std::move(oa));
-  comms[0]->WaitQuiescent();
+  ASSERT_TRUE(WaitUntil([&] { return handled.load(); }));
   EXPECT_TRUE(matched.load());
 }
 
@@ -401,80 +354,77 @@ TEST(TcpTransportTest, LargeFrameRoundTrips) {
 // unblock waits with a status — never hang or kill the process.
 // ---------------------------------------------------------------------
 
-TEST(TcpFailureTest, PeerDeathFiresPeerDownAndUnblocksQuiescence) {
+TEST(TcpFailureTest, PeerDeathFiresPeerDown) {
   auto comms = MakeTcpComms(3);
+  std::atomic<int> received{0};
   for (size_t m = 0; m < 3; ++m) {
-    comms[m]->RegisterHandler(m, 5, [](MachineId, InArchive&) {});
+    comms[m]->RegisterHandler(
+        m, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
   }
   StartAll(comms);
   // Warm the mesh so every connection exists.
   comms[0]->Send(0, 1, 5, OutArchive());
   comms[0]->Send(0, 2, 5, OutArchive());
-  ASSERT_TRUE(comms[0]->WaitQuiescent());
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 2; }));
 
   // Machine 2 dies abruptly (kill -9 analogue).
   comms[2]->InjectKill(2);
 
   // Survivors observe the death through receive-side EOF within the
   // membership view, without any heartbeat configured.
-  Timer timer;
-  while ((comms[0]->membership().alive(2) ||
-          comms[1]->membership().alive(2)) &&
-         timer.Seconds() < 10.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_FALSE(comms[0]->membership().alive(2));
-  EXPECT_FALSE(comms[1]->membership().alive(2));
+  EXPECT_TRUE(WaitUntil([&] {
+    return !comms[0]->membership().alive(2) &&
+           !comms[1]->membership().alive(2);
+  }));
   EXPECT_TRUE(comms[0]->IsPeerDown(2));
 
-  // Quiescence among the survivors completes instead of hanging on the
-  // dead machine's probe replies.
+  // Traffic among the survivors still flows, and a clock sync returns
+  // instead of waiting on the dead machine's replies.
   comms[0]->Send(0, 1, 5, OutArchive());
-  EXPECT_TRUE(comms[0]->WaitQuiescent());
-  EXPECT_TRUE(comms[1]->WaitQuiescent());
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 3; }));
+  comms[0]->SyncClocks();
 }
 
 TEST(TcpFailureTest, SendToDeadPeerIsDroppedNotFatal) {
   auto comms = MakeTcpComms(2);
-  comms[1]->RegisterHandler(1, 5, [](MachineId, InArchive&) {});
+  std::atomic<int> received{0};
+  comms[1]->RegisterHandler(
+      1, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
+  comms[0]->RegisterHandler(
+      0, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
   StartAll(comms);
   comms[0]->Send(0, 1, 5, OutArchive());
-  ASSERT_TRUE(comms[0]->WaitQuiescent());
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 1; }));
 
   comms[1]->InjectKill(1);
-  Timer timer;
-  while (comms[0]->membership().alive(1) && timer.Seconds() < 10.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_FALSE(comms[0]->membership().alive(1));
+  ASSERT_TRUE(WaitUntil([&] { return !comms[0]->membership().alive(1); }));
 
   // A burst of sends to the dead peer: no SIGPIPE, no blocking, and the
-  // survivor's quiescence stays provable (dead traffic is excluded).
+  // survivor keeps delivering its own traffic.
   for (int i = 0; i < 500; ++i) {
     OutArchive oa;
     oa << std::vector<char>(2048);
     comms[0]->Send(0, 1, 5, std::move(oa));
   }
-  EXPECT_TRUE(comms[0]->WaitQuiescent());
+  comms[0]->Send(0, 0, 5, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 2; }));
 }
 
 TEST(TcpFailureTest, HeartbeatDeadlineMarksSilentPeerDown) {
   auto comms = MakeTcpComms(2);
-  StartAll(comms);
+  std::atomic<int> received{0};
   // Warm the connections so machine 0 has heard from machine 1 once.
-  comms[0]->RegisterHandler(0, 5, [](MachineId, InArchive&) {});
+  comms[0]->RegisterHandler(
+      0, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
+  StartAll(comms);
   comms[1]->Send(1, 0, 5, OutArchive());
-  ASSERT_TRUE(comms[1]->WaitQuiescent());
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 1; }));
 
   // Only machine 0 runs a failure detector; machine 1 stays silent (no
   // heartbeats of its own), so machine 0's deadline must fire.
   comms[0]->EnableHeartbeats(std::chrono::milliseconds(20),
                              std::chrono::milliseconds(150));
-  Timer timer;
-  while (comms[0]->membership().alive(1) && timer.Seconds() < 10.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_FALSE(comms[0]->membership().alive(1));
+  EXPECT_TRUE(WaitUntil([&] { return !comms[0]->membership().alive(1); }));
 }
 
 TEST(TcpFailureTest, BarrierReleasesSurvivorsAfterDeath) {
@@ -522,6 +472,231 @@ TEST(BarrierTest, SynchronizesMachines) {
   EXPECT_FALSE(violation.load());
   EXPECT_EQ(phase_counter.load(), 40);
 }
+
+// ---------------------------------------------------------------------
+// Flush round
+// ---------------------------------------------------------------------
+
+class FlushRoundTest : public ::testing::TestWithParam<TransportKind> {};
+
+// Every message a machine sends before entering a round has been handled
+// at its destination once the destination's round completes, including
+// a payload carried by the round's own frame.
+TEST_P(FlushRoundTest, RoundFlushesEarlierTrafficAndCarriesPayloads) {
+  constexpr size_t kMachines = 3;
+  Runtime runtime(graphlab::testutil::ClusterFor(GetParam(), kMachines, 50));
+  std::vector<std::atomic<int>> received(kMachines);
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    ctx.comm().RegisterHandler(
+        me, 60, [&, me](MachineId, InArchive&) { received[me].fetch_add(1); });
+    // Decodes a u64 column; the round hands the values over after it.
+    ctx.flush().SetDecoder(me, [](MachineId, InArchive& ia,
+                                  std::vector<uint64_t>* out) -> const char* {
+      while (!ia.AtEnd()) out->push_back(ia.ReadValue<uint64_t>());
+      return ia.ok() ? nullptr : "torn column";
+    });
+    ctx.barrier().Wait(me);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<OutArchive> payloads(kMachines);
+      for (MachineId p = 0; p < kMachines; ++p) {
+        if (p == me) continue;
+        for (int i = 0; i < 10; ++i) ctx.comm().Send(me, p, 60, OutArchive());
+        payloads[p] << uint64_t{100 * me + p};
+      }
+      std::vector<uint64_t> got;
+      EXPECT_TRUE(ctx.flush().Run(me, std::move(payloads), &got));
+      // A peer already past the round may have sent its next batch too.
+      EXPECT_GE(received[me].load(), 20 * (round + 1));
+      std::sort(got.begin(), got.end());
+      std::vector<uint64_t> want;
+      for (MachineId p = 0; p < kMachines; ++p) {
+        if (p != me) want.push_back(100 * p + me);
+      }
+      EXPECT_EQ(got, want) << "machine " << me;
+    }
+    ctx.flush().SetDecoder(me, nullptr);
+  });
+}
+
+// Machine 2 dies while machines 0 and 1 wait in a round for its frame:
+// the death ends their wait with false.  A round entered after the death
+// skips the dead machine and completes; traffic to and from it is
+// dropped.
+TEST_P(FlushRoundTest, PeerDeathEndsTheWaitAndSurvivorsKeepFlushing) {
+  constexpr size_t kMachines = 3;
+  Runtime runtime(graphlab::testutil::ClusterFor(GetParam(), kMachines));
+  std::atomic<int> delivered{0};
+  std::vector<uint8_t> first(kMachines, 1), second(kMachines, 0);
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    ctx.comm().RegisterHandler(
+        me, 50, [&](MachineId, InArchive&) { delivered.fetch_add(1); });
+    ctx.barrier().Wait(me);
+    if (me == 0) ctx.comm().Send(0, 2, 50, OutArchive());
+    ASSERT_TRUE(ctx.flush().Run(me));  // everyone in: true
+    if (me == 2) {
+      EXPECT_EQ(delivered.load(), 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ctx.comm().InjectKill(2);
+      return;
+    }
+    first[me] = ctx.flush().Run(me);
+    EXPECT_TRUE(WaitUntil([&] { return !ctx.comm().membership().alive(2); }));
+    if (GetParam() == TransportKind::kInProcess && me == 0) {
+      ctx.comm().Send(0, 2, 50, OutArchive());  // to the dead: dropped
+      ctx.comm().Send(2, 1, 50, OutArchive());  // from the dead: dropped
+    }
+    second[me] = ctx.flush().Run(me);
+  });
+  for (MachineId m : {0u, 1u}) {
+    SCOPED_TRACE("machine " + std::to_string(m));
+    EXPECT_FALSE(first[m]);
+    EXPECT_TRUE(second[m]);
+  }
+  EXPECT_EQ(delivered.load(), 1);
+}
+
+// Machine 0 enters a round machine 1 joins only after machine 0's stop
+// predicate fired: the wait ends with false.  Machine 0's frame was sent
+// anyway, so machine 1's round completes, and machine 1's late frame
+// keeps the two in step for the next round.  A cancelled round also
+// sends its frame and returns false at once, until Realign.
+TEST_P(FlushRoundTest, StopAndCancelEndTheWaitButKeepMachinesInStep) {
+  Runtime runtime(graphlab::testutil::ClusterFor(GetParam(), 2));
+  std::atomic<bool> stop{false};
+  std::atomic<bool> returned{false};
+  std::vector<uint8_t> stopped(2, 1), late(2, 0), cancelled(2, 1),
+      realigned(2, 0);
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    ctx.barrier().Wait(me);
+    if (me == 0) {
+      std::thread aborter([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        stop.store(true);
+        ctx.flush().Wake(0);
+      });
+      stopped[0] = ctx.flush().Run(0, {}, nullptr, [&] { return stop.load(); });
+      returned.store(true);
+      aborter.join();
+    } else {
+      EXPECT_TRUE(WaitUntil([&] { return returned.load(); }));
+      stopped[1] = ctx.flush().Run(1);
+    }
+    late[me] = ctx.flush().Run(me);
+
+    if (me == 0) ctx.flush().Cancel(0);
+    cancelled[me] = ctx.flush().Run(me);
+    // As after a recovery rendezvous: realign once every frame sent so
+    // far is in (the barrier trails them).  A machine that realigns first
+    // may send its next frame before the other realigns; it is kept.
+    ctx.barrier().Wait(me);
+    if (me == 1) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ctx.flush().Realign(me, ctx.flush().generation(me));
+    realigned[me] = ctx.flush().Run(me);
+  });
+  EXPECT_FALSE(stopped[0]);
+  EXPECT_TRUE(stopped[1]);
+  EXPECT_TRUE(late[0]);
+  EXPECT_TRUE(late[1]);
+  EXPECT_FALSE(cancelled[0]);
+  EXPECT_TRUE(cancelled[1]);
+  EXPECT_TRUE(realigned[0]);
+  EXPECT_TRUE(realigned[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, FlushRoundTest,
+                         ::testing::ValuesIn(
+                             graphlab::testutil::kAllTransports),
+                         graphlab::testutil::KindParamName);
+
+/// Seeded structured mutations of machine 0's frame of `generation`, a
+/// bare u64: truncation at every byte, stale / +2 / far / UINT64_MAX
+/// generations, and the right generation carrying a payload no decoder
+/// is installed for.  None is a frame the receiver may accept.
+std::vector<std::string> FlushFrameMutations(uint64_t generation, Rng* rng) {
+  auto frame = [](uint64_t g, size_t payload_bytes) {
+    OutArchive oa;
+    oa << g;
+    for (size_t i = 0; i < payload_bytes; ++i) oa << uint8_t{7};
+    return std::string(oa.buffer().data(), oa.size());
+  };
+  const std::string good = frame(generation, 0);
+  std::vector<std::string> out;
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    out.push_back(good.substr(0, cut));
+  }
+  for (uint64_t g : {generation - 1, generation + 1, generation + 2,
+                     generation + 3 + rng->UniformInt(uint64_t{1} << 40),
+                     ~uint64_t{0}}) {
+    out.push_back(frame(g, 0));
+  }
+  for (size_t bytes : {size_t{1}, size_t{4}, 1 + rng->UniformInt(64)}) {
+    out.push_back(frame(generation, bytes));
+  }
+  return out;
+}
+
+class FlushFrameFuzz : public ::testing::TestWithParam<TransportKind> {};
+
+// Machines 1 and 2 wait in round 1 for machine 0, which instead feeds
+// them mutated frames.  Each must be counted as dropped at its receiver
+// and none may release the wait; machine 0's real frame then completes
+// the round, and a further round completes everywhere.
+TEST_P(FlushFrameFuzz, BadFramesAreDroppedAndReleaseNothing) {
+  constexpr size_t kMachines = 3;
+  Runtime runtime(graphlab::testutil::ClusterFor(GetParam(), kMachines));
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);  // every mutation logs a drop
+  Rng rng(0xF1A5);
+  auto dropped = [&](MachineId m) {
+    return runtime.metrics(m).counter("rpc.flush_dropped")->Value();
+  };
+  std::atomic<int> released{0};
+  std::vector<uint8_t> completed(kMachines, 0);
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    EXPECT_TRUE(ctx.flush().Run(me));  // round 0: every fabric is up
+    if (me == 0) {
+      Timer timer;
+      for (MachineId m : {1u, 2u}) {
+        while (runtime.flush(m).generation(m) < 2) {
+          ASSERT_LT(timer.Seconds(), 10.0) << "machine " << m;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      uint64_t sent = 0;
+      for (const std::string& bytes : FlushFrameMutations(1, &rng)) {
+        for (MachineId dst : {1u, 2u}) {
+          OutArchive oa;
+          oa.WriteBytes(bytes.data(), bytes.size());
+          ctx.comm().Send(0, dst, kFlushRoundHandler, std::move(oa));
+        }
+        ++sent;
+      }
+      for (MachineId m : {1u, 2u}) {
+        timer.Start();
+        while (dropped(m) < sent && timer.Seconds() < 5.0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_EQ(dropped(m), sent) << "machine " << m;
+      }
+      EXPECT_EQ(released.load(), 0) << "a bad frame released the round";
+      EXPECT_EQ(dropped(0), 0u);
+    }
+    completed[me] = ctx.flush().Run(me);  // round 1, fuzzed
+    if (me != 0) released.fetch_add(1);
+    EXPECT_TRUE(ctx.flush().Run(me));  // round 2
+  });
+  SetLogLevel(saved_level);
+  for (MachineId m = 0; m < kMachines; ++m) EXPECT_TRUE(completed[m]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, FlushFrameFuzz,
+                         ::testing::ValuesIn(
+                             graphlab::testutil::kAllTransports),
+                         graphlab::testutil::KindParamName);
 
 // ---------------------------------------------------------------------
 // Termination detection

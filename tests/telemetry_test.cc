@@ -53,25 +53,9 @@ using metrics::TimeSeriesOptions;
 using metrics::TimeSeriesRing;
 using metrics::TimeSeriesSampler;
 using rpc::ClockOffsetEstimator;
-using rpc::CommLayer;
-using rpc::CommOptions;
 using rpc::MachineId;
 
-CommOptions FastComm() {
-  CommOptions o;
-  o.latency = std::chrono::microseconds(0);
-  return o;
-}
-
-/// Telemetry rides the out-of-band lane, which WaitQuiescent() ignores by
-/// design, so tests poll for its delivery (bounded) instead.
-bool WaitUntil(const std::function<bool()>& done) {
-  const uint64_t deadline_ns = Timer::NowNanos() + 2'000'000'000ull;
-  while (!done() && Timer::NowNanos() < deadline_ns) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return done();
-}
+using testutil::WaitUntil;
 
 // ---------------------------------------------------------------------
 // TimeSeriesRing
@@ -197,16 +181,12 @@ TEST(ClockOffsetEstimatorTest, IgnoresInvalidObservations) {
 
 TEST(ClockSyncTest, TcpLoopbackOffsetBoundedByHalfRtt) {
   // Loopback machines share one physical clock, so the estimated offset
-  // must be within the estimator's own error bound of zero once
-  // quiescence probes have run.
+  // must be within the estimator's own error bound of zero once the
+  // clock-sync exchange has run.
   rpc::Runtime runtime(testutil::ClusterFor(rpc::TransportKind::kTcp, 2));
   runtime.Run([&](rpc::MachineContext& ctx) {
-    ctx.comm().RegisterHandler(ctx.id, 50, [](MachineId, InArchive&) {});
     ctx.barrier().Wait(ctx.id);
-    OutArchive oa;
-    oa << uint64_t{1};
-    ctx.comm().Send(ctx.id, 1 - ctx.id, 50, std::move(oa));
-    ctx.comm().WaitQuiescent();  // runs the clock-sync probe exchange
+    ctx.comm().SyncClocks();
     const int64_t offset = ctx.comm().ClockOffsetNs(1 - ctx.id);
     // Sub-millisecond on loopback; 50 ms catches only real breakage
     // (e.g. mixing clock domains) without flaking on slow CI.
@@ -287,20 +267,20 @@ TEST(TimeSeriesSamplerTest, BackgroundThreadTicksAndPushes) {
 }
 
 // ---------------------------------------------------------------------
-// Telemetry channel: delivery and quiescence neutrality
+// Telemetry channel: delivery and accounting
 // ---------------------------------------------------------------------
 
 TEST(TelemetryChannelTest, SamplesReachMasterInProcess) {
-  CommLayer comm(3, FastComm());
+  auto comm = testutil::InProcessComm(3, testutil::ZeroLatency());
   std::atomic<uint64_t> seen{0};
   std::atomic<uint64_t> from_machines{0};
-  TelemetryChannel master(&comm, 0, [&](const TelemetrySample& s) {
+  TelemetryChannel master(comm.get(), 0, [&](const TelemetrySample& s) {
     seen.fetch_add(1);
     from_machines.fetch_add(1ull << s.machine);
   });
-  TelemetryChannel w1(&comm, 1, nullptr);
-  TelemetryChannel w2(&comm, 2, nullptr);
-  comm.Start();
+  TelemetryChannel w1(comm.get(), 1, nullptr);
+  TelemetryChannel w2(comm.get(), 2, nullptr);
+  comm->Start();
 
   TelemetrySample s;
   s.seq = 1;
@@ -317,44 +297,29 @@ TEST(TelemetryChannelTest, SamplesReachMasterInProcess) {
   EXPECT_EQ(from_machines.load(), 0b111u);
 }
 
-TEST(TelemetryChannelTest, OutOfBandTrafficDoesNotBlockQuiescence) {
-  // A continuously streaming telemetry plane must not wedge
-  // WaitQuiescent: out-of-band sends are excluded from the quiescence
-  // accounting on both the send and the dispatch side.
-  CommLayer comm(2, FastComm());
+TEST(TelemetryChannelTest, SamplesAreCountedLikeAnyTraffic) {
+  // Telemetry is ordinary traffic on the wire: every pushed sample is
+  // charged to the sender's message and byte counters.
+  auto comm = testutil::InProcessComm(2, testutil::ZeroLatency());
   std::atomic<uint64_t> received{0};
-  TelemetryChannel master(&comm, 0, [&](const TelemetrySample&) {
+  TelemetryChannel master(comm.get(), 0, [&](const TelemetrySample&) {
     received.fetch_add(1);
   });
-  TelemetryChannel worker(&comm, 1, nullptr);
-  comm.Start();
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> published{0};
-  std::thread streamer([&] {
-    TelemetrySample s;
-    s.machine = 1;
-    while (!stop.load(std::memory_order_acquire)) {
-      ++s.seq;
-      s.t_ns = Timer::NowNanos();
-      worker.Publish(s);
-      published.fetch_add(1, std::memory_order_release);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-  // Quiescence must complete while the stream keeps flowing.
-  for (int i = 0; i < 5; ++i) comm.WaitQuiescent();
-  // On a loaded host the waits can finish before the streamer thread
-  // first runs; let it publish before stopping it.
-  while (published.load(std::memory_order_acquire) == 0) {
-    std::this_thread::yield();
+  TelemetryChannel worker(comm.get(), 1, nullptr);
+  comm->Start();
+  constexpr uint64_t kSamples = 20;
+  TelemetrySample s;
+  s.machine = 1;
+  for (uint64_t i = 1; i <= kSamples; ++i) {
+    s.seq = i;
+    s.t_ns = Timer::NowNanos();
+    worker.Publish(s);
   }
-  stop.store(true, std::memory_order_release);
-  streamer.join();
-  comm.WaitQuiescent();
-  EXPECT_TRUE(WaitUntil([&] { return received.load() > 0; }));
-  // The traffic is still real on the wire: byte/message counters count.
-  EXPECT_GT(comm.GetStats(1).messages_sent, 0u);
-  EXPECT_GT(comm.GetStats(1).bytes_sent, 0u);
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == kSamples; }));
+  EXPECT_EQ(comm->GetStats(1).messages_sent, kSamples);
+  EXPECT_GT(comm->GetStats(1).bytes_sent,
+            kSamples * rpc::kMessageHeaderBytes);
+  comm->Stop();
 }
 
 TEST(TelemetrySampleTest, SerializationRoundTrips) {
@@ -618,8 +583,8 @@ TEST(TelemetryE2ETest, StragglerFlaggedOverTcpWithinKWindows) {
     // Drive 12 synchronized windows by hand: every machine does "work"
     // (counter increments) each window, the slow machine at 1/10th the
     // rate, publishes its sample, and machine 0 runs a health pass.
-    // Samples are out-of-band (excluded from quiescence), so the master
-    // waits for the window's full complement by ingested count.
+    // Samples are fire-and-forget, so the master waits for the window's
+    // full complement by ingested count.
     for (uint64_t window = 1; window <= 12; ++window) {
       updates->Inc(me == kSlow ? 100 : 1000);
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -640,8 +605,9 @@ TEST(TelemetryE2ETest, StragglerFlaggedOverTcpWithinKWindows) {
       }
       ctx.barrier().Wait(me);
     }
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(me);
+    // Every sample is dispatched once the round completes (the channel's
+    // handler sends nothing), so the channel can go.
+    ctx.flush().Run(me);
     channel.reset();
   });
 
@@ -717,8 +683,7 @@ TEST_P(FlowTraceTest, SendAndDispatchFlowEventsPairAcrossMachines) {
         ctx.comm().Send(me, dst, 60, std::move(oa));
       }
     }
-    ctx.comm().WaitQuiescent();
-    ctx.barrier().Wait(me);
+    ctx.flush().Run(me);
   });
 
   ASSERT_TRUE(trace::WriteChromeTrace(path_).ok());
@@ -727,7 +692,7 @@ TEST_P(FlowTraceTest, SendAndDispatchFlowEventsPairAcrossMachines) {
   const std::set<std::string> sends = FlowIds(json, 's');
   const std::set<std::string> finishes = FlowIds(json, 'f');
   // 4 machines x 3 peers x 5 messages, each with a unique causal id.
-  // (Barrier/quiescence traffic adds more; data sends are the floor.)
+  // (Barrier and flush-round traffic adds more; data sends are the floor.)
   EXPECT_GE(sends.size(), 60u);
   // Every dispatch's finish pairs a send emitted on the origin machine.
   ASSERT_FALSE(finishes.empty());

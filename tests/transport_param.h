@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "graphlab/engine/allreduce.h"
+#include "graphlab/rpc/comm_layer.h"
+#include "graphlab/rpc/inproc_transport.h"
 #include "graphlab/rpc/runtime.h"
 #include "graphlab/rpc/transport.h"
 
@@ -34,6 +38,33 @@ inline rpc::ClusterOptions ClusterFor(rpc::TransportKind kind,
   o.transport = kind;
   o.tcp_loopback_cluster = (kind == rpc::TransportKind::kTcp);
   return o;
+}
+
+/// A single simulated fabric of `machines` at zero latency (the tests
+/// that drive a CommLayer directly, without a Runtime).
+inline std::unique_ptr<rpc::CommLayer> InProcessComm(
+    size_t machines, rpc::CommOptions options = {}) {
+  return std::make_unique<rpc::CommLayer>(
+      std::make_unique<rpc::InProcessTransport>(machines, options));
+}
+
+inline rpc::CommOptions ZeroLatency() {
+  rpc::CommOptions o;
+  o.latency = std::chrono::microseconds(0);
+  return o;
+}
+
+/// Polls `done` until it holds or `timeout` passes; returns its last
+/// value.  Tests that send through a bare CommLayer wait on their own
+/// delivery counters with it.
+inline bool WaitUntil(const std::function<bool()>& done,
+                      std::chrono::milliseconds timeout =
+                          std::chrono::milliseconds(10000)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return done();
 }
 
 /// SumAllReduce instances matching the runtime's fabric shape: one shared
