@@ -537,7 +537,13 @@ TEST_P(FlushRoundTest, PeerDeathEndsTheWaitAndSurvivorsKeepFlushing) {
     ASSERT_TRUE(ctx.flush().Run(me));  // everyone in: true
     if (me == 2) {
       EXPECT_EQ(delivered.load(), 1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      // Die only once machines 0 and 1 have entered the next round, and
+      // give them time to reach its wait.
+      EXPECT_TRUE(WaitUntil([&] {
+        return runtime.flush(0).generation(0) == 2 &&
+               runtime.flush(1).generation(1) == 2;
+      }));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
       ctx.comm().InjectKill(2);
       return;
     }
