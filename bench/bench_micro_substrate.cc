@@ -57,9 +57,10 @@ void BM_CommLayerRoundtrip(benchmark::State& state) {
   opts.latency = std::chrono::microseconds(0);
   rpc::CommLayer comm(std::make_unique<rpc::InProcessTransport>(2, opts));
   std::atomic<uint64_t> received{0};
-  comm.RegisterHandler(1, 100, [&](rpc::MachineId, InArchive&) {
-    received.fetch_add(1, std::memory_order_relaxed);
-  });
+  rpc::HandlerScope sink =
+      comm.RegisterHandler(1, 100, [&](rpc::MachineId, InArchive&) {
+        received.fetch_add(1, std::memory_order_relaxed);
+      });
   comm.Start();
   uint64_t sent = 0;
   for (auto _ : state) {
@@ -169,9 +170,10 @@ void BM_GhostVersioningAblation(benchmark::State& state) {
   // Machine 0's pushes to machine 1 are handled once a marker sent after
   // them on the same FIFO channel is.
   std::atomic<uint64_t> markers{0};
-  comm.RegisterHandler(1, kMarkerHandler, [&](rpc::MachineId, InArchive&) {
-    markers.fetch_add(1, std::memory_order_release);
-  });
+  rpc::HandlerScope marker = comm.RegisterHandler(
+      1, kMarkerHandler, [&](rpc::MachineId, InArchive&) {
+        markers.fetch_add(1, std::memory_order_release);
+      });
   auto drain = [&] {
     const uint64_t want = markers.load(std::memory_order_acquire) + 1;
     comm.Send(0, 1, kMarkerHandler, OutArchive());

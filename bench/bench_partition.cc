@@ -180,7 +180,6 @@ DistMeasure RunLayoutDistributed(
     ctx.barrier().Wait(me);
     metrics::ClusterMetricsView v = service.Collect();
     if (me == 0) view = std::move(v);
-    ctx.barrier().Wait(me);
   });
   out.seconds = timer.Seconds();
   if (const metrics::ClusterMetric* m = view.Find("rpc.bytes_sent")) {
@@ -293,7 +292,6 @@ FtMeasure RunFtVariant(const std::string& layout, uint64_t at_boundary,
     ctx.barrier().Wait(me);
     metrics::ClusterMetricsView v = service.Collect();
     if (me == 0) view = std::move(v);
-    ctx.barrier().Wait(me);
   });
   std::filesystem::remove_all(dir);
   if (const metrics::ClusterMetric* m = view.Find("engine.updates")) {

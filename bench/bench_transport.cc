@@ -70,13 +70,14 @@ void BenchThroughput(bench::JsonWriter* json, rpc::TransportKind kind,
                      size_t peers, size_t msg_bytes, size_t messages) {
   Cluster cluster = MakeCluster(kind, peers);
   std::atomic<uint64_t> received{0};
+  std::vector<rpc::HandlerScope> sinks;
   for (rpc::MachineId m = 0; m < peers; ++m) {
-    cluster.at(m).RegisterHandler(
+    sinks.push_back(cluster.at(m).RegisterHandler(
         m, kSinkHandler, [&](rpc::MachineId, InArchive& ia) {
           std::vector<char> payload;
           ia >> payload;
           received.fetch_add(1, std::memory_order_relaxed);
-        });
+        }));
   }
   for (auto& comm : cluster.comms) comm->Start();
 
@@ -119,16 +120,14 @@ void BenchLatency(bench::JsonWriter* json, rpc::TransportKind kind,
                   size_t round_trips) {
   Cluster cluster = MakeCluster(kind, 2);
   std::atomic<uint64_t> pongs{0};
-  cluster.at(1).RegisterHandler(1, kEchoHandler,
-                                [&](rpc::MachineId src, InArchive&) {
-                                  cluster.at(1).Send(1, src, kEchoHandler,
-                                                     OutArchive());
-                                });
-  cluster.at(0).RegisterHandler(0, kEchoHandler,
-                                [&](rpc::MachineId, InArchive&) {
-                                  pongs.fetch_add(1,
-                                                  std::memory_order_acq_rel);
-                                });
+  rpc::HandlerScope echo = cluster.at(1).RegisterHandler(
+      1, kEchoHandler, [&](rpc::MachineId src, InArchive&) {
+        cluster.at(1).Send(1, src, kEchoHandler, OutArchive());
+      });
+  rpc::HandlerScope pong = cluster.at(0).RegisterHandler(
+      0, kEchoHandler, [&](rpc::MachineId, InArchive&) {
+        pongs.fetch_add(1, std::memory_order_acq_rel);
+      });
   for (auto& comm : cluster.comms) comm->Start();
 
   Timer timer;

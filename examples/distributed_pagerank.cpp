@@ -332,10 +332,12 @@ void ApplyRankBatch(const RankBatch& batch, RunOutput* out,
   gathered->fetch_add(applied, std::memory_order_acq_rel);
 }
 
-/// Machine 0's rank-gather sink for the other machines' batches.
-void RegisterRankGather(rpc::MachineContext& ctx, RunOutput* out,
-                        std::atomic<size_t>* gathered) {
-  ctx.comm().RegisterHandler(
+/// Machine 0's rank-gather sink for the other machines' batches, live
+/// while the returned scope is.
+rpc::HandlerScope RegisterRankGather(rpc::MachineContext& ctx,
+                                     RunOutput* out,
+                                     std::atomic<size_t>* gathered) {
+  return ctx.comm().RegisterHandler(
       0, kRankGatherHandler, [out, gathered](rpc::MachineId, InArchive& ia) {
         RankBatch batch;
         ia >> batch;
@@ -376,7 +378,7 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
 
   // Per-fabric allreduce for the non-FT path (the FT runner owns its
   // own); one shared on the simulated backend, one per hosted machine
-  // over TCP (remote registrations are inert).
+  // over TCP (remote registrations are empty).
   std::vector<std::unique_ptr<SumAllReduce>> allreduces;
   auto allreduce_for = [&](rpc::MachineId m) -> SumAllReduce* {
     if (runtime.transport() == rpc::TransportKind::kInProcess) {
@@ -412,7 +414,16 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
   runtime.Run([&](rpc::MachineContext& ctx) {
     const rpc::MachineId me = ctx.id;
     DGraph& graph = graphs[me];
-    if (me == 0) RegisterRankGather(ctx, &out, &gathered);
+    rpc::HandlerScope rank_gather;
+    if (me == 0) rank_gather = RegisterRankGather(ctx, &out, &gathered);
+    // Cluster-wide metric merge: constructed before this program's first
+    // barrier, so machine 0's snapshot handler exists before any worker
+    // collects.
+    std::unique_ptr<metrics::MetricsService> metrics_service;
+    if (cfg.metrics_report) {
+      metrics_service = std::make_unique<metrics::MetricsService>(
+          &ctx.comm(), me, &ctx.comm().registry(me));
+    }
 
     // ---- live telemetry plane: sampler -> push channel -> master ----
     std::unique_ptr<metrics::TelemetryChannel> channel;
@@ -551,6 +562,15 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
       if (me == 0) out.updates = r.updates;
     }
 
+    if (metrics_service != nullptr) {
+      // Collective across the (surviving) membership.  Each worker's
+      // snapshot travels ahead of its ranks on its channel to machine 0,
+      // so the barrier after the rank gather below also keeps every
+      // worker process alive until machine 0 holds its snapshot.
+      metrics::ClusterMetricsView view = metrics_service->Collect();
+      if (me == 0) out.cluster_metrics = std::move(view);
+    }
+
     // Ship converged owned ranks to machine 0, then flush: each machine's
     // round frame trails its ranks on the same FIFO channel, so once
     // machine 0's round completes it holds every rank (the rank handler
@@ -575,8 +595,7 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
       // window per machine, then stop the sampler.  The barrier drains
       // the in-flight samples: barrier traffic is FIFO-ordered behind
       // each machine's last publish, so once it completes the master
-      // has dispatched every sample and the push channel (whose handler
-      // stays registered on the comm layer) can be torn down.
+      // has dispatched every sample and the counts below are complete.
       channel->Publish(sampler->SampleOnce());
       sampler->Stop();
       ctx.barrier().Wait(me);
@@ -609,19 +628,6 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
         trace::SetPeerClockOffsetNs(static_cast<uint32_t>(p), offset_ns);
         if (me == 0) out.clock_offsets[static_cast<uint32_t>(p)] = offset_ns;
       }
-    }
-
-    if (cfg.metrics_report) {
-      // Cluster-wide metric merge: collective across the (surviving)
-      // membership, so every live machine participates.  The barrier
-      // between construction and Collect() guarantees every machine's
-      // snapshot handler is registered before the first request.
-      metrics::MetricsService service(&ctx.comm(), me,
-                                      &ctx.comm().registry(me));
-      ctx.barrier().Wait(me);
-      metrics::ClusterMetricsView view = service.Collect();
-      if (me == 0) out.cluster_metrics = std::move(view);
-      ctx.barrier().Wait(me);  // nobody tears down mid-collection
     }
   });
   out.seconds = timer.Seconds();

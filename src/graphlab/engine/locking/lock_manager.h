@@ -49,16 +49,16 @@ class DistributedLockManager {
         graph_(graph),
         model_(model),
         locks_(graph->num_local_vertices()) {
-    ctx_.comm().RegisterHandler(
+    chain_scope_ = ctx_.comm().RegisterHandler(
         ctx_.id, kLockChainHandler,
         [this](rpc::MachineId, InArchive& ia) { OnChainHop(ia); });
-    ctx_.comm().RegisterHandler(
+    grant_scope_ = ctx_.comm().RegisterHandler(
         ctx_.id, kLockGrantHandler,
         [this](rpc::MachineId, InArchive& ia) {
           uint64_t id = ia.ReadValue<uint64_t>();
           CompleteRequest(id);
         });
-    ctx_.comm().RegisterHandler(
+    release_scope_ = ctx_.comm().RegisterHandler(
         ctx_.id, kLockReleaseHandler,
         [this](rpc::MachineId, InArchive& ia) {
           VertexId gvid = ia.ReadValue<VertexId>();
@@ -275,6 +275,10 @@ class DistributedLockManager {
   std::atomic<uint64_t> next_request_id_{1};
   mutable std::mutex pending_mutex_;
   std::unordered_map<uint64_t, ScopeReadyCallback> pending_;
+
+  rpc::HandlerScope chain_scope_;
+  rpc::HandlerScope grant_scope_;
+  rpc::HandlerScope release_scope_;
 };
 
 }  // namespace graphlab

@@ -80,12 +80,12 @@ class LockingEngine final
         [this](size_t n, const std::function<void(size_t, size_t)>& fn) {
           this->substrate_.RunBatch(this->options_.num_threads, n, fn);
         });
-    ctx_.comm().RegisterHandler(
+    forward_scope_ = ctx_.comm().RegisterHandler(
         ctx_.id, kScheduleForwardHandler,
         [this](rpc::MachineId src, InArchive& ia) {
           DeliverForwards(src, ia);
         });
-    ctx_.comm().RegisterHandler(
+    trigger_scope_ = ctx_.comm().RegisterHandler(
         ctx_.id, kSnapshotTriggerHandler,
         [this](rpc::MachineId, InArchive& ia) {
           uint8_t mode = ia.ReadValue<uint8_t>();
@@ -218,8 +218,9 @@ class LockingEngine final
     this->last_result_.bytes_sent = after.bytes_sent - before.bytes_sent;
     this->last_result_.messages_sent =
         after.messages_sent - before.messages_sent;
-    // Let in-flight release / push messages land before anyone tears the
-    // engine down: one flush round, which also aligns the machines.  Its
+    // Let in-flight release / push messages land before Start() returns,
+    // so whoever reads the graph next sees current ghosts: one flush
+    // round, which also aligns the machines.  Its
     // precondition holds after the termination verdict: no lock request
     // is outstanding anywhere, so a release frees locks nobody waits for
     // and the grant and chain-hop handlers have nothing to send; every
@@ -491,6 +492,9 @@ class LockingEngine final
   bool snapshot_fired_ = false;
 
   std::vector<std::pair<double, uint64_t>> progress_;
+
+  rpc::HandlerScope forward_scope_;
+  rpc::HandlerScope trigger_scope_;
 };
 
 }  // namespace graphlab

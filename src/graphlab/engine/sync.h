@@ -10,6 +10,11 @@
 // and the CoSeg GMM re-estimation), and broadcasts the global value.
 // Update functions read the latest published value locally.
 //
+// A round completes once every LIVE machine has contributed (the
+// coordinator's membership view, re-checked on every death), and its
+// value is published to the live machines, so a death never wedges a
+// blocking sync; the value then covers the survivors' partials.
+//
 // Two cadences mirror the paper: the chromatic engine runs syncs between
 // color-steps; the locking engine runs them continuously in the background
 // every `interval` updates (consistent variant would require halting the
@@ -25,6 +30,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graphlab/engine/handler_ids.h"
 #include "graphlab/rpc/comm_layer.h"
@@ -42,16 +49,31 @@ class SyncManager {
  public:
   explicit SyncManager(rpc::CommLayer* comm) : comm_(comm) {
     graphs_.resize(comm->num_machines(), nullptr);
+    handler_scopes_.push_back(comm_->RegisterHandler(
+        0, kSyncPartialHandler,
+        [this](rpc::MachineId src, InArchive& ia) { OnPartial(src, ia); }));
     for (rpc::MachineId m = 0; m < comm->num_machines(); ++m) {
-      comm_->RegisterHandler(
-          m, kSyncPartialHandler,
-          [this](rpc::MachineId src, InArchive& ia) { OnPartial(src, ia); });
-      comm_->RegisterHandler(
+      handler_scopes_.push_back(comm_->RegisterHandler(
           m, kSyncPublishHandler,
           [this, m](rpc::MachineId src, InArchive& ia) {
             OnPublish(m, src, ia);
-          });
+          }));
     }
+    // A death may complete a round that waited only for the dead
+    // machine's partial.  Runs on a transport thread; does not block.
+    membership_subscription_ = comm_->membership().Subscribe(
+        [this](rpc::MachineId, uint64_t) {
+          std::vector<std::pair<std::string, Completed>> completed;
+          {
+            std::lock_guard<std::mutex> lock(ops_mutex_);
+            for (auto& [key, op] : ops_) {
+              for (Completed& c : op->TakeCompleted(Alive(), NumVertices())) {
+                completed.emplace_back(key, std::move(c));
+              }
+            }
+          }
+          for (const auto& [key, c] : completed) Publish(key, c);
+        });
   }
 
   /// Attaches machine m's graph partition.  Collective, before first sync.
@@ -74,7 +96,6 @@ class SyncManager {
     op->map = std::move(map);
     op->combine = std::move(combine);
     op->finalize = std::move(finalize);
-    op->num_machines = comm_->num_machines();
     op->published.assign(comm_->num_machines(), zero);
     op->published_round.assign(comm_->num_machines(), 0);
     op->local_round.assign(comm_->num_machines(), 0);
@@ -120,15 +141,25 @@ class SyncManager {
   }
 
  private:
+  /// A round the coordinator closed: its finalized, serialized value.
+  struct Completed {
+    uint64_t round = 0;
+    OutArchive value;
+  };
+
   struct OpBase {
     virtual ~OpBase() = default;
     virtual void SerializePartial(const Graph& graph, OutArchive* oa) = 0;
-    /// Coordinator: merge a serialized partial; returns true and fills
-    /// `publish` with the finalized serialized value when the round
-    /// completes.  A torn partial fails `ia` and is not merged.
-    virtual bool Accumulate(uint64_t round, InArchive& ia,
-                            uint64_t num_global_vertices,
-                            OutArchive* publish) = 0;
+    /// Coordinator: merges `src`'s serialized partial into its round.  A
+    /// torn partial fails `ia` and is not merged; returns false for a
+    /// partial the round cannot take (a second one from `src`, or one
+    /// for a round already closed).
+    virtual bool Accumulate(rpc::MachineId src, uint64_t round,
+                            InArchive& ia) = 0;
+    /// Coordinator: closes, in round order, every pending round that
+    /// every machine alive in `alive` has contributed to.
+    virtual std::vector<Completed> TakeCompleted(
+        const std::vector<uint8_t>& alive, uint64_t num_global_vertices) = 0;
     /// A torn value fails `ia` and is not applied.
     virtual void ApplyPublish(rpc::MachineId m, uint64_t round,
                               InArchive& ia) = 0;
@@ -137,7 +168,6 @@ class SyncManager {
     std::condition_variable cv;
     std::vector<uint64_t> local_round;
     std::vector<uint64_t> published_round;
-    size_t num_machines = 0;
   };
 
   template <typename Acc>
@@ -148,13 +178,13 @@ class SyncManager {
     std::function<void(Acc*, uint64_t)> finalize;
     std::vector<Acc> published;
 
-    // Coordinator per-round accumulation (small ring keyed by round).
+    // Coordinator per-round accumulation, keyed by round.
     struct RoundAcc {
-      uint64_t id = 0;
-      size_t contributions = 0;
+      std::vector<uint8_t> contributed;  // per machine
       Acc acc{};
     };
     std::map<uint64_t, RoundAcc> rounds;
+    uint64_t closed_through = 0;  // every round up to here is published
 
     void SerializePartial(const Graph& graph, OutArchive* oa) override {
       Acc acc = zero;
@@ -164,23 +194,45 @@ class SyncManager {
       *oa << acc;
     }
 
-    bool Accumulate(uint64_t round, InArchive& ia,
-                    uint64_t num_global_vertices,
-                    OutArchive* publish) override {
+    bool Accumulate(rpc::MachineId src, uint64_t round,
+                    InArchive& ia) override {
       Acc partial;
       ia >> partial;
       if (!ia.ok()) return false;
       std::lock_guard<std::mutex> lock(this->mutex);
+      if (round <= closed_through) return false;
       RoundAcc& r = rounds[round];
-      if (r.contributions == 0) r.acc = zero;
-      r.id = round;
+      if (r.contributed.empty()) {
+        r.contributed.assign(this->local_round.size(), 0);
+        r.acc = zero;
+      }
+      if (r.contributed[src]) return false;
+      r.contributed[src] = 1;
       combine(&r.acc, partial);
-      if (++r.contributions < this->num_machines) return false;
-      Acc result = r.acc;
-      rounds.erase(round);
-      if (finalize) finalize(&result, num_global_vertices);
-      *publish << result;
       return true;
+    }
+
+    std::vector<Completed> TakeCompleted(
+        const std::vector<uint8_t>& alive,
+        uint64_t num_global_vertices) override {
+      std::vector<Completed> out;
+      std::lock_guard<std::mutex> lock(this->mutex);
+      for (auto it = rounds.begin(); it != rounds.end();) {
+        bool complete = true;
+        for (size_t m = 0; m < alive.size(); ++m) {
+          complete = complete && (!alive[m] || it->second.contributed[m]);
+        }
+        if (!complete) break;  // later rounds wait for this one
+        Acc result = std::move(it->second.acc);
+        if (finalize) finalize(&result, num_global_vertices);
+        Completed c;
+        c.round = it->first;
+        c.value << result;
+        out.push_back(std::move(c));
+        closed_through = it->first;
+        it = rounds.erase(it);
+      }
+      return out;
     }
 
     void ApplyPublish(rpc::MachineId m, uint64_t round,
@@ -226,26 +278,42 @@ class SyncManager {
                     << ": " << why;
   }
 
+  std::vector<uint8_t> Alive() const {
+    return comm_->membership().alive_bitmap();
+  }
+
+  uint64_t NumVertices() const {
+    return graphs_[0] != nullptr ? graphs_[0]->num_global_vertices() : 0;
+  }
+
+  /// Coordinator: sends a closed round's value to every live machine.
+  void Publish(const std::string& key, const Completed& c) {
+    const std::vector<uint8_t> alive = Alive();
+    for (rpc::MachineId dst = 0; dst < alive.size(); ++dst) {
+      if (!alive[dst]) continue;
+      OutArchive oa;
+      oa << key << c.round;
+      oa.WriteBytes(c.value.buffer().data(), c.value.size());
+      comm_->Send(0, dst, kSyncPublishHandler, std::move(oa));
+    }
+  }
+
   void OnPartial(rpc::MachineId src, InArchive& ia) {
     std::string key;
     uint64_t round = 0;
     OpBase* op = ReadHeader("partial", src, ia, &key, &round);
     if (op == nullptr) return;
-    uint64_t nv = graphs_[0] != nullptr ? graphs_[0]->num_global_vertices()
-                                        : 0;
-    OutArchive publish;
-    const bool complete = op->Accumulate(round, ia, nv, &publish);
+    const bool merged = op->Accumulate(src, round, ia);
     if (!ia.ok()) {
       DropFrame("partial", src, "torn value");
       return;
     }
-    if (complete) {
-      for (rpc::MachineId dst = 0; dst < comm_->num_machines(); ++dst) {
-        OutArchive oa;
-        oa << key << round;
-        oa.WriteBytes(publish.buffer().data(), publish.size());
-        comm_->Send(0, dst, kSyncPublishHandler, std::move(oa));
-      }
+    if (!merged) {
+      DropFrame("partial", src, "repeated or closed round");
+      return;
+    }
+    for (const Completed& c : op->TakeCompleted(Alive(), NumVertices())) {
+      Publish(key, c);
     }
   }
 
@@ -262,6 +330,9 @@ class SyncManager {
   std::vector<Graph*> graphs_;
   std::mutex ops_mutex_;
   std::map<std::string, std::unique_ptr<OpBase>> ops_;
+
+  std::vector<rpc::HandlerScope> handler_scopes_;
+  rpc::Subscription membership_subscription_;
 };
 
 }  // namespace graphlab

@@ -93,18 +93,14 @@ class CheckpointCoordinator {
         next_epoch_(first_epoch),
         epoch_at_start_(comm_->membership().epoch()),
         t_checkpoint_(options.t_checkpoint_estimate_seconds) {
-    comm_->RegisterHandler(
+    handler_scope_ = comm_->RegisterHandler(
         ctx_.id, kCheckpointControlHandler,
         [this](rpc::MachineId src, InArchive& ia) { OnMessage(src, ia); });
-    membership_token_ = comm_->membership().Subscribe(
+    membership_subscription_ = comm_->membership().Subscribe(
         [this](rpc::MachineId, uint64_t) {
           std::lock_guard<std::mutex> lock(mutex_);
           cv_.notify_all();
         });
-  }
-
-  ~CheckpointCoordinator() {
-    comm_->membership().Unsubscribe(membership_token_);
   }
 
   CheckpointCoordinator(const CheckpointCoordinator&) = delete;
@@ -406,7 +402,6 @@ class CheckpointCoordinator {
   FtOptions options_;
   uint32_t next_epoch_;
   const uint64_t epoch_at_start_;  // membership epoch this attempt baselined
-  size_t membership_token_ = 0;
 
   uint64_t round_ = 0;
   // Set by ForceFullNext, consumed by the next DECIDE.  Both run on the
@@ -437,6 +432,9 @@ class CheckpointCoordinator {
   std::mutex mutex_;
   std::condition_variable cv_;
   std::array<RoundState, 16> rounds_{};
+
+  rpc::HandlerScope handler_scope_;
+  rpc::Subscription membership_subscription_;
 };
 
 }  // namespace fault

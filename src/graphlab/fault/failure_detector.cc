@@ -15,7 +15,7 @@ FailureDetector::FailureDetector(rpc::CommLayer* comm, rpc::MachineId me,
   comm_->EnableHeartbeats(
       std::chrono::milliseconds(options.heartbeat_interval_ms),
       std::chrono::milliseconds(options.heartbeat_timeout_ms));
-  membership_token_ = comm_->membership().Subscribe(
+  membership_subscription_ = comm_->membership().Subscribe(
       [this](rpc::MachineId down, uint64_t) {
         GL_TRACE_INSTANT1(trace::kFault, "fault.peer_down", "machine", down);
         deaths_.fetch_add(1, std::memory_order_acq_rel);
@@ -26,10 +26,6 @@ FailureDetector::FailureDetector(rpc::CommLayer* comm, rpc::MachineId me,
         }
         if (fn) fn(down);
       });
-}
-
-FailureDetector::~FailureDetector() {
-  comm_->membership().Unsubscribe(membership_token_);
 }
 
 void FailureDetector::SetPeerDownListener(PeerDownFn fn) {

@@ -37,7 +37,6 @@ class FailureDetector {
 
   FailureDetector(rpc::CommLayer* comm, rpc::MachineId me,
                   const FtOptions& options);
-  ~FailureDetector();
 
   FailureDetector(const FailureDetector&) = delete;
   FailureDetector& operator=(const FailureDetector&) = delete;
@@ -67,11 +66,12 @@ class FailureDetector {
  private:
   rpc::CommLayer* comm_;
   rpc::MachineId me_;
-  size_t membership_token_ = 0;
   std::atomic<uint64_t> deaths_{0};
 
   std::mutex listener_mutex_;
   PeerDownFn listener_;
+
+  rpc::Subscription membership_subscription_;
 };
 
 }  // namespace fault

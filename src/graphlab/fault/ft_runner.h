@@ -32,8 +32,8 @@
 //               computations; just slower).
 //   resume      a fresh engine is built for the new membership (ghost /
 //               replica tables and scope-lock plans recompile from the
-//               re-ingested graph at Start()), the checkpoint
-//               coordinator re-arms, every owned vertex is re-scheduled
+//               re-ingested graph at Start()), a fresh checkpoint
+//               coordinator arms, every owned vertex is re-scheduled
 //               (conservative: schedule state is not checkpointed), and
 //               the computation continues to the same fixed point an
 //               unfailed run reaches.
@@ -345,11 +345,30 @@ class FaultTolerantRunner {
       rebalancer_ =
           std::make_unique<LoadRebalancer>(ctx_, &problem.meta, options_);
     }
+    struct ListenerGuard {
+      FailureDetector* d;
+      ~ListenerGuard() { d->SetPeerDownListener(nullptr); }
+    } guard{&detector_};
 
-    // Arm the abort bundle for the whole Run(): any observed death —
+    // Handler-registration fence: rendezvous ENTER frames go to machine
+    // 0, whose handler is registered in ITS runner's constructor, and
+    // every machine passes this barrier only once every machine's runner
+    // exists.  (The barrier's own handlers are registered at Runtime
+    // construction, so entering it is always safe.)  A peer's death
+    // must not cut the fence short: the barrier releases over the
+    // survivors once they are all in.  Only this machine's own death
+    // cancels it, so that machine stops here.
+    detector_.SetPeerDownListener([this, me](rpc::MachineId down) {
+      if (down == me) ctx_.barrier().Cancel(me);
+    });
+    ctx_.barrier().Wait(me);
+
+    // Arm the abort bundle for the rest of Run(): any observed death —
     // including this machine's own InjectKill — yanks this machine out
     // of every blocking collective, and aborts whatever engine is
-    // currently running.  Runs on transport threads; non-blocking.
+    // currently running.  Runs on transport threads; non-blocking.  A
+    // death during the fence is not lost: the rendezvous below adopts
+    // machine 0's membership view.
     detector_.SetPeerDownListener([this, me](rpc::MachineId) {
       failure_observed_.store(true, std::memory_order_release);
       ctx_.barrier().Cancel(me);
@@ -362,21 +381,6 @@ class FaultTolerantRunner {
       std::lock_guard<std::mutex> lock(engine_mutex_);
       if (current_engine_ != nullptr) current_engine_->RequestAbort();
     });
-    struct ListenerGuard {
-      FailureDetector* d;
-      ~ListenerGuard() { d->SetPeerDownListener(nullptr); }
-    } guard{&detector_};
-
-    // Handler-registration alignment: rendezvous ENTER frames go to
-    // machine 0, whose handler is registered in ITS runner's
-    // constructor — without a fence a fast worker's enter could arrive
-    // first and be dropped.  The barrier's own handlers are registered
-    // at Runtime construction (before the transport starts), so
-    // entering it is always safe; every machine passes only once every
-    // machine's runner (and thus rendezvous handler) exists.  A false
-    // return (a death already observed) just proceeds: the rendezvous
-    // handles failures itself.
-    ctx_.barrier().Wait(me);
 
     // Initial alignment (a no-op rendezvous when nothing has failed).
     auto outcome = rendezvous_.Arrive(me, ++seq, false);
@@ -436,19 +440,14 @@ class FaultTolerantRunner {
       // so no stale ghost frame from the aborted run can race the rebuild.
       // The round's precondition holds for the handlers that can run
       // during it: ghost pushes send nothing; the previous attempt's
-      // checkpoint coordinator only records control frames (it sends
-      // from the boundary-hook thread, and every machine here has left
-      // its engine); the barrier and all-reduce masters were reset at
-      // the rendezvous, so a stale contribution is discarded unanswered.
+      // checkpoint coordinator is gone, so its late control frames are
+      // dropped unhandled; the barrier and all-reduce masters were reset
+      // at the rendezvous, so a stale contribution is discarded
+      // unanswered.
       GL_TRACE_SCOPE(trace::kFault, "fault.drain");
       if (!ctx_.barrier().Wait(me)) return Status::Aborted("peer died");
       if (!ctx_.flush().Run(me)) return Status::Aborted("peer died");
     }
-
-    // Channels are flushed: now it is safe to tear down the previous
-    // attempt's checkpoint coordinator (its RPC handler must outlive any
-    // in-flight checkpoint control frame).
-    checkpoint_.reset();
 
     bool migrating = false;
     {
@@ -523,10 +522,15 @@ class FaultTolerantRunner {
       first_epoch = MaxEpochOnDisk(options_.snapshot_dir) + 1;
     }
 
-    // Resume: fresh engine for the new membership.  The snapshot manager
-    // and coordinator are runner members so their RPC handler outlives
-    // any in-flight control frame (reset at the next attempt's drain).
-    snapshots_ = std::move(snapshots);
+    // Resume: fresh checkpoint coordinator and engine for the new
+    // membership.  The coordinator is declared before the engine, whose
+    // boundary hook uses it, and both end with this attempt.
+    std::unique_ptr<CheckpointCoordinator<VertexData, EdgeData>> checkpoint;
+    if (snapshots != nullptr) {
+      checkpoint =
+          std::make_unique<CheckpointCoordinator<VertexData, EdgeData>>(
+              ctx_, snapshots.get(), options_, first_epoch);
+    }
     DistributedEngineDeps<VertexData, EdgeData> deps;
     deps.allreduce = &allreduce_;
     auto engine = CreateEngine(problem.engine, ctx_, graph,
@@ -534,13 +538,9 @@ class FaultTolerantRunner {
     GRAPHLAB_RETURN_IF_ERROR(engine.status());
     GL_TRACE_BEGIN(trace::kFault, "fault.resume");
 
-    if (snapshots_ != nullptr) {
-      checkpoint_ =
-          std::make_unique<CheckpointCoordinator<VertexData, EdgeData>>(
-              ctx_, snapshots_.get(), options_, first_epoch);
-    }
     hook_error_ = Status::OK();
-    (*engine)->SetBoundaryHook([this, &problem](uint64_t boundary) -> Status {
+    (*engine)->SetBoundaryHook([this, &problem, &checkpoint](
+                                   uint64_t boundary) -> Status {
       // The checkpoint and rebalance protocols are collective: even when
       // the extra hook fails, this machine must still participate or the
       // others would wait on its DONE forever (both unblock on
@@ -554,9 +554,9 @@ class FaultTolerantRunner {
       // On a migrate decision the checkpoint at THIS boundary is forced
       // full, so the next attempt restores the exact pre-migration state
       // (boundary-aligned, channels flushed — nothing is in flight).
-      if (migrate && checkpoint_ != nullptr) checkpoint_->ForceFullNext();
-      Status ckpt = checkpoint_ != nullptr ? checkpoint_->AtBoundary(boundary)
-                                           : Status::OK();
+      if (migrate && checkpoint != nullptr) checkpoint->ForceFullNext();
+      Status ckpt = checkpoint != nullptr ? checkpoint->AtBoundary(boundary)
+                                          : Status::OK();
       for (const Status* st : {&extra, &rebal, &ckpt}) {
         if (st->ok()) continue;
         if (hook_error_.ok()) hook_error_ = *st;
@@ -605,14 +605,14 @@ class FaultTolerantRunner {
       current_engine_ = nullptr;
     }
 
-    if (checkpoint_ != nullptr) {
-      report->checkpoints_written += checkpoint_->checkpoints_written();
-      report->full_checkpoints += checkpoint_->full_checkpoints_written();
-      report->delta_checkpoints += checkpoint_->delta_checkpoints_written();
-      report->checkpoint_bytes_full += checkpoint_->checkpoint_bytes_full();
-      report->checkpoint_bytes_delta += checkpoint_->checkpoint_bytes_delta();
-      report->checkpoint_seconds += checkpoint_->checkpoint_seconds();
-      report->checkpoint_interval_seconds = checkpoint_->interval_seconds();
+    if (checkpoint != nullptr) {
+      report->checkpoints_written += checkpoint->checkpoints_written();
+      report->full_checkpoints += checkpoint->full_checkpoints_written();
+      report->delta_checkpoints += checkpoint->delta_checkpoints_written();
+      report->checkpoint_bytes_full += checkpoint->checkpoint_bytes_full();
+      report->checkpoint_bytes_delta += checkpoint->checkpoint_bytes_delta();
+      report->checkpoint_seconds += checkpoint->checkpoint_seconds();
+      report->checkpoint_interval_seconds = checkpoint->interval_seconds();
     }
     if (failure_observed_.load(std::memory_order_acquire)) {
       return Status::Aborted("peer died during run");
@@ -632,8 +632,6 @@ class FaultTolerantRunner {
   FailureDetector detector_;
   SumAllReduce allreduce_;
   RecoveryRendezvous rendezvous_;
-  std::unique_ptr<SnapshotManager<VertexData, EdgeData>> snapshots_;
-  std::unique_ptr<CheckpointCoordinator<VertexData, EdgeData>> checkpoint_;
   std::unique_ptr<LoadRebalancer> rebalancer_;
   std::mutex engine_mutex_;
   EngineType* current_engine_ = nullptr;  // guarded by engine_mutex_

@@ -15,16 +15,16 @@ RecoveryRendezvous::RecoveryRendezvous(rpc::CommLayer* comm,
   slots_.reserve(n);
   for (size_t i = 0; i < n; ++i) slots_.push_back(std::make_unique<Slot>());
   for (rpc::MachineId m = 0; m < n; ++m) {
-    comm_->RegisterHandler(
+    handler_scopes_.push_back(comm_->RegisterHandler(
         m, kRecoveryControlHandler,
         [this, m](rpc::MachineId src, InArchive& ia) {
           OnMessage(m, src, ia);
-        });
+        }));
   }
   // A death while survivors wait: the coordinator re-evaluates (the dead
   // machine may have been the missing arrival), and every local waiter
   // wakes to re-check its own liveness.
-  membership_token_ = comm_->membership().Subscribe(
+  membership_subscription_ = comm_->membership().Subscribe(
       [this](rpc::MachineId, uint64_t) {
         {
           std::lock_guard<std::mutex> lock(master_mutex_);
@@ -35,10 +35,6 @@ RecoveryRendezvous::RecoveryRendezvous(rpc::CommLayer* comm,
           slot->cv.notify_all();
         }
       });
-}
-
-RecoveryRendezvous::~RecoveryRendezvous() {
-  comm_->membership().Unsubscribe(membership_token_);
 }
 
 Expected<RendezvousOutcome> RecoveryRendezvous::Arrive(rpc::MachineId me,

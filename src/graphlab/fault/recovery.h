@@ -69,7 +69,6 @@ class RecoveryRendezvous {
   /// release (master state reset runs on machine 0's instances).
   RecoveryRendezvous(rpc::CommLayer* comm, rpc::Barrier* barrier,
                      SumAllReduce* allreduce, rpc::FlushRound* flush);
-  ~RecoveryRendezvous();
 
   RecoveryRendezvous(const RecoveryRendezvous&) = delete;
   RecoveryRendezvous& operator=(const RecoveryRendezvous&) = delete;
@@ -112,13 +111,15 @@ class RecoveryRendezvous {
   rpc::Barrier* barrier_;
   SumAllReduce* allreduce_;
   rpc::FlushRound* flush_;
-  size_t membership_token_ = 0;
 
   std::vector<std::unique_ptr<Slot>> slots_;
 
   // Coordinator (machine 0) state.
   std::mutex master_mutex_;
   std::map<uint64_t, PendingSeq> pending_;
+
+  std::vector<rpc::HandlerScope> handler_scopes_;
+  rpc::Subscription membership_subscription_;
 };
 
 }  // namespace fault

@@ -722,7 +722,9 @@ class DistributedGraph {
     coalesced_merges_metric_ = reg.counter("graph.coalesced_merges");
     delta_batches_base_ = delta_batches_metric_->Value();
     coalesced_merges_base_ = coalesced_merges_metric_->Value();
-    RegisterHandler();
+    data_push_scope_ = comm_->RegisterHandler(
+        me_, kDataPushHandler,
+        [this](rpc::MachineId, InArchive& ia) { ApplyDataPush(ia); });
     return Status::OK();
   }
 
@@ -798,13 +800,6 @@ class DistributedGraph {
     }
   }
 
-  void RegisterHandler() {
-    comm_->RegisterHandler(me_, kDataPushHandler,
-                           [this](rpc::MachineId, InArchive& ia) {
-                             ApplyDataPush(ia);
-                           });
-  }
-
   rpc::MachineId me_ = 0;
   rpc::CommLayer* comm_ = nullptr;
   uint64_t num_global_vertices_ = 0;
@@ -836,6 +831,9 @@ class DistributedGraph {
   metrics::Counter* coalesced_merges_metric_ = nullptr;
   uint64_t delta_batches_base_ = 0;
   uint64_t coalesced_merges_base_ = 0;
+
+  // Last: a re-ingest replaces it, and destruction ends it first.
+  rpc::HandlerScope data_push_scope_;
 };
 
 }  // namespace graphlab

@@ -112,18 +112,14 @@ MetricsService::MetricsService(rpc::CommLayer* comm, rpc::MachineId me,
     : comm_(comm), me_(me), registry_(registry) {
   GL_CHECK(comm_ != nullptr);
   GL_CHECK(registry_ != nullptr);
-  comm_->RegisterHandler(
+  handler_scope_ = comm_->RegisterHandler(
       me_, kMetricsSnapshotHandler,
       [this](rpc::MachineId src, InArchive& ia) { OnSnapshot(src, ia); });
-  membership_token_ =
+  membership_subscription_ =
       comm_->membership().Subscribe([this](rpc::MachineId, uint64_t) {
         std::lock_guard<std::mutex> lock(mutex_);
         cv_.notify_all();
       });
-}
-
-MetricsService::~MetricsService() {
-  comm_->membership().Unsubscribe(membership_token_);
 }
 
 void MetricsService::OnSnapshot(rpc::MachineId src, InArchive& ia) {
@@ -270,7 +266,7 @@ TelemetryChannel::TelemetryChannel(rpc::CommLayer* comm, rpc::MachineId me,
   GL_CHECK(comm_ != nullptr);
   if (me_ == kMaster) {
     GL_CHECK(on_sample_) << "machine 0's TelemetryChannel needs a sink";
-    comm_->RegisterHandler(
+    handler_scope_ = comm_->RegisterHandler(
         me_, handler_id_,
         [this](rpc::MachineId src, InArchive& ia) { OnSample(src, ia); });
   }

@@ -96,7 +96,6 @@ class MetricsService {
   /// Registers on kMetricsSnapshotHandler; one service per machine.
   MetricsService(rpc::CommLayer* comm, rpc::MachineId me,
                  MetricsRegistry* registry);
-  ~MetricsService();
 
   MetricsService(const MetricsService&) = delete;
   MetricsService& operator=(const MetricsService&) = delete;
@@ -122,9 +121,11 @@ class MetricsService {
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  size_t membership_token_ = 0;
   /// round -> (machine -> snapshot); pruned once a round completes.
   std::map<uint64_t, std::map<rpc::MachineId, RegistrySnapshot>> pending_;
+
+  rpc::HandlerScope handler_scope_;
+  rpc::Subscription membership_subscription_;
 };
 
 /// Push-mode streaming channel for live telemetry, the counterpart to the
@@ -166,6 +167,8 @@ class TelemetryChannel {
   SampleCallback on_sample_;
   rpc::HandlerId handler_id_;
   std::atomic<uint64_t> published_{0};
+
+  rpc::HandlerScope handler_scope_;  // machine 0 only
 };
 
 }  // namespace metrics

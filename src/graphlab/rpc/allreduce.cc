@@ -22,19 +22,19 @@ AllReduce::AllReduce(CommLayer* comm, size_t width, HandlerId value_handler,
   const size_t n = comm_->num_machines();
   slots_.reserve(n);
   for (size_t i = 0; i < n; ++i) slots_.push_back(std::make_unique<Slot>());
-  comm_->RegisterHandler(
+  handler_scopes_.push_back(comm_->RegisterHandler(
       kMaster, value_handler_,
-      [this](MachineId src, InArchive& ia) { OnValue(src, ia); });
+      [this](MachineId src, InArchive& ia) { OnValue(src, ia); }));
   for (MachineId m = 0; m < n; ++m) {
-    comm_->RegisterHandler(
+    handler_scopes_.push_back(comm_->RegisterHandler(
         m, result_handler_,
-        [this, m](MachineId src, InArchive& ia) { OnResult(m, src, ia); });
+        [this, m](MachineId src, InArchive& ia) { OnResult(m, src, ia); }));
   }
   // A death may complete a pending round (the dead machine was the one
   // everyone waited for): re-check against the shrunk membership.  Runs
   // on a transport thread; must not block.
-  membership_token_ = comm_->membership().Subscribe([this](MachineId,
-                                                           uint64_t) {
+  membership_subscription_ = comm_->membership().Subscribe([this](MachineId,
+                                                                 uint64_t) {
     std::vector<Release> released;
     {
       std::lock_guard<std::mutex> lock(master_mutex_);
@@ -46,10 +46,6 @@ AllReduce::AllReduce(CommLayer* comm, size_t width, HandlerId value_handler,
     }
     Broadcast(released);
   });
-}
-
-AllReduce::~AllReduce() {
-  comm_->membership().Unsubscribe(membership_token_);
 }
 
 bool AllReduce::Exchange(MachineId m, const std::vector<uint64_t>& value,

@@ -48,7 +48,6 @@ class AllReduce {
  public:
   AllReduce(CommLayer* comm, size_t width, HandlerId value_handler,
             HandlerId result_handler);
-  ~AllReduce();
 
   AllReduce(const AllReduce&) = delete;
   AllReduce& operator=(const AllReduce&) = delete;
@@ -118,12 +117,14 @@ class AllReduce {
   const HandlerId value_handler_;
   const HandlerId result_handler_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  size_t membership_token_ = 0;
 
   // Machine 0 bookkeeping.
   std::mutex master_mutex_;
   std::vector<Round> ring_;
   uint64_t released_ = 0;  // highest released round
+
+  std::vector<HandlerScope> handler_scopes_;
+  Subscription membership_subscription_;
 };
 
 }  // namespace rpc

@@ -16,9 +16,18 @@
 // and register handlers here, and the same binary runs over either
 // backend (see examples/distributed_pagerank.cpp).
 //
-// Handler registrations for machines the underlying transport does not
-// host (TCP peers) are accepted and inert, so symmetric components that
-// register every machine's slot work unmodified in both deployments.
+// Handler lifetime.  RegisterHandler returns an rpc::HandlerScope, and
+// that scope is the registration: its owner declares it as its last
+// member, so it dies before anything the handler touches.  Destroying it
+// removes the (machine, id) entry if the entry is still its own (a newer
+// registration of the same id stays), then waits until no delivery is
+// running the removed handler, unless it runs on that machine's dispatch
+// thread (a handler may end its own registration).  A frame with no live
+// registration is dropped, logged and counted in the receiving machine's
+// "rpc.unhandled" counter, so a late frame never reaches a freed object.
+// Registrations for machines the transport does not host (TCP peers)
+// return an empty scope, so symmetric components that register every
+// machine's slot work unmodified in both deployments.
 
 #ifndef GRAPHLAB_RPC_COMM_LAYER_H_
 #define GRAPHLAB_RPC_COMM_LAYER_H_
@@ -26,8 +35,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "graphlab/rpc/membership.h"
@@ -37,6 +44,35 @@
 
 namespace graphlab {
 namespace rpc {
+
+namespace internal {
+struct HandlerTable;
+struct Registration;
+}  // namespace internal
+
+/// One handler registration (see the header).  Move-only; an empty scope
+/// (default constructed, moved from, or for a machine the transport does
+/// not host) owns nothing.
+class [[nodiscard]] HandlerScope {
+ public:
+  HandlerScope() = default;
+  HandlerScope(HandlerScope&& other) noexcept = default;
+  HandlerScope& operator=(HandlerScope&& other) noexcept;
+  ~HandlerScope();
+
+  HandlerScope(const HandlerScope&) = delete;
+  HandlerScope& operator=(const HandlerScope&) = delete;
+
+ private:
+  friend class CommLayer;
+  HandlerScope(std::shared_ptr<internal::HandlerTable> table, HandlerId id,
+               std::weak_ptr<const internal::Registration> registration);
+  void Release();
+
+  std::shared_ptr<internal::HandlerTable> table_;
+  HandlerId id_ = 0;
+  std::weak_ptr<const internal::Registration> registration_;
+};
 
 /// The message fabric for one cluster (or, on TCP, one machine's view of
 /// the cluster).
@@ -58,13 +94,13 @@ class CommLayer {
   TransportKind transport_kind() const { return transport_->kind(); }
   const char* transport_name() const { return transport_->name(); }
 
-  /// Registers the handler for (machine, id).  Must complete before any
-  /// message with that id is delivered; typically done before Start().
-  /// Re-registration replaces the previous handler; a delivery already
-  /// running the old one finishes on its own reference, so replacing a
-  /// handler never frees it mid-call.  Registrations for machines this
-  /// transport does not host are inert.
-  void RegisterHandler(MachineId machine, HandlerId id, Handler handler);
+  /// Registers the handler for (machine, id) until the returned scope is
+  /// destroyed.  Must complete before any message with that id is
+  /// delivered; typically done before Start().  A newer registration of
+  /// the same id replaces this one; a delivery already running the old
+  /// handler finishes on its own reference.
+  HandlerScope RegisterHandler(MachineId machine, HandlerId id,
+                               Handler handler);
 
   /// Launches the transport's dispatch (and IO) threads.
   void Start();
@@ -143,18 +179,15 @@ class CommLayer {
   void ResetStats() { transport_->ResetStats(); }
 
  private:
-  struct MachineHandlers {
-    std::mutex mutex;
-    std::unordered_map<HandlerId, std::shared_ptr<const Handler>> handlers;
-  };
-
   /// The transport's delivery sink: resolves the handler and runs it on
   /// the transport's dispatch thread.
   void Deliver(MachineId dst, MachineId src, HandlerId id, InArchive& ia);
 
   std::unique_ptr<ITransport> transport_;
   Membership membership_;
-  std::vector<std::unique_ptr<MachineHandlers>> handlers_;
+  // Per machine; shared with the scopes, which may outlive this layer.
+  std::vector<std::shared_ptr<internal::HandlerTable>> handlers_;
+  Subscription peer_down_subscription_;
 };
 
 }  // namespace rpc

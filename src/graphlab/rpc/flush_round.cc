@@ -1,8 +1,6 @@
 #include "graphlab/rpc/flush_round.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 
 #include "graphlab/metrics/metrics.h"
 #include "graphlab/util/logging.h"
@@ -10,95 +8,64 @@
 namespace graphlab {
 namespace rpc {
 
-/// Receive state shared by the instance, its handlers and its membership
-/// subscription.  Each slot is guarded by its own mutex.
-struct FlushRound::State {
-  struct Slot {
-    std::mutex mutex;
-    std::condition_variable cv;
-    uint64_t next_send = 0;
-    std::vector<uint64_t> next_from;  // next expected generation per source
-    // Decoded payload values by generation parity; staged_generation
-    // says which generation a parity slot currently holds.
-    std::vector<uint64_t> staged[2];
-    uint64_t staged_generation[2] = {0, 0};
-    bool cancelled = false;
-    Decoder decoder;
-    metrics::Counter* dropped = nullptr;  // hosted machines only
-  };
-
-  std::vector<std::unique_ptr<Slot>> slots;
-
-  void WakeAll() {
-    for (auto& slot : slots) {
-      std::lock_guard<std::mutex> lock(slot->mutex);
-      slot->cv.notify_all();
-    }
+void FlushRound::Deliver(MachineId self, MachineId src, InArchive& ia) {
+  Slot& s = *slots_[self];
+  std::lock_guard<std::mutex> lock(s.mutex);
+  const size_t frame_bytes = ia.remaining();
+  const uint64_t generation = ia.ReadValue<uint64_t>();
+  const char* problem = nullptr;
+  std::vector<uint64_t> values;
+  if (!ia.ok()) {
+    problem = "torn generation";
+  } else if (generation != s.next_from[src]) {
+    problem = "out-of-sequence generation";
+  } else if (!ia.AtEnd()) {
+    problem = s.decoder ? s.decoder(src, ia, &values)
+                        : "payload with no decoder installed";
   }
-
-  /// Accepts one frame whole or drops it whole (dispatch thread).
-  void Deliver(MachineId self, MachineId src, InArchive& ia) {
-    Slot& s = *slots[self];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const size_t frame_bytes = ia.remaining();
-    const uint64_t generation = ia.ReadValue<uint64_t>();
-    const char* problem = nullptr;
-    std::vector<uint64_t> values;
-    if (!ia.ok()) {
-      problem = "torn generation";
-    } else if (generation != s.next_from[src]) {
-      problem = "out-of-sequence generation";
-    } else if (!ia.AtEnd()) {
-      problem = s.decoder ? s.decoder(src, ia, &values)
-                          : "payload with no decoder installed";
-    }
-    if (problem != nullptr) {
-      GL_LOG(ERROR) << "machine " << self << ": flush frame from " << src
-                    << " (generation " << generation << ", " << frame_bytes
-                    << " bytes): " << problem << "; dropping frame";
-      if (s.dropped != nullptr) s.dropped->Inc();
-      return;
-    }
-    const size_t parity = generation & 1;
-    if (s.staged_generation[parity] != generation) {
-      s.staged[parity].clear();
-      s.staged_generation[parity] = generation;
-    }
-    s.staged[parity].insert(s.staged[parity].end(), values.begin(),
-                            values.end());
-    ++s.next_from[src];
-    s.cv.notify_all();
+  if (problem != nullptr) {
+    GL_LOG(ERROR) << "machine " << self << ": flush frame from " << src
+                  << " (generation " << generation << ", " << frame_bytes
+                  << " bytes): " << problem << "; dropping frame";
+    if (s.dropped != nullptr) s.dropped->Inc();
+    return;
   }
-};
+  const size_t parity = generation & 1;
+  if (s.staged_generation[parity] != generation) {
+    s.staged[parity].clear();
+    s.staged_generation[parity] = generation;
+  }
+  s.staged[parity].insert(s.staged[parity].end(), values.begin(),
+                          values.end());
+  ++s.next_from[src];
+  s.cv.notify_all();
+}
 
 FlushRound::FlushRound(CommLayer* comm, HandlerId handler)
-    : comm_(comm), handler_(handler), state_(std::make_shared<State>()) {
+    : comm_(comm), handler_(handler) {
   const size_t n = comm_->num_machines();
-  state_->slots.reserve(n);
+  slots_.reserve(n);
   for (MachineId m = 0; m < n; ++m) {
-    auto slot = std::make_unique<State::Slot>();
+    auto slot = std::make_unique<Slot>();
     slot->next_from.assign(n, 0);
     if (comm_->transport().IsLocal(m)) {
       slot->dropped = comm_->registry(m).counter("rpc.flush_dropped");
     }
-    state_->slots.push_back(std::move(slot));
+    slots_.push_back(std::move(slot));
   }
   for (MachineId m = 0; m < n; ++m) {
-    comm_->RegisterHandler(
-        m, handler_, [state = state_, m](MachineId src, InArchive& ia) {
-          state->Deliver(m, src, ia);
-        });
+    handler_scopes_.push_back(comm_->RegisterHandler(
+        m, handler_,
+        [this, m](MachineId src, InArchive& ia) { Deliver(m, src, ia); }));
   }
   // A death may be the frame a wait is missing; every waiter re-checks.
-  membership_token_ = comm_->membership().Subscribe(
-      [state = state_](MachineId, uint64_t) { state->WakeAll(); });
-}
-
-FlushRound::~FlushRound() {
-  for (MachineId m = 0; m < comm_->num_machines(); ++m) {
-    comm_->RegisterHandler(m, handler_, [](MachineId, InArchive&) {});
-  }
-  comm_->membership().Unsubscribe(membership_token_);
+  membership_subscription_ =
+      comm_->membership().Subscribe([this](MachineId, uint64_t) {
+        for (auto& slot : slots_) {
+          std::lock_guard<std::mutex> lock(slot->mutex);
+          slot->cv.notify_all();
+        }
+      });
 }
 
 bool FlushRound::Run(MachineId m, std::vector<OutArchive> payloads,
@@ -107,7 +74,7 @@ bool FlushRound::Run(MachineId m, std::vector<OutArchive> payloads,
   const size_t n = comm_->num_machines();
   GL_CHECK_LT(m, n);
   GL_CHECK(payloads.empty() || payloads.size() == n);
-  State::Slot& s = *state_->slots[m];
+  Slot& s = *slots_[m];
   uint64_t generation;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -152,32 +119,32 @@ bool FlushRound::Run(MachineId m, std::vector<OutArchive> payloads,
 }
 
 void FlushRound::Wake(MachineId m) {
-  State::Slot& s = *state_->slots.at(m);
+  Slot& s = *slots_.at(m);
   std::lock_guard<std::mutex> lock(s.mutex);
   s.cv.notify_all();
 }
 
 void FlushRound::Cancel(MachineId m) {
-  State::Slot& s = *state_->slots.at(m);
+  Slot& s = *slots_.at(m);
   std::lock_guard<std::mutex> lock(s.mutex);
   s.cancelled = true;
   s.cv.notify_all();
 }
 
 void FlushRound::SetDecoder(MachineId m, Decoder decoder) {
-  State::Slot& s = *state_->slots.at(m);
+  Slot& s = *slots_.at(m);
   std::lock_guard<std::mutex> lock(s.mutex);
   s.decoder = std::move(decoder);
 }
 
 uint64_t FlushRound::generation(MachineId m) {
-  State::Slot& s = *state_->slots.at(m);
+  Slot& s = *slots_.at(m);
   std::lock_guard<std::mutex> lock(s.mutex);
   return s.next_send;
 }
 
 void FlushRound::Realign(MachineId m, uint64_t generation) {
-  State::Slot& s = *state_->slots.at(m);
+  Slot& s = *slots_.at(m);
   std::lock_guard<std::mutex> lock(s.mutex);
   s.next_send = generation;
   // A peer that realigned first may already have sent `generation`:

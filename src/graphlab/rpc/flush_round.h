@@ -46,21 +46,26 @@
 //
 // One instance serves a whole fabric (each machine touches its own slot)
 // and lives as long as the Runtime, so its handler exists before any
-// program runs.  The handler and the membership subscription share the
-// receive state, not the instance, and the destructor swaps in inert
-// handlers, so a frame that lands late is dropped, not dereferenced.
+// program runs.  Its handler scopes and membership subscription are its
+// last members (rpc/comm_layer.h): a frame that lands after it is gone is
+// dropped and counted in "rpc.unhandled".
 
 #ifndef GRAPHLAB_RPC_FLUSH_ROUND_H_
 #define GRAPHLAB_RPC_FLUSH_ROUND_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "graphlab/rpc/comm_layer.h"
 
 namespace graphlab {
+namespace metrics {
+class Counter;
+}  // namespace metrics
 namespace rpc {
 
 class FlushRound {
@@ -73,7 +78,6 @@ class FlushRound {
       MachineId src, InArchive& payload, std::vector<uint64_t>* out)>;
 
   FlushRound(CommLayer* comm, HandlerId handler);
-  ~FlushRound();
 
   FlushRound(const FlushRound&) = delete;
   FlushRound& operator=(const FlushRound&) = delete;
@@ -112,12 +116,28 @@ class FlushRound {
   void Realign(MachineId m, uint64_t generation);
 
  private:
-  struct State;
+  struct Slot {
+    std::mutex mutex;
+    std::condition_variable cv;
+    uint64_t next_send = 0;
+    std::vector<uint64_t> next_from;  // next expected generation per source
+    // Decoded payload values by generation parity; staged_generation
+    // says which generation a parity slot currently holds.
+    std::vector<uint64_t> staged[2];
+    uint64_t staged_generation[2] = {0, 0};
+    bool cancelled = false;
+    Decoder decoder;
+    metrics::Counter* dropped = nullptr;  // hosted machines only
+  };
+
+  /// Accepts one frame whole or drops it whole (dispatch thread).
+  void Deliver(MachineId self, MachineId src, InArchive& ia);
 
   CommLayer* comm_;
   const HandlerId handler_;
-  std::shared_ptr<State> state_;
-  size_t membership_token_ = 0;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<HandlerScope> handler_scopes_;
+  Subscription membership_subscription_;
 };
 
 }  // namespace rpc

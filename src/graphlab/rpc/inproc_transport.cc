@@ -181,6 +181,7 @@ void InProcessTransport::DispatchLoop(MachineId machine) {
   SetThreadLogMachineId(static_cast<int>(machine));
   SetThreadName("dispatch-" + std::to_string(machine));
   trace::MachineScope machine_scope(static_cast<uint32_t>(machine));
+  DispatchThreadMark dispatch_mark(this, machine);
   MachineState& m = *machines_[machine];
   for (;;) {
     auto msg = m.inbox.Pop();

@@ -6,7 +6,9 @@ namespace graphlab {
 namespace rpc {
 
 Membership::Membership(size_t num_machines)
-    : alive_(num_machines, 1), num_alive_(num_machines) {
+    : alive_(num_machines, 1),
+      num_alive_(num_machines),
+      subscribers_(std::make_shared<Subscription::Subscribers>()) {
   GL_CHECK_GE(num_machines, 1u);
 }
 
@@ -53,29 +55,51 @@ void Membership::Adopt(const std::vector<uint8_t>& bitmap) {
   }
 }
 
-size_t Membership::Subscribe(Subscriber fn) {
-  std::lock_guard<std::mutex> lock(subscribers_mutex_);
-  size_t token = next_token_++;
-  subscribers_.emplace_back(token, std::move(fn));
-  return token;
+struct Subscription::Subscribers {
+  // Held through every notification, so a subscription's removal waits
+  // out a callback in progress.
+  std::mutex mutex;
+  std::vector<std::pair<size_t, Membership::Subscriber>> list;
+  size_t next_token = 1;
+};
+
+Subscription& Subscription::operator=(Subscription&& other) noexcept {
+  if (this != &other) {
+    Release();
+    subscribers_ = std::move(other.subscribers_);
+    token_ = other.token_;
+  }
+  return *this;
 }
 
-void Membership::Unsubscribe(size_t token) {
-  std::lock_guard<std::mutex> lock(subscribers_mutex_);
-  for (size_t i = 0; i < subscribers_.size(); ++i) {
-    if (subscribers_[i].first == token) {
-      subscribers_.erase(subscribers_.begin() + i);
-      return;
+Subscription::~Subscription() { Release(); }
+
+void Subscription::Release() {
+  if (subscribers_ == nullptr) return;
+  {
+    std::lock_guard<std::mutex> lock(subscribers_->mutex);
+    auto& list = subscribers_->list;
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (list[i].first == token_) {
+        list.erase(list.begin() + i);
+        break;
+      }
     }
   }
+  subscribers_.reset();
+}
+
+Subscription Membership::Subscribe(Subscriber fn) {
+  std::lock_guard<std::mutex> lock(subscribers_->mutex);
+  const size_t token = subscribers_->next_token++;
+  subscribers_->list.emplace_back(token, std::move(fn));
+  return Subscription(subscribers_, token);
 }
 
 void Membership::Notify(MachineId down) {
-  // Serialized with Subscribe/Unsubscribe: holding the mutex through the
-  // callbacks means Unsubscribe() returning guarantees no further calls.
-  std::lock_guard<std::mutex> lock(subscribers_mutex_);
+  std::lock_guard<std::mutex> lock(subscribers_->mutex);
   const uint64_t e = epoch();
-  for (auto& [token, fn] : subscribers_) fn(down, e);
+  for (auto& [token, fn] : subscribers_->list) fn(down, e);
 }
 
 }  // namespace rpc

@@ -19,6 +19,13 @@
 // serialized with each other; callbacks must not block — they run on
 // transport threads (receive/heartbeat/send), and stalling those delays
 // failure detection cluster-wide.
+//
+// Subscribe returns an rpc::Subscription, and the subscription lasts
+// exactly as long as that object: its owner declares it as its last
+// member, like the HandlerScopes of its RPC handlers (rpc/comm_layer.h).
+// Destroying it removes the callback and waits out a notification in
+// progress, so the callback never runs on a freed owner.  A callback
+// must not destroy a Subscription of this membership.
 
 #ifndef GRAPHLAB_RPC_MEMBERSHIP_H_
 #define GRAPHLAB_RPC_MEMBERSHIP_H_
@@ -26,6 +33,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -34,6 +42,29 @@
 
 namespace graphlab {
 namespace rpc {
+
+/// One membership subscription (see the header).  Move-only; an empty
+/// subscription (default constructed or moved from) owns nothing.
+class [[nodiscard]] Subscription {
+ public:
+  Subscription() = default;
+  Subscription(Subscription&& other) noexcept = default;
+  Subscription& operator=(Subscription&& other) noexcept;
+  ~Subscription();
+
+  Subscription(const Subscription&) = delete;
+  Subscription& operator=(const Subscription&) = delete;
+
+ private:
+  friend class Membership;
+  struct Subscribers;
+  Subscription(std::shared_ptr<Subscribers> subscribers, size_t token)
+      : subscribers_(std::move(subscribers)), token_(token) {}
+  void Release();
+
+  std::shared_ptr<Subscribers> subscribers_;
+  size_t token_ = 0;
+};
 
 class Membership {
  public:
@@ -66,11 +97,9 @@ class Membership {
   /// this view has not observed yet — the convergence step of recovery.
   void Adopt(const std::vector<uint8_t>& bitmap);
 
-  /// Registers a subscriber; returns a token for Unsubscribe.
-  /// Unsubscribe blocks until any in-flight notification completes, so
-  /// after it returns the callback will never run again.
-  size_t Subscribe(Subscriber fn);
-  void Unsubscribe(size_t token);
+  /// Calls `fn` after every later transition, until the returned
+  /// subscription is destroyed.
+  Subscription Subscribe(Subscriber fn);
 
  private:
   void Notify(MachineId down);
@@ -80,9 +109,8 @@ class Membership {
   std::atomic<size_t> num_alive_;
   std::atomic<uint64_t> epoch_{0};
 
-  std::mutex subscribers_mutex_;
-  std::vector<std::pair<size_t, Subscriber>> subscribers_;
-  size_t next_token_ = 1;
+  // Shared with the subscriptions, which may outlive this object.
+  std::shared_ptr<Subscription::Subscribers> subscribers_;
 };
 
 }  // namespace rpc

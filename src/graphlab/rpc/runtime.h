@@ -24,10 +24,11 @@
 // Components that coordinate through their own message slots (Barrier,
 // FlushRound, TerminationDetector, SumAllReduce, SyncManager) are
 // instantiated per CommLayer; handler registrations for machines a fabric
-// does not host are inert, so the same component code serves all three
-// shapes.  The Runtime owns each fabric's barrier, flush round and
-// termination detector, registered before its transport starts, so no
-// program needs a fence before its first round.
+// does not host return empty scopes (rpc/comm_layer.h), so the same
+// component code serves all three shapes.  The Runtime owns each
+// fabric's barrier, flush round and termination detector, registered
+// before its transport starts, so no program needs a fence before its
+// first round.
 
 #ifndef GRAPHLAB_RPC_RUNTIME_H_
 #define GRAPHLAB_RPC_RUNTIME_H_

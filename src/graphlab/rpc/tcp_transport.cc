@@ -491,6 +491,7 @@ void TcpTransport::ReceiveLoop(int fd) {
 
 void TcpTransport::DispatchLoop() {
   trace::MachineScope machine_scope(me_);
+  DispatchThreadMark dispatch_mark(this, me_);
   for (;;) {
     auto msg = dispatch_queue_.Pop();
     if (!msg.has_value()) return;

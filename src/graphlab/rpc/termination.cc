@@ -14,18 +14,18 @@ TerminationDetector::TerminationDetector(CommLayer* comm) : comm_(comm) {
     done_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
   // Coordinator report handler (machine 0 only).
-  comm_->RegisterHandler(
+  handler_scopes_.push_back(comm_->RegisterHandler(
       0, kTerminationReport,
-      [this](MachineId src, InArchive& ia) { OnReport(src, ia); });
+      [this](MachineId src, InArchive& ia) { OnReport(src, ia); }));
   // Verdict and epoch-sync handlers on every machine.
   for (MachineId m = 0; m < n; ++m) {
-    comm_->RegisterHandler(
+    handler_scopes_.push_back(comm_->RegisterHandler(
         m, kTerminationVerdict, [this, m](MachineId, InArchive& ia) {
           uint32_t epoch = ia.ReadValue<uint32_t>();
           if (epoch == epoch_.load(std::memory_order_acquire)) {
             done_[m]->store(true, std::memory_order_release);
           }
-        });
+        }));
     // NewRun() runs on the coordinator's detector instance only; with
     // per-machine instances (TCP deployments) the other machines learn
     // the new epoch — and reset their done flag — from this broadcast.
@@ -33,7 +33,7 @@ TerminationDetector::TerminationDetector(CommLayer* comm) : comm_(comm) {
     // safe: the epoch frame is sent before the coordinator enters the
     // second barrier, so per-channel FIFO delivers it before the
     // barrier release on every machine.
-    comm_->RegisterHandler(
+    handler_scopes_.push_back(comm_->RegisterHandler(
         m, kTerminationEpoch, [this, m](MachineId, InArchive& ia) {
           uint32_t epoch = ia.ReadValue<uint32_t>();
           uint32_t current = epoch_.load(std::memory_order_acquire);
@@ -44,20 +44,16 @@ TerminationDetector::TerminationDetector(CommLayer* comm) : comm_(comm) {
           if (epoch >= epoch_.load(std::memory_order_acquire)) {
             done_[m]->store(false, std::memory_order_release);
           }
-        });
+        }));
   }
   // A machine death can complete a round that was waiting for the dead
   // machine's report (the consensus then covers survivors only — the
   // engines' abort path handles semantic cleanup).
-  membership_token_ = comm_->membership().Subscribe(
+  membership_subscription_ = comm_->membership().Subscribe(
       [this](MachineId, uint64_t) {
         std::lock_guard<std::mutex> lock(master_mutex_);
         Evaluate();
       });
-}
-
-TerminationDetector::~TerminationDetector() {
-  comm_->membership().Unsubscribe(membership_token_);
 }
 
 void TerminationDetector::SetStateFn(MachineId m, StateFn fn) {

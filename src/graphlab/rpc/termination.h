@@ -45,7 +45,6 @@ class TerminationDetector {
   using StateFn = std::function<LocalState()>;
 
   explicit TerminationDetector(CommLayer* comm);
-  ~TerminationDetector();
 
   /// Installs machine m's state provider.  Call before the run starts.
   void SetStateFn(MachineId m, StateFn fn);
@@ -76,7 +75,6 @@ class TerminationDetector {
   std::vector<StateFn> state_fns_;
   std::vector<std::unique_ptr<std::atomic<bool>>> done_;
   std::atomic<uint32_t> epoch_{0};
-  size_t membership_token_ = 0;
 
   // Coordinator state (machine 0 only).
   std::mutex master_mutex_;
@@ -86,6 +84,9 @@ class TerminationDetector {
   uint64_t candidate_received_ = 0;
   uint64_t rounds_since_candidate_ = 0;
   bool verdict_sent_ = false;
+
+  std::vector<HandlerScope> handler_scopes_;
+  Subscription membership_subscription_;
 };
 
 }  // namespace rpc

@@ -105,6 +105,27 @@ struct PeerCommStats {
   uint64_t bytes_received = 0;
 };
 
+class ITransport;
+
+/// Names the calling thread as the one thread on which `transport` runs
+/// every delivery for machine `m`, for the mark's lifetime.  Each backend
+/// sets it at the top of its dispatch loop; CommLayer reads it so that a
+/// handler may end its own registration without waiting on itself.
+class DispatchThreadMark {
+ public:
+  DispatchThreadMark(const ITransport* transport, MachineId m);
+  ~DispatchThreadMark();
+
+  DispatchThreadMark(const DispatchThreadMark&) = delete;
+  DispatchThreadMark& operator=(const DispatchThreadMark&) = delete;
+
+  static bool IsCurrent(const ITransport* transport, MachineId m);
+
+ private:
+  const ITransport* saved_transport_;
+  MachineId saved_machine_;
+};
+
 /// The interconnect interface.  All methods are thread safe.  Lifecycle:
 /// construct -> SetDeliverySink -> Start -> (traffic) -> Stop.
 class ITransport {

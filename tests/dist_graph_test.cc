@@ -559,8 +559,9 @@ TEST(GhostFrameV3, GoldenBytes) {
                     .InitFromGlobal(g, atom_of, colors, placement, ctx.id,
                                     &ctx.comm())
                     .ok());
+    rpc::HandlerScope capture;
     if (ctx.id == 1) {
-      ctx.comm().RegisterHandler(
+      capture = ctx.comm().RegisterHandler(
           1, DGraph::kDataPushHandler, [&](rpc::MachineId, InArchive& ia) {
             std::lock_guard<std::mutex> lock(mu);
             frames.emplace_back(ia.Rest());

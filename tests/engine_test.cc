@@ -739,13 +739,13 @@ TEST_P(ChromaticStepEndTest, PeerKilledInStepExchangeReleasesSurvivors) {
         // bundle does in a real deployment.
         rpc::Membership& members = m.ctx.comm().membership();
         SumAllReduce* allreduce = &m.allreduce;
-        const size_t token = members.Subscribe(
+        rpc::Subscription subscription = members.Subscribe(
             [me, allreduce](rpc::MachineId down, uint64_t) {
               if (down == me) allreduce->Cancel(me);
             });
         m.engine.ScheduleAll();
         m.engine.Start();
-        members.Unsubscribe(token);
+        subscription = rpc::Subscription();
         aborted[me] = m.engine.aborted();
         sweeps[me] = m.engine.last_result().sweeps;
       },
@@ -1100,6 +1100,63 @@ TEST(SyncTest, RoundsAdvanceMonotonically) {
     }
     ctx.barrier().Wait(ctx.id);
   });
+}
+
+// A machine that dies before contributing must not wedge the round: it
+// completes over the live machines and publishes the sum of their
+// partials to them.  At the coordinator, either the death or the last
+// live partial closes it, whichever lands second.
+TEST(SyncTest, RoundCompletesOverTheLiveMembership) {
+  constexpr size_t kMachines = 3;
+  constexpr rpc::MachineId kVictim = 2;
+  auto structure = gen::Grid2D(10, 10);
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  auto atom_of = BlockPartition(structure.num_vertices, kMachines);
+  std::vector<rpc::MachineId> placement = {0, 1, 2};
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kTcp, kMachines));
+  // One manager per fabric, as on any TCP deployment.
+  std::vector<std::unique_ptr<SyncManager<DPRGraph>>> syncs;
+  for (rpc::MachineId m = 0; m < kMachines; ++m) {
+    syncs.push_back(std::make_unique<SyncManager<DPRGraph>>(&runtime.comm(m)));
+  }
+  std::vector<DPRGraph> graphs(kMachines);
+  std::atomic<int> contributed{0};
+  std::vector<uint8_t> published(kMachines, 0);
+  std::vector<uint64_t> values(kMachines, 0);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    const rpc::MachineId me = ctx.id;
+    SyncManager<DPRGraph>& sync = *syncs[me];
+    ASSERT_TRUE(graphs[me]
+                    .InitFromGlobal(global, atom_of, colors, placement, me,
+                                    &ctx.comm())
+                    .ok());
+    sync.AttachGraph(me, &graphs[me]);
+    sync.Register<uint64_t>(
+        "count", uint64_t{0},
+        [](const DPRGraph&, LocalVid, uint64_t* acc) { *acc += 1; },
+        [](uint64_t* a, const uint64_t& b) { *a += b; });
+    ctx.barrier().Wait(me);
+    if (me == kVictim) {
+      EXPECT_TRUE(testutil::WaitUntil([&] { return contributed == 2; }));
+      ctx.comm().InjectKill(me);
+      return;
+    }
+    sync.RunSyncAsync("count", me);
+    contributed.fetch_add(1);
+    // Bounded: a round that waits for the dead machine never publishes.
+    published[me] = testutil::WaitUntil(
+        [&] { return sync.PublishedRound("count", me) >= 1; });
+    values[me] = sync.Get<uint64_t>("count", me);
+  });
+  const uint64_t live_vertices =
+      graphs[0].num_owned_vertices() + graphs[1].num_owned_vertices();
+  ASSERT_LT(live_vertices, 100u);
+  for (rpc::MachineId m : {0u, 1u}) {
+    EXPECT_TRUE(published[m]) << "machine " << m;
+    EXPECT_EQ(values[m], live_vertices) << "machine " << m;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -44,7 +44,7 @@ TEST(MembershipTest, MarkDownIsMonotoneAndFiresSubscribersOnce) {
   EXPECT_EQ(membership.epoch(), 0u);
 
   std::vector<rpc::MachineId> deaths;
-  size_t token = membership.Subscribe(
+  rpc::Subscription subscription = membership.Subscribe(
       [&](rpc::MachineId down, uint64_t) { deaths.push_back(down); });
 
   EXPECT_TRUE(membership.MarkDown(2));
@@ -62,7 +62,7 @@ TEST(MembershipTest, MarkDownIsMonotoneAndFiresSubscribersOnce) {
   ASSERT_EQ(deaths.size(), 2u);
   EXPECT_EQ(deaths[1], 1u);
 
-  membership.Unsubscribe(token);
+  subscription = rpc::Subscription();
   membership.MarkDown(3);
   EXPECT_EQ(deaths.size(), 2u);  // no further notifications
 
@@ -76,9 +76,10 @@ TEST(MembershipTest, InProcessKillDropsTrafficAndSurvivorsStillFlush) {
       testutil::ClusterFor(rpc::TransportKind::kInProcess, 3));
   rpc::CommLayer& comm = runtime.comm(0);
   std::atomic<int> delivered{0};
+  std::vector<rpc::HandlerScope> counters;
   for (rpc::MachineId m = 0; m < 3; ++m) {
-    comm.RegisterHandler(
-        m, 50, [&](rpc::MachineId, InArchive&) { delivered.fetch_add(1); });
+    counters.push_back(comm.RegisterHandler(
+        m, 50, [&](rpc::MachineId, InArchive&) { delivered.fetch_add(1); }));
   }
   comm.Send(0, 2, 50, OutArchive());
   ASSERT_TRUE(testutil::WaitUntil([&] { return delivered.load() == 1; }));
@@ -438,6 +439,100 @@ TEST_F(FaultRecoveryTest, KilledWorkerRecoversAndMatchesReference) {
     l1 += std::fabs(ranks[v] - reference[v]);
   }
   EXPECT_LT(l1, 1e-8) << "recovered run diverged from unfailed reference";
+}
+
+// Regression: a death while machine 1 waits in the runner's startup fence
+// must not cut the fence short.  Machine 1 enters its fence, machine 2
+// dies, and only once machine 1 has seen the death does machine 0
+// construct its runner, which registers the rendezvous handler.  A fence
+// cancelled by the death sent machine 1's rendezvous ENTER to a machine 0
+// with no handler for it yet, and both survivors then waited forever.
+// The watchdog kills the survivors instead, so the failure is bounded.
+TEST_F(FaultRecoveryTest, DeathDuringStartupFenceRecovers) {
+  FtScenario s;
+  s.machines = 3;
+  s.snapshot_dir = dir_;
+  const auto reference = ReferenceRanks(s);
+  auto structure = gen::PowerLawWeb(s.vertices, 5, 0.8, 7);
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  auto atom_of = RandomPartition(s.vertices, s.atoms, 3);
+  AtomIndex meta = BuildMetaIndex(structure, atom_of, colors, s.atoms);
+
+  rpc::Runtime runtime(
+      testutil::ClusterFor(rpc::TransportKind::kTcp, s.machines));
+  fault::FtOptions ft;
+  ft.snapshot_dir = s.snapshot_dir;
+  ft.checkpoint_interval_seconds = 0.001;
+  // Machine 1 listens for machine 0's heartbeats before machine 0 sends
+  // any; only the kill may end a machine here.
+  ft.heartbeat_timeout_ms = 10000;
+  std::vector<DGraph> graphs(s.machines);
+  std::vector<Status> statuses(s.machines);
+  std::vector<double> ranks(s.vertices, 0.0);
+  std::mutex ranks_mutex;
+  std::atomic<int> finished{0};
+  std::atomic<bool> timed_out{false};
+
+  std::thread watchdog([&] {
+    if (testutil::WaitUntil([&] { return finished.load() == 2; },
+                            std::chrono::seconds(30))) {
+      return;
+    }
+    timed_out.store(true);
+    runtime.comm(0).InjectKill(0);
+    runtime.comm(1).InjectKill(1);
+  });
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    const rpc::MachineId me = ctx.id;
+    // Every pair of machines exchanges a frame, so every connection is up
+    // and the kill reaches the survivors as a closed socket.
+    ASSERT_TRUE(ctx.flush().Run(me));
+    if (me == 2) {
+      // Die once machine 1 is in its fence (its first barrier round).
+      EXPECT_TRUE(testutil::WaitUntil(
+          [&] { return runtime.barrier(1).entered_generation(1) >= 1; }));
+      ctx.comm().InjectKill(me);
+      return;
+    }
+    if (me == 0) {
+      EXPECT_TRUE(testutil::WaitUntil(
+          [&] { return !runtime.comm(1).membership().alive(2); }));
+      // Room for machine 1 to act on the death before this runner exists.
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    fault::FaultTolerantRunner<PageRankVertex, PageRankEdge> runner(ctx, ft);
+    typename fault::FaultTolerantRunner<PageRankVertex,
+                                        PageRankEdge>::Problem problem;
+    problem.meta = meta;
+    problem.build = [&, me](DGraph* graph,
+                            const std::vector<rpc::MachineId>& placement) {
+      return graph->InitFromGlobal(global, atom_of, colors, placement, me,
+                                   &ctx.comm());
+    };
+    problem.update_fn = MakePageRankUpdateFn<DGraph>(0.85, s.tolerance);
+    problem.engine_options.num_threads = 1;
+    statuses[me] = runner.Run(problem, &graphs[me]).status();
+    if (statuses[me].ok()) {
+      std::lock_guard<std::mutex> lock(ranks_mutex);
+      for (LocalVid l : graphs[me].owned_vertices()) {
+        ranks[graphs[me].Gvid(l)] = graphs[me].vertex_data(l).rank;
+      }
+    }
+    finished.fetch_add(1);
+  });
+  watchdog.join();
+
+  EXPECT_FALSE(timed_out.load()) << "the survivors hung after the death";
+  for (rpc::MachineId m : {0u, 1u}) {
+    EXPECT_TRUE(statuses[m].ok()) << "machine " << m << ": "
+                                  << statuses[m].ToString();
+  }
+  double l1 = 0;
+  for (size_t v = 0; v < ranks.size(); ++v) {
+    l1 += std::fabs(ranks[v] - reference[v]);
+  }
+  EXPECT_LT(l1, 1e-8);
 }
 
 // A boundary hook that fails with nobody dead stops the run at that

@@ -37,11 +37,12 @@ CommOptions FastComm() { return graphlab::testutil::ZeroLatency(); }
 TEST(CommLayerTest, DeliversToRegisteredHandler) {
   auto comm = InProcessComm(2, FastComm());
   std::atomic<int> received{0};
-  comm->RegisterHandler(1, 100, [&](MachineId src, InArchive& ia) {
-    EXPECT_EQ(src, 0u);
-    EXPECT_EQ(ia.ReadValue<int>(), 42);
-    received.fetch_add(1);
-  });
+  HandlerScope handler =
+      comm->RegisterHandler(1, 100, [&](MachineId src, InArchive& ia) {
+        EXPECT_EQ(src, 0u);
+        EXPECT_EQ(ia.ReadValue<int>(), 42);
+        received.fetch_add(1);
+      });
   comm->Start();
   OutArchive oa;
   oa << 42;
@@ -52,9 +53,10 @@ TEST(CommLayerTest, DeliversToRegisteredHandler) {
 TEST(CommLayerTest, SelfSendWorks) {
   auto comm = InProcessComm(1, FastComm());
   std::atomic<int> received{0};
-  comm->RegisterHandler(0, 7, [&](MachineId, InArchive&) {
-    received.fetch_add(1);
-  });
+  HandlerScope handler =
+      comm->RegisterHandler(0, 7, [&](MachineId, InArchive&) {
+        received.fetch_add(1);
+      });
   comm->Start();
   comm->Send(0, 0, 7, OutArchive());
   EXPECT_TRUE(WaitUntil([&] { return received.load() == 1; }));
@@ -65,10 +67,11 @@ TEST(CommLayerTest, SelfSendWorks) {
 std::vector<int> SendSequence(CommLayer* comm, int count) {
   std::vector<int> order;
   std::atomic<int> handled{0};
-  comm->RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
-    order.push_back(ia.ReadValue<int>());
-    handled.fetch_add(1, std::memory_order_release);
-  });
+  HandlerScope handler =
+      comm->RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
+        order.push_back(ia.ReadValue<int>());
+        handled.fetch_add(1, std::memory_order_release);
+      });
   comm->Start();
   for (int i = 0; i < count; ++i) {
     OutArchive oa;
@@ -101,9 +104,10 @@ TEST(CommLayerTest, LatencyDelaysDelivery) {
   o.latency = std::chrono::milliseconds(30);
   auto comm = InProcessComm(2, o);
   std::atomic<bool> received{false};
-  comm->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
-    received.store(true);
-  });
+  HandlerScope handler =
+      comm->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
+        received.store(true);
+      });
   comm->Start();
   Timer timer;
   comm->Send(0, 1, 5, OutArchive());
@@ -114,8 +118,8 @@ TEST(CommLayerTest, LatencyDelaysDelivery) {
 TEST(CommLayerTest, ByteAccountingIncludesHeader) {
   auto comm = InProcessComm(2, FastComm());
   std::atomic<int> received{0};
-  comm->RegisterHandler(1, 5,
-                        [&](MachineId, InArchive&) { received.fetch_add(1); });
+  HandlerScope handler = comm->RegisterHandler(
+      1, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
   comm->Start();
   OutArchive oa;
   oa << uint64_t{1} << uint64_t{2};  // 16 payload bytes
@@ -135,13 +139,15 @@ TEST(CommLayerTest, ByteAccountingIncludesHeader) {
 /// Returns how many messages machine 2 handled.
 int RunHandlerChain(CommLayer* at0, CommLayer* at1, CommLayer* at2) {
   std::atomic<int> final_count{0};
-  at1->RegisterHandler(1, 5, [at1](MachineId, InArchive&) {
-    at1->Send(1, 2, 5, OutArchive());
-  });
-  at2->RegisterHandler(2, 5, [&](MachineId src, InArchive&) {
-    EXPECT_EQ(src, 1u);
-    final_count.fetch_add(1);
-  });
+  HandlerScope forward =
+      at1->RegisterHandler(1, 5, [at1](MachineId, InArchive&) {
+        at1->Send(1, 2, 5, OutArchive());
+      });
+  HandlerScope sink =
+      at2->RegisterHandler(2, 5, [&](MachineId src, InArchive&) {
+        EXPECT_EQ(src, 1u);
+        final_count.fetch_add(1);
+      });
   for (CommLayer* c : {at0, at1, at2}) c->Start();
   at0->Send(0, 1, 5, OutArchive());
   EXPECT_TRUE(WaitUntil([&] { return final_count.load() == 1; }));
@@ -157,9 +163,10 @@ TEST(CommLayerTest, HandlersMaySend) {
 TEST(CommLayerTest, StallDelaysDispatch) {
   auto comm = InProcessComm(2, FastComm());
   std::atomic<bool> received{false};
-  comm->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
-    received.store(true);
-  });
+  HandlerScope handler =
+      comm->RegisterHandler(1, 5, [&](MachineId, InArchive&) {
+        received.store(true);
+      });
   comm->Start();
   comm->InjectStall(1, std::chrono::milliseconds(50));
   EXPECT_TRUE(comm->StallActive(1));
@@ -175,8 +182,8 @@ TEST(CommLayerTest, BandwidthModelAddsSerializationDelay) {
   o.bandwidth_bytes_per_sec = 1000000;  // 1 MB/s
   auto comm = InProcessComm(2, o);
   std::atomic<bool> received{false};
-  comm->RegisterHandler(1, 5,
-                        [&](MachineId, InArchive&) { received.store(true); });
+  HandlerScope handler = comm->RegisterHandler(
+      1, 5, [&](MachineId, InArchive&) { received.store(true); });
   comm->Start();
   Timer timer;
   OutArchive oa;
@@ -211,11 +218,12 @@ void StartAll(std::vector<std::unique_ptr<CommLayer>>& comms) {
 TEST(TcpTransportTest, DeliversToRegisteredHandler) {
   auto comms = MakeTcpComms(2);
   std::atomic<int> received{0};
-  comms[1]->RegisterHandler(1, 100, [&](MachineId src, InArchive& ia) {
-    EXPECT_EQ(src, 0u);
-    EXPECT_EQ(ia.ReadValue<int>(), 42);
-    received.fetch_add(1);
-  });
+  HandlerScope handler =
+      comms[1]->RegisterHandler(1, 100, [&](MachineId src, InArchive& ia) {
+        EXPECT_EQ(src, 0u);
+        EXPECT_EQ(ia.ReadValue<int>(), 42);
+        received.fetch_add(1);
+      });
   StartAll(comms);
   OutArchive oa;
   oa << 42;
@@ -226,9 +234,10 @@ TEST(TcpTransportTest, DeliversToRegisteredHandler) {
 TEST(TcpTransportTest, SelfSendSkipsTheWire) {
   auto comms = MakeTcpComms(1);
   std::atomic<int> received{0};
-  comms[0]->RegisterHandler(0, 7, [&](MachineId, InArchive&) {
-    received.fetch_add(1);
-  });
+  HandlerScope handler =
+      comms[0]->RegisterHandler(0, 7, [&](MachineId, InArchive&) {
+        received.fetch_add(1);
+      });
   StartAll(comms);
   comms[0]->Send(0, 0, 7, OutArchive());
   EXPECT_TRUE(WaitUntil([&] { return received.load() == 1; }));
@@ -238,10 +247,11 @@ TEST(TcpTransportTest, FifoPerChannel) {
   auto comms = MakeTcpComms(2);
   std::vector<int> order;
   std::atomic<int> handled{0};
-  comms[1]->RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
-    order.push_back(ia.ReadValue<int>());
-    handled.fetch_add(1, std::memory_order_release);
-  });
+  HandlerScope handler =
+      comms[1]->RegisterHandler(1, 5, [&](MachineId, InArchive& ia) {
+        order.push_back(ia.ReadValue<int>());
+        handled.fetch_add(1, std::memory_order_release);
+      });
   StartAll(comms);
   for (int i = 0; i < 200; ++i) {
     OutArchive oa;
@@ -256,8 +266,8 @@ TEST(TcpTransportTest, FifoPerChannel) {
 TEST(TcpTransportTest, ByteAccountingCountsFrameHeader) {
   auto comms = MakeTcpComms(2);
   std::atomic<int> received{0};
-  comms[1]->RegisterHandler(1, 5,
-                            [&](MachineId, InArchive&) { received.fetch_add(1); });
+  HandlerScope handler = comms[1]->RegisterHandler(
+      1, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
   StartAll(comms);
   OutArchive oa;
   oa << uint64_t{1} << uint64_t{2};  // 16 payload bytes
@@ -335,12 +345,13 @@ TEST(TcpTransportTest, LargeFrameRoundTrips) {
   std::atomic<bool> matched{false};
   std::vector<uint64_t> big(200000);
   for (size_t i = 0; i < big.size(); ++i) big[i] = i * 2654435761u;
-  comms[1]->RegisterHandler(1, 9, [&](MachineId, InArchive& ia) {
-    std::vector<uint64_t> got;
-    ia >> got;
-    matched.store(got == big);
-    handled.store(true);
-  });
+  HandlerScope handler =
+      comms[1]->RegisterHandler(1, 9, [&](MachineId, InArchive& ia) {
+        std::vector<uint64_t> got;
+        ia >> got;
+        matched.store(got == big);
+        handled.store(true);
+      });
   StartAll(comms);
   OutArchive oa;
   oa << big;
@@ -357,9 +368,10 @@ TEST(TcpTransportTest, LargeFrameRoundTrips) {
 TEST(TcpFailureTest, PeerDeathFiresPeerDown) {
   auto comms = MakeTcpComms(3);
   std::atomic<int> received{0};
+  std::vector<HandlerScope> handlers;
   for (size_t m = 0; m < 3; ++m) {
-    comms[m]->RegisterHandler(
-        m, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
+    handlers.push_back(comms[m]->RegisterHandler(
+        m, 5, [&](MachineId, InArchive&) { received.fetch_add(1); }));
   }
   StartAll(comms);
   // Warm the mesh so every connection exists.
@@ -388,9 +400,9 @@ TEST(TcpFailureTest, PeerDeathFiresPeerDown) {
 TEST(TcpFailureTest, SendToDeadPeerIsDroppedNotFatal) {
   auto comms = MakeTcpComms(2);
   std::atomic<int> received{0};
-  comms[1]->RegisterHandler(
+  HandlerScope handler = comms[1]->RegisterHandler(
       1, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
-  comms[0]->RegisterHandler(
+  HandlerScope self_sink = comms[0]->RegisterHandler(
       0, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
   StartAll(comms);
   comms[0]->Send(0, 1, 5, OutArchive());
@@ -414,7 +426,7 @@ TEST(TcpFailureTest, HeartbeatDeadlineMarksSilentPeerDown) {
   auto comms = MakeTcpComms(2);
   std::atomic<int> received{0};
   // Warm the connections so machine 0 has heard from machine 1 once.
-  comms[0]->RegisterHandler(
+  HandlerScope handler = comms[0]->RegisterHandler(
       0, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
   StartAll(comms);
   comms[1]->Send(1, 0, 5, OutArchive());
@@ -488,7 +500,7 @@ TEST_P(FlushRoundTest, RoundFlushesEarlierTrafficAndCarriesPayloads) {
   std::vector<std::atomic<int>> received(kMachines);
   runtime.Run([&](MachineContext& ctx) {
     const MachineId me = ctx.id;
-    ctx.comm().RegisterHandler(
+    HandlerScope handler = ctx.comm().RegisterHandler(
         me, 60, [&, me](MachineId, InArchive&) { received[me].fetch_add(1); });
     // Decodes a u64 column; the round hands the values over after it.
     ctx.flush().SetDecoder(me, [](MachineId, InArchive& ia,
@@ -530,7 +542,7 @@ TEST_P(FlushRoundTest, PeerDeathEndsTheWaitAndSurvivorsKeepFlushing) {
   std::vector<uint8_t> first(kMachines, 1), second(kMachines, 0);
   runtime.Run([&](MachineContext& ctx) {
     const MachineId me = ctx.id;
-    ctx.comm().RegisterHandler(
+    HandlerScope handler = ctx.comm().RegisterHandler(
         me, 50, [&](MachineId, InArchive&) { delivered.fetch_add(1); });
     ctx.barrier().Wait(me);
     if (me == 0) ctx.comm().Send(0, 2, 50, OutArchive());
@@ -915,6 +927,146 @@ INSTANTIATE_TEST_SUITE_P(Transports, CollectiveFrameFuzz,
                          ::testing::ValuesIn(
                              graphlab::testutil::kAllTransports),
                          graphlab::testutil::KindParamName);
+
+// ---------------------------------------------------------------------
+// Handler lifetime: a registration lasts exactly as long as its scope
+// ---------------------------------------------------------------------
+
+/// Two machines over one backend: one shared layer in-process, one layer
+/// per machine over loopback TCP.  at(m) is the layer hosting machine m.
+struct TwoMachines {
+  std::vector<std::unique_ptr<CommLayer>> comms;
+  CommLayer& at(MachineId m) { return *comms[comms.size() == 1 ? 0 : m]; }
+  uint64_t unhandled(MachineId m) {
+    return at(m).registry(m).counter("rpc.unhandled")->Value();
+  }
+  void Start() {
+    for (auto& c : comms) c->Start();
+  }
+};
+
+TwoMachines MakeTwoMachines(TransportKind kind) {
+  TwoMachines t;
+  if (kind == TransportKind::kTcp) {
+    t.comms = MakeTcpComms(2);
+  } else {
+    t.comms.push_back(InProcessComm(2, FastComm()));
+  }
+  return t;
+}
+
+class HandlerScopeTest : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(HandlerScopeTest, FrameAfterTheScopeIsDroppedAndCounted) {
+  TwoMachines t = MakeTwoMachines(GetParam());
+  std::atomic<int> runs{0};
+  HandlerScope scope = t.at(1).RegisterHandler(
+      1, 70, [&](MachineId, InArchive&) { runs.fetch_add(1); });
+  t.Start();
+  t.at(0).Send(0, 1, 70, OutArchive());
+  ASSERT_TRUE(WaitUntil([&] { return runs.load() == 1; }));
+  const uint64_t before = t.unhandled(1);
+
+  scope = HandlerScope();
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);  // the drop is logged as an error
+  t.at(0).Send(0, 1, 70, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return t.unhandled(1) == before + 1; }));
+  SetLogLevel(saved_level);
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST_P(HandlerScopeTest, DestructorWaitsForTheRunningHandler) {
+  TwoMachines t = MakeTwoMachines(GetParam());
+  std::atomic<bool> entered{false}, release{false}, finished{false};
+  auto scope = std::make_unique<HandlerScope>(t.at(1).RegisterHandler(
+      1, 70, [&](MachineId, InArchive&) {
+        entered.store(true);
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.store(true);
+      }));
+  t.Start();
+  t.at(0).Send(0, 1, 70, OutArchive());
+  ASSERT_TRUE(WaitUntil([&] { return entered.load(); }));
+
+  std::atomic<bool> destroyed{false};
+  bool finished_at_return = false;
+  std::thread destroyer([&] {
+    scope.reset();
+    finished_at_return = finished.load();
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load()) << "returned while the handler ran";
+  release.store(true);
+  destroyer.join();
+  EXPECT_TRUE(finished_at_return);
+}
+
+TEST_P(HandlerScopeTest, OlderScopeLeavesTheNewerRegistration) {
+  TwoMachines t = MakeTwoMachines(GetParam());
+  std::atomic<int> old_runs{0}, new_runs{0};
+  HandlerScope older = t.at(1).RegisterHandler(
+      1, 70, [&](MachineId, InArchive&) { old_runs.fetch_add(1); });
+  HandlerScope newer = t.at(1).RegisterHandler(
+      1, 70, [&](MachineId, InArchive&) { new_runs.fetch_add(1); });
+  t.Start();
+  older = HandlerScope();
+  t.at(0).Send(0, 1, 70, OutArchive());
+  ASSERT_TRUE(WaitUntil([&] { return new_runs.load() == 1; }));
+  EXPECT_EQ(old_runs.load(), 0);
+  EXPECT_EQ(t.unhandled(1), 0u);
+}
+
+TEST_P(HandlerScopeTest, HandlerMayEndItsOwnScope) {
+  TwoMachines t = MakeTwoMachines(GetParam());
+  std::atomic<int> runs{0};
+  std::unique_ptr<HandlerScope> self;
+  self = std::make_unique<HandlerScope>(
+      t.at(1).RegisterHandler(1, 70, [&](MachineId, InArchive&) {
+        self.reset();
+        runs.fetch_add(1);
+      }));
+  t.Start();
+  t.at(0).Send(0, 1, 70, OutArchive());
+  ASSERT_TRUE(WaitUntil([&] { return runs.load() == 1; }));
+
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);
+  t.at(0).Send(0, 1, 70, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return t.unhandled(1) == 1; }));
+  SetLogLevel(saved_level);
+  EXPECT_EQ(runs.load(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, HandlerScopeTest,
+                         ::testing::ValuesIn(
+                             graphlab::testutil::kAllTransports),
+                         graphlab::testutil::KindParamName);
+
+// A result frame that reaches a destroyed all-reduce is dropped instead of
+// written into the freed object (under AddressSanitizer: no
+// heap-use-after-free report).
+TEST(HandlerScopeRegressionTest, ResultFrameAfterAllReduceIsDropped) {
+  auto comm = InProcessComm(2, FastComm());
+  comm->Start();
+  auto allreduce = std::make_unique<SumAllReduce>(comm.get(), 1);
+  allreduce.reset();
+  const uint64_t before =
+      comm->registry(1).counter("rpc.unhandled")->Value();
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);
+  OutArchive oa;
+  oa << uint64_t{1} << std::vector<uint64_t>{7};  // round 1, sum {7}
+  comm->Send(0, 1, kAllreduceResultHandler, std::move(oa));
+  EXPECT_TRUE(WaitUntil([&] {
+    return comm->registry(1).counter("rpc.unhandled")->Value() == before + 1;
+  }));
+  SetLogLevel(saved_level);
+}
 
 // ---------------------------------------------------------------------
 // Runtime

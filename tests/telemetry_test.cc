@@ -672,7 +672,8 @@ TEST_P(FlowTraceTest, SendAndDispatchFlowEventsPairAcrossMachines) {
   rpc::Runtime runtime(testutil::ClusterFor(GetParam(), kMachines));
   runtime.Run([&](rpc::MachineContext& ctx) {
     const MachineId me = ctx.id;
-    ctx.comm().RegisterHandler(me, 60, [](MachineId, InArchive&) {});
+    rpc::HandlerScope sink =
+        ctx.comm().RegisterHandler(me, 60, [](MachineId, InArchive&) {});
     ctx.barrier().Wait(me);
     // Every machine sends 5 messages to every other machine.
     for (MachineId dst = 0; dst < kMachines; ++dst) {

@@ -70,7 +70,7 @@ inline bool WaitUntil(const std::function<bool()>& done,
 /// SumAllReduce instances matching the runtime's fabric shape: one shared
 /// instance on the simulated fabric (all machines' slots live on the one
 /// CommLayer), one instance per machine over TCP (each machine registers
-/// on its own CommLayer; registrations for remote machines are inert).
+/// on its own CommLayer; registrations for remote machines are empty).
 class ClusterAllreduce {
  public:
   ClusterAllreduce(rpc::Runtime* runtime, size_t width) {
