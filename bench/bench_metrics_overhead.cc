@@ -16,13 +16,22 @@
 // path, so its cost shows up only as cache/memory interference — the
 // gate covers the *combined* counter+sampler overhead.
 //
+// Two more variants price the engines' busy-time clock
+// (Timer::ThreadCpuNanos, a clock_gettime syscall) on top of the
+// counter: one read pair per kBusyBatchUpdates-update batch, the way the
+// synchronous engines bracket each RunBatch chunk (about one PageRank
+// colour step per machine), and one pair per update, the way the
+// asynchronous engines bracket each task.
+//
 // Interleaved best-of-N repetitions cancel frequency drift; the CI
-// bench-smoke job asserts overhead_fraction <= 0.02 from the emitted
+// bench-smoke job asserts overhead_fraction <= 0.02 and checks the busy
+// clock rows (see .github/workflows/ci.yml) from the emitted
 // BENCH_metrics.json.
 //
 //   ./bench_metrics_overhead [--updates=N] [--reps=R] [--json=FILE]
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -42,46 +51,78 @@ namespace {
 
 constexpr size_t kVertices = 1 << 14;
 
+/// Updates per busy-clock read pair in Probe::kBusyBatch.
+constexpr uint64_t kBusyBatchUpdates = 40;
+
+/// What a variant adds to the work unit.
+enum class Probe {
+  kNone,        // uninstrumented
+  kCounter,     // one Counter::Inc per update, like CountUpdate()
+  kBusyBatch,   // counter + one ThreadCpuNanos pair per batch
+  kBusyUpdate,  // counter + one ThreadCpuNanos pair per update
+};
+
 /// One engine-shaped work unit: pop a vertex, lock its scope, fold a few
 /// neighbor values, release, reschedule.  Returns a sink value so the
 /// compiler keeps the fold.
-template <bool kInstrumented>
+template <Probe kProbe>
 double RunUpdates(uint64_t updates, IScheduler* sched,
-                  CallbackLockTable* locks, metrics::Counter* update_count) {
+                  CallbackLockTable* locks, metrics::Counter* update_count,
+                  std::atomic<uint64_t>* busy_ns) {
   Rng rng(42);
   std::vector<double> neighbor_values(kVertices, 1.0 / kVertices);
   double sink = 0;
-  for (uint64_t u = 0; u < updates; ++u) {
-    LocalVid v;
-    double priority;
-    if (!sched->GetNext(&v, &priority)) {
+  for (uint64_t u = 0; u < updates;) {
+    const uint64_t batch_end = std::min(updates, u + kBusyBatchUpdates);
+    uint64_t batch_cpu0 = 0;
+    if constexpr (kProbe == Probe::kBusyBatch) {
+      batch_cpu0 = Timer::ThreadCpuNanos();
+    }
+    for (; u < batch_end; ++u) {
+      uint64_t cpu0 = 0;
+      if constexpr (kProbe == Probe::kBusyUpdate) {
+        cpu0 = Timer::ThreadCpuNanos();
+      }
+      LocalVid v;
+      double priority;
+      if (!sched->GetNext(&v, &priority)) {
+        sched->Schedule(static_cast<LocalVid>(rng.UniformInt(kVertices)),
+                        1.0);
+        continue;
+      }
+      bool entered = false;
+      locks->Acquire(v, true, [&] { entered = true; });
+      double acc = 0;
+      for (size_t e = 0; e < 16; ++e) {
+        acc += neighbor_values[(v + e * 37) & (kVertices - 1)];
+      }
+      neighbor_values[v] = 0.15 / kVertices + 0.85 * acc;
+      locks->Release(v, true);
+      if constexpr (kProbe != Probe::kNone) update_count->Inc();
+      if constexpr (kProbe == Probe::kBusyUpdate) {
+        busy_ns->fetch_add(Timer::ThreadCpuNanos() - cpu0,
+                           std::memory_order_relaxed);
+      }
+      sink += entered ? acc : 0;
       sched->Schedule(static_cast<LocalVid>(rng.UniformInt(kVertices)), 1.0);
-      continue;
     }
-    bool entered = false;
-    locks->Acquire(v, true, [&] { entered = true; });
-    double acc = 0;
-    for (size_t e = 0; e < 16; ++e) {
-      acc += neighbor_values[(v + e * 37) & (kVertices - 1)];
+    if constexpr (kProbe == Probe::kBusyBatch) {
+      busy_ns->fetch_add(Timer::ThreadCpuNanos() - batch_cpu0,
+                         std::memory_order_relaxed);
     }
-    neighbor_values[v] = 0.15 / kVertices + 0.85 * acc;
-    locks->Release(v, true);
-    if constexpr (kInstrumented) update_count->Inc();
-    sink += entered ? acc : 0;
-    sched->Schedule(static_cast<LocalVid>(rng.UniformInt(kVertices)), 1.0);
   }
   return sink;
 }
 
-template <bool kInstrumented>
+template <Probe kProbe>
 double MeasureSeconds(uint64_t updates, metrics::Counter* update_count,
-                      double* sink) {
+                      std::atomic<uint64_t>* busy_ns, double* sink) {
   auto sched = std::move(CreateScheduler("fifo", kVertices).value());
   CallbackLockTable locks(kVertices);
   for (LocalVid v = 0; v < 256; ++v) sched->Schedule(v, 1.0);
   Timer timer;
-  *sink += RunUpdates<kInstrumented>(updates, sched.get(), &locks,
-                                     update_count);
+  *sink += RunUpdates<kProbe>(updates, sched.get(), &locks, update_count,
+                              busy_ns);
   return timer.Seconds();
 }
 
@@ -111,13 +152,21 @@ int main(int argc, char** argv) {
   std::thread([] {}).join();
 
   double sink = 0;
-  // Warm both paths (page faults, branch predictors) before timing.
-  MeasureSeconds<false>(updates / 10, update_count, &sink);
-  MeasureSeconds<true>(updates / 10, update_count, &sink);
+  std::atomic<uint64_t> busy_ns{0};
+  // Warm every path (page faults, branch predictors) before timing.
+  MeasureSeconds<Probe::kNone>(updates / 10, update_count, &busy_ns, &sink);
+  MeasureSeconds<Probe::kCounter>(updates / 10, update_count, &busy_ns,
+                                  &sink);
+  MeasureSeconds<Probe::kBusyBatch>(updates / 10, update_count, &busy_ns,
+                                    &sink);
+  MeasureSeconds<Probe::kBusyUpdate>(updates / 10, update_count, &busy_ns,
+                                     &sink);
 
   double plain_best = 1e300;
   double instrumented_best = 1e300;
   double sampler_best = 1e300;
+  double busy_batch_best = 1e300;
+  double busy_update_best = 1e300;
   {
     // Telemetry variant: sampler snapshotting this same registry at 10x
     // the default --telemetry-interval-ms cadence while updates run.
@@ -125,25 +174,40 @@ int main(int argc, char** argv) {
     ts_opts.interval_ms = 10;
     metrics::TimeSeriesSampler sampler(&registry, ts_opts);
     for (int r = 0; r < reps; ++r) {
-      plain_best =
-          std::min(plain_best, MeasureSeconds<false>(updates, update_count,
-                                                     &sink));
+      plain_best = std::min(
+          plain_best, MeasureSeconds<Probe::kNone>(updates, update_count,
+                                                   &busy_ns, &sink));
       instrumented_best = std::min(
-          instrumented_best, MeasureSeconds<true>(updates, update_count,
-                                                  &sink));
+          instrumented_best, MeasureSeconds<Probe::kCounter>(
+                                 updates, update_count, &busy_ns, &sink));
       sampler.Start();
       sampler_best = std::min(
-          sampler_best, MeasureSeconds<true>(updates, update_count, &sink));
+          sampler_best, MeasureSeconds<Probe::kCounter>(
+                            updates, update_count, &busy_ns, &sink));
       sampler.Stop();
+      busy_batch_best = std::min(
+          busy_batch_best, MeasureSeconds<Probe::kBusyBatch>(
+                               updates, update_count, &busy_ns, &sink));
+      busy_update_best = std::min(
+          busy_update_best, MeasureSeconds<Probe::kBusyUpdate>(
+                                updates, update_count, &busy_ns, &sink));
     }
   }
 
   const double counter_overhead =
       (instrumented_best - plain_best) / plain_best;
   const double overhead = (sampler_best - plain_best) / plain_best;
+  // The busy clock rows price counter + clock against the uninstrumented
+  // baseline: the whole per-update accounting of each engine family.
+  const double busy_batch_overhead =
+      (busy_batch_best - plain_best) / plain_best;
+  const double busy_update_overhead =
+      (busy_update_best - plain_best) / plain_best;
   const double plain_mups = updates / plain_best / 1e6;
   const double instrumented_mups = updates / instrumented_best / 1e6;
   const double sampler_mups = updates / sampler_best / 1e6;
+  const double busy_batch_mups = updates / busy_batch_best / 1e6;
+  const double busy_update_mups = updates / busy_update_best / 1e6;
 
   std::printf("plain:        %.2f Mupdates/s (best of %d)\n", plain_mups,
               reps);
@@ -152,9 +216,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(update_count->Value()));
   std::printf("sampler-on:   %.2f Mupdates/s (10ms telemetry ticks)\n",
               sampler_mups);
+  std::printf("busy/batch:   %.2f Mupdates/s (clock pair per %llu updates)\n",
+              busy_batch_mups,
+              static_cast<unsigned long long>(kBusyBatchUpdates));
+  std::printf("busy/update:  %.2f Mupdates/s (clock pair per update)\n",
+              busy_update_mups);
   std::printf("counter overhead: %.2f%%\n", counter_overhead * 100);
   std::printf("telemetry overhead: %.2f%%  (sink %.3g)\n", overhead * 100,
               sink);
+  std::printf("busy clock overhead: %.2f%% per batch, %.2f%% per update "
+              "(%.3g s busy)\n",
+              busy_batch_overhead * 100, busy_update_overhead * 100,
+              static_cast<double>(busy_ns.load()) / 1e9);
 
   // overhead_fraction is what CI gates: the full telemetry plane
   // (counters + live sampler) against the uninstrumented baseline.
@@ -164,6 +237,9 @@ int main(int argc, char** argv) {
       .Set("reps", reps)
       .Set("overhead_fraction", overhead)
       .Set("counter_overhead_fraction", counter_overhead)
+      .Set("busy_batch_updates", kBusyBatchUpdates)
+      .Set("busy_batch_overhead_fraction", busy_batch_overhead)
+      .Set("busy_update_overhead_fraction", busy_update_overhead)
       .Set("plain_mups", plain_mups)
       .Set("instrumented_mups", instrumented_mups)
       .Set("sampler_mups", sampler_mups);
@@ -179,6 +255,14 @@ int main(int argc, char** argv) {
       .Set("row", "sampler_on")
       .Set("seconds", sampler_best)
       .Set("mups", sampler_mups);
+  json.AddRow()
+      .Set("row", "busy_batch")
+      .Set("seconds", busy_batch_best)
+      .Set("mups", busy_batch_mups);
+  json.AddRow()
+      .Set("row", "busy_update")
+      .Set("seconds", busy_update_best)
+      .Set("mups", busy_update_mups);
   json.WriteFile(json_path);
   return 0;
 }

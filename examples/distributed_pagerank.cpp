@@ -579,10 +579,9 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
     GatherOwnedRanks(ctx, graph, &out, &gathered);
     ctx.flush().Run(me);
     // A worker's round ends once it holds machine 0's frame, possibly
-    // before machine 0 has dispatched the worker's batch, and a TCP
-    // transport drops what is still queued from a peer whose connection
-    // closed.  Machine 0 enters this barrier only after its round, so no
-    // worker process exits before its ranks are in.
+    // before machine 0 has read the worker's batch off the socket.
+    // Machine 0 enters this barrier only after its round, so no worker
+    // process exits, closing its sockets, before its ranks are in.
     ctx.barrier().Wait(me);
     if (me == 0) {
       GL_CHECK_EQ(gathered.load(), cfg.vertices) << "rank gather incomplete";

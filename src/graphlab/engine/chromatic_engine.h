@@ -318,21 +318,23 @@ class ChromaticEngine final
     this->substrate_.RunBatch(
         this->options_.num_threads, batch.size(),
         [&](size_t begin, size_t end) {
+          // One thread-CPU clock pair per chunk: the read is a syscall
+          // that costs more than a PageRank update.
+          const uint64_t cpu0 = Timer::ThreadCpuNanos();
           for (size_t i = begin; i < end; ++i) ExecuteUpdate(batch[i]);
+          this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
         });
     local_updates_ += batch.size();
     return batch.size();
   }
 
   void ExecuteUpdate(LocalVid l) {
-    const uint64_t cpu0 = Timer::ThreadCpuNanos();
     ContextType context(graph_, l, 1.0, this->options_.consistency,
                         static_cast<Base*>(this), &Base::ScheduleTrampoline);
     this->update_fn_(context);
     graph_->FlushVertexScope(l);
     if (!update_counts_.empty()) update_counts_[l]++;
     this->substrate_.CountUpdate();
-    this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
   }
 
   uint64_t CollectTotalUpdates(uint64_t local) {

@@ -378,11 +378,17 @@ void TcpTransport::ReceiveLoop(int fd) {
   std::vector<char> payload;
   // Receive-side EOF / truncation on an identified connection is how a
   // crashed peer (kill -9) most often surfaces; propagate it as a peer
-  // death instead of silently parking the thread.
+  // death instead of silently parking the thread.  The death is queued
+  // behind the frames already read: the dispatch thread handles the
+  // peer's last data (a worker that exited normally sent it on purpose)
+  // and only then marks the peer down.
   auto peer_lost = [&] {
     if (have_hello && !stopping_.load(std::memory_order_acquire) &&
         !killed_.load(std::memory_order_acquire)) {
-      MarkPeerDown(from);
+      Inbound eos{Message{}, /*end_of_stream=*/true};
+      eos.msg.src = from;
+      eos.msg.dst = me_;
+      dispatch_queue_.Push(std::move(eos));
     }
   };
   for (;;) {
@@ -447,7 +453,7 @@ void TcpTransport::ReceiveLoop(int fd) {
         msg.origin_seq = h.seq;
         msg.payload = std::move(payload);
         payload = std::vector<char>();
-        dispatch_queue_.Push(std::move(msg));
+        dispatch_queue_.Push(Inbound{std::move(msg)});
         break;
       }
       case kFrameClockProbe: {
@@ -493,22 +499,32 @@ void TcpTransport::DispatchLoop() {
   trace::MachineScope machine_scope(me_);
   DispatchThreadMark dispatch_mark(this, me_);
   for (;;) {
-    auto msg = dispatch_queue_.Pop();
-    if (!msg.has_value()) return;
-    // A frame from a peer marked down is a stale remnant of the dead
-    // machine's last moments; dropping it keeps recovery's rebuilt graph
-    // state clean.
-    if (peers_[msg->src]->down.load(std::memory_order_acquire) ||
+    auto in = dispatch_queue_.Pop();
+    if (!in.has_value()) return;
+    const Message& msg = in->msg;
+    if (in->end_of_stream) {
+      // Every frame the peer's connection carried has been handled.
+      if (!stopping_.load(std::memory_order_acquire) &&
+          !killed_.load(std::memory_order_acquire)) {
+        MarkPeerDown(msg.src);
+      }
+      continue;
+    }
+    // A frame from a peer marked down some other way (heartbeat miss,
+    // send error, InjectKill) is a stale remnant of the dead machine's
+    // last moments; dropping it keeps recovery's rebuilt graph state
+    // clean.
+    if (peers_[msg.src]->down.load(std::memory_order_acquire) ||
         killed_.load(std::memory_order_acquire)) {
       continue;
     }
-    GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", msg->handler);
-    if (msg->origin_seq != 0) {
+    GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", msg.handler);
+    if (msg.origin_seq != 0) {
       GL_TRACE_FLOW_FINISH(trace::kRpc, "rpc.flow",
-                           FlowId(msg->src, msg->origin_seq));
+                           FlowId(msg.src, msg.origin_seq));
     }
-    InArchive ia(msg->payload);
-    sink_(me_, msg->src, msg->handler, ia);
+    InArchive ia(msg.payload);
+    sink_(me_, msg.src, msg.handler, ia);
   }
 }
 
@@ -562,7 +578,7 @@ void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,
     peer.recv_bytes->Inc(wire_bytes);
     msgs_received_->Inc();
     bytes_received_->Inc(wire_bytes);
-    dispatch_queue_.Push(std::move(msg));
+    dispatch_queue_.Push(Inbound{std::move(msg)});
     return;
   }
   EnqueueFrame(dst, kFrameData, handler, std::move(bytes), seq);

@@ -51,7 +51,13 @@
 // sync stops waiting for its replies, and (c) data frames from the dead
 // peer still sitting in the dispatch queue are dropped, so a dead
 // machine's stale ghost pushes can never touch a graph being rebuilt by
-// recovery.
+// recovery.  Receive-side EOF (or a truncated or corrupt frame) is not
+// applied at once: the receive thread queues an end-of-stream marker
+// behind the frames it has already read, and the dispatch thread marks
+// the peer down when it reaches it.  Every frame the connection carried
+// is therefore handled first (a worker that exits right after its last
+// send loses nothing), and EOF deaths reach the PeerDown listeners on
+// the dispatch thread.
 
 #ifndef GRAPHLAB_RPC_TCP_TRANSPORT_H_
 #define GRAPHLAB_RPC_TCP_TRANSPORT_H_
@@ -165,7 +171,13 @@ class TcpTransport final : public ITransport {
   uint16_t listen_port_ = 0;
 
   std::vector<std::unique_ptr<Peer>> peers_;  // indexed by machine id
-  BlockingQueue<Message> dispatch_queue_;
+  // A dispatch-queue entry: a data frame, or the end-of-stream marker a
+  // receive thread queues behind a closed connection's last frame.
+  struct Inbound {
+    Message msg;
+    bool end_of_stream = false;
+  };
+  BlockingQueue<Inbound> dispatch_queue_;
 
   std::thread accept_thread_;
   std::thread dispatch_thread_;

@@ -335,13 +335,16 @@ TEST(SharedMemoryEngineTest, AbortFromInsideUpdateFunctionReturns) {
 struct DistributedPageRankResult {
   double l1_error = 0.0;
   uint64_t updates = 0;
+  std::vector<RunResult> per_machine;  // each machine's own Start() result
 };
 
 /// Runs distributed PageRank on `machines` machines with the given engine
-/// kind ("chromatic" or "locking") and returns the error vs exact.
-DistributedPageRankResult RunDistributedPageRank(const std::string& kind,
-                                                 size_t machines,
-                                                 uint64_t latency_us) {
+/// kind ("chromatic" or "locking") and returns the error vs exact.  A
+/// nonzero `spin` holds the worker that long in every update.
+DistributedPageRankResult RunDistributedPageRank(
+    const std::string& kind, size_t machines, uint64_t latency_us,
+    size_t num_threads = 2,
+    std::chrono::microseconds spin = std::chrono::microseconds(0)) {
   auto structure = gen::PowerLawWeb(1500, 5, 0.8, 21);
   auto global = BuildPageRankGraph(structure);
   auto exact = ExactPageRank(global);
@@ -354,6 +357,7 @@ DistributedPageRankResult RunDistributedPageRank(const std::string& kind,
   SumAllReduce allreduce(&runtime.comm(), 1);
   std::vector<DPRGraph> graphs(machines);
   std::atomic<uint64_t> total_updates{0};
+  std::vector<RunResult> per_machine(machines);
 
   runtime.Run([&](rpc::MachineContext& ctx) {
     DPRGraph& graph = graphs[ctx.id];
@@ -363,22 +367,30 @@ DistributedPageRankResult RunDistributedPageRank(const std::string& kind,
                     .ok());
     ctx.barrier().Wait(ctx.id);
     EngineOptions opts;
-    opts.num_threads = 2;
+    opts.num_threads = num_threads;
     opts.max_pipeline_length = 64;
     opts.scheduler = "fifo";
     DistributedEngineDeps<PageRankVertex, PageRankEdge> deps;
     deps.allreduce = &allreduce;
     auto engine =
         std::move(CreateEngine(kind, ctx, &graph, opts, deps).value());
-    engine->SetUpdateFn(MakePageRankUpdateFn<DPRGraph>(0.85, 1e-7));
+    auto update = MakePageRankUpdateFn<DPRGraph>(0.85, 1e-7);
+    engine->SetUpdateFn([update, spin](Context<DPRGraph>& c) {
+      const auto until = std::chrono::steady_clock::now() + spin;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      update(c);
+    });
     engine->ScheduleAll();
     RunResult result = engine->Start();
     if (ctx.id == 0) total_updates.store(result.updates);
+    per_machine[ctx.id] = result;
   });
 
   // Gather ranks from the owners and compare against exact.
   DistributedPageRankResult out;
   out.updates = total_updates.load();
+  out.per_machine = std::move(per_machine);
   std::vector<double> ranks(structure.num_vertices, 0.0);
   for (auto& graph : graphs) {
     for (LocalVid l : graph.owned_vertices()) {
@@ -405,6 +417,25 @@ TEST(ChromaticEngineTest, WorksWithLatency) {
 TEST(ChromaticEngineTest, SingleMachineDegenerate) {
   auto result = RunDistributedPageRank("chromatic", 1, 0);
   EXPECT_LT(result.l1_error, 1e-2);
+}
+
+// Busy time is the workers' CPU time inside colour-step batches: above
+// zero on a machine that ran updates, and never more than its workers
+// could burn in the run's wall time.  The spinning update keeps busy
+// time close to that ceiling, so a batch chunk that loses its
+// busy-clock pair fails the first bound and one that counts it twice
+// the second.
+TEST(ChromaticEngineTest, BusyTimeIsWorkerCpuWithinTheRun) {
+  for (size_t threads : {1, 2}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    auto result = RunDistributedPageRank("chromatic", 2, 0, threads,
+                                         std::chrono::microseconds(10));
+    ASSERT_EQ(result.per_machine.size(), 2u);
+    for (const RunResult& r : result.per_machine) {
+      EXPECT_GT(r.busy_seconds, 0.0);
+      EXPECT_LE(r.busy_seconds, r.seconds * threads + 1e-3);
+    }
+  }
 }
 
 TEST(LockingEngineTest, DistributedPageRankMatchesExact) {

@@ -159,6 +159,7 @@ TEST(RebalanceRoundTest, DeathMidRoundLeavesSurvivorsInStep) {
   std::vector<std::unique_ptr<fault::LoadRebalancer>> rebalancers(kMachines);
   std::vector<uint64_t> migrations(kMachines, 0);
   std::vector<std::vector<rpc::MachineId>> adopted(kMachines);
+  std::atomic<bool> cancelled_round_left{false};
 
   runtime.Run([&](rpc::MachineContext& ctx) {
     const rpc::MachineId me = ctx.id;
@@ -180,12 +181,20 @@ TEST(RebalanceRoundTest, DeathMidRoundLeavesSurvivorsInStep) {
           std::this_thread::yield();
         }
       }
+      // Die only once machine 2 has left its cancelled wait: a machine 2
+      // too slow to wake would otherwise find the degraded release
+      // already delivered and take it.
       rebalancers[2]->Cancel();
+      while (!cancelled_round_left.load()) {
+        ASSERT_LT(timer.Seconds(), 10.0) << "machine 2 stayed in the round";
+        std::this_thread::yield();
+      }
       ctx.comm().InjectKill(kVictim);
       return;
     }
     const Status st = rebalancer.AtBoundary(4, &migrate);
     if (me == 2) {
+      cancelled_round_left.store(true);
       EXPECT_FALSE(st.ok());
     } else {
       EXPECT_TRUE(st.ok()) << st.ToString();
@@ -472,6 +481,7 @@ TEST_F(FaultRecoveryTest, DeathDuringStartupFenceRecovers) {
   std::vector<double> ranks(s.vertices, 0.0);
   std::mutex ranks_mutex;
   std::atomic<int> finished{0};
+  std::atomic<int> warmed{0};
   std::atomic<bool> timed_out{false};
 
   std::thread watchdog([&] {
@@ -488,10 +498,16 @@ TEST_F(FaultRecoveryTest, DeathDuringStartupFenceRecovers) {
     // Every pair of machines exchanges a frame, so every connection is up
     // and the kill reaches the survivors as a closed socket.
     ASSERT_TRUE(ctx.flush().Run(me));
+    warmed.fetch_add(1);
     if (me == 2) {
-      // Die once machine 1 is in its fence (its first barrier round).
-      EXPECT_TRUE(testutil::WaitUntil(
-          [&] { return runtime.barrier(1).entered_generation(1) >= 1; }));
+      // Die once machine 1 is in its fence (its first barrier round) and
+      // every machine is through the warm-up round: a slow machine 0
+      // still waiting for machine 1's frame would see the death cut its
+      // round short.
+      EXPECT_TRUE(testutil::WaitUntil([&] {
+        return warmed.load() == 3 &&
+               runtime.barrier(1).entered_generation(1) >= 1;
+      }));
       ctx.comm().InjectKill(me);
       return;
     }

@@ -374,10 +374,14 @@ TEST(TcpFailureTest, PeerDeathFiresPeerDown) {
         m, 5, [&](MachineId, InArchive&) { received.fetch_add(1); }));
   }
   StartAll(comms);
-  // Warm the mesh so every connection exists.
-  comms[0]->Send(0, 1, 5, OutArchive());
-  comms[0]->Send(0, 2, 5, OutArchive());
-  ASSERT_TRUE(WaitUntil([&] { return received.load() == 2; }));
+  // Warm the mesh: one frame on every ordered pair, so every connection
+  // exists and the kill reaches each survivor as a closed socket.
+  for (MachineId src = 0; src < 3; ++src) {
+    for (MachineId dst = 0; dst < 3; ++dst) {
+      if (src != dst) comms[src]->Send(src, dst, 5, OutArchive());
+    }
+  }
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 6; }));
 
   // Machine 2 dies abruptly (kill -9 analogue).
   comms[2]->InjectKill(2);
@@ -393,8 +397,53 @@ TEST(TcpFailureTest, PeerDeathFiresPeerDown) {
   // Traffic among the survivors still flows, and a clock sync returns
   // instead of waiting on the dead machine's replies.
   comms[0]->Send(0, 1, 5, OutArchive());
-  EXPECT_TRUE(WaitUntil([&] { return received.load() == 3; }));
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 7; }));
   comms[0]->SyncClocks();
+}
+
+// A peer that sends its last frames and exits normally: the frames reach
+// the receiver before its connection closes, so they are handled even
+// when the dispatch thread gets to them only after the EOF; the peer is
+// marked down once they have run.
+TEST(TcpFailureTest, FramesReadBeforeEofAreHandled) {
+  constexpr int kFrames = 50;
+  auto comms = MakeTcpComms(2);
+  std::atomic<bool> latched{false}, release{false};
+  std::atomic<int> handled{0};
+  HandlerScope latch = comms[0]->RegisterHandler(
+      0, 6, [&](MachineId, InArchive&) {
+        latched.store(true);
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+  HandlerScope data = comms[0]->RegisterHandler(
+      0, 5, [&](MachineId, InArchive&) { handled.fetch_add(1); });
+  struct Unlatch {  // a failed assertion must not leave dispatch held
+    std::atomic<bool>* release;
+    ~Unlatch() { release->store(true); }
+  } unlatch{&release};
+  StartAll(comms);
+  comms[1]->Send(1, 0, 6, OutArchive());
+  ASSERT_TRUE(WaitUntil([&] { return latched.load(); }));
+
+  // Machine 0's dispatch thread is held; machine 1 sends and leaves.
+  for (int i = 0; i < kFrames; ++i) {
+    OutArchive oa;
+    oa << i;
+    comms[1]->Send(1, 0, 5, std::move(oa));
+  }
+  comms[1]->Stop();
+  metrics::Counter* read = comms[0]->registry(0).counter(
+      "rpc.messages_received");
+  ASSERT_TRUE(WaitUntil([&] { return read->Value() == 1 + kFrames; }));
+  // Grace for the receive thread to read the EOF behind the last frame.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  release.store(true);
+  EXPECT_TRUE(WaitUntil([&] { return !comms[0]->membership().alive(1); }));
+  EXPECT_EQ(handled.load(), kFrames);
+  EXPECT_TRUE(comms[0]->IsPeerDown(1));
 }
 
 TEST(TcpFailureTest, SendToDeadPeerIsDroppedNotFatal) {
