@@ -64,7 +64,9 @@ bool AllReduce::Exchange(MachineId m, const std::vector<uint64_t>& value,
   std::unique_lock<std::mutex> lock(slot.mutex);
   slot.cv.wait(lock,
                [&] { return slot.result_round >= round || slot.cancelled; });
-  if (slot.result_round < round) return false;
+  // A cancelled wait ends with false even when the release has already
+  // landed: the caller's abort must not race the master's broadcast.
+  if (slot.cancelled || slot.result_round < round) return false;
   if (sum != nullptr) *sum = slot.result;
   return true;
 }

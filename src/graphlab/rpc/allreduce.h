@@ -57,7 +57,8 @@ class AllReduce {
   /// Collective: machine m contributes `value` (width() entries) to its
   /// next round and blocks until machine 0 releases it.  On release
   /// stores the element-wise sum in *sum (when non-null) and returns
-  /// true; returns false when the wait ended because m was cancelled.
+  /// true; returns false once m is cancelled, even if the release had
+  /// already landed.
   bool Exchange(MachineId m, const std::vector<uint64_t>& value,
                 std::vector<uint64_t>* sum);
 

@@ -54,10 +54,14 @@
 // recovery.  Receive-side EOF (or a truncated or corrupt frame) is not
 // applied at once: the receive thread queues an end-of-stream marker
 // behind the frames it has already read, and the dispatch thread marks
-// the peer down when it reaches it.  Every frame the connection carried
-// is therefore handled first (a worker that exits right after its last
-// send loses nothing), and EOF deaths reach the PeerDown listeners on
-// the dispatch thread.
+// the peer down when it reaches it.  When EOF is the only sign of the
+// death, every frame the connection carried is therefore handled first,
+// and the death reaches the PeerDown listeners on the dispatch thread.
+// A peer marked down by another route before the dispatch thread reaches
+// the marker (a send error or missed heartbeat after it closed, an
+// InjectKill, an adopted membership view) still has its queued frames
+// dropped: a peer that must deliver its last frames waits for an
+// acknowledgement (a barrier, say) before it closes.
 
 #ifndef GRAPHLAB_RPC_TCP_TRANSPORT_H_
 #define GRAPHLAB_RPC_TCP_TRANSPORT_H_

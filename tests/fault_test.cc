@@ -159,7 +159,6 @@ TEST(RebalanceRoundTest, DeathMidRoundLeavesSurvivorsInStep) {
   std::vector<std::unique_ptr<fault::LoadRebalancer>> rebalancers(kMachines);
   std::vector<uint64_t> migrations(kMachines, 0);
   std::vector<std::vector<rpc::MachineId>> adopted(kMachines);
-  std::atomic<bool> cancelled_round_left{false};
 
   runtime.Run([&](rpc::MachineContext& ctx) {
     const rpc::MachineId me = ctx.id;
@@ -181,20 +180,12 @@ TEST(RebalanceRoundTest, DeathMidRoundLeavesSurvivorsInStep) {
           std::this_thread::yield();
         }
       }
-      // Die only once machine 2 has left its cancelled wait: a machine 2
-      // too slow to wake would otherwise find the degraded release
-      // already delivered and take it.
       rebalancers[2]->Cancel();
-      while (!cancelled_round_left.load()) {
-        ASSERT_LT(timer.Seconds(), 10.0) << "machine 2 stayed in the round";
-        std::this_thread::yield();
-      }
       ctx.comm().InjectKill(kVictim);
       return;
     }
     const Status st = rebalancer.AtBoundary(4, &migrate);
     if (me == 2) {
-      cancelled_round_left.store(true);
       EXPECT_FALSE(st.ok());
     } else {
       EXPECT_TRUE(st.ok()) << st.ToString();

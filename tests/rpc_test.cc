@@ -454,8 +454,11 @@ TEST(TcpFailureTest, SendToDeadPeerIsDroppedNotFatal) {
   HandlerScope self_sink = comms[0]->RegisterHandler(
       0, 5, [&](MachineId, InArchive&) { received.fetch_add(1); });
   StartAll(comms);
+  // Warm both directions: machine 0 learns of the death as EOF on
+  // machine 1's connection to it, which must exist before the kill.
   comms[0]->Send(0, 1, 5, OutArchive());
-  ASSERT_TRUE(WaitUntil([&] { return received.load() == 1; }));
+  comms[1]->Send(1, 0, 5, OutArchive());
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 2; }));
 
   comms[1]->InjectKill(1);
   ASSERT_TRUE(WaitUntil([&] { return !comms[0]->membership().alive(1); }));
@@ -468,7 +471,7 @@ TEST(TcpFailureTest, SendToDeadPeerIsDroppedNotFatal) {
     comms[0]->Send(0, 1, 5, std::move(oa));
   }
   comms[0]->Send(0, 0, 5, OutArchive());
-  EXPECT_TRUE(WaitUntil([&] { return received.load() == 2; }));
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 3; }));
 }
 
 TEST(TcpFailureTest, HeartbeatDeadlineMarksSilentPeerDown) {
