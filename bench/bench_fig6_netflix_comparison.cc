@@ -104,20 +104,12 @@ double RunHadoop(size_t machines) {
           }
         },
         [&](const VertexId& v, const auto& values) {
-          const size_t d = kD;
-          std::vector<double> A(d * d, 0.0), b(d, 0.0);
+          apps::NormalEquations& eq = apps::ThreadNormalEquations();
+          eq.Reset(kD);
           for (const auto& [x, rating] : values) {
-            for (size_t i = 0; i < d; ++i) {
-              for (size_t j = 0; j <= i; ++j) A[i * d + j] += x[i] * x[j];
-              b[i] += rating * x[i];
-            }
+            std::copy(x.begin(), x.end(), eq.AddRow(rating));
           }
-          for (size_t i = 0; i < d; ++i) {
-            for (size_t j = i + 1; j < d; ++j) A[i * d + j] = A[j * d + i];
-            A[i * d + i] += 0.05;
-          }
-          apps::SolveSpd(std::move(A), d, &b);
-          g.vertex_data(v).factors = b;
+          eq.Solve(0.05, &g.vertex_data(v).factors);
         });
     total += stats.modeled_seconds;
   }

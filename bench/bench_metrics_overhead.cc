@@ -20,8 +20,9 @@
 // (Timer::ThreadCpuNanos, a clock_gettime syscall) on top of the
 // counter: one read pair per kBusyBatchUpdates-update batch, the way the
 // synchronous engines bracket each RunBatch chunk (about one PageRank
-// colour step per machine), and one pair per update, the way the
-// asynchronous engines bracket each task.
+// colour step per machine), and one pair per update, the price of a
+// per-task bracket (the asynchronous engines take one pair per worker
+// per run instead).
 //
 // Interleaved best-of-N repetitions cancel frequency drift; the CI
 // bench-smoke job asserts overhead_fraction <= 0.02 and prints the busy

@@ -16,9 +16,9 @@
 //   # chaos mode: kill -9 the last worker 1500 ms into the run; the
 //   # survivors detect the death over heartbeats/EOF, re-place its
 //   # atoms, restore the last checkpoint epoch, and converge to the
-//   # same fixed point as the unfailed simulated run:
-//   ./example_distributed_pagerank --transport=tcp --machines=4 \
-//       --ft --kill-worker-after-ms=1500 --checkpoint-interval=0.2
+//   # same fixed point as the unfailed simulated run (one command):
+//   ./example_distributed_pagerank --transport=tcp --machines=4 --ft
+//       --kill-worker-after-ms=1500 --checkpoint-interval=0.2
 //
 // FT flags: --ft (run under fault::FaultTolerantRunner)
 //           --kill-worker-after-ms=N  (coordinator SIGKILLs the last

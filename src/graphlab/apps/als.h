@@ -19,6 +19,7 @@
 #ifndef GRAPHLAB_APPS_ALS_H_
 #define GRAPHLAB_APPS_ALS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <vector>
@@ -122,26 +123,23 @@ inline AlsGraph BuildAlsGraph(const AlsProblem& p, uint32_t d) {
 template <typename Ctx>
 std::vector<double> SolveAlsVertex(Ctx& ctx, double lambda) {
   const size_t d = ctx.const_vertex_data().factors.size();
-  std::vector<double> A(d * d, 0.0);
-  std::vector<double> b(d, 0.0);
-  std::vector<double> x;
-  auto accumulate = [&](LocalEid e, LocalVid nbr) {
+  NormalEquations& eq = ThreadNormalEquations();
+  eq.Reset(d);
+  auto gather = [&](LocalEid e, LocalVid nbr) {
     const auto& edge = ctx.const_edge_data(e);
     if (edge.is_test) return;
-    LoadFactors(ctx.neighbor_data(nbr).factors, &x);
+    const std::vector<double>& f = ctx.neighbor_data(nbr).factors;
+    double* row = eq.AddRow(edge.rating);
     for (size_t i = 0; i < d; ++i) {
-      for (size_t j = 0; j <= i; ++j) A[i * d + j] += x[i] * x[j];
-      b[i] += edge.rating * x[i];
+      row[i] = std::atomic_ref<const double>(f[i]).load(
+          std::memory_order_relaxed);
     }
   };
-  for (auto e : ctx.in_edges()) accumulate(e, ctx.edge_source(e));
-  for (auto e : ctx.out_edges()) accumulate(e, ctx.edge_target(e));
-  for (size_t i = 0; i < d; ++i) {
-    for (size_t j = i + 1; j < d; ++j) A[i * d + j] = A[j * d + i];
-    A[i * d + i] += lambda;
-  }
-  SolveSpd(std::move(A), d, &b);
-  return b;
+  for (auto e : ctx.in_edges()) gather(e, ctx.edge_source(e));
+  for (auto e : ctx.out_edges()) gather(e, ctx.edge_target(e));
+  std::vector<double> x;
+  eq.Solve(lambda, &x);
+  return x;
 }
 
 /// Dynamic ALS update function (any engine): solve, store, and schedule
@@ -175,24 +173,17 @@ inline baselines::BspEngine<AlsVertex, AlsEdge>::StepFn MakeAlsBspStep(
       [lambda, self_reactivate](
           baselines::BspEngine<AlsVertex, AlsEdge>::BspContext& ctx) {
         const size_t d = ctx.vertex_data().factors.size();
-        std::vector<double> A(d * d, 0.0), b(d, 0.0);
-        auto accumulate = [&](EdgeId e, VertexId nbr) {
+        NormalEquations& eq = ThreadNormalEquations();
+        eq.Reset(d);
+        auto gather = [&](EdgeId e, VertexId nbr) {
           const AlsEdge& edge = ctx.edge_data(e);
           if (edge.is_test) return;
           const std::vector<double>& x = ctx.prev_data(nbr).factors;
-          for (size_t i = 0; i < d; ++i) {
-            for (size_t j = 0; j <= i; ++j) A[i * d + j] += x[i] * x[j];
-            b[i] += edge.rating * x[i];
-          }
+          std::copy(x.begin(), x.end(), eq.AddRow(edge.rating));
         };
-        for (auto e : ctx.in_edges()) accumulate(e, ctx.edge_source(e));
-        for (auto e : ctx.out_edges()) accumulate(e, ctx.edge_target(e));
-        for (size_t i = 0; i < d; ++i) {
-          for (size_t j = i + 1; j < d; ++j) A[i * d + j] = A[j * d + i];
-          A[i * d + i] += lambda;
-        }
-        SolveSpd(std::move(A), d, &b);
-        ctx.vertex_data().factors = b;
+        for (auto e : ctx.in_edges()) gather(e, ctx.edge_source(e));
+        for (auto e : ctx.out_edges()) gather(e, ctx.edge_target(e));
+        eq.Solve(lambda, &ctx.vertex_data().factors);
         if (self_reactivate) ctx.ActivateSelf();
       };
 }

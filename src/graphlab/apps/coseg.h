@@ -246,8 +246,7 @@ UpdateFn<Graph> MakeCosegUpdateFn(
 }
 
 /// Segmentation agreement with the planted bands (sanity metric).
-inline double CosegLabelAgreement(const CosegGraph& g,
-                                  const CosegProblem& p) {
+inline double CosegLabelAgreement(const CosegGraph& g) {
   // Labels are identifiable only up to permutation; measure pairwise
   // consistency instead: fraction of in-frame neighbor pairs whose argmax
   // labels agree, which planted banding makes high after smoothing.

@@ -31,9 +31,12 @@ struct RunResult {
   uint64_t sweeps = 0;          // color sweeps (chromatic) / supersteps (BSP)
   uint64_t bytes_sent = 0;      // comm layer bytes during the run
   uint64_t messages_sent = 0;   // comm layer messages during the run
-  /// CPU time this machine spent inside update functions (local value,
-  /// not reduced) — input to the modeled cluster wall-clock used by the
-  /// scaling benchmarks on single-core hosts (see bench/bench_common.h).
+  /// CPU time of this machine's engine workers during the run (local
+  /// value, not reduced): the chunks of the synchronous engines' batches,
+  /// and the whole worker threads of the asynchronous ones (task
+  /// acquisition and scheduling included).  Input to the modeled cluster
+  /// wall-clock used by the scaling benchmarks on single-core hosts (see
+  /// bench/bench_common.h).
   double busy_seconds = 0.0;
   /// The run ended at a collective abort decision (chromatic sweep,
   /// bulk-sync superstep): some machine aborted — a failed boundary hook,

@@ -229,8 +229,13 @@ class ExecutionSubstrate {
     std::vector<std::thread> workers;
     workers.reserve(num_threads);
     for (size_t t = 0; t < num_threads; ++t) {
-      workers.emplace_back(
-          [this, &hooks, budget, t] { WorkerLoop(hooks, budget, t); });
+      // A worker's whole CPU time counts as busy: one clock pair per
+      // worker per run, not per task.
+      workers.emplace_back([this, &hooks, budget, t] {
+        const uint64_t cpu0 = Timer::ThreadCpuNanos();
+        WorkerLoop(hooks, budget, t);
+        AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
+      });
     }
     if (coordinator) {
       coordinator();

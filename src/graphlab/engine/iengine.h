@@ -129,7 +129,7 @@ struct EngineOptions {
 /// Point-in-time counters exposed by every engine.
 struct EngineMetrics {
   uint64_t updates = 0;        // update-function executions on this machine
-  double busy_seconds = 0.0;   // CPU time spent inside update functions
+  double busy_seconds = 0.0;   // engine worker CPU time (RunResult)
   uint64_t runs = 0;           // completed Start() calls
   bool aborted = false;        // AbortAndJoin() was requested
 };

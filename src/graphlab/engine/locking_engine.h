@@ -363,7 +363,6 @@ class LockingEngine final
   // Execution
   // ------------------------------------------------------------------
   void ExecuteTask(LocalVid v, double priority) {
-    const uint64_t cpu0 = Timer::ThreadCpuNanos();
     bool run_snapshot = snapshot_pending_.ClearBit(v);
     bool run_user = user_pending_.ClearBit(v);
     if (run_snapshot && snapshot_fn_) {
@@ -381,7 +380,6 @@ class LockingEngine final
     // guarantee every subsequent lock holder observes this write.
     graph_->FlushVertexScope(v);
     lock_manager_.ReleaseScope(v);
-    this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
   }
 
   // ------------------------------------------------------------------

@@ -104,14 +104,12 @@ class SharedMemoryEngine final : public EngineBase<LocalGraph<VertexData, EdgeDa
   void OnAbort() override { scheduler_->Clear(); }
 
   void ExecuteUpdate(LocalVid v, double priority) {
-    const uint64_t cpu0 = Timer::ThreadCpuNanos();
     this->RunLockedUpdate(graph_, &scope_locks_, v, priority, [this, v] {
       if (!update_counts_.empty()) {
         update_counts_[v]++;  // guarded by the central write lock
       }
     });
     this->substrate_.CountUpdate();
-    this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
   }
 
   GraphType* graph_;

@@ -1,6 +1,8 @@
 #include "graphlab/graph/coloring.h"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "graphlab/util/logging.h"
@@ -18,49 +20,84 @@ const char* ConsistencyModelName(ConsistencyModel model) {
 
 namespace {
 
-/// Undirected adjacency lists from the edge list.
-std::vector<std::vector<VertexId>> BuildAdjacency(
-    const GraphStructure& s) {
-  std::vector<std::vector<VertexId>> adj(s.num_vertices);
+/// Undirected adjacency in CSR form: vertex v's neighbours are
+/// nbrs[offsets[v] .. offsets[v + 1]), in edge-list order.
+struct Adjacency {
+  std::vector<uint64_t> offsets;
+  std::vector<VertexId> nbrs;
+
+  size_t degree(VertexId v) const { return offsets[v + 1] - offsets[v]; }
+  std::span<const VertexId> operator[](VertexId v) const {
+    return {nbrs.data() + offsets[v], degree(v)};
+  }
+};
+
+Adjacency BuildAdjacency(const GraphStructure& s) {
+  Adjacency adj;
+  adj.offsets.assign(s.num_vertices + 1, 0);
   for (const auto& [u, v] : s.edges) {
-    adj[u].push_back(v);
-    adj[v].push_back(u);
+    ++adj.offsets[u + 1];
+    ++adj.offsets[v + 1];
+  }
+  for (uint64_t v = 0; v < s.num_vertices; ++v) {
+    adj.offsets[v + 1] += adj.offsets[v];
+  }
+  adj.nbrs.resize(adj.offsets.back());
+  std::vector<uint64_t> next(adj.offsets.begin(), adj.offsets.end() - 1);
+  for (const auto& [u, v] : s.edges) {
+    adj.nbrs[next[u]++] = v;
+    adj.nbrs[next[v]++] = u;
   }
   return adj;
 }
 
-ColorId FirstFreeColor(std::vector<uint8_t>* used,
-                       std::vector<ColorId>* touched) {
+ColorId FirstFreeColor(std::vector<uint8_t>* used) {
   for (ColorId c = 0;; ++c) {
     if (c >= used->size()) used->resize(c + 1, 0);
     if (!(*used)[c]) return c;
   }
 }
 
+constexpr ColorId kUncolored = ~ColorId{0};
+
+/// First-fit coloring visiting vertices in `order`: each takes the
+/// smallest color none of its already-colored neighbours holds.
+ColorAssignment FirstFitColoring(const Adjacency& adj,
+                                 const std::vector<VertexId>& order) {
+  ColorAssignment colors(order.size(), kUncolored);
+  std::vector<uint8_t> used;
+  std::vector<ColorId> touched;
+  for (VertexId v : order) {
+    touched.clear();
+    for (VertexId n : adj[v]) {
+      ColorId c = colors[n];
+      if (c == kUncolored) continue;
+      if (c >= used.size()) used.resize(c + 1, 0);
+      if (!used[c]) {
+        used[c] = 1;
+        touched.push_back(c);
+      }
+    }
+    colors[v] = FirstFreeColor(&used);
+    for (ColorId c : touched) used[c] = 0;
+  }
+  return colors;
+}
+
 }  // namespace
 
 ColorAssignment GreedyColoring(const GraphStructure& structure) {
-  auto adj = BuildAdjacency(structure);
-  ColorAssignment colors(structure.num_vertices, 0);
-  std::vector<uint8_t> used;
-  std::vector<ColorId> touched;
-  for (VertexId v = 0; v < structure.num_vertices; ++v) {
-    touched.clear();
-    for (VertexId n : adj[v]) {
-      if (n < v) {
-        ColorId c = colors[n];
-        if (c >= used.size()) used.resize(c + 1, 0);
-        if (!used[c]) {
-          used[c] = 1;
-          touched.push_back(c);
-        }
-      }
-    }
-    colors[v] = FirstFreeColor(&used, &touched);
-    for (ColorId c : touched) used[c] = 0;
-    if (colors[v] < used.size()) used[colors[v]] = 0;
-  }
-  return colors;
+  const Adjacency adj = BuildAdjacency(structure);
+  std::vector<VertexId> order(structure.num_vertices);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  ColorAssignment by_id = FirstFitColoring(adj, order);
+  // Welsh-Powell: largest degree first, ties by id.
+  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return adj.degree(a) > adj.degree(b);
+  });
+  ColorAssignment by_degree = FirstFitColoring(adj, order);
+  return NumColors(by_degree) < NumColors(by_id) ? std::move(by_degree)
+                                                 : std::move(by_id);
 }
 
 ColorAssignment SecondOrderColoring(const GraphStructure& structure) {
@@ -84,7 +121,7 @@ ColorAssignment SecondOrderColoring(const GraphStructure& structure) {
         if (nn < v && nn != v) mark(nn);
       }
     }
-    colors[v] = FirstFreeColor(&used, &touched);
+    colors[v] = FirstFreeColor(&used);
     for (ColorId c : touched) used[c] = 0;
   }
   return colors;

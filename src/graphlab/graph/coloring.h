@@ -25,8 +25,12 @@ enum class ConsistencyModel {
 
 const char* ConsistencyModelName(ConsistencyModel model);
 
-/// Greedy first-fit coloring in vertex order: no two adjacent vertices
-/// share a color.  Satisfies the edge consistency model's requirements.
+/// Greedy first-fit coloring: no two adjacent vertices share a color, so
+/// it satisfies the edge consistency model.  Colors in largest-degree-
+/// first order (Welsh-Powell, ties by id) and keeps the vertex-id-order
+/// coloring unless that uses strictly more colors, so it never needs more
+/// colors than id order and bipartite graphs keep their 2 colors in id
+/// order.  Every color is one chromatic step per sweep.
 ColorAssignment GreedyColoring(const GraphStructure& structure);
 
 /// Second-order greedy coloring: no vertex shares a color with any vertex

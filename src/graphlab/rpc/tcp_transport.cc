@@ -1,9 +1,13 @@
 #include "graphlab/rpc/tcp_transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,6 +35,13 @@ enum FrameType : uint8_t {
 /// estimator keeps the minimum-RTT one.
 constexpr int kClockSyncRounds = 4;
 
+/// What one recv asks a connection for at least: enough for many small
+/// frames per call.
+constexpr size_t kReadChunkBytes = 64 << 10;
+
+/// Reads of one connection per loop turn before the others get theirs.
+constexpr int kReadsPerTurn = 16;
+
 /// Cluster-unique flow id for the (origin machine, origin seq) causal
 /// pair; +1 keeps machine 0's ids nonzero.
 uint64_t FlowId(MachineId origin, uint64_t seq) {
@@ -56,9 +67,20 @@ struct FrameHeader {
   uint32_t payload_size = 0;
 };
 
-void EncodeHeader(const FrameHeader& h, OutArchive* oa) {
-  *oa << h.magic << h.version << h.type << h.flags << h.src << h.handler
-      << h.reserved << h.seq << h.payload_size;
+/// Writes the 28 header bytes, little-endian (the archive encoding).
+void EncodeHeader(const FrameHeader& h, char* out) {
+  auto put = [&out](uint64_t v, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) *out++ = static_cast<char>(v >> (8 * i));
+  };
+  put(h.magic, 4);
+  put(h.version, 2);
+  put(h.type, 1);
+  put(h.flags, 1);
+  put(h.src, 4);
+  put(h.handler, 2);
+  put(h.reserved, 2);
+  put(h.seq, 8);
+  put(h.payload_size, 4);
 }
 
 bool DecodeHeader(const char* bytes, FrameHeader* h) {
@@ -68,22 +90,6 @@ bool DecodeHeader(const char* bytes, FrameHeader* h) {
   return ia.ok() && h->magic == kTcpFrameMagic &&
          h->version == kTcpWireVersion &&
          h->payload_size <= kTcpMaxFramePayload;
-}
-
-/// Reads exactly n bytes; false on EOF/error.
-bool ReadFull(int fd, void* out, size_t n) {
-  char* p = static_cast<char*>(out);
-  while (n > 0) {
-    ssize_t r = ::recv(fd, p, n, 0);
-    if (r > 0) {
-      p += r;
-      n -= static_cast<size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
 }
 
 /// Writes exactly n bytes; false on error.  MSG_NOSIGNAL: a peer that
@@ -101,6 +107,35 @@ bool WriteFull(int fd, const void* data, size_t n) {
     return false;
   }
   return true;
+}
+
+/// Non-blocking write of as much of `iov` as the socket takes now
+/// (advancing `iov` past it); the byte count, or -1 on a send error.
+ssize_t SendSome(int fd, iovec* iov, int iovcnt) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = static_cast<size_t>(iovcnt);
+  size_t total = 0;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      return -1;
+    }
+    total += static_cast<size_t>(w);
+    size_t left = static_cast<size_t>(w);
+    while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+      left -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + left;
+      msg.msg_iov->iov_len -= left;
+    }
+  }
+  return static_cast<ssize_t>(total);
 }
 
 bool ParseEndpoint(const std::string& endpoint, std::string* host,
@@ -172,9 +207,18 @@ uint16_t PortOfListener(int fd) {
 /// One remote (or self) machine's send-side state and counters.
 struct TcpTransport::Peer {
   MachineId id = 0;
-  BlockingQueue<std::vector<char>> send_queue;  // pre-framed bytes
-  std::thread send_thread;
+
+  // Send side.  send_fd is the outbound connection (-1 until the
+  // connector has said hello, and again after Stop()); backlog holds, in
+  // order, the bytes the socket has not taken yet, from backlog_head on.
+  // want_write mirrors "backlog non-empty on a connected socket" for the
+  // loop, which then polls the socket for POLLOUT.  All but want_write's
+  // reads are guarded by send_mutex.
+  std::mutex send_mutex;
   std::atomic<int> send_fd{-1};
+  std::vector<char> backlog;
+  size_t backlog_head = 0;
+  std::atomic<bool> want_write{false};
 
   // Data-frame traffic accounting (control frames excluded).  Cached
   // lookups into the machine's metrics registry ("rpc.to.<p>.*" /
@@ -196,6 +240,37 @@ struct TcpTransport::Peer {
   // mark.
   std::atomic<uint64_t> last_heard_ns{0};
   std::atomic<bool> down{false};
+
+  /// Writes as much of the backlog as the socket takes now; false on a
+  /// send error.  Caller holds send_mutex and fd >= 0.
+  bool DrainLocked(int fd) {
+    iovec iov{backlog.data() + backlog_head, backlog.size() - backlog_head};
+    const ssize_t w = SendSome(fd, &iov, 1);
+    if (w < 0) return false;
+    backlog_head += static_cast<size_t>(w);
+    if (backlog_head == backlog.size()) {
+      backlog.clear();
+      backlog_head = 0;
+    } else if (backlog_head > backlog.size() / 2) {
+      backlog.erase(backlog.begin(),
+                    backlog.begin() + static_cast<ptrdiff_t>(backlog_head));
+      backlog_head = 0;
+    }
+    return true;
+  }
+};
+
+/// One accepted connection, read by the event loop: `buf[begin, end)`
+/// holds bytes read but not yet handled, and `frame_bytes` the size of
+/// the frame they start once its header is known (0 otherwise).
+struct TcpTransport::Connection {
+  int fd = -1;
+  bool have_hello = false;
+  MachineId from = 0;
+  std::vector<char> buf;
+  size_t begin = 0;
+  size_t end = 0;
+  size_t frame_bytes = 0;
 };
 
 TcpTransport::TcpTransport(TcpOptions options)
@@ -227,11 +302,14 @@ TcpTransport::TcpTransport(TcpOptions options)
     GL_CHECK_GE(listen_fd_, 0)
         << "cannot bind TCP listener at " << endpoints_[me_];
   }
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  GL_CHECK_GE(wake_fd_, 0) << "eventfd: " << std::strerror(errno);
 }
 
 TcpTransport::~TcpTransport() {
   Stop();
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  ::close(wake_fd_);
 }
 
 void TcpTransport::SetDeliverySink(DeliverySink sink) {
@@ -243,14 +321,22 @@ void TcpTransport::Start() {
   bool expected = false;
   if (!started_.compare_exchange_strong(expected, true)) return;
   GL_CHECK(sink_) << "Start() before SetDeliverySink()";
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The loop accepts only what poll reported; a connection reset in
+  // between must not block it.
+  ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
+  loop_thread_ = std::thread([this] { EventLoop(); });
   for (MachineId p = 0; p < endpoints_.size(); ++p) {
     if (p == me_) continue;
     connector_threads_.emplace_back([this, p] { ConnectToPeer(p); });
   }
   std::lock_guard<std::mutex> lock(heartbeat_mutex_);
   StartHeartbeatThreadLocked();
+}
+
+void TcpTransport::Wake() {
+  const uint64_t one = 1;
+  // A full counter already means "wake up"; nothing else can fail here.
+  [[maybe_unused]] ssize_t w = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void TcpTransport::ConnectToPeer(MachineId p) {
@@ -305,118 +391,186 @@ void TcpTransport::ConnectToPeer(MachineId p) {
   if (fd < 0) return;  // stopping
   SetNoDelay(fd);
 
-  // Introduce ourselves, then hand the socket to the send thread.
-  OutArchive hello;
-  FrameHeader h;
-  h.type = kFrameHello;
-  h.src = me_;
+  // Introduce ourselves, then publish the socket to the senders; frames
+  // sent before now wait in the backlog, and the loop writes them out.
   OutArchive payload;
   payload << static_cast<uint32_t>(me_)
           << static_cast<uint32_t>(endpoints_.size());
+  FrameHeader h;
+  h.type = kFrameHello;
+  h.src = me_;
   h.payload_size = static_cast<uint32_t>(payload.size());
-  EncodeHeader(h, &hello);
-  hello.WriteBytes(payload.buffer().data(), payload.size());
-  if (!WriteFull(fd, hello.buffer().data(), hello.size())) {
+  std::vector<char> hello(kTcpFrameHeaderBytes);
+  EncodeHeader(h, hello.data());
+  hello.insert(hello.end(), payload.buffer().begin(), payload.buffer().end());
+  if (!WriteFull(fd, hello.data(), hello.size())) {
     ::close(fd);
     GL_LOG(ERROR) << "machine " << me_ << ": hello to " << p << " failed";
     return;
   }
 
   Peer& peer = *peers_[p];
-  peer.send_fd.store(fd, std::memory_order_release);
-  peer.send_thread = std::thread([this, fd, p] {
-    Peer& pr = *peers_[p];
-    for (;;) {
-      auto frame = pr.send_queue.Pop();
-      if (!frame.has_value()) return;
-      if (pr.down.load(std::memory_order_acquire)) {
-        // Peer declared dead (heartbeat timeout / receive-side EOF):
-        // drop instead of writing into a black hole.  Keep draining so
-        // producers never block.
-        continue;
-      }
-      if (!WriteFull(fd, frame->data(), frame->size())) {
-        if (!stopping_.load(std::memory_order_acquire) &&
-            !killed_.load(std::memory_order_acquire)) {
-          GL_LOG(ERROR) << "machine " << me_ << ": send to machine " << p
-                        << " failed: " << std::strerror(errno)
-                        << "; marking peer down";
-          MarkPeerDown(p);
-        }
-        // Drain the queue so producers never block on a dead peer.
-        while (pr.send_queue.Pop().has_value()) {
-        }
-        return;
-      }
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(peer.send_mutex);
+    peer.send_fd.store(fd, std::memory_order_release);
+    if (peer.backlog_head < peer.backlog.size()) {
+      peer.want_write.store(true, std::memory_order_release);
+      wake = true;
     }
-  });
+  }
+  if (wake) Wake();
 }
 
-void TcpTransport::AcceptLoop() {
+void TcpTransport::EventLoop() {
+  trace::MachineScope machine_scope(me_);
+  DispatchThreadMark dispatch_mark(this, me_);
+  std::vector<pollfd> fds;
+  std::vector<Connection*> polled_connections;
+  std::vector<Peer*> polled_peers;
+  bool listening = true;
   for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (errno == EINTR) continue;
-      return;  // listener closed
+    const bool stopping = stopping_.load(std::memory_order_acquire);
+    if (stopping && !WritesPending()) {
+      std::lock_guard<std::mutex> lock(inbox_mutex_);
+      if (inbox_.empty()) break;
     }
-    SetNoDelay(fd);
-    std::lock_guard<std::mutex> lock(receive_threads_mutex_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
+    fds.clear();
+    polled_connections.clear();
+    polled_peers.clear();
+    fds.push_back({wake_fd_, POLLIN, 0});
+    if (listening && !stopping) fds.push_back({listen_fd_, POLLIN, 0});
+    const size_t first_connection = fds.size();
+    for (const auto& c : connections_) {
+      fds.push_back({c->fd, POLLIN, 0});
+      polled_connections.push_back(c.get());
     }
-    receive_fds_.push_back(fd);
-    receive_threads_.emplace_back([this, fd] { ReceiveLoop(fd); });
+    const size_t first_peer = fds.size();
+    for (const auto& peer : peers_) {
+      if (!peer->want_write.load(std::memory_order_acquire)) continue;
+      fds.push_back({peer->send_fd.load(std::memory_order_acquire),
+                     POLLOUT, 0});
+      polled_peers.push_back(peer.get());
+    }
+
+    loop_busy_since_ns_.store(0, std::memory_order_release);
+    // Stop() wakes the loop, but a bounded wait keeps its drain check
+    // going whatever order the wakeups come in.
+    const int ready = ::poll(fds.data(), fds.size(), stopping ? 10 : -1);
+    loop_busy_since_ns_.store(SteadyNowNs(), std::memory_order_release);
+    if (ready < 0) {
+      GL_CHECK_EQ(errno, EINTR) << "poll: " << std::strerror(errno);
+      continue;
+    }
+
+    if (fds[0].revents != 0) {
+      uint64_t count;
+      [[maybe_unused]] ssize_t r = ::read(wake_fd_, &count, sizeof(count));
+      DeliverSelfFrames();
+    }
+    if (first_connection > 1 && fds[1].revents != 0) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd >= 0) {
+        SetNoDelay(fd);
+        auto c = std::make_unique<Connection>();
+        c->fd = fd;
+        connections_.push_back(std::move(c));
+        std::lock_guard<std::mutex> lock(conn_fds_mutex_);
+        conn_fds_.push_back(fd);
+      } else if (errno != EINTR && errno != EAGAIN &&
+                 errno != ECONNABORTED) {
+        listening = false;  // listener shut down (InjectKill)
+      }
+    }
+    for (size_t i = 0; i < polled_connections.size(); ++i) {
+      if (fds[first_connection + i].revents == 0) continue;
+      Connection* c = polled_connections[i];
+      if (!ReadConnection(c)) {
+        // Done with it; the fd itself closes in Stop().
+        connections_.erase(std::find_if(
+            connections_.begin(), connections_.end(),
+            [c](const auto& owned) { return owned.get() == c; }));
+      }
+    }
+    for (size_t i = 0; i < polled_peers.size(); ++i) {
+      if (fds[first_peer + i].revents != 0) DrainBacklog(polled_peers[i]);
+    }
   }
 }
 
-void TcpTransport::ReceiveLoop(int fd) {
-  char header_bytes[kTcpFrameHeaderBytes];
-  MachineId from = kTcpFrameMagic;  // sentinel until hello arrives
-  bool have_hello = false;
-  std::vector<char> payload;
-  // Receive-side EOF / truncation on an identified connection is how a
-  // crashed peer (kill -9) most often surfaces; propagate it as a peer
-  // death instead of silently parking the thread.  The death is queued
-  // behind the frames already read: the dispatch thread handles the
-  // peer's last data (a worker that exited normally sent it on purpose)
-  // and only then marks the peer down.
-  auto peer_lost = [&] {
-    if (have_hello && !stopping_.load(std::memory_order_acquire) &&
-        !killed_.load(std::memory_order_acquire)) {
-      Inbound eos{Message{}, /*end_of_stream=*/true};
-      eos.msg.src = from;
-      eos.msg.dst = me_;
-      dispatch_queue_.Push(std::move(eos));
+bool TcpTransport::WritesPending() const {
+  for (const auto& peer : peers_) {
+    if (peer->want_write.load(std::memory_order_acquire)) return true;
+  }
+  return false;
+}
+
+bool TcpTransport::ReadConnection(Connection* c) {
+  // A bounded number of reads per turn, so one busy peer cannot starve
+  // the other connections.
+  for (int reads = 0; reads < kReadsPerTurn; ++reads) {
+    // Keep the unhandled tail at the front, and room for a whole frame.
+    if (c->begin > 0) {
+      std::memmove(c->buf.data(), c->buf.data() + c->begin,
+                   c->end - c->begin);
+      c->end -= c->begin;
+      c->begin = 0;
     }
-  };
-  for (;;) {
-    if (!ReadFull(fd, header_bytes, sizeof(header_bytes))) {
-      peer_lost();
-      return;
+    const size_t room = std::max(c->frame_bytes, kReadChunkBytes);
+    if (c->buf.size() < room) c->buf.resize(room);
+    const size_t space = c->buf.size() - c->end;
+    const ssize_t r = ::recv(c->fd, c->buf.data() + c->end, space,
+                             MSG_DONTWAIT);
+    if (r > 0) {
+      c->end += static_cast<size_t>(r);
+      if (c->have_hello) {
+        peers_[c->from]->last_heard_ns.store(SteadyNowNs(),
+                                             std::memory_order_release);
+      }
+      if (!HandleFrames(c)) return false;
+      if (static_cast<size_t>(r) < space) return true;  // drained
+      continue;
     }
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    // EOF or a reset.  Every complete frame the connection carried has
+    // been handled above; a crashed peer (kill -9) most often surfaces
+    // here, so this is its death.
+    const bool stopping = stopping_.load(std::memory_order_acquire) ||
+                          killed_.load(std::memory_order_acquire);
+    if (c->end > c->begin && !stopping) {
+      GL_LOG(ERROR) << "machine " << me_
+                    << ": connection truncated mid-frame";
+    }
+    if (c->have_hello && !stopping) MarkPeerDown(c->from);
+    return false;
+  }
+  return true;
+}
+
+bool TcpTransport::HandleFrames(Connection* c) {
+  c->frame_bytes = 0;
+  while (c->end - c->begin >= kTcpFrameHeaderBytes) {
     FrameHeader h;
-    if (!DecodeHeader(header_bytes, &h)) {
+    if (!DecodeHeader(c->buf.data() + c->begin, &h)) {
       GL_LOG(ERROR) << "machine " << me_
                     << ": bad frame header (magic/version/size mismatch); "
                        "closing connection";
-      peer_lost();
-      return;
-    }
-    payload.resize(h.payload_size);
-    if (h.payload_size > 0 &&
-        !ReadFull(fd, payload.data(), h.payload_size)) {
-      if (!stopping_.load(std::memory_order_acquire)) {
-        GL_LOG(ERROR) << "machine " << me_
-                      << ": connection truncated mid-frame";
+      if (c->have_hello && !stopping_.load(std::memory_order_acquire) &&
+          !killed_.load(std::memory_order_acquire)) {
+        MarkPeerDown(c->from);
       }
-      peer_lost();
-      return;
+      return false;
     }
-
-    if (!have_hello) {
-      InArchive ia(payload);
+    const size_t frame = kTcpFrameHeaderBytes + h.payload_size;
+    if (c->end - c->begin < frame) {
+      c->frame_bytes = frame;
+      return true;
+    }
+    const char* payload = c->buf.data() + c->begin + kTcpFrameHeaderBytes;
+    c->begin += frame;
+    if (!c->have_hello) {
+      InArchive ia(payload, h.payload_size);
       uint32_t peer_id = ia.ReadValue<uint32_t>();
       uint32_t cluster = ia.ReadValue<uint32_t>();
       if (h.type != kFrameHello || !ia.ok() ||
@@ -424,124 +578,187 @@ void TcpTransport::ReceiveLoop(int fd) {
           cluster != endpoints_.size()) {
         GL_LOG(ERROR) << "machine " << me_
                       << ": bad hello frame; closing connection";
-        return;
+        return false;
       }
-      from = peer_id;
-      have_hello = true;
-      peers_[from]->last_heard_ns.store(SteadyNowNs(),
-                                        std::memory_order_release);
+      c->from = peer_id;
+      c->have_hello = true;
+      peers_[c->from]->last_heard_ns.store(SteadyNowNs(),
+                                           std::memory_order_release);
       continue;
     }
-    if (h.src != from) {
+    if (h.src != c->from) {
       GL_LOG(ERROR) << "machine " << me_ << ": frame src " << h.src
-                    << " on connection from " << from << "; closing";
-      return;
+                    << " on connection from " << c->from << "; closing";
+      return false;
     }
+    if (!HandleFrame(c, h.type, h.handler, h.seq, payload, h.payload_size)) {
+      return false;
+    }
+  }
+  return true;
+}
 
-    Peer& peer = *peers_[from];
-    peer.last_heard_ns.store(SteadyNowNs(), std::memory_order_release);
-    switch (h.type) {
-      case kFrameData: {
-        peer.recv_msgs->Inc();
-        peer.recv_bytes->Inc(kTcpFrameHeaderBytes + h.payload_size);
-        msgs_received_->Inc();
-        bytes_received_->Inc(kTcpFrameHeaderBytes + h.payload_size);
-        Message msg;
-        msg.src = from;
-        msg.dst = me_;
-        msg.handler = h.handler;
-        msg.origin_seq = h.seq;
-        msg.payload = std::move(payload);
-        payload = std::vector<char>();
-        dispatch_queue_.Push(Inbound{std::move(msg)});
-        break;
-      }
-      case kFrameClockProbe: {
-        // Echo the probe with this machine's own clock reading: the
-        // prober turns the round trip into a midpoint offset estimate.
-        InArchive ia(payload);
-        uint64_t seq = ia.ReadValue<uint64_t>();
-        uint64_t t_send = ia.ReadValue<uint64_t>();
-        if (!ia.ok()) return;
-        OutArchive reply;
-        reply << seq << t_send << SteadyNowNs();
-        EnqueueFrame(from, kFrameClockReply, 0, reply.TakeBuffer());
-        break;
-      }
-      case kFrameClockReply: {
-        InArchive ia(payload);
-        uint64_t seq = ia.ReadValue<uint64_t>();
-        uint64_t t_send_echo = ia.ReadValue<uint64_t>();
-        uint64_t remote_now = ia.ReadValue<uint64_t>();
-        if (!ia.ok()) return;
-        const uint64_t t_recv = SteadyNowNs();
-        {
-          std::lock_guard<std::mutex> lock(clock_mutex_);
-          peer.clock.AddObservation(t_send_echo, t_recv, remote_now);
-          peer.clock_offset_ns.store(peer.clock.offset_ns(),
-                                     std::memory_order_relaxed);
-          peer.reply_seq = std::max(peer.reply_seq, seq);
-        }
-        clock_cv_.notify_all();
-        break;
-      }
-      case kFramePing:
-        break;  // liveness already stamped above
-      default:
-        GL_LOG(ERROR) << "machine " << me_ << ": unknown frame type "
-                      << static_cast<int>(h.type);
-        return;
+bool TcpTransport::HandleFrame(Connection* c, uint8_t type,
+                               HandlerId handler, uint64_t seq,
+                               const char* payload, size_t size) {
+  const MachineId from = c->from;
+  Peer& peer = *peers_[from];
+  switch (type) {
+    case kFrameData:
+      peer.recv_msgs->Inc();
+      peer.recv_bytes->Inc(kTcpFrameHeaderBytes + size);
+      msgs_received_->Inc();
+      bytes_received_->Inc(kTcpFrameHeaderBytes + size);
+      Dispatch(from, handler, seq, payload, size);
+      return true;
+    case kFrameClockProbe: {
+      // Echo the probe with this machine's own clock reading: the
+      // prober turns the round trip into a midpoint offset estimate.
+      InArchive ia(payload, size);
+      uint64_t probe_seq = ia.ReadValue<uint64_t>();
+      uint64_t t_send = ia.ReadValue<uint64_t>();
+      if (!ia.ok()) return false;
+      OutArchive reply;
+      reply << probe_seq << t_send << SteadyNowNs();
+      SendFrame(from, kFrameClockReply, 0, reply.buffer().data(),
+                reply.size());
+      return true;
     }
+    case kFrameClockReply: {
+      InArchive ia(payload, size);
+      uint64_t reply_seq = ia.ReadValue<uint64_t>();
+      uint64_t t_send_echo = ia.ReadValue<uint64_t>();
+      uint64_t remote_now = ia.ReadValue<uint64_t>();
+      if (!ia.ok()) return false;
+      const uint64_t t_recv = SteadyNowNs();
+      {
+        std::lock_guard<std::mutex> lock(clock_mutex_);
+        peer.clock.AddObservation(t_send_echo, t_recv, remote_now);
+        peer.clock_offset_ns.store(peer.clock.offset_ns(),
+                                   std::memory_order_relaxed);
+        peer.reply_seq = std::max(peer.reply_seq, reply_seq);
+      }
+      clock_cv_.notify_all();
+      return true;
+    }
+    case kFramePing:
+      return true;  // liveness already stamped by the read
+    default:
+      GL_LOG(ERROR) << "machine " << me_ << ": unknown frame type "
+                    << static_cast<int>(type);
+      return false;
   }
 }
 
-void TcpTransport::DispatchLoop() {
-  trace::MachineScope machine_scope(me_);
-  DispatchThreadMark dispatch_mark(this, me_);
-  for (;;) {
-    auto in = dispatch_queue_.Pop();
-    if (!in.has_value()) return;
-    const Message& msg = in->msg;
-    if (in->end_of_stream) {
-      // Every frame the peer's connection carried has been handled.
-      if (!stopping_.load(std::memory_order_acquire) &&
-          !killed_.load(std::memory_order_acquire)) {
-        MarkPeerDown(msg.src);
-      }
-      continue;
-    }
-    // A frame from a peer marked down some other way (heartbeat miss,
-    // send error, InjectKill) is a stale remnant of the dead machine's
-    // last moments; dropping it keeps recovery's rebuilt graph state
-    // clean.
-    if (peers_[msg.src]->down.load(std::memory_order_acquire) ||
-        killed_.load(std::memory_order_acquire)) {
-      continue;
-    }
-    GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", msg.handler);
-    if (msg.origin_seq != 0) {
-      GL_TRACE_FLOW_FINISH(trace::kRpc, "rpc.flow",
-                           FlowId(msg.src, msg.origin_seq));
-    }
-    InArchive ia(msg.payload);
-    sink_(me_, msg.src, msg.handler, ia);
+void TcpTransport::Dispatch(MachineId src, HandlerId handler, uint64_t seq,
+                            const char* payload, size_t size) {
+  // A frame from a peer marked down some other way (heartbeat miss,
+  // send error, InjectKill) is a stale remnant of the dead machine's
+  // last moments; dropping it keeps recovery's rebuilt graph state
+  // clean.
+  if (peers_[src]->down.load(std::memory_order_acquire) ||
+      killed_.load(std::memory_order_acquire)) {
+    return;
+  }
+  GL_TRACE_SCOPE1(trace::kRpc, "dispatch", "handler", handler);
+  if (seq != 0) {
+    GL_TRACE_FLOW_FINISH(trace::kRpc, "rpc.flow", FlowId(src, seq));
+  }
+  InArchive ia(payload, size);
+  sink_(me_, src, handler, ia);
+}
+
+void TcpTransport::DeliverSelfFrames() {
+  std::vector<Message> batch;
+  {
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
+    batch.swap(inbox_);
+  }
+  for (const Message& msg : batch) {
+    Dispatch(me_, msg.handler, msg.origin_seq, msg.payload.data(),
+             msg.payload.size());
   }
 }
 
-void TcpTransport::EnqueueFrame(MachineId dst, uint8_t type,
-                                HandlerId handler,
-                                std::vector<char> payload, uint64_t seq) {
-  if (peers_[dst]->down.load(std::memory_order_acquire)) return;
+void TcpTransport::DrainBacklog(Peer* peer) {
+  bool failed = false;
+  int error = 0;
+  {
+    std::lock_guard<std::mutex> lock(peer->send_mutex);
+    const int fd = peer->send_fd.load(std::memory_order_relaxed);
+    if (fd >= 0 && peer->backlog_head < peer->backlog.size()) {
+      failed = !peer->DrainLocked(fd);
+      error = errno;
+    }
+    if (failed || peer->backlog_head == peer->backlog.size()) {
+      peer->want_write.store(false, std::memory_order_release);
+    }
+  }
+  if (failed) SendFailed(peer->id, error);
+}
+
+void TcpTransport::SendFailed(MachineId dst, int error) {
+  if (stopping_.load(std::memory_order_acquire) ||
+      killed_.load(std::memory_order_acquire)) {
+    return;
+  }
+  GL_LOG(ERROR) << "machine " << me_ << ": send to machine " << dst
+                << " failed: " << std::strerror(error)
+                << "; marking peer down";
+  MarkPeerDown(dst);
+}
+
+void TcpTransport::SendFrame(MachineId dst, uint8_t type, HandlerId handler,
+                             const char* payload, size_t size,
+                             uint64_t seq) {
+  Peer& peer = *peers_[dst];
   FrameHeader h;
   h.type = type;
   h.src = me_;
   h.handler = handler;
   h.seq = seq;
-  h.payload_size = static_cast<uint32_t>(payload.size());
-  OutArchive frame;
-  EncodeHeader(h, &frame);
-  frame.WriteBytes(payload.data(), payload.size());
-  peers_[dst]->send_queue.Push(frame.TakeBuffer());
+  h.payload_size = static_cast<uint32_t>(size);
+  char header[kTcpFrameHeaderBytes];
+  EncodeHeader(h, header);
+  const size_t total = kTcpFrameHeaderBytes + size;
+  bool failed = false;
+  int error = 0;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(peer.send_mutex);
+    if (peer.down.load(std::memory_order_acquire)) return;
+    const int fd = peer.send_fd.load(std::memory_order_relaxed);
+    size_t written = 0;
+    if (fd >= 0) {
+      // Earlier bytes go first; write this frame through only behind an
+      // empty backlog.
+      failed = peer.backlog_head < peer.backlog.size() &&
+               !peer.DrainLocked(fd);
+      if (!failed && peer.backlog_head == peer.backlog.size()) {
+        iovec iov[2] = {{header, kTcpFrameHeaderBytes},
+                        {const_cast<char*>(payload), size}};
+        const ssize_t w = SendSome(fd, iov, 2);
+        failed = w < 0;
+        if (!failed) written = static_cast<size_t>(w);
+      }
+      if (failed) error = errno;
+    }
+    if (!failed && written < total) {
+      // The unwritten rest of this frame: a header tail, then payload.
+      const size_t header_done = std::min(written, kTcpFrameHeaderBytes);
+      peer.backlog.insert(peer.backlog.end(), header + header_done,
+                          header + kTcpFrameHeaderBytes);
+      const size_t payload_done = written - header_done;
+      peer.backlog.insert(peer.backlog.end(), payload + payload_done,
+                          payload + size);
+      if (fd >= 0 && !peer.want_write.load(std::memory_order_relaxed)) {
+        peer.want_write.store(true, std::memory_order_release);
+        wake = true;
+      }
+    }
+  }
+  if (failed) SendFailed(dst, error);
+  if (wake) Wake();
 }
 
 void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,
@@ -551,8 +768,7 @@ void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,
   GL_CHECK_EQ(src, me_) << "TCP transport can only send as machine " << me_;
   GL_CHECK_LT(dst, endpoints_.size());
 
-  std::vector<char> bytes = payload.TakeBuffer();
-  const uint64_t wire_bytes = kTcpFrameHeaderBytes + bytes.size();
+  const uint64_t wire_bytes = kTcpFrameHeaderBytes + payload.size();
   Peer& peer = *peers_[dst];
   peer.sent_msgs->Inc();
   peer.sent_bytes->Inc(wire_bytes);
@@ -573,15 +789,22 @@ void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,
     msg.dst = me_;
     msg.handler = handler;
     msg.origin_seq = seq;
-    msg.payload = std::move(bytes);
+    msg.payload = payload.TakeBuffer();
     peer.recv_msgs->Inc();
     peer.recv_bytes->Inc(wire_bytes);
     msgs_received_->Inc();
     bytes_received_->Inc(wire_bytes);
-    dispatch_queue_.Push(Inbound{std::move(msg)});
+    bool wake;
+    {
+      std::lock_guard<std::mutex> lock(inbox_mutex_);
+      wake = inbox_.empty();
+      inbox_.push_back(std::move(msg));
+    }
+    if (wake) Wake();
     return;
   }
-  EnqueueFrame(dst, kFrameData, handler, std::move(bytes), seq);
+  SendFrame(dst, kFrameData, handler, payload.buffer().data(),
+            payload.size(), seq);
 }
 
 int64_t TcpTransport::ClockOffsetNs(MachineId peer) const {
@@ -595,9 +818,11 @@ void TcpTransport::SyncClocks() {
     const uint64_t seq = ++clock_seq_;
     OutArchive probe;
     probe << seq << SteadyNowNs();
-    std::vector<char> bytes = probe.TakeBuffer();
     for (MachineId p = 0; p < endpoints_.size(); ++p) {
-      if (p != me_) EnqueueFrame(p, kFrameClockProbe, 0, bytes);
+      if (p != me_) {
+        SendFrame(p, kFrameClockProbe, 0, probe.buffer().data(),
+                  probe.size());
+      }
     }
     // Every live peer answers within a loopback or LAN round trip; the
     // timeout only bounds a stalled peer, which then keeps its older
@@ -634,10 +859,16 @@ void TcpTransport::MarkPeerDown(MachineId peer) {
     GL_LOG(WARNING) << "machine " << me_ << ": peer " << peer
                     << " marked down";
   }
-  // Wake a send thread stuck in a blocking write to the dead peer; the
-  // fd stays open (Stop() owns the close) but further IO errors out.
-  int fd = pr.send_fd.load(std::memory_order_acquire);
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  // Drop what is still waiting for the dead peer and end the connection
+  // so it sees EOF; the fd stays open (Stop() owns the close).
+  {
+    std::lock_guard<std::mutex> lock(pr.send_mutex);
+    pr.backlog = std::vector<char>();
+    pr.backlog_head = 0;
+    pr.want_write.store(false, std::memory_order_release);
+    const int fd = pr.send_fd.load(std::memory_order_relaxed);
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  }
   // Stop a clock sync waiting for this peer's replies.
   {
     std::lock_guard<std::mutex> lock(clock_mutex_);
@@ -696,18 +927,23 @@ void TcpTransport::HeartbeatLoop() {
       Peer& peer = *peers_[p];
       if (peer.down.load(std::memory_order_acquire)) continue;
       // Only monitor peers whose connection has said hello; before that
-      // the connect grace period (connect_timeout) governs.
+      // the connect grace period (connect_timeout) governs.  While the
+      // loop runs a handler, frames that came after its last poll are
+      // unread, so silence counts only up to that poll.
       const uint64_t heard = peer.last_heard_ns.load(
           std::memory_order_acquire);
-      if (heard != 0 && SteadyNowNs() - heard > timeout_ns) {
+      const uint64_t busy_since =
+          loop_busy_since_ns_.load(std::memory_order_acquire);
+      const uint64_t seen = busy_since != 0 ? busy_since : SteadyNowNs();
+      if (heard != 0 && seen > heard && seen - heard > timeout_ns) {
         GL_TRACE_INSTANT1(trace::kFault, "heartbeat_miss", "peer", p);
         GL_LOG(ERROR) << "machine " << me_ << ": peer " << p
                       << " missed heartbeats for "
-                      << (SteadyNowNs() - heard) / 1000000 << "ms";
+                      << (seen - heard) / 1000000 << "ms";
         MarkPeerDown(p);
         continue;
       }
-      EnqueueFrame(p, kFramePing, 0, {});
+      SendFrame(p, kFramePing, 0, nullptr, 0);
     }
     std::this_thread::sleep_for(interval);
   }
@@ -735,11 +971,12 @@ void TcpTransport::InjectKill(MachineId m) {
   // here, not closed — Stop() still owns the closes.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
-    std::lock_guard<std::mutex> lock(receive_threads_mutex_);
-    for (int fd : receive_fds_) ::shutdown(fd, SHUT_RDWR);
+    std::lock_guard<std::mutex> lock(conn_fds_mutex_);
+    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   for (auto& peer : peers_) {
-    int fd = peer->send_fd.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(peer->send_mutex);
+    const int fd = peer->send_fd.load(std::memory_order_relaxed);
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
   // Locally every peer is now unreachable, and this machine itself is
@@ -809,31 +1046,26 @@ void TcpTransport::Stop() {
     std::lock_guard<std::mutex> lock(heartbeat_mutex_);
     if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   }
-  // 2. Drain and join the send side (queues drain fully on shutdown).
-  for (auto& peer : peers_) peer->send_queue.Shutdown();
-  for (auto& peer : peers_) {
-    if (peer->send_thread.joinable()) peer->send_thread.join();
-    int fd = peer->send_fd.exchange(-1);
-    if (fd >= 0) ::close(fd);
-  }
-  // 3. Stop accepting and receiving.
+  // 2. The loop stops accepting, keeps reading and handling until every
+  //    live peer's backlog and the self inbox are drained, and exits.
+  Wake();
+  if (loop_thread_.joinable()) loop_thread_.join();
+  // 3. Close everything.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  connections_.clear();
   {
-    std::lock_guard<std::mutex> lock(receive_threads_mutex_);
-    for (int fd : receive_fds_) ::shutdown(fd, SHUT_RDWR);
+    std::lock_guard<std::mutex> lock(conn_fds_mutex_);
+    for (int fd : conn_fds_) ::close(fd);
+    conn_fds_.clear();
   }
-  for (auto& t : receive_threads_) {
-    if (t.joinable()) t.join();
+  for (auto& peer : peers_) {
+    std::lock_guard<std::mutex> lock(peer->send_mutex);
+    const int fd = peer->send_fd.exchange(-1);
+    if (fd >= 0) ::close(fd);
+    peer->backlog = std::vector<char>();
+    peer->backlog_head = 0;
+    peer->want_write.store(false, std::memory_order_release);
   }
-  {
-    std::lock_guard<std::mutex> lock(receive_threads_mutex_);
-    for (int fd : receive_fds_) ::close(fd);
-    receive_fds_.clear();
-  }
-  // 4. Drain and join dispatch.
-  dispatch_queue_.Shutdown();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
   started_.store(false);
 }
 

@@ -39,29 +39,37 @@
 // for trace alignment.  Probes, replies, hellos and pings are control
 // frames: not charged to CommStats, never dispatched to handlers.
 //
-// Threads: one send thread per peer draining a per-peer frame queue, one
-// receive thread per accepted connection, one accept thread, optionally
-// one heartbeat thread (EnableHeartbeats), and ONE dispatch thread that
-// runs all handlers — preserving the simulated backend's
-// serialized-handler semantics.
+// Threads: ONE event-loop thread per machine, polling the listener,
+// every accepted connection and a wakeup eventfd.  It accepts
+// connections, reads each connection into a buffer (one recv covers
+// many frames), checks header, hello and src, and runs every handler
+// inline: it is the machine's dispatch thread, preserving the simulated
+// backend's serialized-handler semantics.  Sends write through from the
+// calling thread: a non-blocking send under a per-peer mutex.  What the
+// socket does not take goes on a per-peer backlog, which later sends
+// and the loop (when the socket is writable) drain in FIFO order; the
+// loop never blocks in a write, so two machines whose handlers send to
+// each other cannot deadlock on full socket buffers.  Besides the loop
+// run one short-lived connector thread per peer at Start() and,
+// optionally, one heartbeat thread (EnableHeartbeats).  A handler that
+// holds the loop delays liveness stamps too, so a missed-heartbeat
+// verdict only counts silence up to the loop's last poll.
 //
 // Failure surface: a peer becomes DOWN through a send error, receive-side
 // EOF, a missed-heartbeat deadline, or an explicit MarkPeerDown.  From
-// then on (a) frames queued or submitted for it are dropped, (b) a clock
-// sync stops waiting for its replies, and (c) data frames from the dead
-// peer still sitting in the dispatch queue are dropped, so a dead
-// machine's stale ghost pushes can never touch a graph being rebuilt by
-// recovery.  Receive-side EOF (or a truncated or corrupt frame) is not
-// applied at once: the receive thread queues an end-of-stream marker
-// behind the frames it has already read, and the dispatch thread marks
-// the peer down when it reaches it.  When EOF is the only sign of the
-// death, every frame the connection carried is therefore handled first,
-// and the death reaches the PeerDown listeners on the dispatch thread.
-// A peer marked down by another route before the dispatch thread reaches
-// the marker (a send error or missed heartbeat after it closed, an
-// InjectKill, an adopted membership view) still has its queued frames
-// dropped: a peer that must deliver its last frames waits for an
-// acknowledgement (a barrier, say) before it closes.
+// then on (a) its backlog and every frame submitted for it are dropped,
+// (b) a clock sync stops waiting for its replies, and (c) data frames
+// still arriving from it are read and dropped, so a dead machine's stale
+// ghost pushes can never touch a graph being rebuilt by recovery.
+// Receive-side EOF (or a truncated or corrupt frame) is seen by the loop
+// right after the connection's last complete frame, which it has
+// already handled: when EOF is the only sign of the death, every frame
+// the connection carried runs first, and the death reaches the PeerDown
+// listeners on the loop thread.  A peer marked down by another route
+// (a send error or missed heartbeat, an InjectKill, an adopted
+// membership view) has the frames the loop reads after that dropped: a
+// peer that must deliver its last frames waits for an acknowledgement
+// (a barrier, say) before it closes.
 
 #ifndef GRAPHLAB_RPC_TCP_TRANSPORT_H_
 #define GRAPHLAB_RPC_TCP_TRANSPORT_H_
@@ -76,7 +84,6 @@
 
 #include "graphlab/metrics/metrics.h"
 #include "graphlab/rpc/transport.h"
-#include "graphlab/util/blocking_queue.h"
 #include "graphlab/util/status.h"
 
 namespace graphlab {
@@ -134,7 +141,7 @@ class TcpTransport final : public ITransport {
                         std::chrono::milliseconds timeout) override;
 
   /// InjectKill(me()): abrupt local death — sockets slam shut with no
-  /// goodbye, dispatch stops, every peer slot is marked down locally (so
+  /// goodbye, the loop drops every frame from then on, every peer slot is marked down locally (so
   /// local waits unblock) and the listener fires for me() itself, letting
   /// the hosting thread observe its own demise.  Peers see a crash.
   /// InjectKill(p != me) just marks p down locally.
@@ -147,14 +154,24 @@ class TcpTransport final : public ITransport {
 
  private:
   struct Peer;
+  struct Connection;
 
-  void AcceptLoop();
-  void ReceiveLoop(int fd);
-  void DispatchLoop();
+  void EventLoop();
+  bool ReadConnection(Connection* c);
+  bool HandleFrames(Connection* c);
+  bool HandleFrame(Connection* c, uint8_t type, HandlerId handler,
+                   uint64_t seq, const char* payload, size_t size);
+  void Dispatch(MachineId src, HandlerId handler, uint64_t seq,
+                const char* payload, size_t size);
+  void DeliverSelfFrames();
+  void DrainBacklog(Peer* peer);
+  bool WritesPending() const;
+  void Wake();
   void HeartbeatLoop();
   void ConnectToPeer(MachineId p);
-  void EnqueueFrame(MachineId dst, uint8_t type, HandlerId handler,
-                    std::vector<char> payload, uint64_t seq = 0);
+  void SendFrame(MachineId dst, uint8_t type, HandlerId handler,
+                 const char* payload, size_t size, uint64_t seq = 0);
+  void SendFailed(MachineId dst, int error);
   void StartHeartbeatThreadLocked();
 
   MachineId me_ = 0;
@@ -175,20 +192,23 @@ class TcpTransport final : public ITransport {
   uint16_t listen_port_ = 0;
 
   std::vector<std::unique_ptr<Peer>> peers_;  // indexed by machine id
-  // A dispatch-queue entry: a data frame, or the end-of-stream marker a
-  // receive thread queues behind a closed connection's last frame.
-  struct Inbound {
-    Message msg;
-    bool end_of_stream = false;
-  };
-  BlockingQueue<Inbound> dispatch_queue_;
 
-  std::thread accept_thread_;
-  std::thread dispatch_thread_;
+  // The event loop, its wakeup eventfd (self-sends, a backlog to watch,
+  // Stop) and the accepted connections it reads.  conn_fds_ mirrors their
+  // fds for InjectKill; they close only in Stop().
+  std::thread loop_thread_;
+  int wake_fd_ = -1;
+  std::vector<std::unique_ptr<Connection>> connections_;  // loop only
+  std::mutex conn_fds_mutex_;
+  std::vector<int> conn_fds_;
+  // The loop sets this to the time its last poll returned while it is
+  // handling what that poll reported, and to 0 while it waits in poll.
+  std::atomic<uint64_t> loop_busy_since_ns_{0};
+  // Self-sends, handled by the loop like frames off the wire.
+  std::mutex inbox_mutex_;
+  std::vector<Message> inbox_;
+
   std::vector<std::thread> connector_threads_;
-  std::mutex receive_threads_mutex_;
-  std::vector<std::thread> receive_threads_;
-  std::vector<int> receive_fds_;
 
   // Causal id stamped on outgoing data frames (from 1; 0 = unstamped).
   std::atomic<uint64_t> data_seq_{0};

@@ -13,8 +13,8 @@
 //
 //  * TcpTransport (rpc/tcp_transport.h) — each machine is a real OS
 //    process; messages travel over localhost/LAN TCP sockets as
-//    length-prefixed versioned frames with per-peer send/receive
-//    threads.
+//    length-prefixed versioned frames, read and dispatched by one
+//    event-loop thread per machine.
 //
 // Both backends deliver through a single dispatch thread per machine, so
 // handler executions on one machine are serialized — engines rely on

@@ -39,8 +39,8 @@ class Timer {
   /// 0.3-0.4 us per call on an idle 4-vCPU x86 VM (NowNanos() takes
   /// 0.03-0.05 us) and near 1 us under load, more than a PageRank update.
   /// Read it once per batch of updates, never per update: the synchronous
-  /// engines bracket each RunBatch chunk with one pair (the asynchronous
-  /// engines, which have no batches, still bracket each task).
+  /// engines bracket each RunBatch chunk with one pair, the asynchronous
+  /// engines each worker thread's whole run.
   static uint64_t ThreadCpuNanos() {
     timespec ts;
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "graphlab/apps/als.h"
 #include "graphlab/apps/coem.h"
 #include "graphlab/apps/coseg.h"
@@ -31,7 +36,7 @@ TEST(LinalgTest, CholeskySolvesSpdSystem) {
 
 TEST(LinalgTest, CholeskyRejectsIndefinite) {
   std::vector<double> a = {1, 2, 2, 1};  // indefinite
-  EXPECT_FALSE(apps::CholeskyFactor(&a, 2));
+  EXPECT_FALSE(apps::CholeskyFactor(a.data(), 2));
 }
 
 TEST(LinalgTest, SolveSpdBoostsSingular) {
@@ -131,6 +136,124 @@ TEST(AlsTest, SerializableBeatsRacingStability) {
   double racing = run(false);
   EXPECT_TRUE(std::isfinite(racing));
   EXPECT_LT(serializable, 0.5);
+}
+
+// The ALS solve before apps::NormalEquations: one neighbor at a time into
+// A and b, then a Cholesky solve on a by-value copy.  The kernel must give
+// the same bits.
+namespace one_row_at_a_time {
+
+bool CholeskyFactor(std::vector<double>* a, size_t n) {
+  std::vector<double>& A = *a;
+  for (size_t j = 0; j < n; ++j) {
+    double d = A[j * n + j];
+    for (size_t k = 0; k < j; ++k) d -= A[j * n + k] * A[j * n + k];
+    if (d <= 0.0) return false;
+    d = std::sqrt(d);
+    A[j * n + j] = d;
+    for (size_t i = j + 1; i < n; ++i) {
+      double s = A[i * n + j];
+      for (size_t k = 0; k < j; ++k) s -= A[i * n + k] * A[j * n + k];
+      A[i * n + j] = s / d;
+    }
+  }
+  return true;
+}
+
+void SolveSpd(std::vector<double> a, size_t n, std::vector<double>* b) {
+  double boost = 1e-9;
+  std::vector<double> original = a;
+  while (!CholeskyFactor(&a, n)) {
+    a = original;
+    for (size_t i = 0; i < n; ++i) a[i * n + i] += boost;
+    boost *= 10.0;
+  }
+  std::vector<double>& x = *b;
+  for (size_t i = 0; i < n; ++i) {
+    double s = x[i];
+    for (size_t k = 0; k < i; ++k) s -= a[i * n + k] * x[k];
+    x[i] = s / a[i * n + i];
+  }
+  for (size_t ii = n; ii > 0; --ii) {
+    size_t i = ii - 1;
+    double s = x[i];
+    for (size_t k = i + 1; k < n; ++k) s -= a[k * n + i] * x[k];
+    x[i] = s / a[i * n + i];
+  }
+}
+
+template <typename Ctx>
+std::vector<double> SolveAlsVertex(Ctx& ctx, double lambda) {
+  const size_t d = ctx.const_vertex_data().factors.size();
+  std::vector<double> A(d * d, 0.0);
+  std::vector<double> b(d, 0.0);
+  std::vector<double> x;
+  auto accumulate = [&](LocalEid e, LocalVid nbr) {
+    const auto& edge = ctx.const_edge_data(e);
+    if (edge.is_test) return;
+    apps::LoadFactors(ctx.neighbor_data(nbr).factors, &x);
+    for (size_t i = 0; i < d; ++i) {
+      for (size_t j = 0; j <= i; ++j) A[i * d + j] += x[i] * x[j];
+      b[i] += edge.rating * x[i];
+    }
+  };
+  for (auto e : ctx.in_edges()) accumulate(e, ctx.edge_source(e));
+  for (auto e : ctx.out_edges()) accumulate(e, ctx.edge_target(e));
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = i + 1; j < d; ++j) A[i * d + j] = A[j * d + i];
+    A[i * d + i] += lambda;
+  }
+  SolveSpd(std::move(A), d, &b);
+  return b;
+}
+
+}  // namespace one_row_at_a_time
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Gauss-Seidel sweeps over a seeded d=20 problem, each vertex solved by
+// both forms from identical inputs.  lambda = 0 leaves users with fewer
+// than d training ratings singular, so the diagonal-boost retry runs too.
+TEST(AlsTest, NormalEquationsMatchTheOneRowAtATimeSolveBitForBit) {
+  apps::AlsProblem p;
+  p.num_users = 400;
+  p.num_items = 80;
+  p.ratings_per_user = 15;
+  p.seed = 11;
+  auto schedule = [](void*, LocalVid, double) {};
+  for (double lambda : {0.05, 0.0}) {
+    SCOPED_TRACE("lambda " + std::to_string(lambda));
+    auto kernel = apps::BuildAlsGraph(p, 20);
+    auto reference = apps::BuildAlsGraph(p, 20);
+    size_t mismatches = 0;
+    for (int sweep = 0; sweep < 3; ++sweep) {
+      for (VertexId v = 0; v < kernel.num_vertices(); ++v) {
+        Context<apps::AlsGraph> a(&kernel, v, 1.0,
+                                  ConsistencyModel::kEdgeConsistency,
+                                  nullptr, schedule);
+        Context<apps::AlsGraph> b(&reference, v, 1.0,
+                                  ConsistencyModel::kEdgeConsistency,
+                                  nullptr, schedule);
+        kernel.vertex_data(v).factors = apps::SolveAlsVertex(a, lambda);
+        reference.vertex_data(v).factors =
+            one_row_at_a_time::SolveAlsVertex(b, lambda);
+        if (!SameBits(kernel.vertex_data(v).factors,
+                      reference.vertex_data(v).factors)) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+  // And the boost retry on its own, from a matrix that needs several.
+  std::vector<double> singular = {1, 1, 1, 1, 1, 1, 1, 1, 1};
+  std::vector<double> x = {1, 2, 3}, expect = x;
+  apps::SolveSpd(singular, 3, &x);
+  one_row_at_a_time::SolveSpd(singular, 3, &expect);
+  EXPECT_TRUE(SameBits(x, expect));
 }
 
 TEST(AlsTest, FactorAccessorsRoundTrip) {
@@ -317,7 +440,7 @@ TEST(CosegTest, DistributedEmWithSyncProducesCoherentSegmentation) {
       merged.vertex_data(graph.Gvid(l)).belief = graph.vertex_data(l).belief;
     }
   }
-  EXPECT_GT(apps::CosegLabelAgreement(merged, p), 0.55)
+  EXPECT_GT(apps::CosegLabelAgreement(merged), 0.55)
       << "smoothed labels should agree along most edges";
 }
 

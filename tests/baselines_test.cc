@@ -132,7 +132,9 @@ TEST(BulkSyncEngineTest, DistributedAlsReducesRmse) {
       return apps::L2Distance(solution, old);
     });
     RunResult r = engine.Start();
-    if (ctx.id == 0) EXPECT_EQ(r.sweeps, 10u);
+    if (ctx.id == 0) {
+      EXPECT_EQ(r.sweeps, 10u);
+    }
   });
 
   // Gather factors back into the global graph for RMSE measurement.

@@ -84,7 +84,9 @@ LocalGraph<V, E> RunThroughFactory(
     engine->SetUpdateFn(make_dist_update(&graph));
     engine->ScheduleAll();
     RunResult r = engine->Start();
-    if (ctx.id == 0) EXPECT_GT(r.updates, 0u);
+    if (ctx.id == 0) {
+      EXPECT_GT(r.updates, 0u);
+    }
   });
   for (Graph& graph : graphs) {
     for (LocalVid l : graph.owned_vertices()) {

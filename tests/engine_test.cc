@@ -229,6 +229,32 @@ TEST(SharedMemoryEngineTest, PageRankConvergesToExact) {
   EXPECT_LT(apps::PageRankL1Error(g, exact), 1e-3);
 }
 
+// Busy time is the workers' CPU time, read once per worker per run: more
+// than nothing, and no more than the run's wall time per worker.  A 10 us
+// spinning update keeps the workers near that ceiling.
+TEST(SharedMemoryEngineTest, BusyTimeIsWorkerCpuWithinTheRun) {
+  for (size_t threads : {1, 2}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    auto g = BuildPageRankGraph(gen::PowerLawWeb(600, 5, 0.8, 21));
+    EngineOptions opts;
+    opts.num_threads = threads;
+    opts.scheduler = "fifo";
+    auto engine = std::move(CreateEngine("shared_memory", &g, opts).value());
+    auto update = MakePageRankUpdateFn<apps::PageRankGraph>(0.85, 1e-7);
+    engine->SetUpdateFn([update](Context<apps::PageRankGraph>& c) {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(10);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      update(c);
+    });
+    engine->ScheduleAll();
+    RunResult r = engine->Start();
+    EXPECT_GT(r.busy_seconds, 0.0);
+    EXPECT_LE(r.busy_seconds, r.seconds * threads + 1e-3);
+  }
+}
+
 TEST(SharedMemoryEngineTest, DynamicDoesFewerUpdatesThanUniform) {
   auto structure = gen::PowerLawWeb(2000, 6, 0.8, 12);
 
@@ -442,6 +468,19 @@ TEST(LockingEngineTest, DistributedPageRankMatchesExact) {
   auto result = RunDistributedPageRank("locking", 4, 0);
   EXPECT_GT(result.updates, 1500u);
   EXPECT_LT(result.l1_error, 1e-2);
+}
+
+TEST(LockingEngineTest, BusyTimeIsWorkerCpuWithinTheRun) {
+  for (size_t threads : {1, 2}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    auto result = RunDistributedPageRank("locking", 2, 0, threads,
+                                         std::chrono::microseconds(10));
+    ASSERT_EQ(result.per_machine.size(), 2u);
+    for (const RunResult& r : result.per_machine) {
+      EXPECT_GT(r.busy_seconds, 0.0);
+      EXPECT_LE(r.busy_seconds, r.seconds * threads + 1e-3);
+    }
+  }
 }
 
 TEST(LockingEngineTest, WorksWithLatency) {

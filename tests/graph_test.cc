@@ -5,6 +5,9 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graphlab/graph/atom.h"
 #include "graphlab/graph/coloring.h"
@@ -197,6 +200,60 @@ TEST(ColoringTest, ColoringForModels) {
 TEST(ColoringTest, PowerLawColoringValid) {
   auto s = gen::PowerLawWeb(500, 6, 0.9, 7);
   EXPECT_TRUE(ValidateColoring(s, GreedyColoring(s)));
+}
+
+// First-fit in vertex-id order: the reference GreedyColoring must never
+// need more colors than.
+ColorId IdOrderGreedyColors(const GraphStructure& s) {
+  std::vector<std::vector<VertexId>> adj(s.num_vertices);
+  for (const auto& [u, v] : s.edges) {
+    adj[u].push_back(v);
+    adj[v].push_back(u);
+  }
+  ColorAssignment colors(s.num_vertices, 0);
+  for (VertexId v = 0; v < s.num_vertices; ++v) {
+    std::set<ColorId> taken;
+    for (VertexId n : adj[v]) {
+      if (n < v) taken.insert(colors[n]);
+    }
+    while (taken.count(colors[v]) != 0) ++colors[v];
+  }
+  return NumColors(colors);
+}
+
+TEST(ColoringTest, NeverMoreColorsThanIdOrder) {
+  std::vector<std::pair<std::string, GraphStructure>> graphs;
+  for (uint64_t seed = 4; seed <= 11; ++seed) {
+    graphs.emplace_back("web seed " + std::to_string(seed),
+                        gen::PowerLawWeb(2000, 5, 0.8, seed));
+  }
+  graphs.emplace_back("grid 30x40", gen::Grid2D(30, 40));
+  graphs.emplace_back("grid 1x9", gen::Grid2D(1, 9));
+  graphs.emplace_back("mesh", gen::Mesh3D(6, 6, 6, 26));
+  for (const auto& [name, s] : graphs) {
+    SCOPED_TRACE(name);
+    ColorAssignment colors = GreedyColoring(s);
+    EXPECT_TRUE(ValidateColoring(s, colors));
+    EXPECT_LE(NumColors(colors), IdOrderGreedyColors(s));
+  }
+  // A bipartite graph keeps exactly 2 colors, users first.
+  auto bipartite = gen::BipartiteZipf(500, 80, 7, 0.7, 3);
+  ColorAssignment colors = GreedyColoring(bipartite);
+  EXPECT_TRUE(ValidateColoring(bipartite, colors));
+  EXPECT_EQ(NumColors(colors), 2u);
+  EXPECT_EQ(colors[0], 0u);
+}
+
+// The e2e PageRank inputs: largest-degree-first needs fewer colors (and
+// so fewer chromatic steps per sweep) than the 9 of id order.
+TEST(ColoringTest, DegreeOrderColorCountsOnPageRankInputs) {
+  const std::vector<std::pair<uint64_t, ColorId>> expected = {
+      {4, 7}, {5, 7}, {6, 6}, {7, 6}};
+  for (const auto& [seed, count] : expected) {
+    auto s = gen::PowerLawWeb(2000, 5, 0.8, seed);
+    EXPECT_EQ(IdOrderGreedyColors(s), 9u) << "seed " << seed;
+    EXPECT_EQ(NumColors(GreedyColoring(s)), count) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -403,13 +403,13 @@ TEST(TcpFailureTest, PeerDeathFiresPeerDown) {
 
 // A peer that sends its last frames and exits normally: the frames reach
 // the receiver before its connection closes, so they are handled even
-// when the dispatch thread gets to them only after the EOF; the peer is
-// marked down once they have run.
+// when the receiver's loop gets to them only after the peer has gone;
+// the peer is marked down once they have run.
 TEST(TcpFailureTest, FramesReadBeforeEofAreHandled) {
   constexpr int kFrames = 50;
   auto comms = MakeTcpComms(2);
   std::atomic<bool> latched{false}, release{false};
-  std::atomic<int> handled{0};
+  std::atomic<int> handled{0}, handled_at_death{-1};
   HandlerScope latch = comms[0]->RegisterHandler(
       0, 6, [&](MachineId, InArchive&) {
         latched.store(true);
@@ -419,7 +419,11 @@ TEST(TcpFailureTest, FramesReadBeforeEofAreHandled) {
       });
   HandlerScope data = comms[0]->RegisterHandler(
       0, 5, [&](MachineId, InArchive&) { handled.fetch_add(1); });
-  struct Unlatch {  // a failed assertion must not leave dispatch held
+  Subscription death = comms[0]->membership().Subscribe(
+      [&](MachineId down, uint64_t) {
+        if (down == 1) handled_at_death.store(handled.load());
+      });
+  struct Unlatch {  // a failed assertion must not leave the loop held
     std::atomic<bool>* release;
     ~Unlatch() { release->store(true); }
   } unlatch{&release};
@@ -427,23 +431,65 @@ TEST(TcpFailureTest, FramesReadBeforeEofAreHandled) {
   comms[1]->Send(1, 0, 6, OutArchive());
   ASSERT_TRUE(WaitUntil([&] { return latched.load(); }));
 
-  // Machine 0's dispatch thread is held; machine 1 sends and leaves.
+  // Machine 0's event loop is held; machine 1 sends and leaves.
   for (int i = 0; i < kFrames; ++i) {
     OutArchive oa;
     oa << i;
     comms[1]->Send(1, 0, 5, std::move(oa));
   }
   comms[1]->Stop();
-  metrics::Counter* read = comms[0]->registry(0).counter(
-      "rpc.messages_received");
-  ASSERT_TRUE(WaitUntil([&] { return read->Value() == 1 + kFrames; }));
-  // Grace for the receive thread to read the EOF behind the last frame.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   release.store(true);
-  EXPECT_TRUE(WaitUntil([&] { return !comms[0]->membership().alive(1); }));
+  EXPECT_TRUE(WaitUntil([&] { return handled_at_death.load() >= 0; }));
+  EXPECT_EQ(handled_at_death.load(), kFrames);
   EXPECT_EQ(handled.load(), kFrames);
+  EXPECT_FALSE(comms[0]->membership().alive(1));
   EXPECT_TRUE(comms[0]->IsPeerDown(1));
+}
+
+// Both machines' handlers answer every frame with a 1 MiB frame, with many
+// exchanges in flight both ways: far more than the socket buffers hold.
+// A loop that blocked in a write while its peer's loop did the same
+// would deadlock; the per-peer backlogs let both finish, in order.
+TEST(TcpTransportTest, LargeFramesBothWaysDoNotDeadlock) {
+  constexpr int kChainsPerMachine = 8;
+  constexpr uint32_t kHops = 10;
+  constexpr size_t kBytes = 1 << 20;
+  auto comms = MakeTcpComms(2);
+  std::atomic<int> finished{0}, corrupt{0};
+  auto send = [&](MachineId from, uint32_t chain, uint32_t hop) {
+    OutArchive oa;
+    oa << chain << hop
+       << std::vector<char>(kBytes, static_cast<char>(chain * 31 + hop));
+    comms[from]->Send(from, 1 - from, 7, std::move(oa));
+  };
+  std::vector<HandlerScope> scopes;
+  for (MachineId m = 0; m < 2; ++m) {
+    scopes.push_back(comms[m]->RegisterHandler(
+        m, 7, [&, m](MachineId, InArchive& ia) {
+          const uint32_t chain = ia.ReadValue<uint32_t>();
+          const uint32_t hop = ia.ReadValue<uint32_t>();
+          const std::vector<char> bytes = ia.ReadValue<std::vector<char>>();
+          const char expect = static_cast<char>(chain * 31 + hop);
+          if (bytes.size() != kBytes ||
+              std::count(bytes.begin(), bytes.end(), expect) !=
+                  static_cast<ptrdiff_t>(kBytes)) {
+            corrupt.fetch_add(1);
+          }
+          if (hop + 1 == kHops) {
+            finished.fetch_add(1);
+          } else {
+            send(m, chain, hop + 1);
+          }
+        }));
+  }
+  StartAll(comms);
+  for (uint32_t chain = 0; chain < 2 * kChainsPerMachine; ++chain) {
+    send(chain % 2, chain, 0);
+  }
+  EXPECT_TRUE(WaitUntil([&] { return finished.load() == 2 * kChainsPerMachine; },
+                        std::chrono::seconds(60)));
+  EXPECT_EQ(corrupt.load(), 0);
 }
 
 TEST(TcpFailureTest, SendToDeadPeerIsDroppedNotFatal) {

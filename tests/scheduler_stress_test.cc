@@ -280,7 +280,9 @@ TEST(ScopeLockPlanTest, MatchesLegacyDerivationOnEveryVertex) {
       for (size_t i = 0; i < scope.size(); ++i) {
         EXPECT_EQ(scope[i].vid, expect[i].first);
         EXPECT_EQ(scope[i].exclusive != 0, expect[i].second);
-        if (i > 0) EXPECT_LT(scope[i - 1].vid, scope[i].vid);  // canonical
+        if (i > 0) {
+          EXPECT_LT(scope[i - 1].vid, scope[i].vid);  // canonical
+        }
       }
     }
   }
