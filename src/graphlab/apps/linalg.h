@@ -92,18 +92,9 @@ inline void SolveSpdInPlace(double* a, size_t n, double* b, double* diag) {
       a[i * n + i] = diag[i] + boost;
     }
     boost *= 10.0;
-    GL_CHECK_LT(boost, 1e3) << "SolveSpd: matrix irreparably singular";
+    GL_CHECK_LT(boost, 1e3) << "SolveSpdInPlace: matrix irreparably singular";
   }
   CholeskySolve(a, n, b);
-}
-
-/// SolveSpdInPlace on a copy of `a`; x is written into b.
-inline void SolveSpd(std::vector<double> a, size_t n,
-                     std::vector<double>* b) {
-  GL_CHECK_EQ(a.size(), n * n);
-  GL_CHECK_EQ(b->size(), n);
-  std::vector<double> diag(n);
-  SolveSpdInPlace(a.data(), n, b->data(), diag.data());
 }
 
 /// The regularized normal equations of one least-squares solve,

@@ -17,8 +17,9 @@
 // Subscribers (the rpc::AllReduce rounds, TerminationDetector, the fault
 // runner) are notified after each transition, outside the state lock but
 // serialized with each other; callbacks must not block — they run on
-// transport threads (receive/heartbeat/send), and stalling those delays
-// failure detection cluster-wide.
+// transport threads (the TCP event loop or a receive thread, heartbeat,
+// connector), never inside a handler or a Send(), and stalling those
+// delays failure detection cluster-wide.
 //
 // Subscribe returns an rpc::Subscription, and the subscription lasts
 // exactly as long as that object: its owner declares it as its last

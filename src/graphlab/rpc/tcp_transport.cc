@@ -220,6 +220,13 @@ struct TcpTransport::Peer {
   size_t backlog_head = 0;
   std::atomic<bool> want_write{false};
 
+  // A send error, noted by whichever thread hit it (its errno in
+  // send_error, guarded by send_mutex).  The loop marks the peer down at
+  // the top of its next turn, outside every handler and every lock a
+  // sender may hold, since the PeerDown listeners run in MarkPeerDown.
+  std::atomic<bool> send_failed{false};
+  int send_error = 0;
+
   // Data-frame traffic accounting (control frames excluded).  Cached
   // lookups into the machine's metrics registry ("rpc.to.<p>.*" /
   // "rpc.from.<p>.*"); resettable through ResetStats.
@@ -257,6 +264,16 @@ struct TcpTransport::Peer {
       backlog_head = 0;
     }
     return true;
+  }
+
+  /// Notes a send error and drops the backlog; frames submitted from now
+  /// on are dropped too.  Caller holds send_mutex.
+  void FailLocked(int error) {
+    send_error = error;
+    send_failed.store(true, std::memory_order_release);
+    backlog = std::vector<char>();
+    backlog_head = 0;
+    want_write.store(false, std::memory_order_release);
   }
 };
 
@@ -430,6 +447,7 @@ void TcpTransport::EventLoop() {
   std::vector<Peer*> polled_peers;
   bool listening = true;
   for (;;) {
+    MarkFailedSendersDown();
     const bool stopping = stopping_.load(std::memory_order_acquire);
     if (stopping && !WritesPending()) {
       std::lock_guard<std::mutex> lock(inbox_mutex_);
@@ -498,6 +516,28 @@ void TcpTransport::EventLoop() {
   }
 }
 
+void TcpTransport::MarkFailedSendersDown() {
+  if (stopping_.load(std::memory_order_acquire) ||
+      killed_.load(std::memory_order_acquire)) {
+    return;
+  }
+  for (const auto& peer : peers_) {
+    if (!peer->send_failed.load(std::memory_order_acquire) ||
+        peer->down.load(std::memory_order_acquire)) {
+      continue;
+    }
+    int error;
+    {
+      std::lock_guard<std::mutex> lock(peer->send_mutex);
+      error = peer->send_error;
+    }
+    GL_LOG(ERROR) << "machine " << me_ << ": send to machine " << peer->id
+                  << " failed: " << std::strerror(error)
+                  << "; marking peer down";
+    MarkPeerDown(peer->id);
+  }
+}
+
 bool TcpTransport::WritesPending() const {
   for (const auto& peer : peers_) {
     if (peer->want_write.load(std::memory_order_acquire)) return true;
@@ -528,6 +568,13 @@ bool TcpTransport::ReadConnection(Connection* c) {
                                              std::memory_order_release);
       }
       if (!HandleFrames(c)) return false;
+      if (c->begin == c->end) {
+        c->begin = c->end = 0;
+        // Give back the room a large frame took once it has been handled.
+        if (c->buf.size() > kReadChunkBytes) {
+          std::vector<char>(kReadChunkBytes).swap(c->buf);
+        }
+      }
       if (static_cast<size_t>(r) < space) return true;  // drained
       continue;
     }
@@ -681,31 +728,16 @@ void TcpTransport::DeliverSelfFrames() {
 }
 
 void TcpTransport::DrainBacklog(Peer* peer) {
-  bool failed = false;
-  int error = 0;
-  {
-    std::lock_guard<std::mutex> lock(peer->send_mutex);
-    const int fd = peer->send_fd.load(std::memory_order_relaxed);
-    if (fd >= 0 && peer->backlog_head < peer->backlog.size()) {
-      failed = !peer->DrainLocked(fd);
-      error = errno;
-    }
-    if (failed || peer->backlog_head == peer->backlog.size()) {
-      peer->want_write.store(false, std::memory_order_release);
-    }
+  // A failure is marked down at the top of the loop's next turn.
+  std::lock_guard<std::mutex> lock(peer->send_mutex);
+  const int fd = peer->send_fd.load(std::memory_order_relaxed);
+  if (fd >= 0 && peer->backlog_head < peer->backlog.size() &&
+      !peer->DrainLocked(fd)) {
+    peer->FailLocked(errno);
   }
-  if (failed) SendFailed(peer->id, error);
-}
-
-void TcpTransport::SendFailed(MachineId dst, int error) {
-  if (stopping_.load(std::memory_order_acquire) ||
-      killed_.load(std::memory_order_acquire)) {
-    return;
+  if (peer->backlog_head == peer->backlog.size()) {
+    peer->want_write.store(false, std::memory_order_release);
   }
-  GL_LOG(ERROR) << "machine " << me_ << ": send to machine " << dst
-                << " failed: " << std::strerror(error)
-                << "; marking peer down";
-  MarkPeerDown(dst);
 }
 
 void TcpTransport::SendFrame(MachineId dst, uint8_t type, HandlerId handler,
@@ -722,11 +754,13 @@ void TcpTransport::SendFrame(MachineId dst, uint8_t type, HandlerId handler,
   EncodeHeader(h, header);
   const size_t total = kTcpFrameHeaderBytes + size;
   bool failed = false;
-  int error = 0;
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(peer.send_mutex);
-    if (peer.down.load(std::memory_order_acquire)) return;
+    if (peer.down.load(std::memory_order_acquire) ||
+        peer.send_failed.load(std::memory_order_relaxed)) {
+      return;
+    }
     const int fd = peer.send_fd.load(std::memory_order_relaxed);
     size_t written = 0;
     if (fd >= 0) {
@@ -741,7 +775,9 @@ void TcpTransport::SendFrame(MachineId dst, uint8_t type, HandlerId handler,
         failed = w < 0;
         if (!failed) written = static_cast<size_t>(w);
       }
-      if (failed) error = errno;
+      // The caller may be a handler, or hold locks a PeerDown listener
+      // takes: leave the death to the loop.
+      if (failed) peer.FailLocked(errno);
     }
     if (!failed && written < total) {
       // The unwritten rest of this frame: a header tail, then payload.
@@ -757,8 +793,7 @@ void TcpTransport::SendFrame(MachineId dst, uint8_t type, HandlerId handler,
       }
     }
   }
-  if (failed) SendFailed(dst, error);
-  if (wake) Wake();
+  if (failed || wake) Wake();
 }
 
 void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,

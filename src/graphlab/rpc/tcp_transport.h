@@ -56,8 +56,12 @@
 // verdict only counts silence up to the loop's last poll.
 //
 // Failure surface: a peer becomes DOWN through a send error, receive-side
-// EOF, a missed-heartbeat deadline, or an explicit MarkPeerDown.  From
-// then on (a) its backlog and every frame submitted for it are dropped,
+// EOF, a missed-heartbeat deadline, or an explicit MarkPeerDown.  A send
+// error, on whatever thread it happens (a handler, a caller holding its
+// own locks), only drops the peer's backlog and wakes the loop, which
+// marks the peer down at the top of its next turn: the PeerDown
+// listeners, and the membership subscribers behind them, never run
+// inside a handler or a Send().  From then on (a) its backlog and every frame submitted for it are dropped,
 // (b) a clock sync stops waiting for its replies, and (c) data frames
 // still arriving from it are read and dropped, so a dead machine's stale
 // ghost pushes can never touch a graph being rebuilt by recovery.
@@ -165,13 +169,13 @@ class TcpTransport final : public ITransport {
                 const char* payload, size_t size);
   void DeliverSelfFrames();
   void DrainBacklog(Peer* peer);
+  void MarkFailedSendersDown();
   bool WritesPending() const;
   void Wake();
   void HeartbeatLoop();
   void ConnectToPeer(MachineId p);
   void SendFrame(MachineId dst, uint8_t type, HandlerId handler,
                  const char* payload, size_t size, uint64_t seq = 0);
-  void SendFailed(MachineId dst, int error);
   void StartHeartbeatThreadLocked();
 
   MachineId me_ = 0;

@@ -139,7 +139,9 @@ class ITransport {
 
   /// Fired at most once per peer when the backend concludes the peer is
   /// gone — socket error, receive-side EOF, missed heartbeats, or an
-  /// explicit MarkPeerDown.  Runs on a transport thread; must not block.
+  /// explicit MarkPeerDown.  Runs on a transport thread, never inside a
+  /// handler or a Send() (a sender may hold locks it takes); must not
+  /// block.
   using PeerDownCallback = std::function<void(MachineId peer)>;
 
   virtual ~ITransport() = default;

@@ -28,8 +28,8 @@ namespace {
 TEST(LinalgTest, CholeskySolvesSpdSystem) {
   // A = [[4,2],[2,3]], b = [10, 9] -> x = [1.5, 2].
   std::vector<double> a = {4, 2, 2, 3};
-  std::vector<double> b = {10, 9};
-  apps::SolveSpd(a, 2, &b);
+  std::vector<double> b = {10, 9}, diag(2);
+  apps::SolveSpdInPlace(a.data(), 2, b.data(), diag.data());
   EXPECT_NEAR(b[0], 1.5, 1e-12);
   EXPECT_NEAR(b[1], 2.0, 1e-12);
 }
@@ -42,8 +42,8 @@ TEST(LinalgTest, CholeskyRejectsIndefinite) {
 TEST(LinalgTest, SolveSpdBoostsSingular) {
   // Singular matrix: diagonal boost must recover a finite solution.
   std::vector<double> a = {1, 1, 1, 1};
-  std::vector<double> b = {2, 2};
-  apps::SolveSpd(a, 2, &b);
+  std::vector<double> b = {2, 2}, diag(2);
+  apps::SolveSpdInPlace(a.data(), 2, b.data(), diag.data());
   EXPECT_TRUE(std::isfinite(b[0]));
   EXPECT_TRUE(std::isfinite(b[1]));
 }
@@ -68,7 +68,8 @@ TEST(LinalgTest, RandomSpdSystemsSolveAccurately) {
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) b[i] += a[i * n + j] * x_true[j];
     }
-    apps::SolveSpd(a, n, &b);
+    std::vector<double> diag(n);
+    apps::SolveSpdInPlace(a.data(), n, b.data(), diag.data());
     for (size_t i = 0; i < n; ++i) EXPECT_NEAR(b[i], x_true[i], 1e-8);
   }
 }
@@ -250,9 +251,9 @@ TEST(AlsTest, NormalEquationsMatchTheOneRowAtATimeSolveBitForBit) {
   }
   // And the boost retry on its own, from a matrix that needs several.
   std::vector<double> singular = {1, 1, 1, 1, 1, 1, 1, 1, 1};
-  std::vector<double> x = {1, 2, 3}, expect = x;
-  apps::SolveSpd(singular, 3, &x);
+  std::vector<double> x = {1, 2, 3}, expect = x, diag(3);
   one_row_at_a_time::SolveSpd(singular, 3, &expect);
+  apps::SolveSpdInPlace(singular.data(), 3, x.data(), diag.data());
   EXPECT_TRUE(SameBits(x, expect));
 }
 

@@ -3,7 +3,12 @@
 // runtime, and the TCP transport (framing, FIFO, clock sync, failures)
 // over a hermetic loopback socket mesh.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -360,6 +365,90 @@ TEST(TcpTransportTest, LargeFrameRoundTrips) {
   EXPECT_TRUE(matched.load());
 }
 
+// The frame header on the wire, byte for byte, against the layout in
+// tcp_transport.h: machine 0's hello and first data frame as a raw peer
+// reads them, and a raw peer's hello and data frame as machine 0 decodes
+// them.  This pins the encoder and the decoder each to the layout, not
+// only to each other.
+TEST(TcpTransportTest, FrameHeaderGoldenBytes) {
+  using Bytes = std::vector<uint8_t>;
+  auto frame = [](uint8_t type, uint8_t src, uint8_t seq, Bytes payload) {
+    Bytes b = {0x47, 0x4C, 0x57, 0x31,  // magic "GLW1"
+               0x03, 0x00,              // version 3
+               type, 0x00,              // type, flags
+               src,  0x00, 0x00, 0x00,  // src
+               0x02, 0x01,              // handler 0x0102 (data frames)
+               0x00, 0x00,              // reserved
+               seq,  0,    0,    0,    0, 0, 0, 0,  // seq
+               static_cast<uint8_t>(payload.size()), 0, 0, 0};
+    if (type != 0) b[12] = b[13] = 0;  // control frames carry no handler
+    b.resize(b.size() + payload.size());
+    std::copy(payload.begin(), payload.end(), b.end() - payload.size());
+    return b;
+  };
+  auto hello = [&](uint8_t me) {
+    return frame(1, me, 0, {me, 0, 0, 0, 2, 0, 0, 0});
+  };
+
+  auto cluster = MakeLoopbackTcpCluster(2);
+  ASSERT_TRUE(cluster.ok());
+  const int raw_listener = (*cluster)[1].listen_fd;  // machine 1: the test
+  TcpTransport transport((*cluster)[0]);
+  std::atomic<int> delivered{0};
+  MachineId got_src = 99;
+  HandlerId got_handler = 0;
+  uint8_t got_byte = 0;
+  transport.SetDeliverySink(
+      [&](MachineId, MachineId src, HandlerId handler, InArchive& ia) {
+        got_src = src;
+        got_handler = handler;
+        got_byte = ia.ReadValue<uint8_t>();
+        delivered.fetch_add(1, std::memory_order_release);
+      });
+  transport.Start();
+
+  // Encoder: what machine 0 writes to "machine 1".
+  const int in = ::accept(raw_listener, nullptr, nullptr);
+  ASSERT_GE(in, 0);
+  timeval limit{10, 0};
+  ::setsockopt(in, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  OutArchive oa;
+  oa << uint8_t{0xAB};
+  transport.Send(0, 1, 0x0102, std::move(oa));
+  Bytes expect = hello(0);
+  const Bytes data = frame(0, 0, 1, {0xAB});
+  expect.insert(expect.end(), data.begin(), data.end());
+  Bytes wire(expect.size());
+  ASSERT_EQ(::recv(in, wire.data(), wire.size(), MSG_WAITALL),
+            static_cast<ssize_t>(wire.size()));
+  EXPECT_EQ(wire, expect);
+
+  // Decoder: "machine 1" writes golden frames to machine 0.
+  const std::string& endpoint = (*cluster)[0].endpoints[0];
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(
+      std::stoi(endpoint.substr(endpoint.rfind(':') + 1))));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const int out = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_EQ(::connect(out, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  Bytes golden = hello(1);
+  const Bytes in_data = frame(0, 1, 7, {0xAB});
+  golden.insert(golden.end(), in_data.begin(), in_data.end());
+  ASSERT_EQ(::send(out, golden.data(), golden.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(golden.size()));
+  ASSERT_TRUE(WaitUntil([&] { return delivered.load() == 1; }));
+  EXPECT_EQ(got_src, 1u);
+  EXPECT_EQ(got_handler, 0x0102);
+  EXPECT_EQ(got_byte, 0xAB);
+
+  transport.Stop();
+  ::close(out);
+  ::close(in);
+  ::close(raw_listener);
+}
+
 // ---------------------------------------------------------------------
 // TCP failure injection: a dead peer must surface as PeerDown and
 // unblock waits with a status — never hang or kill the process.
@@ -518,6 +607,79 @@ TEST(TcpFailureTest, SendToDeadPeerIsDroppedNotFatal) {
   }
   comms[0]->Send(0, 0, 5, OutArchive());
   EXPECT_TRUE(WaitUntil([&] { return received.load() == 3; }));
+}
+
+// A send that fails inside a handler, or inside a membership subscriber,
+// must not run the PeerDown listeners on that thread: a handler may hold
+// a lock a subscriber takes (the termination detector's does), and the
+// subscribers run under the membership's own lock.  Machine 0's handler
+// sends to machine 2 after machine 2 has closed its sockets; machine 0's
+// subscriber to that death sends to machine 3, closed as well.  Machine
+// 0 reads neither EOF before those sends, so they fail; both deaths must
+// still be marked, each after the call that hit it has returned.
+thread_local bool t_in_handler = false;
+
+TEST(TcpFailureTest, SendErrorsInHandlersAndSubscribersDoNotReenter) {
+  constexpr int kAttempts = 50;  // the first send draws the reset
+  auto comms = MakeTcpComms(4);
+  std::atomic<int> received{0};
+  std::atomic<bool> entered{false}, go{false}, handled{false};
+  std::atomic<bool> listener_in_handler{false}, subscriber_done{false};
+  std::vector<HandlerScope> handlers;
+  for (MachineId m = 0; m < 4; ++m) {
+    handlers.push_back(comms[m]->RegisterHandler(
+        m, 5, [&](MachineId, InArchive&) { received.fetch_add(1); }));
+  }
+  auto send_to_dead = [&](MachineId dst) {
+    for (int i = 0; i < kAttempts; ++i) {
+      comms[0]->Send(0, dst, 5, OutArchive());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  handlers.push_back(comms[0]->RegisterHandler(
+      0, 6, [&](MachineId, InArchive&) {
+        entered.store(true);
+        while (!go.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        t_in_handler = true;
+        send_to_dead(2);
+        t_in_handler = false;
+        handled.store(true);
+      }));
+  Subscription death = comms[0]->membership().Subscribe(
+      [&](MachineId down, uint64_t) {
+        if (down != 2) return;
+        if (t_in_handler) listener_in_handler.store(true);
+        send_to_dead(3);
+        subscriber_done.store(true);
+      });
+  struct Release {  // a failed assertion must not leave the loop held
+    std::atomic<bool>* go;
+    ~Release() { go->store(true); }
+  } release{&go};
+  StartAll(comms);
+  for (MachineId src = 0; src < 4; ++src) {
+    for (MachineId dst = 0; dst < 4; ++dst) {
+      if (src != dst) comms[src]->Send(src, dst, 5, OutArchive());
+    }
+  }
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == 12; }));
+
+  comms[1]->Send(1, 0, 6, OutArchive());
+  ASSERT_TRUE(WaitUntil([&] { return entered.load(); }));
+  comms[2]->Stop();
+  comms[3]->Stop();
+  go.store(true);
+
+  EXPECT_TRUE(WaitUntil([&] {
+    return handled.load() && subscriber_done.load() &&
+           !comms[0]->membership().alive(2) &&
+           !comms[0]->membership().alive(3);
+  }));
+  EXPECT_FALSE(listener_in_handler.load());
+  comms[1]->Send(1, 0, 5, OutArchive());
+  EXPECT_TRUE(WaitUntil([&] { return received.load() == 13; }));
 }
 
 TEST(TcpFailureTest, HeartbeatDeadlineMarksSilentPeerDown) {
