@@ -29,12 +29,16 @@ inline uint64_t Count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-inline void* CountedAlloc(std::size_t size, std::size_t align) {
+inline void* CountedAllocNoThrow(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = 1;
-  void* p = align <= alignof(std::max_align_t)
-                ? std::malloc(size)
-                : std::aligned_alloc(align, (size + align - 1) / align * align);
+  return align <= alignof(std::max_align_t)
+             ? std::malloc(size)
+             : std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+inline void* CountedAlloc(std::size_t size, std::size_t align) {
+  void* p = CountedAllocNoThrow(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -52,6 +56,25 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return alloc_counter::CountedAlloc(size, static_cast<std::size_t>(align));
+}
+// The nothrow forms too: a sanitizer runtime defines its own, whose
+// blocks the free()-based deletes below would release with the wrong
+// allocator (std::stable_sort's temporary buffer takes this path).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return alloc_counter::CountedAllocNoThrow(size, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return alloc_counter::CountedAllocNoThrow(size, alignof(std::max_align_t));
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return alloc_counter::CountedAllocNoThrow(size,
+                                            static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return alloc_counter::CountedAllocNoThrow(size,
+                                            static_cast<std::size_t>(align));
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }

@@ -111,8 +111,6 @@ class ScopeLockTable {
     });
   }
 
-  CallbackLockTable& table() { return table_; }
-
   /// Points the contended-wait instrumentation at a registry-backed
   /// histogram (lock.stall_ns).  Only the contended slow path records;
   /// the uncontended TryAcquire fast path stays untouched.
@@ -120,11 +118,11 @@ class ScopeLockTable {
 
  private:
   /// Blocks until the lock is held.  Uncontended locks grant through the
-  /// inline TryAcquire fast path (one short mutex, no semaphore, no
-  /// allocation); only contended locks pay the callback + semaphore
-  /// handshake — and even there the one-reference callback lives in
-  /// std::function's small buffer, so the wait itself allocates only if
-  /// the lock's waiter queue grows.
+  /// inline TryAcquire fast path (one compare-and-swap on the lock word,
+  /// no mutex, no semaphore, no allocation); only contended locks pay the
+  /// callback + semaphore handshake — and even there the one-reference
+  /// callback lives in std::function's small buffer, so the wait itself
+  /// allocates only if the lock's waiter queue is new or grows.
   void LockOne(LocalVid u, bool exclusive) {
     if (table_.TryAcquire(u, exclusive)) return;
     const uint64_t t0 = stalls_ != nullptr ? Timer::NowNanos() : 0;

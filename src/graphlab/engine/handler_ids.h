@@ -2,7 +2,7 @@
 //
 // Central allocation of RPC handler ids used by the framework components,
 // so collisions are impossible.  DistributedGraph owns kFirstUserHandler
-// (16); engine-level protocols start at 18.  17 and 27 are unassigned:
+// (16); engine-level protocols start at 18.  17, 26 and 27 are unassigned:
 // ids are never renumbered, since every machine must agree on them.
 // 24/25 and 33/32 are the value/result pairs of rpc::AllReduce rounds,
 // like the barrier's kBarrierEnter / kBarrierRelease.  35 belongs to the
@@ -25,7 +25,6 @@ enum EngineHandlers : rpc::HandlerId {
   kSyncPublishHandler = 23,      // sync op finalized value broadcast
   kAllreduceValueHandler = 24,   // engine allreduce contribution
   kAllreduceResultHandler = 25,  // engine allreduce result broadcast
-  kBspMessageHandler = 26,       // BSP/Pregel baseline vertex messages
   kSnapshotTriggerHandler = 28,  // coordinator-initiated snapshot trigger
   kCheckpointControlHandler = 29,  // checkpoint decide/done/commit protocol
   kRecoveryControlHandler = 30,    // recovery rendezvous enter/release

@@ -63,7 +63,11 @@ class LockingEngine final
         sync_(sync),
         allreduce_(allreduce),
         snapshot_(snapshot),
-        lock_manager_(ctx, graph, this->options_.consistency),
+        lock_manager_(ctx, graph, this->options_.consistency,
+                      [this](LocalVid v, double priority) {
+                        in_pipeline_.fetch_sub(1, std::memory_order_acq_rel);
+                        ready_.Push(Task{v, priority});
+                      }),
         scheduler_(
             this->MakeScheduler(graph->num_local_vertices(), "priority")),
         user_pending_(graph->num_local_vertices()),
@@ -345,10 +349,7 @@ class LockingEngine final
         in_pipeline_.fetch_sub(1, std::memory_order_acq_rel);
         return;
       }
-      lock_manager_.RequestScope(v, [this, v, priority] {
-        in_pipeline_.fetch_sub(1, std::memory_order_acq_rel);
-        ready_.Push(Task{v, priority});
-      });
+      lock_manager_.RequestScope(v, priority);
     }
   }
 

@@ -947,6 +947,94 @@ INSTANTIATE_TEST_SUITE_P(Transports, LockingForwardTest,
                          ::testing::ValuesIn(testutil::kAllTransports),
                          testutil::KindParamName);
 
+// ---------------------------------------------------------------------
+// Lock manager frames (chain hop 19, grant 20, release 21) from hostile
+// bytes
+// ---------------------------------------------------------------------
+
+class LockingFrameTest : public ::testing::TestWithParam<rpc::TransportKind> {
+};
+
+// Machine 1 sends machine 0 lock frames no real sender produces, before
+// any scope request exists: torn and over-long frames, unknown gvids, hop
+// chains that do not name machine 0 at their position (or name a machine
+// that does not exist, or leave out the vertex's owner), grants for a
+// ghost and for an owned vertex nobody requested, and releases of locks
+// machine 0 does not hold.  Each must be dropped whole and counted in
+// lock.frames_dropped: none may abort, take or release a lock, or run a
+// vertex (a vertex run on a stray grant would release locks it never
+// held, which aborts).  The real request that follows still completes.
+TEST_P(LockingFrameTest, MalformedLockFramesDropCleanly) {
+  EngineOptions opts;
+  opts.num_threads = 1;
+  using Chain = std::vector<rpc::MachineId>;
+  auto hop = [](VertexId gvid, uint64_t pos, const Chain& chain) {
+    OutArchive oa;
+    oa << gvid << 1.0 << pos << chain;
+    return oa;
+  };
+  auto frame = [](auto... fields) {
+    OutArchive oa;
+    (oa << ... << fields);
+    return oa;
+  };
+  std::vector<std::pair<rpc::HandlerId, OutArchive>> corpus;
+  corpus.emplace_back(kLockChainHandler, OutArchive());       // empty
+  corpus.emplace_back(kLockChainHandler, frame(VertexId{0}, 1.0));  // torn
+  corpus.emplace_back(kLockChainHandler, hop(9999, 0, {0, 1}));  // unknown
+  corpus.emplace_back(kLockChainHandler, hop(0, 2, {0, 1}));  // pos range
+  corpus.emplace_back(kLockChainHandler, hop(0, 1, {0, 1}));  // names 1
+  corpus.emplace_back(kLockChainHandler, hop(0, 1, {1, 0}));  // descending
+  corpus.emplace_back(kLockChainHandler, hop(0, 0, {0, 7}));  // no machine 7
+  corpus.emplace_back(kLockChainHandler,
+                      hop(kSideA, 0, {0}));  // owner 1 not in the chain
+  corpus.emplace_back(kLockChainHandler, hop(0, 0, {0, 1}));  // then
+  corpus.back().second << uint8_t{7};                          // trailing
+  corpus.emplace_back(kLockGrantHandler, OutArchive());        // empty
+  corpus.emplace_back(kLockGrantHandler, frame(VertexId{0}));  // torn
+  corpus.emplace_back(kLockGrantHandler, frame(VertexId{9999}, 1.0));
+  corpus.emplace_back(kLockGrantHandler, frame(kSideA, 1.0));  // a ghost
+  corpus.emplace_back(kLockGrantHandler,
+                      frame(VertexId{0}, 1.0));  // nothing outstanding
+  corpus.emplace_back(kLockReleaseHandler, OutArchive());      // empty
+  corpus.emplace_back(kLockReleaseHandler, frame(uint16_t{0}));  // torn
+  corpus.emplace_back(kLockReleaseHandler, frame(VertexId{9999}));
+  corpus.emplace_back(kLockReleaseHandler, frame(VertexId{0}));  // not held
+  corpus.emplace_back(kLockReleaseHandler, frame(kSideA));       // not held
+  const uint64_t corpus_size = corpus.size();
+  uint64_t dropped = 0;
+  std::vector<std::atomic<uint32_t>> counts(kSideA + kSideB);
+  RunBipartite(
+      testutil::ClusterFor(GetParam(), 2), opts,
+      [&](BipartiteMachine& m) {
+        rpc::MachineContext& ctx = m.ctx;
+        if (ctx.id == 1) {
+          for (auto& [handler, oa] : corpus) {
+            ctx.comm().Send(ctx.id, 0, handler, std::move(oa));
+          }
+        }
+        ctx.flush().Run(ctx.id);
+        if (ctx.id == 0) {
+          dropped =
+              ctx.comm().registry(0).counter("lock.frames_dropped")->Value();
+        }
+        // A real request: gvid 1's scope chain runs 0 -> 1 and machine 1
+        // grants it back to machine 0.
+        if (ctx.id == 1) m.engine.Schedule(m.graph.Lvid(1));
+        m.engine.Start();
+      },
+      [&](Context<DPRGraph>& ctx) { counts[ctx.vertex_id()]++; },
+      /*hook=*/nullptr, "locking");
+  EXPECT_EQ(dropped, corpus_size);
+  for (VertexId v = 0; v < kSideA + kSideB; ++v) {
+    EXPECT_EQ(counts[v].load(), v == 1 ? 1u : 0u) << "vertex " << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, LockingFrameTest,
+                         ::testing::ValuesIn(testutil::kAllTransports),
+                         testutil::KindParamName);
+
 // Syncs run between color-steps, on every machine's finished step: with
 // sync_interval_steps = 1 the value published after a sweep's last step
 // equals the sum taken directly over every owned vertex at that sweep's

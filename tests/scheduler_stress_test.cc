@@ -1,12 +1,15 @@
 // Multithreaded stress tests for the sharded work-stealing schedulers
 // (set semantics under concurrency, the Clear/Schedule protocol, worker
-// affinity) and allocation-freedom of the precompiled scope-lock plans.
-// Built to run under ThreadSanitizer in CI.
+// affinity), the callback lock table under concurrent readers and
+// writers, and allocation-freedom of the precompiled scope-lock plans and
+// of the distributed lock manager's uncontended path.  Built to run under
+// ThreadSanitizer in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <set>
 #include <thread>
@@ -15,11 +18,18 @@
 #include "bench/alloc_counter.h"
 #include "graphlab/engine/engine_factory.h"
 #include "graphlab/engine/execution_substrate.h"
+#include "graphlab/engine/locking/lock_manager.h"
+#include "graphlab/engine/locking/lock_table.h"
 #include "graphlab/engine/scope_lock_plan.h"
+#include "graphlab/graph/coloring.h"
+#include "graphlab/graph/distributed_graph.h"
 #include "graphlab/graph/generators.h"
 #include "graphlab/graph/local_graph.h"
+#include "graphlab/rpc/runtime.h"
 #include "graphlab/scheduler/fifo_scheduler.h"
 #include "graphlab/scheduler/scheduler.h"
+#include "graphlab/util/random.h"
+#include "tests/transport_param.h"
 
 
 namespace graphlab {
@@ -337,6 +347,169 @@ TEST(ScopeLockPlanTest, AcquireReleaseScopeIsAllocationFree) {
     EXPECT_EQ(after - before, 0u)
         << "model " << ConsistencyModelName(model);
   }
+}
+
+// ---------------------------------------------------------------------
+// Callback lock table under concurrency
+// ---------------------------------------------------------------------
+
+// Four threads issue random read (70%) and write Acquire()s on four hot
+// vertices and release random held locks, so most requests contend and
+// callbacks fire on whichever thread releases.  Each callback checks
+// reader/writer exclusion on entry.  A read that a thread issues while
+// its own earlier write on that vertex has not fired arrived after a
+// queued writer, so it must fire after that writer (FIFO: no reader
+// overtakes a waiting writer).  After a drain every request has fired.
+TEST(CallbackLockStressTest, ConcurrentReadersAndWritersKeepExclusionAndFifo) {
+  constexpr size_t kHot = 4;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kOpsPerThread = 4000;
+  CallbackLockTable locks(kHot);
+  std::vector<std::atomic<int>> readers(kHot), writers(kHot);
+  // fired[i]: request i's callback has run (at most one request per op).
+  std::vector<std::atomic<bool>> fired(kThreads * kOpsPerThread);
+  std::atomic<uint64_t> violations{0}, overtakes{0}, issued{0}, granted{0};
+  std::mutex held_mutex;
+  std::vector<std::pair<LocalVid, bool>> held;  // guarded by held_mutex
+
+  auto release_one = [&](Rng* rng) {
+    std::pair<LocalVid, bool> h;
+    {
+      std::lock_guard<std::mutex> lock(held_mutex);
+      if (held.empty()) return false;
+      const size_t i = rng == nullptr ? held.size() - 1
+                                      : rng->UniformInt(held.size());
+      h = held[i];
+      held[i] = held.back();
+      held.pop_back();
+    }
+    (h.second ? writers : readers)[h.first].fetch_sub(1);
+    locks.Release(h.first, h.second);
+    return true;
+  };
+
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      // Per vertex: index of this thread's last write request, or -1.
+      std::vector<int64_t> last_write(kHot, -1);
+      for (size_t op = 0; op < kOpsPerThread; ++op) {
+        if (rng.Bernoulli(0.5) && release_one(&rng)) continue;
+        const LocalVid v = static_cast<LocalVid>(rng.UniformInt(kHot));
+        const bool write = rng.Bernoulli(0.3);
+        const int64_t id = static_cast<int64_t>(t * kOpsPerThread + op);
+        int64_t after = -1;  // a queued writer this read must follow
+        if (!write && last_write[v] >= 0 && !fired[last_write[v]].load()) {
+          after = last_write[v];
+        }
+        if (write) last_write[v] = id;
+        issued.fetch_add(1);
+        locks.Acquire(v, write, [&, v, write, id, after] {
+          fired[id].store(true);
+          if (write) {
+            if (writers[v].fetch_add(1) != 0 || readers[v].load() != 0) {
+              violations.fetch_add(1);
+            }
+          } else {
+            readers[v].fetch_add(1);
+            if (writers[v].load() != 0) violations.fetch_add(1);
+            if (after >= 0 && !fired[after].load()) overtakes.fetch_add(1);
+          }
+          granted.fetch_add(1);
+          std::lock_guard<std::mutex> lock(held_mutex);
+          held.emplace_back(v, write);
+        });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  // Drain: each release may grant queued requests, which hold again.
+  while (release_one(nullptr)) {
+  }
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_EQ(overtakes.load(), 0u);
+  EXPECT_EQ(granted.load(), issued.load());
+  // Every issued request fired: no callback is left in a queue, so every
+  // lock is free again and grants inline.
+  for (LocalVid v = 0; v < kHot; ++v) {
+    EXPECT_TRUE(locks.TryAcquire(v, true)) << "vertex " << v;
+  }
+}
+
+// The same FIFO rule, deterministically: while a reader holds v and a
+// writer waits, a later reader queues (TryAcquire fails too) and fires
+// only after the writer released.
+TEST(CallbackLockStressTest, ReaderQueuesBehindWaitingWriter) {
+  CallbackLockTable locks(1);
+  std::vector<int> order;
+  ASSERT_TRUE(locks.TryAcquire(0, false));
+  locks.Acquire(0, true, [&] { order.push_back(1); });
+  locks.Acquire(0, false, [&] { order.push_back(2); });
+  EXPECT_FALSE(locks.TryAcquire(0, false));
+  EXPECT_TRUE(order.empty());
+  locks.Release(0, false);
+  EXPECT_EQ(order, std::vector<int>({1}));
+  locks.Release(0, true);
+  EXPECT_EQ(order, std::vector<int>({1, 2}));
+  locks.Release(0, false);
+  EXPECT_TRUE(locks.TryAcquire(0, true));
+}
+
+// The distributed lock manager's uncontended path: on machine 0 of two,
+// requesting and releasing the scope of a vertex whose scope lies wholly
+// on machine 0 performs zero heap allocations once its locks are free,
+// under edge and full consistency.  The scope completes inline.
+TEST(DistributedLockManagerTest, LocalScopeRequestReleaseIsAllocationFree) {
+  using Graph = DistributedGraph<double, double>;
+  constexpr uint32_t kSide = 16;
+  auto structure = gen::Grid2D(kSide, kSide);
+  auto global = LocalGraph<double, double>::FromStructure(structure);
+  // Rows [0, kSide/2) on machine 0, the rest on machine 1.
+  PartitionAssignment atom_of(structure.num_vertices);
+  for (VertexId v = 0; v < structure.num_vertices; ++v) {
+    atom_of[v] = v / kSide < kSide / 2 ? 0 : 1;
+  }
+  const ColorAssignment colors = GreedyColoring(structure);
+  rpc::Runtime runtime(testutil::ClusterFor(rpc::TransportKind::kInProcess, 2));
+  std::vector<Graph> graphs(2);
+  std::atomic<bool> measured{false};
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    Graph& graph = graphs[ctx.id];
+    ASSERT_TRUE(graph
+                    .InitFromGlobal(global, atom_of, colors, {0, 1}, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 1) {
+      // Idle without touching the fabric (a barrier message would
+      // allocate inside machine 0's measured window).
+      while (!measured.load()) std::this_thread::yield();
+      return;
+    }
+    for (ConsistencyModel model : {ConsistencyModel::kEdgeConsistency,
+                                   ConsistencyModel::kFullConsistency}) {
+      uint64_t ready = 0;
+      DistributedLockManager<double, double> manager(
+          ctx, &graph, model, [&ready](LocalVid, double) { ++ready; });
+      manager.CompilePlans(SerialFor());
+      std::vector<LocalVid> local_only;
+      for (LocalVid l : graph.owned_vertices()) {
+        if (graph.scope_machines(l).size() == 1) local_only.push_back(l);
+      }
+      ASSERT_GT(local_only.size(), kSide);
+      const uint64_t before = alloc_counter::Count();
+      for (LocalVid l : local_only) {
+        manager.RequestScope(l, 1.0);
+        manager.ReleaseScope(l);
+      }
+      const uint64_t after = alloc_counter::Count();
+      EXPECT_EQ(after - before, 0u)
+          << "model " << ConsistencyModelName(model);
+      EXPECT_EQ(ready, local_only.size());
+    }
+    measured.store(true);
+  });
 }
 
 // End-to-end: a sharded-scheduler engine with an explicit shard count
