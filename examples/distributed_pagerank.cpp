@@ -197,6 +197,9 @@ struct RunOutput {
   rpc::CommStats stats;            // machine 0's traffic
   std::vector<rpc::PeerCommStats> peer_stats;
   fault::FtReport ft_report;       // machine 0's, FT mode only
+  // FT mode: machine N-1 (the chaos victim) is missing from machine 0's
+  // membership when its Run() returned.
+  bool last_machine_down = false;
   metrics::ClusterMetricsView cluster_metrics;  // merged on machine 0
 
   // Telemetry summary (machine 0, when the plane is on).
@@ -544,6 +547,8 @@ RunOutput RunCluster(rpc::Runtime& runtime, const Config& cfg) {
       if (me == 0) {
         out.ft_report = *result;
         out.updates = result->result.updates;
+        out.last_machine_down =
+            !ctx.comm().membership().alive(cfg.machines - 1);
       }
     } else {
       GL_CHECK_OK(graph.InitFromGlobal(in.global, in.atom_of, in.colors,
@@ -950,7 +955,12 @@ int RunCoordinator(Config cfg) {
     l1 += std::fabs(wire.ranks[v] - reference.ranks[v]);
   }
   const bool parity = l1 < 1e-8;
-  const bool recovered = wire.ft_report.recoveries > 0;
+  // A chaos run recovered when the survivors finished without the
+  // victim and still reached parity — also when the kill landed in the
+  // startup fence, before any attempt could count a recovery.  A victim
+  // that outlived the run proves nothing.
+  const bool recovered = chaos ? wire.last_machine_down && parity
+                               : wire.ft_report.recoveries > 0;
 
   std::printf("backend=%s machines=%zu vertices=%zu threads=%zu ft=%d\n",
               cfg.transport.c_str(), cfg.machines, cfg.vertices,
@@ -1150,8 +1160,10 @@ int RunCoordinator(Config cfg) {
     // after convergence proves nothing).
     if (chaos && !recovered) {
       std::fprintf(stderr,
-                   "[chaos] no recovery occurred — increase --vertices or "
-                   "lower --kill-worker-after-ms\n");
+                   wire.last_machine_down
+                       ? "[chaos] the survivors did not reach parity\n"
+                       : "[chaos] the victim outlived the run — increase "
+                         "--vertices or lower --kill-worker-after-ms\n");
       exit_code = 1;
     }
     std::error_code ec;

@@ -40,11 +40,24 @@
 //    {base_epoch, delta_epochs[]}; RestoreChain replays base + deltas in
 //    order.  Checkpoint cost becomes O(dirty), not O(graph).
 //
-//  * Every commit point (LATEST, MANIFEST_<epoch>, journals) goes through
-//    the atomic temp+fsync+rename path in util/file_io.h, and every
-//    durable byte is CRC32C-protected, so VerifyJournal/VerifyManifest
-//    can prove an epoch trustworthy before the recovery ladder
-//    (fault/ft_runner.h) replays it — or fall back to an older epoch.
+//  * Full journals and the one manifest file per committed epoch
+//    (MANIFEST_<epoch>) commit through the atomic temp+fsync+rename path
+//    in util/file_io.h.  Delta journals are WAL files made durable by
+//    fdatasync; their directory entries become durable with the
+//    directory fsync of machine 0's manifest commit, which follows every
+//    member's DONE on the shared store.  Every durable byte is
+//    CRC32C-protected, so the recovery ladder (fault/ft_runner.h) can
+//    prove an epoch trustworthy before it replays it — or fall back to
+//    an older epoch.
+//
+//  * A checkpoint is two steps: an encode step that reads the suspended
+//    graph into an in-memory EncodedJournal (the dirty scan, the new
+//    dirty baseline, DONE's dirty/total counts), and a persist step that
+//    writes those bytes and touches no graph state, so the checkpoint
+//    coordinator (fault/checkpoint.h) runs it on a writer thread while
+//    the next sweep computes, one round in flight at a time.
+//    WriteSyncSnapshot/WriteDeltaSnapshot are encode + persist,
+//    blocking, for the callers that stop the world.
 
 #ifndef GRAPHLAB_ENGINE_SNAPSHOT_H_
 #define GRAPHLAB_ENGINE_SNAPSHOT_H_
@@ -52,6 +65,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -203,10 +219,12 @@ inline Status VerifyDeltaJournalBytes(const std::vector<char>& bytes,
   return Status::OK();
 }
 
-/// Commit record of the newest globally complete snapshot, stored as
-/// `<dir>/LATEST` on the (shared) snapshot filesystem.  Written by the
-/// checkpoint coordinator only after every machine's journal for `epoch`
-/// is durable, so recovery never reads a half-written epoch; `machines`
+/// Commit record of a globally complete snapshot, stored as
+/// `<dir>/MANIFEST_<epoch>` on the (shared) snapshot filesystem — one
+/// file per committed epoch; the newest one that decodes is the commit
+/// point.  Written by the checkpoint coordinator only after every
+/// machine's journal for `epoch` is durable, so recovery never reads a
+/// half-written epoch; `machines`
 /// records who journaled (the membership at snapshot time), which is the
 /// set of journal files a restore onto ANY later membership must replay.
 ///
@@ -216,8 +234,7 @@ inline Status VerifyDeltaJournalBytes(const std::vector<char>& bytes,
 /// epoch in the chain (== base_epoch when delta_epochs is empty).  A
 /// verified prefix of a chain is itself a consistent earlier state —
 /// the property the recovery ladder leans on when a trailing delta is
-/// corrupt.  Every committed epoch also leaves a `MANIFEST_<epoch>`
-/// file, so the ladder can step back past a corrupt base.
+/// corrupt; the older manifests let it step back past a corrupt base.
 struct SnapshotManifest {
   uint32_t epoch = 0;
   std::vector<rpc::MachineId> machines;
@@ -282,16 +299,14 @@ inline Expected<SnapshotManifest> DecodeSnapshotManifest(
   return manifest;
 }
 
-/// Commits `manifest` durably: MANIFEST_<epoch> first (the ladder's
-/// fallback trail), then LATEST, both through the atomic temp+rename
-/// path so a crash between the two leaves LATEST pointing at the
-/// previous — still fully consistent — epoch.
+/// Commits `manifest` durably as MANIFEST_<epoch> through the atomic
+/// temp+rename path (which also fsyncs the directory): a crash before
+/// the rename leaves the previous — still fully consistent — epoch the
+/// newest manifest.
 inline Status WriteSnapshotManifest(const std::string& dir,
                                     const SnapshotManifest& manifest) {
-  const std::vector<char> bytes = EncodeSnapshotManifest(manifest);
-  GRAPHLAB_RETURN_IF_ERROR(
-      WriteFileAtomic(ManifestPathFor(dir, manifest.epoch), bytes));
-  return WriteFileAtomic(dir + "/LATEST", bytes);
+  return WriteFileAtomic(ManifestPathFor(dir, manifest.epoch),
+                         EncodeSnapshotManifest(manifest));
 }
 
 inline Expected<SnapshotManifest> ReadManifestFile(const std::string& path) {
@@ -300,13 +315,48 @@ inline Expected<SnapshotManifest> ReadManifestFile(const std::string& path) {
   return DecodeSnapshotManifest(*bytes, path);
 }
 
-/// NotFound when no snapshot has been committed yet.
+/// The epoch a `MANIFEST_<epoch>` file name carries; 0 for any other
+/// name, a commit's `.tmp` file included (epoch 0 is never committed).
+inline uint32_t ManifestEpochOf(const std::string& filename) {
+  constexpr size_t kPrefix = sizeof("MANIFEST_") - 1;
+  if (filename.rfind("MANIFEST_", 0) != 0) return 0;
+  char* end = nullptr;
+  const unsigned long epoch =
+      std::strtoul(filename.c_str() + kPrefix, &end, 10);
+  return *end == '\0' ? static_cast<uint32_t>(epoch) : 0;
+}
+
+/// The newest committed manifest: the highest-numbered MANIFEST_<epoch>
+/// that decodes.  NotFound when no snapshot has been committed yet.
 inline Expected<SnapshotManifest> ReadSnapshotManifest(
     const std::string& dir) {
-  auto bytes = ReadFileBytes(dir + "/LATEST");
-  if (!bytes.ok()) return Status::NotFound("no snapshot manifest in " + dir);
-  return DecodeSnapshotManifest(*bytes, dir + "/LATEST");
+  std::vector<uint32_t> epochs;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const uint32_t epoch = ManifestEpochOf(entry.path().filename().string());
+    if (epoch != 0) epochs.push_back(epoch);
+  }
+  std::sort(epochs.begin(), epochs.end(), std::greater<uint32_t>());
+  for (uint32_t epoch : epochs) {
+    if (auto m = ReadManifestFile(ManifestPathFor(dir, epoch)); m.ok()) {
+      return m;
+    }
+  }
+  return Status::NotFound("no snapshot manifest in " + dir);
 }
+
+/// One checkpoint journal encoded in memory from the suspended graph,
+/// ready for SnapshotManager::Persist, which touches no graph state.
+struct EncodedJournal {
+  bool delta = false;
+  std::string path;
+  std::vector<char> bytes;                 // full: the whole v3 file
+  std::vector<std::vector<char>> records;  // delta: WAL records, in order
+  // Dirty/total entities the encode scan counted (see
+  // SnapshotManager::last_dirty_entities()).
+  uint64_t dirty_entities = 0;
+  uint64_t total_entities = 0;
+};
 
 template <typename VertexData, typename EdgeData>
 class SnapshotManager {
@@ -347,8 +397,8 @@ class SnapshotManager {
   const std::string& dir() const { return dir_; }
 
   /// Bytes the most recent WriteSyncSnapshot/WriteDeltaSnapshot put on
-  /// disk (feeds fault.checkpoint_bytes metrics and the full-vs-delta
-  /// bench rows).
+  /// disk (the full-vs-delta bench rows; the checkpoint coordinator
+  /// takes Persist's return value instead).
   uint64_t last_checkpoint_bytes() const { return last_checkpoint_bytes_; }
 
   /// True once a checkpoint has captured version baselines on this
@@ -358,13 +408,13 @@ class SnapshotManager {
   /// full).
   bool has_baseline() const { return has_baseline_; }
 
-  /// Dirty/total entity counts measured by the most recent
-  /// WriteSyncSnapshot/WriteDeltaSnapshot while it scanned the owned
-  /// partition anyway — no extra pass.  The checkpoint coordinator ships
-  /// these in its DONE message and aggregates them cluster-wide to drive
-  /// the next full-vs-delta decision, so no machine's local skew (and no
+  /// Dirty/total entity counts measured by the most recent encode step
+  /// while it scanned the owned partition anyway — no extra pass (also
+  /// in its EncodedJournal).  The checkpoint coordinator ships these in
+  /// its DONE message and aggregates them cluster-wide to drive the next
+  /// full-vs-delta decision, so no machine's local skew (and no
   /// dedicated O(all entities) scan at decision time) misleads the
-  /// policy.  total == 0 means "unknown": the write had no baseline to
+  /// policy.  total == 0 means "unknown": the scan had no baseline to
   /// compare against.
   uint64_t last_dirty_entities() const { return last_dirty_entities_; }
   uint64_t last_total_entities() const { return last_total_entities_; }
@@ -394,14 +444,19 @@ class SnapshotManager {
   // --------------------------------------------------------------------
 
   /// Journals all owned vertex and edge data in the full-journal format
-  /// (EncodeFullJournal) and commits it via the atomic temp+rename path.
-  /// The caller (engine) must have suspended updates and flushed channels
-  /// cluster-wide.
-  ///
-  /// Each owned vertex journals its out-edges; in-edges whose source is
-  /// a ghost belong to the remote owner's journal.  Together the
-  /// journals cover every edge exactly once.
+  /// (EncodeFullJournal) and commits it via the atomic temp+rename path:
+  /// EncodeFullSnapshot + Persist, blocking.  The caller (engine) must
+  /// have suspended updates and flushed channels cluster-wide.
   Status WriteSyncSnapshot(uint32_t epoch) {
+    return PersistNow(EncodeFullSnapshot(epoch));
+  }
+
+  /// Encode step of a full snapshot: the owned partition as one v3
+  /// journal image, with a fresh dirty baseline.  Each owned vertex
+  /// journals its out-edges; in-edges whose source is a ghost belong to
+  /// the remote owner's journal.  Together the journals cover every edge
+  /// exactly once.
+  EncodedJournal EncodeFullSnapshot(uint32_t epoch) {
     GL_TRACE_SCOPE1(trace::kSnapshot, "snapshot.full", "epoch", epoch);
     FullJournalColumns cols;
     cols.gvids.reserve(graph_->num_owned_vertices());
@@ -421,15 +476,13 @@ class SnapshotManager {
     }
     // Piggybacked dirtiness measurement (see last_dirty_entities()):
     // meaningful only relative to a baseline.
-    last_dirty_entities_ = has_baseline_ ? dirty : 0;
-    last_total_entities_ = has_baseline_ ? total : 0;
-
-    const std::vector<char> journal = EncodeFullJournal(cols);
-    Status st = WriteFileAtomic(JournalPath(epoch), journal);
-    if (st.ok()) CaptureBaseline();
-    last_checkpoint_bytes_ = journal.size();
-    ThrottleDfs(journal.size());
-    return st;
+    EncodedJournal journal;
+    journal.path = JournalPath(epoch);
+    journal.bytes = EncodeFullJournal(cols);
+    SetScanCounts(&journal, has_baseline_ ? dirty : 0,
+                  has_baseline_ ? total : 0);
+    CaptureBaseline();
+    return journal;
   }
 
   // --------------------------------------------------------------------
@@ -437,23 +490,32 @@ class SnapshotManager {
   // --------------------------------------------------------------------
 
   /// Journals only the owned vertices / out-edges whose version column
-  /// advanced since the last checkpoint's baseline, as batched records
-  /// on a CRC-verified WAL (util/wal.h):
+  /// advanced since the last checkpoint's baseline, as a CRC-verified
+  /// WAL (util/wal.h): EncodeDeltaSnapshot + Persist, blocking.  Cost is
+  /// O(dirty) bytes — the acceptance criterion this subsystem exists
+  /// for.
+  Status WriteDeltaSnapshot(uint32_t epoch) {
+    auto journal = EncodeDeltaSnapshot(epoch);
+    GRAPHLAB_RETURN_IF_ERROR(journal.status());
+    return PersistNow(*journal);
+  }
+
+  /// Encode step of a delta: the dirty entities as batched WAL records
   ///
   ///   vertex record: [u8 0] [u32 count] ([u64 gvid] [VertexData]) * count
   ///   edge record:   [u8 1] [u32 count] ([u64 gsrc] [u64 gdst] [EdgeData]) * count
   ///
-  /// Requires has_baseline(); the coordinator falls back to a full
-  /// snapshot otherwise.  Cost is O(dirty) bytes — the acceptance
-  /// criterion this subsystem exists for.
-  Status WriteDeltaSnapshot(uint32_t epoch) {
+  /// and a fresh dirty baseline.  Requires has_baseline(); the
+  /// coordinator falls back to a full snapshot otherwise.
+  Expected<EncodedJournal> EncodeDeltaSnapshot(uint32_t epoch) {
     GL_TRACE_SCOPE1(trace::kSnapshot, "snapshot.wal", "epoch", epoch);
     if (!has_baseline_) {
       return Status::FailedPrecondition(
           "delta snapshot without a baseline: write a full snapshot first");
     }
-    wal::WalWriter writer;
-    GRAPHLAB_RETURN_IF_ERROR(writer.Open(DeltaPath(epoch)));
+    EncodedJournal journal;
+    journal.delta = true;
+    journal.path = DeltaPath(epoch);
 
     // Batch dirty entities into bounded records so large deltas exercise
     // the FIRST/MIDDLE/LAST fragmentation and small ones stay one FULL
@@ -461,15 +523,14 @@ class SnapshotManager {
     constexpr size_t kBatch = 512;
     OutArchive rec;
     uint32_t count = 0;
-    auto flush = [&](uint8_t kind) -> Status {
-      if (count == 0) return Status::OK();
+    auto flush = [&](uint8_t kind) {
+      if (count == 0) return;
       OutArchive framed;
       framed << kind << count;
       framed.WriteBytes(rec.buffer().data(), rec.size());
-      Status s = writer.AddRecord(framed.buffer().data(), framed.size());
+      journal.records.push_back(framed.TakeBuffer());
       rec = OutArchive();
       count = 0;
-      return s;
     };
     uint64_t dirty = 0, total = 0;
     for (LocalVid l : graph_->owned_vertices()) {
@@ -477,9 +538,9 @@ class SnapshotManager {
       if (!VertexDirty(l)) continue;
       ++dirty;
       rec << static_cast<uint64_t>(graph_->Gvid(l)) << graph_->vertex_data(l);
-      if (++count >= kBatch) GRAPHLAB_RETURN_IF_ERROR(flush(0));
+      if (++count >= kBatch) flush(0);
     }
-    GRAPHLAB_RETURN_IF_ERROR(flush(0));
+    flush(0);
     for (LocalVid l : graph_->owned_vertices()) {
       for (LocalEid e : graph_->out_edges(l)) {
         ++total;
@@ -488,17 +549,36 @@ class SnapshotManager {
         rec << static_cast<uint64_t>(graph_->Gvid(graph_->edge_source(e)))
             << static_cast<uint64_t>(graph_->Gvid(graph_->edge_target(e)))
             << graph_->edge_data(e);
-        if (++count >= kBatch) GRAPHLAB_RETURN_IF_ERROR(flush(1));
+        if (++count >= kBatch) flush(1);
       }
     }
-    GRAPHLAB_RETURN_IF_ERROR(flush(1));
-    last_dirty_entities_ = dirty;
-    last_total_entities_ = total;
-    GRAPHLAB_RETURN_IF_ERROR(writer.Close());
+    flush(1);
+    SetScanCounts(&journal, dirty, total);
     CaptureBaseline();
-    last_checkpoint_bytes_ = writer.bytes_written();
-    ThrottleDfs(writer.bytes_written());
-    return Status::OK();
+    return journal;
+  }
+
+  /// Persist step: writes an encoded journal durably — a full journal
+  /// through the atomic temp+rename path, a delta as a WAL file closed
+  /// with fdatasync — and models the DFS bandwidth.  Touches no graph
+  /// state, so it may run on another thread while updates continue.
+  /// Returns the bytes put on disk.
+  Expected<uint64_t> Persist(const EncodedJournal& journal) const {
+    uint64_t bytes = journal.bytes.size();
+    if (journal.delta) {
+      wal::WalWriter writer;
+      GRAPHLAB_RETURN_IF_ERROR(writer.Open(journal.path));
+      for (const std::vector<char>& record : journal.records) {
+        GRAPHLAB_RETURN_IF_ERROR(
+            writer.AddRecord(record.data(), record.size()));
+      }
+      GRAPHLAB_RETURN_IF_ERROR(writer.Close());
+      bytes = writer.bytes_written();
+    } else {
+      GRAPHLAB_RETURN_IF_ERROR(WriteFileAtomic(journal.path, journal.bytes));
+    }
+    ThrottleDfs(bytes);
+    return bytes;
   }
 
   // --------------------------------------------------------------------
@@ -758,6 +838,21 @@ class SnapshotManager {
     return true;
   }
 
+  /// Persists on the calling thread and records the bytes for
+  /// last_checkpoint_bytes().
+  Status PersistNow(const EncodedJournal& journal) {
+    auto bytes = Persist(journal);
+    GRAPHLAB_RETURN_IF_ERROR(bytes.status());
+    last_checkpoint_bytes_ = *bytes;
+    return Status::OK();
+  }
+
+  void SetScanCounts(EncodedJournal* journal, uint64_t dirty,
+                     uint64_t total) {
+    journal->dirty_entities = last_dirty_entities_ = dirty;
+    journal->total_entities = last_total_entities_ = total;
+  }
+
   /// A restore rewrites whole property columns: retire the dirty baseline
   /// derived from the pre-restore columns (the next checkpoint must be
   /// full).
@@ -791,7 +886,7 @@ class SnapshotManager {
            graph_->edge_version(e) != base_eversion_[e];
   }
 
-  void ThrottleDfs(size_t bytes) {
+  void ThrottleDfs(size_t bytes) const {
     if (dfs_bandwidth_ <= 0) return;
     double seconds = static_cast<double>(bytes) / dfs_bandwidth_;
     std::this_thread::sleep_for(

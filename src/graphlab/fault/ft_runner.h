@@ -100,7 +100,10 @@ struct FtReport {
   uint64_t checkpoint_bytes_full = 0;   // journal bytes, full snapshots
   uint64_t checkpoint_bytes_delta = 0;  // journal bytes, delta journals
   uint64_t corrupt_journals = 0;    // journals the recovery ladder rejected
-  double checkpoint_seconds = 0;    // wall time spent checkpointing
+  // The engine-blocking checkpoint stall: DECIDE, the in-memory encode
+  // and any wait for the previous round's background write and commit
+  // (fault/checkpoint.h); the write itself is off the critical path.
+  double checkpoint_seconds = 0;
   double checkpoint_interval_seconds = 0;  // effective cadence (last)
   double recovery_seconds = 0;      // last detection -> engine resumed
   uint64_t rebalances = 0;          // live migrations adopted
@@ -121,9 +124,9 @@ struct VerifiedChain {
 /// which epoch a restore can trust, stepping down on corruption instead
 /// of aborting.
 ///
-///   1. Candidates: the LATEST manifest, plus every MANIFEST_<epoch>
-///      file in the directory.  A manifest whose own CRC fails is
-///      skipped — the other rungs still work.
+///   1. Candidates: every MANIFEST_<epoch> file in the directory.  A
+///      manifest whose own CRC fails is skipped — the other rungs still
+///      work.
 ///   2. For a candidate chain, CRC-verify the base epoch's journal of
 ///      every machine in the manifest membership.  Base corrupt ⇒ the
 ///      whole chain is unusable; drop the candidate.
@@ -141,23 +144,16 @@ struct VerifiedChain {
 /// counted at most once in corrupt_journals, however many candidate
 /// chains reference it.  Deterministic given the same directory
 /// contents, so every machine resolves the same epoch without
-/// coordination (same argument as reading LATEST today).
+/// coordination.
 inline VerifiedChain ResolveVerifiedChain(const std::string& dir) {
   GL_TRACE_SCOPE(trace::kSnapshot, "snapshot.wal.verify");
   VerifiedChain out;
 
   // Gather candidate manifests, newest first.
   std::map<uint32_t, SnapshotManifest, std::greater<uint32_t>> candidates;
-  if (auto latest = ReadSnapshotManifest(dir); latest.ok()) {
-    candidates.emplace(latest->epoch, *latest);
-  }
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("MANIFEST_", 0) != 0) continue;
-    const uint32_t epoch = static_cast<uint32_t>(
-        std::strtoul(name.c_str() + sizeof("MANIFEST_") - 1, nullptr, 10));
-    if (epoch == 0 || candidates.count(epoch) != 0) continue;
+    if (ManifestEpochOf(entry.path().filename().string()) == 0) continue;
     if (auto m = ReadManifestFile(entry.path().string()); m.ok()) {
       candidates.emplace(m->epoch, *m);
     }
@@ -245,9 +241,10 @@ inline uint32_t MaxEpochOnDisk(const std::string& dir) {
 /// Retires the abandoned timeline after the ladder stepped down:
 /// deletes every MANIFEST_<e> with e above the verified epoch (their
 /// chains failed verification — they must never be offered as
-/// candidates again once new epochs commit around them) and re-points
-/// LATEST at the verified chain, so the commit point never advertises a
-/// rejected timeline.  With no verified chain at all, every manifest
+/// candidates again once new epochs commit around them) and rewrites
+/// the verified chain's MANIFEST_<e> when it does not already hold that
+/// chain, so the newest manifest — the commit point — never advertises
+/// a rejected timeline.  With no verified chain at all, every manifest
 /// goes.  Journal files are kept: the verified chain references some of
 /// them, and MaxEpochOnDisk uses the rest to keep their epoch numbers
 /// retired forever.
@@ -261,9 +258,8 @@ inline void InvalidateStaleManifests(const std::string& dir,
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("MANIFEST_", 0) != 0) continue;
-    const uint32_t epoch = static_cast<uint32_t>(
-        std::strtoul(name.c_str() + sizeof("MANIFEST_") - 1, nullptr, 10));
+    const uint32_t epoch = ManifestEpochOf(name);
+    if (epoch == 0) continue;
     if (chain.found && epoch <= chain.manifest.epoch) continue;
     std::error_code rm_ec;
     if (!std::filesystem::remove(entry.path(), rm_ec) || rm_ec) {
@@ -271,17 +267,14 @@ inline void InvalidateStaleManifests(const std::string& dir,
                       << rm_ec.message();
     }
   }
-  if (chain.found) {
-    auto latest = ReadSnapshotManifest(dir);
-    if (!latest.ok() || latest->epoch != chain.manifest.epoch) {
-      if (Status st = WriteSnapshotManifest(dir, chain.manifest); !st.ok()) {
-        GL_LOG(WARNING) << "could not re-point LATEST at verified epoch "
-                        << chain.manifest.epoch << ": " << st.message();
-      }
+  if (!chain.found) return;
+  auto held = ReadManifestFile(ManifestPathFor(dir, chain.manifest.epoch));
+  if (!held.ok() ||
+      EncodeSnapshotManifest(*held) != EncodeSnapshotManifest(chain.manifest)) {
+    if (Status st = WriteSnapshotManifest(dir, chain.manifest); !st.ok()) {
+      GL_LOG(WARNING) << "could not rewrite the manifest of verified epoch "
+                      << chain.manifest.epoch << ": " << st.message();
     }
-  } else {
-    std::error_code rm_ec;
-    std::filesystem::remove(dir + "/LATEST", rm_ec);
   }
 }
 
@@ -524,7 +517,8 @@ class FaultTolerantRunner {
 
     // Resume: fresh checkpoint coordinator and engine for the new
     // membership.  The coordinator is declared before the engine, whose
-    // boundary hook uses it, and both end with this attempt.
+    // boundary hook uses it, and both end with this attempt; the
+    // coordinator's destructor joins its writer thread.
     std::unique_ptr<CheckpointCoordinator<VertexData, EdgeData>> checkpoint;
     if (snapshots != nullptr) {
       checkpoint =
@@ -605,6 +599,12 @@ class FaultTolerantRunner {
       current_engine_ = nullptr;
     }
 
+    // The last boundary's checkpoint round may still be writing or
+    // committing.  Finish it on every path — a migration's forced-full
+    // epoch must be committed before the next attempt resolves its
+    // restore chain — and before the counters below are read.
+    const Status last_round =
+        checkpoint != nullptr ? checkpoint->AwaitRound() : Status::OK();
     if (checkpoint != nullptr) {
       report->checkpoints_written += checkpoint->checkpoints_written();
       report->full_checkpoints += checkpoint->full_checkpoints_written();
@@ -617,6 +617,9 @@ class FaultTolerantRunner {
     if (failure_observed_.load(std::memory_order_acquire)) {
       return Status::Aborted("peer died during run");
     }
+    // A write, manifest or membership failure in the last round: no
+    // boundary is left to return it, so the attempt does.
+    GRAPHLAB_RETURN_IF_ERROR(last_round);
     if (rebalancer_ != nullptr && rebalancer_->migration_pending()) {
       // The hook aborted the engine with nobody dead: a live migration.
       // Report Aborted so the rendezvous votes "retry" collectively and

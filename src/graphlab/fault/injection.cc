@@ -2,9 +2,11 @@
 
 #include <signal.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 namespace graphlab {
 namespace fault {
@@ -18,6 +20,7 @@ void FaultInjection::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   torn_write_ = Arm{};
   kill_during_write_ = Arm{};
+  stall_write_ = Arm{};
   drop_commit_ = Arm{};
   drop_file_ = Arm{};
   armed_.store(0, std::memory_order_relaxed);
@@ -41,6 +44,13 @@ void FaultInjection::ArmKillDuringWrite(std::string path_substr,
       Arm{true, std::move(path_substr), byte_offset, skip_files, {}};
 }
 
+void FaultInjection::ArmStallWrite(std::string path_substr,
+                                   uint64_t millis) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!stall_write_.active) armed_.fetch_add(1, std::memory_order_relaxed);
+  stall_write_ = Arm{true, std::move(path_substr), millis, 0, {}};
+}
+
 void FaultInjection::ArmCrashBeforeCommit(std::string path_substr) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!drop_commit_.active) armed_.fetch_add(1, std::memory_order_relaxed);
@@ -56,6 +66,19 @@ void FaultInjection::ArmMissingFile(std::string path_substr) {
 size_t FaultInjection::BeforeWrite(const std::string& path, uint64_t offset,
                                    size_t n) {
   if (!armed()) return n;
+  uint64_t stall_ms = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stall_write_.active &&
+        path.find(stall_write_.substr) != std::string::npos) {
+      stall_ms = stall_write_.offset;
+      stall_write_ = Arm{};
+      armed_.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+  if (stall_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   if (kill_during_write_.active &&
       path.find(kill_during_write_.substr) != std::string::npos) {

@@ -11,7 +11,8 @@
 //                 died there with the prefix on disk), or SIGKILL the
 //                 process mid-write (the chaos launcher's kill-during-
 //                 WRITE-phase mode — a real abrupt death, torn bytes and
-//                 all).
+//                 all), or stall it (a slow store, so a test can land a
+//                 death while a background write is in flight).
 //   DropCommit    skips the rename of an atomic temp+rename commit: the
 //                 payload is durable under the temp name but the commit
 //                 point never happens (crash between fsync and rename).
@@ -62,6 +63,11 @@ class FaultInjection {
   void ArmKillDuringWrite(std::string path_substr, uint64_t byte_offset,
                           uint64_t skip_files = 0);
 
+  /// The next write to a file whose path contains `path_substr` first
+  /// sleeps `millis`: a slow store.  The sleep holds no lock, so other
+  /// writers and the other arms proceed meanwhile.
+  void ArmStallWrite(std::string path_substr, uint64_t millis);
+
   /// The next atomic commit of a matching path stops before the rename
   /// (payload durable under the temp name, commit point missing).
   void ArmCrashBeforeCommit(std::string path_substr);
@@ -75,7 +81,8 @@ class FaultInjection {
 
   /// Called before writing `n` bytes at file offset `offset` of `path`.
   /// Returns how many of those bytes may be written; < n means the write
-  /// tears there.  Does not return when a kill-during-write fires.
+  /// tears there.  Does not return when a kill-during-write fires, and
+  /// returns late when a stall fires.
   size_t BeforeWrite(const std::string& path, uint64_t offset, size_t n);
 
   /// True when the commit rename of `path` must be skipped this time.
@@ -116,6 +123,7 @@ class FaultInjection {
   std::mutex mutex_;
   Arm torn_write_;
   Arm kill_during_write_;
+  Arm stall_write_;  // offset holds the stall in milliseconds
   Arm drop_commit_;
   Arm drop_file_;
 };

@@ -43,7 +43,11 @@ Expected<RendezvousOutcome> RecoveryRendezvous::Arrive(rpc::MachineId me,
   if (!comm_->membership().alive(me)) {
     return Status::Aborted("machine " + std::to_string(me) + " died");
   }
+  // Sized up front: the frame is 34 bytes, and growing it from the
+  // one-byte tag lets gcc's -O3 -Wstringop-overflow misread the copy of
+  // the first u64 as a write into a one-byte buffer.
   OutArchive oa;
+  oa.Reserve(2 * sizeof(uint8_t) + 4 * sizeof(uint64_t));
   oa << uint8_t{kEnter} << seq << barrier_->entered_generation(me)
      << allreduce_->round(me) << flush_->generation(me)
      << static_cast<uint8_t>(saw_failure ? 1 : 0);

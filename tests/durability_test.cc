@@ -124,15 +124,52 @@ TEST_F(DurabilityTest, ManifestRoundTripsThroughDiskAndChain) {
   m.base_epoch = 5;
   m.delta_epochs = {6, 7};
   ASSERT_TRUE(WriteSnapshotManifest(dir_, m).ok());
+  // One file per committed epoch: no second commit record.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
+                          std::filesystem::directory_iterator()),
+            1);
 
-  for (const auto* path : {"LATEST", "MANIFEST_7"}) {
-    auto got = ReadManifestFile(dir_ + "/" + path);
-    ASSERT_TRUE(got.ok()) << path;
+  // The epoch's own file, and the newest-manifest lookup a restore uses.
+  for (const auto& [what, got] :
+       {std::pair{"MANIFEST_7", ReadManifestFile(ManifestPathFor(dir_, 7))},
+        std::pair{"newest", ReadSnapshotManifest(dir_)}}) {
+    ASSERT_TRUE(got.ok()) << what;
     EXPECT_EQ(got->epoch, 7u);
     EXPECT_EQ(got->machines, m.machines);
     EXPECT_EQ(got->base_epoch, 5u);
     EXPECT_EQ(got->delta_epochs, m.delta_epochs);
   }
+}
+
+// The newest manifest is the highest-numbered MANIFEST_<epoch> that
+// decodes: a corrupt newer one and an uncommitted temp file are passed
+// over, and none is NotFound.
+TEST_F(DurabilityTest, NewestManifestSkipsUndecodableFiles) {
+  EXPECT_EQ(ReadSnapshotManifest(dir_).status().code(),
+            StatusCode::kNotFound);
+  for (uint32_t epoch : {2u, 10u, 9u}) {
+    SnapshotManifest m;
+    m.epoch = epoch;
+    m.machines = {0};
+    m.base_epoch = epoch;
+    ASSERT_TRUE(WriteSnapshotManifest(dir_, m).ok());
+  }
+  // A whole manifest that never got its commit rename is not committed.
+  SnapshotManifest uncommitted;
+  uncommitted.epoch = 11;
+  uncommitted.machines = {0};
+  uncommitted.base_epoch = 11;
+  ASSERT_TRUE(WriteFileBytes(ManifestPathFor(dir_, 11) + ".tmp",
+                             EncodeSnapshotManifest(uncommitted))
+                  .ok());
+  auto newest = ReadSnapshotManifest(dir_);
+  ASSERT_TRUE(newest.ok());
+  EXPECT_EQ(newest->epoch, 10u);  // numeric, not lexicographic, order
+  ASSERT_TRUE(
+      fault::FaultInjection::FlipBit(ManifestPathFor(dir_, 10), 3).ok());
+  newest = ReadSnapshotManifest(dir_);
+  ASSERT_TRUE(newest.ok());
+  EXPECT_EQ(newest->epoch, 9u);
 }
 
 TEST_F(DurabilityTest, ManifestDetectsEveryOneByteCorruption) {
@@ -273,9 +310,9 @@ TEST_F(DurabilityTest, DeltaChainRestoreAndCorruptionLadder) {
     ASSERT_TRUE(chain.found);
     EXPECT_EQ(chain.manifest.epoch, 3u);
 
-    // --- Corrupt epoch 3's base journal: LATEST and MANIFEST_3 are
-    // rejected and the ladder falls back to MANIFEST_1 (epoch 2's chain
-    // still references the delta corrupted above).
+    // --- Corrupt epoch 3's base journal: MANIFEST_3 is rejected and
+    // the ladder falls back to MANIFEST_1 (epoch 2's chain still
+    // references the delta corrupted above).
     ASSERT_TRUE(fault::FaultInjection::FlipBit(
                     SnapshotJournalPath(dir_, 3, 0), /*bit_index=*/8 * 40)
                     .ok());
@@ -411,7 +448,8 @@ TEST_F(DurabilityTest, LadderPicksNewestVerifiedEpochAndRetiresStaleTimelines) {
     EXPECT_GE(chain.corrupt_journals, 1u);  // the missing delta_9
 
     // Invalidation retires the rejected timeline's manifest; the
-    // verified chain's manifests (and LATEST) survive untouched.
+    // verified chain's manifests survive untouched, and the newest is
+    // the verified epoch's.
     fault::InvalidateStaleManifests(dir_, chain);
     EXPECT_FALSE(std::filesystem::exists(ManifestPathFor(dir_, 9)));
     EXPECT_TRUE(std::filesystem::exists(ManifestPathFor(dir_, 1)));
@@ -422,18 +460,22 @@ TEST_F(DurabilityTest, LadderPicksNewestVerifiedEpochAndRetiresStaleTimelines) {
     EXPECT_EQ(fault::MaxEpochOnDisk(dir_), 2u);
 
     // Now force a step-down: corrupt delta 2.  The resolve truncates to
-    // epoch 1; invalidation must delete MANIFEST_2, re-point LATEST at
-    // the verified epoch, and epoch numbering must resume ABOVE the
-    // corrupt epoch (its journal file stays on disk precisely so the
-    // number stays retired), never at restored_epoch + 1 == 2.
+    // epoch 1; invalidation must delete MANIFEST_2, leaving the verified
+    // epoch's MANIFEST_1 the newest, and epoch numbering must resume
+    // ABOVE the corrupt epoch (its journal file stays on disk precisely
+    // so the number stays retired), never at restored_epoch + 1 == 2.
     ASSERT_TRUE(fault::FaultInjection::FlipBit(
                     SnapshotDeltaPath(dir_, 2, 0), /*bit_index=*/8 * 16)
                     .ok());
+    // With MANIFEST_1 lost too, the verified epoch is known only as
+    // MANIFEST_2's truncated chain: invalidation must write it back.
+    ASSERT_TRUE(std::filesystem::remove(ManifestPathFor(dir_, 1)));
     chain = fault::ResolveVerifiedChain(dir_);
     ASSERT_TRUE(chain.found);
     EXPECT_EQ(chain.manifest.epoch, 1u);
     fault::InvalidateStaleManifests(dir_, chain);
     EXPECT_FALSE(std::filesystem::exists(ManifestPathFor(dir_, 2)));
+    EXPECT_TRUE(std::filesystem::exists(ManifestPathFor(dir_, 1)));
     latest = ReadSnapshotManifest(dir_);
     ASSERT_TRUE(latest.ok());
     EXPECT_EQ(latest->epoch, 1u);

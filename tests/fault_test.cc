@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -246,6 +247,11 @@ struct FtScenario {
   // > 0: a rebalance check every this many boundaries from boundary 4,
   // at any skew.
   uint64_t rebalance_every = 0;
+  // Fixed checkpoint cadence; 1e-9 checkpoints at every boundary, so a
+  // first attempt's epoch e is its boundary e.
+  double checkpoint_interval = 0.001;
+  // Called on every machine at every boundary, before the kill check.
+  std::function<void(rpc::MachineId, uint64_t)> observe;
 };
 
 /// Flips a bit in the middle of machine 0's journal for the newest
@@ -329,7 +335,7 @@ std::pair<fault::FtReport, std::vector<double>> RunFtCluster(
     ft.mtbf_seconds = s.mtbf;
     ft.t_checkpoint_estimate_seconds = 0.0005;
   } else {
-    ft.checkpoint_interval_seconds = 0.001;  // checkpoint every boundary
+    ft.checkpoint_interval_seconds = s.checkpoint_interval;
   }
   ft.rebalance_every_boundaries = s.rebalance_every;
   ft.rebalance_min_boundary = 4;
@@ -354,9 +360,10 @@ std::pair<fault::FtReport, std::vector<double>> RunFtCluster(
     };
     problem.update_fn = MakePageRankUpdateFn<DGraph>(0.85, s.tolerance);
     problem.engine_options.num_threads = 1;
-    if (s.kill_at_boundary != 0 && me == s.victim) {
-      problem.on_boundary = [&ctx, &s](uint64_t boundary) -> Status {
-        if (boundary == s.kill_at_boundary) {
+    if (s.observe || (s.kill_at_boundary != 0 && me == s.victim)) {
+      problem.on_boundary = [&ctx, &s, me](uint64_t boundary) -> Status {
+        if (s.observe) s.observe(me, boundary);
+        if (me == s.victim && boundary == s.kill_at_boundary) {
           if (s.corrupt_newest_journal) {
             CorruptNewestCommittedJournal(s.snapshot_dir);
           }
@@ -542,14 +549,13 @@ TEST_F(FaultRecoveryTest, DeathDuringStartupFenceRecovers) {
   EXPECT_LT(l1, 1e-8);
 }
 
-// A boundary hook that fails with nobody dead stops the run at that
-// sweep's collective abort decision, with a partly converged graph.  The
-// runner must then fail on every machine — with the hook's own error on
-// the machine whose hook failed — rather than report that graph as the
-// result, and no machine may wait at a rendezvous the others skip.
-TEST_F(FaultRecoveryTest, FailingBoundaryHookFailsTheRunEverywhere) {
+/// Runs a 3-machine TCP fault-tolerant PageRank whose every boundary
+/// first calls `on_boundary(machine, boundary)`; returns each machine's
+/// Run() status.
+std::vector<Status> RunThreeMachineFtCluster(
+    const fault::FtOptions& ft,
+    std::function<Status(rpc::MachineId, uint64_t)> on_boundary) {
   constexpr size_t kMachines = 3;
-  constexpr rpc::MachineId kFailing = 1;
   auto structure = gen::PowerLawWeb(600, 5, 0.8, 7);
   auto global = BuildPageRankGraph(structure);
   auto colors = GreedyColoring(structure);
@@ -558,9 +564,6 @@ TEST_F(FaultRecoveryTest, FailingBoundaryHookFailsTheRunEverywhere) {
 
   rpc::Runtime runtime(
       testutil::ClusterFor(rpc::TransportKind::kTcp, kMachines));
-  fault::FtOptions ft;
-  ft.snapshot_dir = dir_;
-  ft.checkpoint_interval_seconds = 0.001;  // checkpoint every boundary
   std::vector<DGraph> graphs(kMachines);
   std::vector<Status> statuses(kMachines);
   runtime.Run([&](rpc::MachineContext& ctx) {
@@ -576,15 +579,31 @@ TEST_F(FaultRecoveryTest, FailingBoundaryHookFailsTheRunEverywhere) {
     };
     problem.update_fn = MakePageRankUpdateFn<DGraph>(0.85, 1e-13);
     problem.engine_options.num_threads = 1;
-    if (me == kFailing) {
-      problem.on_boundary = [](uint64_t boundary) -> Status {
-        return boundary == 3 ? Status::IOError("hook failed at boundary 3")
-                             : Status::OK();
-      };
-    }
+    problem.on_boundary = [&on_boundary, me](uint64_t boundary) {
+      return on_boundary(me, boundary);
+    };
     statuses[me] = runner.Run(problem, &graphs[me]).status();
   });
-  for (rpc::MachineId m = 0; m < kMachines; ++m) {
+  return statuses;
+}
+
+// A boundary hook that fails with nobody dead stops the run at that
+// sweep's collective abort decision, with a partly converged graph.  The
+// runner must then fail on every machine — with the hook's own error on
+// the machine whose hook failed — rather than report that graph as the
+// result, and no machine may wait at a rendezvous the others skip.
+TEST_F(FaultRecoveryTest, FailingBoundaryHookFailsTheRunEverywhere) {
+  constexpr rpc::MachineId kFailing = 1;
+  fault::FtOptions ft;
+  ft.snapshot_dir = dir_;
+  ft.checkpoint_interval_seconds = 0.001;  // checkpoint every boundary
+  const std::vector<Status> statuses = RunThreeMachineFtCluster(
+      ft, [](rpc::MachineId me, uint64_t boundary) -> Status {
+        return me == kFailing && boundary == 3
+                   ? Status::IOError("hook failed at boundary 3")
+                   : Status::OK();
+      });
+  for (rpc::MachineId m = 0; m < statuses.size(); ++m) {
     EXPECT_FALSE(statuses[m].ok()) << "machine " << m;
   }
   EXPECT_EQ(statuses[kFailing].code(), StatusCode::kIOError);
@@ -696,6 +715,125 @@ TEST_F(FaultRecoveryTest, KillAtRebalanceBoundaryKeepsSurvivorsInStep) {
     }
     EXPECT_LT(l1, 1e-8) << "delay " << delay_ms;
   }
+}
+
+// The victim's journal write for epoch 3 stalls on a slow store, and the
+// victim dies at boundary 4 while that background write is still in
+// flight.  Machine 0's writer never gets the victim's DONE, so epoch 3
+// must never commit, and recovery restores epoch 2, which lists every
+// machine.
+TEST_F(FaultRecoveryTest, KillDuringBackgroundJournalWriteNeverCommits) {
+  FtScenario s;
+  s.snapshot_dir = dir_;
+  s.checkpoint_interval = 1e-9;
+  s.kill_at_boundary = 4;
+  auto reference = ReferenceRanks(s);
+  fault::FaultInjection::Instance().Reset();
+  // "_3_m3.gl" names machine 3's full or delta journal of epoch 3 only.
+  fault::FaultInjection::Instance().ArmStallWrite("_3_m3.gl", 500);
+  auto [report, ranks] = RunFtCluster(s);
+  fault::FaultInjection::Instance().Reset();
+
+  EXPECT_EQ(report.recoveries, 1u);
+  EXPECT_EQ(report.restored_epoch, 2u);
+  EXPECT_FALSE(std::filesystem::exists(ManifestPathFor(dir_, 3)))
+      << "epoch 3 committed without the dead machine's DONE";
+  auto restored =
+      ReadManifestFile(ManifestPathFor(dir_, report.restored_epoch));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->machines.size(), s.machines);
+  double l1 = 0;
+  for (size_t v = 0; v < ranks.size(); ++v) {
+    l1 += std::fabs(ranks[v] - reference[v]);
+  }
+  EXPECT_LT(l1, 1e-8);
+}
+
+// A torn write inside machine 2's background journal write for epoch 3
+// is not lost on the writer thread: machine 0 abandons the epoch, and
+// every machine's boundary 4 returns the failure, so the run stops there
+// and fails everywhere — machine 2 with its own write error.
+TEST_F(FaultRecoveryTest, TornBackgroundWriteFailsTheRunAtTheNextBoundary) {
+  constexpr rpc::MachineId kTorn = 2;
+  fault::FtOptions ft;
+  ft.snapshot_dir = dir_;
+  ft.checkpoint_interval_seconds = 1e-9;  // epoch e at boundary e
+  fault::FaultInjection::Instance().Reset();
+  fault::FaultInjection::Instance().ArmTornWrite("_3_m2.gl",
+                                                 /*byte_offset=*/10);
+  std::vector<uint64_t> last_boundary(3, 0);
+  const std::vector<Status> statuses = RunThreeMachineFtCluster(
+      ft, [&](rpc::MachineId me, uint64_t boundary) {
+        last_boundary[me] = boundary;
+        return Status::OK();
+      });
+  fault::FaultInjection::Instance().Reset();
+
+  for (rpc::MachineId m = 0; m < statuses.size(); ++m) {
+    EXPECT_FALSE(statuses[m].ok()) << "machine " << m;
+    EXPECT_EQ(statuses[m].code(), StatusCode::kIOError)
+        << "machine " << m << ": " << statuses[m].ToString();
+    EXPECT_EQ(last_boundary[m], 4u) << "machine " << m;
+  }
+  EXPECT_NE(statuses[kTorn].message().find("torn write"), std::string::npos)
+      << statuses[kTorn].ToString();
+  EXPECT_TRUE(std::filesystem::exists(ManifestPathFor(dir_, 2)));
+  EXPECT_FALSE(std::filesystem::exists(ManifestPathFor(dir_, 3)));
+}
+
+// When Run() returns, the last round is committed: the newest manifest
+// is the last attempt's last_complete_epoch().  Epochs number from 1
+// with none abandoned here, and a new attempt numbers on from the last
+// epoch on disk, so that epoch is checkpoints_written.  And a live
+// migration's forced-full epoch, written in the background at the
+// attempt's last boundary, is committed before the next attempt
+// resolves its restore chain, so that attempt restores exactly it.
+TEST_F(FaultRecoveryTest, RunReturnsWithItsLastRoundCommitted) {
+  {
+    FtScenario s;
+    s.snapshot_dir = dir_ + "_plain";
+    s.kill_at_boundary = 0;
+    s.checkpoint_interval = 1e-9;
+    auto [report, ranks] = RunFtCluster(s);
+    auto newest = ReadSnapshotManifest(s.snapshot_dir);
+    std::filesystem::remove_all(s.snapshot_dir);
+    ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+    EXPECT_GT(report.checkpoints_written, 0u);
+    EXPECT_EQ(newest->epoch, report.checkpoints_written);
+  }
+
+  FtScenario s;
+  s.snapshot_dir = dir_;
+  s.kill_at_boundary = 0;
+  s.checkpoint_interval = 1e-9;
+  s.rebalance_every = 2;
+  std::vector<uint64_t> attempt_boundaries;  // machine 0: last per attempt
+  s.observe = [&](rpc::MachineId me, uint64_t boundary) {
+    if (me != 0) return;
+    if (boundary == 1) attempt_boundaries.push_back(0);
+    attempt_boundaries.back() = boundary;
+  };
+  auto reference = ReferenceRanks(s);
+  auto [report, ranks] = RunFtCluster(s);
+  ASSERT_EQ(report.rebalances, 1u);
+  ASSERT_EQ(attempt_boundaries.size(), 2u);
+  // The first attempt took epoch e at boundary e; its last boundary's
+  // epoch is the forced-full migration epoch.
+  const uint32_t migration_epoch =
+      static_cast<uint32_t>(attempt_boundaries[0]);
+  EXPECT_EQ(report.restored_epoch, migration_epoch);
+  auto forced = ReadManifestFile(ManifestPathFor(dir_, migration_epoch));
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  EXPECT_EQ(forced->base_epoch, migration_epoch);
+  EXPECT_TRUE(forced->delta_epochs.empty());
+  auto newest = ReadSnapshotManifest(dir_);
+  ASSERT_TRUE(newest.ok());
+  EXPECT_EQ(newest->epoch, report.checkpoints_written);
+  double l1 = 0;
+  for (size_t v = 0; v < ranks.size(); ++v) {
+    l1 += std::fabs(ranks[v] - reference[v]);
+  }
+  EXPECT_LT(l1, 1e-8);
 }
 
 }  // namespace
